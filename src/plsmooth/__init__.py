@@ -35,7 +35,7 @@ from .pipeline import (SmoothedMap, SmoothingParams, assemble, choose_params,
 from .verify import (CertificationReport, fd_check, injectivity_audit,
                      jacobian_grid)
 from .vertex import (SphereIsotopy, SphereMap, VertexSmoother, degree,
-                     integral_degree, ratio_sweep, sphere_isotopy,
-                     star_flatten, vertlem_extend)
+                     integral_degree, sphere_isotopy, star_flatten,
+                     vertlem_extend)
 
 __version__ = "0.1.0"

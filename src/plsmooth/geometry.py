@@ -21,11 +21,15 @@ def normalize(v):
 
 
 def orthonormal_tangents(n):
-    """Two unit vectors completing ``n`` to a right-handed orthonormal basis."""
+    """Two unit vectors completing ``n`` to a right-handed orthonormal basis.
+
+    ``n`` is one unit vector (3,) or a stack of them (N,3); the tangents have
+    the shape of ``n``.  ``det[n, t2, t3] = |n|^2 > 0``, so the frame is
+    right-handed without a check.
+    """
     n = np.asarray(n, dtype=float)
-    a = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    t2 = np.cross(n, a)
-    t2 /= np.linalg.norm(t2)
+    a = np.where(np.abs(n[..., :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    t2 = normalize(np.cross(n, a))
     t3 = np.cross(n, t2)
     return t2, t3
 

@@ -497,10 +497,7 @@ def face_pairs(plmap, widths=None):
                 ca, cb = cb, ca
                 Ma, Mb = Mb, Ma
                 ca_off, cb_off = cb_off, ca_off
-        t2, t3 = geo.orthonormal_tangents(n)
-        R = np.vstack([n, t2, t3])
-        if np.linalg.det(R) < 0:
-            R = np.vstack([n, t3, t2])
+        R = np.vstack([n, *geo.orthonormal_tangents(n)])
         frame = geo.Frame(origin=p.mean(axis=0), R=R)
         out.append(FacePair(face=f, cell_neg=ca, cell_pos=cb, frame=frame,
                             M_neg=Ma, c_neg=ca_off, M_pos=Mb, c_pos=cb_off,

@@ -13,8 +13,7 @@ import numpy as np
 
 from . import geometry as geo
 from .blend import eta, eta_prime, time_profile, time_profile_prime
-from .errors import (CertificationError, ConstructionError, InvalidInputError,
-                     NoIsotopyFound)
+from .errors import CertificationError, ConstructionError, NoIsotopyFound
 
 
 def _unit(x):
@@ -55,18 +54,16 @@ class SphereMap:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         mu = self(x)
         D = self.ambient_derivative(x)
-        out = np.empty(len(x))
-        for k in range(len(x)):
-            u2, u3 = geo.orthonormal_tangents(x[k])
-            if np.linalg.det(np.vstack([x[k], u2, u3])) < 0:
-                u2, u3 = u3, u2
-            v2, v3 = geo.orthonormal_tangents(mu[k])
-            if np.linalg.det(np.vstack([mu[k], v2, v3])) < 0:
-                v2, v3 = v3, v2
-            T = np.array([[v2 @ D[k] @ u2, v2 @ D[k] @ u3],
-                          [v3 @ D[k] @ u2, v3 @ D[k] @ u3]])
-            out[k] = np.linalg.det(T)
-        return out
+        u2, u3 = geo.orthonormal_tangents(x)
+        v2, v3 = geo.orthonormal_tangents(mu)
+        T = _tangent_block(D, u2, u3, v2, v3)
+        return T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
+
+
+def _tangent_block(D, u2, u3, v2, v3):
+    """The 2x2 blocks [[v2.D.u2, v2.D.u3], [v3.D.u2, v3.D.u3]] of the (N,3,3)
+    derivatives D between the tangent frames at x and at its image."""
+    return np.stack([v2, v3], axis=-2) @ D @ np.stack([u2, u3], axis=-1)
 
 
 def linear_sphere_map(M):
@@ -76,37 +73,60 @@ def linear_sphere_map(M):
 
 
 def _newton_preimages(mu, y, seeds, tol=1e-12, max_iter=30):
-    """Tangent-plane Newton from every seed; converged points deduplicated."""
+    """Tangent-plane Newton from all seeds as one batch; returns the (k,3)
+    converged points, deduplicated in seed order.
+
+    A seed freezes once its residual is below ``tol`` and stops without a
+    point when its 2x2 tangent system is singular.  Each iteration makes one
+    ``mu`` and one ``mu.ambient_derivative`` call on the seeds still live.
+    """
+    x = geo.normalize(seeds)
+    v2, v3 = geo.orthonormal_tangents(y)
+    live = np.arange(len(x))
+    converged = np.zeros(len(x), dtype=bool)
+    for _ in range(max_iter):
+        if not len(live):
+            break
+        r = mu(x[live]) - y
+        done = np.linalg.norm(r, axis=-1) < tol
+        converged[live[done]] = True
+        live, r = live[~done], r[~done]
+        if not len(live):
+            break
+        xl = x[live]
+        u2, u3 = geo.orthonormal_tangents(xl)
+        A = _tangent_block(mu.ambient_derivative(xl), u2, u3, v2, v3)
+        b = np.stack([r @ v2, r @ v3], axis=-1)
+        step, solved = _solve_2x2(A, -b)
+        live, xl, step = live[solved], xl[solved], step[solved]
+        u2, u3 = u2[solved], u3[solved]
+        clip = np.linalg.norm(step, axis=-1) > 1.0
+        step[clip] /= np.linalg.norm(step[clip], axis=-1, keepdims=True)
+        x[live] = geo.normalize(xl + step[:, :1] * u2 + step[:, 1:] * u3)
+    cand = x[converged]
+    if len(cand):
+        cand = cand[np.linalg.norm(mu(cand) - y, axis=-1) < 1e-10]
     found = []
-    for x in seeds:
-        x = x / np.linalg.norm(x)
-        ok = False
-        for _ in range(max_iter):
-            r = mu(x[None])[0] - y
-            if np.linalg.norm(r) < tol:
-                ok = True
-                break
-            u2, u3 = geo.orthonormal_tangents(x)
-            D = mu.ambient_derivative(x[None])[0]
-            v2, v3 = geo.orthonormal_tangents(y)
-            A = np.array([[v2 @ D @ u2, v2 @ D @ u3],
-                          [v3 @ D @ u2, v3 @ D @ u3]])
-            b = np.array([v2 @ r, v3 @ r])
+    for p in cand:
+        if all(np.linalg.norm(q - p) >= 1e-7 for q in found):
+            found.append(p)
+    return np.array(found).reshape(-1, 3)
+
+
+def _solve_2x2(A, b):
+    """Solve the (N,2,2) systems A s = b; returns (s, solved), where
+    ``solved`` is False for the systems LAPACK reports singular."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(A), bool)
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(b)
+        solved = np.ones(len(A), bool)
+        for k in range(len(A)):
             try:
-                step = np.linalg.solve(A, -b)
+                step[k] = np.linalg.solve(A[k], b[k])
             except np.linalg.LinAlgError:
-                break
-            if np.linalg.norm(step) > 1.0:
-                step = step / np.linalg.norm(step)
-            x = x + step[0] * u2 + step[1] * u3
-            x = x / np.linalg.norm(x)
-        if ok and np.linalg.norm(mu(x[None])[0] - y) < 1e-10:
-            for p in found:
-                if np.linalg.norm(p - x) < 1e-7:
-                    break
-            else:
-                found.append(x)
-    return found
+                solved[k] = False
+        return step, solved
 
 
 def integral_degree(mu, n_polar=32, n_azimuth=64):
@@ -135,13 +155,13 @@ def degree(mu, y=None, rng=None):
                 f"integral degree does not round robustly ({fine})")
     d_int = int(round(fine))
     seeds = geo.icosphere(3)
-    for _ in range(5):
-        if y is None or _ > 0:
+    for attempt in range(5):
+        if y is None or attempt > 0:
             y = _unit(rng.normal(size=3))
         pre = _newton_preimages(mu, np.asarray(y, dtype=float), seeds)
-        if not pre:
+        if not len(pre):
             continue
-        dets = mu.tangent_det(np.array(pre))
+        dets = mu.tangent_det(pre)
         if np.min(np.abs(dets)) < 1e-8:
             continue  # y too close to a critical value; re-draw
         d_count = int(np.sum(np.sign(dets)))
@@ -149,7 +169,7 @@ def degree(mu, y=None, rng=None):
             return d_int
         # one refinement retry with a denser seed grid
         pre = _newton_preimages(mu, np.asarray(y, dtype=float), geo.icosphere(4))
-        dets = mu.tangent_det(np.array(pre))
+        dets = mu.tangent_det(pre)
         if np.min(np.abs(dets)) >= 1e-8 and int(np.sum(np.sign(dets))) == d_int:
             return d_int
         raise CertificationError(
@@ -367,65 +387,3 @@ def _vertlem_jac(smoother, x):
         + dPsi_dt[:, :, None] * (dtau[:, None] * xhat)[:, None, :]
     return rho * Psi[:, :, None] * xhat[:, None, :] \
         + (rho * nx)[:, None, None] * total
-
-
-# ---------------------------------------------------------------------------
-# certification
-
-
-def certify_radial_subdeterminant(smoother, n=100000, rng=None, floor_tol=None):
-    """Sampled minimum of the tangential 2x2 subdeterminant of D hat_g in
-    the moving frames along x/|x| and hat_g/|hat_g| over the shell."""
-    rng = np.random.default_rng(rng if rng is not None else 11)
-    R = smoother.R
-    pts = _unit(rng.normal(size=(n, 3))) * rng.uniform(0.5 * R, R, n)[:, None]
-    g = smoother.hat_g(pts)
-    J = smoother.hat_g_jac(pts)
-    best = np.inf
-    worst_pt = None
-    # vectorized tangent frames
-    xhat = _unit(pts)
-    ghat = _unit(g)
-    scale = float(np.max(np.linalg.norm(g, axis=-1))) / R
-    u2 = np.cross(xhat, np.where(np.abs(xhat[:, :1]) < 0.9,
-                                 [[1.0, 0, 0]], [[0, 1.0, 0]]))
-    u2 = _unit(u2)
-    u3 = np.cross(xhat, u2)
-    v2 = np.cross(ghat, np.where(np.abs(ghat[:, :1]) < 0.9,
-                                 [[1.0, 0, 0]], [[0, 1.0, 0]]))
-    v2 = _unit(v2)
-    v3 = np.cross(ghat, v2)
-    Ju2 = np.einsum("nij,nj->ni", J, u2)
-    Ju3 = np.einsum("nij,nj->ni", J, u3)
-    a = np.sum(v2 * Ju2, axis=-1)
-    b = np.sum(v2 * Ju3, axis=-1)
-    c = np.sum(v3 * Ju2, axis=-1)
-    d = np.sum(v3 * Ju3, axis=-1)
-    dets = np.abs(a * d - b * c)
-    k = int(np.argmin(dets))
-    best, worst_pt = float(dets[k]), pts[k]
-    tol = (1e-6 * scale ** 2) if floor_tol is None else floor_tol
-    if best < tol:
-        raise CertificationError(
-            f"radial subdeterminant floor {best:.3e} below tolerance {tol:.3e} "
-            f"at {worst_pt}")
-    return best
-
-
-def ratio_sweep(build, certify, max_halvings=12):
-    """Halve a ratio parameter until a certification passes with 2x margin.
-
-    ``build(ratio)`` constructs the object; ``certify(obj)`` returns a floor
-    or raises CertificationError.  Returns (ratio, floor, halvings).
-    """
-    ratio = 1.0
-    for k in range(max_halvings + 1):
-        try:
-            obj = build(ratio)
-            floor = certify(obj)
-            return ratio, floor, k
-        except (CertificationError, ConstructionError, InvalidInputError,
-                NoIsotopyFound):
-            ratio *= 0.5
-    raise CertificationError(
-        f"certification failed down to ratio {ratio * 2}")

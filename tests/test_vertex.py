@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from plsmooth import geometry as geo
 from plsmooth.errors import NoIsotopyFound
-from plsmooth.vertex import (SphereMap, VertexSmoother, degree,
-                             integral_degree, linear_sphere_map,
+from plsmooth.vertex import (SphereMap, VertexSmoother, _newton_preimages,
+                             degree, integral_degree, linear_sphere_map,
                              sphere_isotopy)
 
 
@@ -149,3 +150,159 @@ def test_sphere_map_tangent_det_sign():
     u = np.array([[0.0, 0, 1], [1.0, 0, 0], [0.57735, 0.57735, 0.57735]])
     dets = sm.tangent_det(u)
     assert np.all(dets > 0)
+
+
+# ---------------------------------------------------------------------------
+# batched degree certification against the per-point reference
+
+
+def _ref_tangents(n):
+    """Per-point tangent frame, as computed before the helper was batched."""
+    a = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    t2 = np.cross(n, a)
+    t2 /= np.linalg.norm(t2)
+    return t2, np.cross(n, t2)
+
+
+def _ref_newton_preimages(mu, y, seeds, tol=1e-12, max_iter=30):
+    """Scalar Newton, one seed and one point per sphere-map call."""
+    found = []
+    for x in seeds:
+        x = x / np.linalg.norm(x)
+        ok = False
+        for _ in range(max_iter):
+            r = mu(x[None])[0] - y
+            if np.linalg.norm(r) < tol:
+                ok = True
+                break
+            u2, u3 = _ref_tangents(x)
+            D = mu.ambient_derivative(x[None])[0]
+            v2, v3 = _ref_tangents(y)
+            A = np.array([[v2 @ D @ u2, v2 @ D @ u3],
+                          [v3 @ D @ u2, v3 @ D @ u3]])
+            b = np.array([v2 @ r, v3 @ r])
+            try:
+                step = np.linalg.solve(A, -b)
+            except np.linalg.LinAlgError:
+                break
+            if np.linalg.norm(step) > 1.0:
+                step = step / np.linalg.norm(step)
+            x = x + step[0] * u2 + step[1] * u3
+            x = x / np.linalg.norm(x)
+        if ok and np.linalg.norm(mu(x[None])[0] - y) < 1e-10:
+            if all(np.linalg.norm(p - x) >= 1e-7 for p in found):
+                found.append(x)
+    return found
+
+
+def _ref_tangent_det(mu, x):
+    """Per-point loop over oriented tangent frames."""
+    m = mu(x)
+    D = mu.ambient_derivative(x)
+    out = np.empty(len(x))
+    for k in range(len(x)):
+        u2, u3 = _ref_tangents(x[k])
+        if np.linalg.det(np.vstack([x[k], u2, u3])) < 0:
+            u2, u3 = u3, u2
+        v2, v3 = _ref_tangents(m[k])
+        if np.linalg.det(np.vstack([m[k], v2, v3])) < 0:
+            v2, v3 = v3, v2
+        T = np.array([[v2 @ D[k] @ u2, v2 @ D[k] @ u3],
+                      [v3 @ D[k] @ u2, v3 @ D[k] @ u3]])
+        out[k] = np.linalg.det(T)
+    return out
+
+
+def _squaring_sphere_map():
+    """Normalised (x^2 - y^2, 2xy, z): degree 2, critical at the poles."""
+    def ambient(x):
+        x = np.atleast_2d(x)
+        return np.stack([x[:, 0] ** 2 - x[:, 1] ** 2, 2 * x[:, 0] * x[:, 1],
+                         x[:, 2]], axis=-1)
+
+    def ambient_jac(x):
+        x = np.atleast_2d(x)
+        J = np.zeros((len(x), 3, 3))
+        J[:, 0, 0] = J[:, 1, 1] = 2 * x[:, 0]
+        J[:, 0, 1] = -2 * x[:, 1]
+        J[:, 1, 0] = 2 * x[:, 1]
+        J[:, 2, 2] = 1.0
+        return J
+
+    return SphereMap(ambient, ambient_jac)
+
+
+def _random_unit(rng, n):
+    u = rng.normal(size=(n, 3))
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+
+def test_degree_two_batched_preimages_match_scalar():
+    sm = _squaring_sphere_map()
+    assert degree(sm) == 2
+    seeds = geo.icosphere(2)  # holds both critical poles
+    for y in _random_unit(np.random.default_rng(8), 2):
+        pre = _newton_preimages(sm, y, seeds)
+        ref = np.array(_ref_newton_preimages(sm, y, seeds))
+        assert pre.shape == ref.shape == (2, 3)
+        assert np.max(np.abs(pre - ref)) < 1e-10
+
+
+def test_newton_seed_at_critical_pole_stops():
+    # the tangent system at the pole is exactly zero, so that seed stops
+    # while the rest of the batch goes on
+    sm = _squaring_sphere_map()
+    y = _random_unit(np.random.default_rng(9), 1)[0]
+    pole = np.array([[0.0, 0.0, 1.0]])
+    assert _newton_preimages(sm, y, pole).shape == (0, 3)
+    seeds = np.vstack([pole, geo.icosphere(2)])
+    pre = _newton_preimages(sm, y, seeds)
+    assert len(pre) == 2
+    assert np.array_equal(pre, _newton_preimages(sm, y, seeds[1:]))
+
+
+def test_vectorised_frames_match_per_point():
+    rng = np.random.default_rng(10)
+    n = np.vstack([_random_unit(rng, 500), np.eye(3), -np.eye(3)])
+    t2, t3 = geo.orthonormal_tangents(n)
+    for k in range(len(n)):
+        r2, r3 = _ref_tangents(n[k])
+        assert np.allclose(t2[k], r2, rtol=0, atol=1e-15)
+        assert np.allclose(t3[k], r3, rtol=0, atol=1e-15)
+    F = np.stack([n, t2, t3], axis=1)
+    assert np.allclose(F @ F.transpose(0, 2, 1), np.eye(3), atol=1e-14)
+    assert np.allclose(np.linalg.det(F), 1.0, atol=1e-14)
+    one = geo.orthonormal_tangents(n[0])
+    assert np.array_equal(one[0], t2[0]) and np.array_equal(one[1], t3[0])
+
+
+def test_vectorised_tangent_det_matches_loop():
+    rng = np.random.default_rng(11)
+    A = np.eye(3) + 0.4 * rng.normal(size=(3, 3))
+    for sm in (_squaring_sphere_map(), linear_sphere_map(A)):
+        x = _random_unit(rng, 500)
+        np.testing.assert_allclose(sm.tangent_det(x), _ref_tangent_det(sm, x),
+                                   rtol=1e-12, atol=0)
+
+
+class _CountingSphereMap(SphereMap):
+    calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return super().__call__(x)
+
+    def ambient_derivative(self, x):
+        self.calls += 1
+        return super().ambient_derivative(x)
+
+
+def test_degree_sphere_call_count():
+    # the batched Newton makes a few calls per iteration, not a few per
+    # seed and iteration (about 24k calls with one point each)
+    rng = np.random.default_rng(0)
+    A = np.eye(3) + 0.4 * rng.normal(size=(3, 3))
+    sm = linear_sphere_map(A)
+    counting = _CountingSphereMap(sm.ambient, sm.ambient_jac)
+    assert degree(counting) == 1
+    assert counting.calls <= 200
