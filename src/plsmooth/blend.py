@@ -7,7 +7,7 @@ inside the strip 0 < y1 < w(y2, y3).  All derivatives are analytic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -46,36 +46,6 @@ def eta_prime(t):
     e = expit(1.0 / (1.0 - tm) - 1.0 / tm)
     out[mid] = e * (1.0 - e) * _psi(tm)
     return out if out.ndim else float(out)
-
-
-def eta_second(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    e = expit(1.0 / (1.0 - tm) - 1.0 / tm)
-    ep = e * (1.0 - e) * _psi(tm)
-    psi_p = -2.0 / tm ** 3 + 2.0 / (1.0 - tm) ** 3
-    out[mid] = ep * (1.0 - 2.0 * e) * _psi(tm) + e * (1.0 - e) * psi_p
-    return out if out.ndim else float(out)
-
-
-class BlendProfile:
-    """The fixed profile; a construction-time check rejects any variant
-    whose derivative exceeds 2."""
-
-    def __init__(self, fn=eta, dfn=eta_prime, d2fn=eta_second, check=True):
-        self.eta = fn
-        self.eta_prime = dfn
-        self.eta_second = d2fn
-        if check:
-            t = np.linspace(0.0, 1.0, 20001)
-            m = float(np.max(dfn(t)))
-            if m > 2.0 + 1e-9:
-                raise InvalidInputError(f"profile violates eta' <= 2 (sup {m})")
-
-
-DEFAULT_PROFILE = BlendProfile()
 
 
 def time_profile(t):
@@ -154,7 +124,6 @@ class FaceBlend:
     width: object
     sigma: float = np.inf
     floor: float = 0.0
-    profile: BlendProfile = field(default=DEFAULT_PROFILE, repr=False)
 
     def local(self, x):
         return (np.atleast_2d(x) - self.frame_origin) @ self.frame_R.T
@@ -183,7 +152,7 @@ def face_blend(blend, x):
     if np.any(w <= 0):
         raise DomainError("width field non-positive at a query point")
     u = y[:, 0] / w
-    e = blend.profile.eta(u)
+    e = eta(u)
     neg = x @ blend.M_neg.T + blend.c_neg
     pos = x @ blend.M_pos.T + blend.c_pos
     out = (1.0 - e)[:, None] * neg + e[:, None] * pos
@@ -204,8 +173,8 @@ def face_blend_jacobian(blend, x):
     if np.any(w <= 0):
         raise DomainError("width field non-positive at a query point")
     u = y[:, 0] / w
-    e = blend.profile.eta(u)
-    ep = blend.profile.eta_prime(u)
+    e = eta(u)
+    ep = eta_prime(u)
     neg = x @ blend.M_neg.T + blend.c_neg
     pos = x @ blend.M_pos.T + blend.c_pos
     diff = pos - neg
@@ -260,59 +229,18 @@ def _normalized_frame_data(blend):
     return a1, a2, abs(J2), float(np.linalg.norm(d)), float(Gamma)
 
 
-def sigma_for_face(blend, empirical=False, rng=None):
+def sigma_for_face(blend):
     """Certified width-gradient bound and the matching Jacobian floor.
 
     The blend's Jacobian is the constant-width Jacobian plus a rank-one
     perturbation bounded by 2|d| |Dw|; an adjugate bound turns that into
     J >= a1*J2 - 2|d| sigma Gamma^2.  sigma is chosen so the right side
-    stays above floor = a1*J2/2.
-
-    Returns (sigma, floor) and, with empirical=True, additionally a bisected
-    diagnostic sigma_emp from dense Jacobian sampling.
+    stays above floor = a1*J2/2.  Returns (sigma, floor).
     """
-    a1, a2, J2, dnorm, Gamma = _normalized_frame_data(blend)
+    a1, _, J2, dnorm, Gamma = _normalized_frame_data(blend)
     if J2 <= 0:
         raise InvalidInputError("degenerate image face (J2 = 0)")
     floor = 0.5 * a1 * J2
     if dnorm == 0.0:
-        sigma = np.inf
-    else:
-        sigma = floor / (2.0 * dnorm * Gamma ** 2)
-    if not empirical:
-        return sigma, floor
-    sigma_emp = _empirical_sigma(blend, floor, rng=rng)
-    return sigma, floor, sigma_emp
-
-
-def _empirical_sigma(blend, floor, rng=None, n=4000):
-    """Bisection on the width-gradient magnitude with dense sampling of the
-    strip Jacobian; diagnostic only."""
-    rng = np.random.default_rng(rng)
-    w0 = float(np.min(blend.width.value(np.zeros(1), np.zeros(1))))
-    lo, hi = 0.0, 4.0
-    pts_loc = np.column_stack([
-        rng.uniform(0, 1, n), rng.uniform(-3, 3, n), rng.uniform(-3, 3, n)])
-
-    def ok(slope):
-        ramp = RampWidth(w0, w0 * (1 + slope * 6.0 / (2.0 * w0)), u0=-3.0, ell=6.0) \
-            if slope > 0 else ConstantWidth(w0)
-        trial = FaceBlend(blend.frame_origin, blend.frame_R, blend.M_neg,
-                          blend.c_neg, blend.M_pos, blend.c_pos, ramp,
-                          profile=blend.profile)
-        y = pts_loc.copy()
-        y[:, 0] *= ramp.value(y[:, 1], y[:, 2])
-        x = y @ trial.frame_R + trial.frame_origin
-        J = face_blend_jacobian(trial, x)
-        return float(np.min(np.linalg.det(J))) >= floor - 1e-12
-
-    if not ok(0.0):
-        return 0.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        ramp_bound = 2.0 * abs(mid * 6.0 / 2.0) / 6.0  # grad sup of the trial ramp
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        return np.inf, floor
+    return floor / (2.0 * dnorm * Gamma ** 2), floor

@@ -63,8 +63,7 @@ def cmd_validate(args):
 
 def cmd_smooth(args):
     plmap = _load_map(args.input)
-    validate_pl_homeo(plmap)
-    params = choose_params(plmap)
+    params = choose_params(plmap)  # validates the map first
     g = assemble(plmap, params.scaled(args.lam))
     summary = {
         "lambda": args.lam,
@@ -94,8 +93,7 @@ def cmd_smooth(args):
 
 def cmd_sweep(args):
     plmap = _load_map(args.input)
-    validate_pl_homeo(plmap)
-    params = choose_params(plmap)
+    params = choose_params(plmap)  # validates the map first
     lambdas = tuple(args.lambdas)
     rows = lambda_sweep(plmap, params, lambdas=lambdas, p=args.p, q=args.q,
                         rng=args.seed)

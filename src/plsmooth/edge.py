@@ -13,13 +13,13 @@ diag(rho, rho, lam).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .blend import (DEFAULT_PROFILE, ConstantWidth, FaceBlend, eta, eta_prime,
-                    face_blend, face_blend_jacobian, sigma_for_face,
+from .blend import (ConstantWidth, FaceBlend, eta, eta_prime, face_blend,
+                    face_blend_jacobian, sigma_for_face,
                     time_profile, time_profile_prime)
 from .errors import (ConstructionError, InvalidInputError, ParameterError)
 from .mesh import EdgeFan
@@ -76,7 +76,7 @@ def synthetic_fan(angles, matrices, length=1.0):
 # ray blends and the wedge map
 
 
-def ray_blends(fan, widths, profile=DEFAULT_PROFILE):
+def ray_blends(fan, widths):
     """One FaceBlend per ray, oriented toward the larger normal stretch."""
     m = fan.m
     widths = np.broadcast_to(np.asarray(widths, dtype=float), (m,))
@@ -107,7 +107,7 @@ def ray_blends(fan, widths, profile=DEFAULT_PROFILE):
         R = np.vstack([n, d, t3])
         blend = FaceBlend(frame_origin=zero, frame_R=R,
                           M_neg=M_neg, c_neg=zero, M_pos=M_pos, c_pos=zero,
-                          width=ConstantWidth(widths[i]), profile=profile)
+                          width=ConstantWidth(widths[i]))
         sigma, floor = sigma_for_face(blend)
         blend.sigma, blend.floor = sigma, floor
         out.append(blend)
@@ -118,11 +118,11 @@ def _sector_matrices(fan, theta):
     return fan.pieces[fan.sector_of(theta)]
 
 
-def wedge_map(fan, widths, x, profile=DEFAULT_PROFILE, blends=None):
+def wedge_map(fan, widths, x, blends=None):
     """The sectorwise-blended map in frame coordinates (valid for
     x1^2+x2^2 >= (r/4)^2 if the width condition holds there)."""
     if blends is None:
-        blends = ray_blends(fan, widths, profile)
+        blends = ray_blends(fan, widths)
     single = np.asarray(x, dtype=float).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
     theta = np.arctan2(x[:, 1], x[:, 0])
@@ -138,9 +138,9 @@ def wedge_map(fan, widths, x, profile=DEFAULT_PROFILE, blends=None):
     return out[0] if single else out
 
 
-def wedge_jacobian(fan, widths, x, profile=DEFAULT_PROFILE, blends=None):
+def wedge_jacobian(fan, widths, x, blends=None):
     if blends is None:
-        blends = ray_blends(fan, widths, profile)
+        blends = ray_blends(fan, widths)
     single = np.asarray(x, dtype=float).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
     theta = np.arctan2(x[:, 1], x[:, 0])
@@ -173,22 +173,16 @@ class CircleIsotopy:
     """Isotopy from the identity to a sense-preserving circle diffeo.
 
     The target is given by its degree-1 lift H (strictly increasing,
-    H(theta + 2pi) = H(theta) + 2pi).  The interpolated lift is
-    L(theta, t) = (1 - s(t)) theta + s(t) H(theta) with a time profile s
-    that is identically 0 near t=0 and 1 near t=1, so the endpoints are
-    met exactly and d/dtheta L lies between 1 and H' pointwise.
+    H(theta + 2pi) = H(theta) + 2pi) and its derivative Hprime.  The
+    interpolated lift is L(theta, t) = (1 - s(t)) theta + s(t) H(theta) with
+    s = time_profile, identically 0 near t=0 and 1 near t=1, so the
+    endpoints are met exactly and d/dtheta L lies between 1 and H'
+    pointwise.
     """
 
-    def __init__(self, H, Hprime=None, s=time_profile, sprime=time_profile_prime,
-                 check=True):
+    def __init__(self, H, Hprime, check=True):
         self.H = H
-        if Hprime is None:
-            def Hprime(th, h=1e-6):
-                return (np.asarray(H(np.asarray(th) + h))
-                        - np.asarray(H(np.asarray(th) - h))) / (2 * h)
         self.Hprime = Hprime
-        self.s = s
-        self.sprime = sprime
         if check:
             th = np.linspace(-np.pi, np.pi, 513)
             Hv = np.asarray(H(th), dtype=float)
@@ -200,24 +194,16 @@ class CircleIsotopy:
 
     def lift(self, theta, t):
         theta = np.asarray(theta, dtype=float)
-        sv = self.s(t)
+        sv = time_profile(t)
         return (1.0 - sv) * theta + sv * np.asarray(self.H(theta))
 
     def dlift_dtheta(self, theta, t):
-        sv = self.s(t)
+        sv = time_profile(t)
         return (1.0 - sv) + sv * np.asarray(self.Hprime(theta))
 
-    def dlift_dt(self, theta, t):
-        theta = np.asarray(theta, dtype=float)
-        return self.sprime(t) * (np.asarray(self.H(theta)) - theta)
 
-    def alpha(self, theta, t):
-        L = self.lift(theta, t)
-        return np.stack([np.cos(L), np.sin(L)], axis=-1)
-
-
-def circle_isotopy(H, Hprime=None, **kw):
-    return CircleIsotopy(H, Hprime, **kw)
+def circle_isotopy(H, Hprime):
+    return CircleIsotopy(H, Hprime)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +223,6 @@ class EdgeSmoother:
     fan: EdgeFan
     widths: object
     radius: float
-    profile: object = field(default=DEFAULT_PROFILE, repr=False)
 
     def __post_init__(self):
         m = self.fan.m
@@ -254,19 +239,21 @@ class EdgeSmoother:
                 f"widths too large for the fan: arctan(w/(r/4)) = {worst:.3e} "
                 f">= {lim:.3e} (ray slabs would overlap)")
         self.lam = self.fan.lam
-        self.blends = ray_blends(self.fan, self.widths, self.profile)
+        self.blends = ray_blends(self.fan, self.widths)
         self._setup_planar()
 
     # -- planar reduction helpers (exact for constant widths)
+    #
+    # Every piece maps e3 to (0, 0, lam), so the horizontal image of the
+    # wedge does not depend on x3: it is evaluated over the plane x3 = 0.
 
-    def _G(self, t, theta, x3=None):
-        """Horizontal image components of the wedge over the plane x3."""
+    def _G(self, t, theta):
+        """Horizontal image components of the wedge."""
         t = np.asarray(t, dtype=float)
         theta = np.asarray(theta, dtype=float)
         t, theta = np.broadcast_arrays(t, theta)
-        z = np.zeros_like(t) if x3 is None else np.broadcast_to(
-            np.asarray(x3, dtype=float), t.shape)
-        pts = np.stack([t * np.cos(theta), t * np.sin(theta), z], axis=-1)
+        pts = np.stack([t * np.cos(theta), t * np.sin(theta),
+                        np.zeros_like(t)], axis=-1)
         vals = wedge_map(self.fan, self.widths, pts.reshape(-1, 3),
                          blends=self.blends)
         return vals.reshape(t.shape + (3,))[..., :2]
@@ -302,12 +289,12 @@ class EdgeSmoother:
                 "squeeze circle map is not orientation preserving")
         self.isotopy = CircleIsotopy(self._H, self._Hprime, check=False)
 
-    def _H(self, theta, x3=None):
+    def _H(self, theta):
         """Exact lift of the squeeze circle map (spline used only to pick
         the 2pi branch)."""
         theta = np.asarray(theta, dtype=float)
         t0 = 0.6 * self.radius
-        G0 = self._G(np.full_like(theta, t0), theta, x3)
+        G0 = self._G(np.full_like(theta, t0), theta)
         raw = np.arctan2(G0[..., 1], G0[..., 0])
         ref = theta + self._psi_ref(_principal(theta))
         k = np.round((ref - raw) / (2 * np.pi))
@@ -356,8 +343,8 @@ class EdgeSmoother:
 
         p2 = (t < 0.8 * r) & (t >= 0.6 * r)
         if np.any(p2):
-            G = self._G(t[p2], theta[p2], x[p2, 2])
-            u = self._unit_dir(theta[p2], x[p2, 2])
+            G = self._G(t[p2], theta[p2])
+            u = self._unit_dir(theta[p2])
             e2 = eta((5.0 * t[p2] - 3.0 * r[p2]) / r[p2])
             out[p2, :2] = e2[:, None] * G \
                 + ((1.0 - e2) * t[p2] * self.rho)[:, None] * u
@@ -366,7 +353,7 @@ class EdgeSmoother:
         p3 = (t < 0.6 * r) & (t >= 0.4 * r)
         if np.any(p3):
             tau = (5.0 * t[p3] - 2.0 * r[p3]) / r[p3]
-            H = self._H(theta[p3], x[p3, 2])
+            H = self._H(theta[p3])
             L = theta[p3] + time_profile(tau) * (H - theta[p3])
             out[p3, 0] = t[p3] * self.rho * np.cos(L)
             out[p3, 1] = t[p3] * self.rho * np.sin(L)
@@ -379,9 +366,9 @@ class EdgeSmoother:
             out[core, 2] = lam * x[core, 2]
         return out[0] if single else out
 
-    def _unit_dir(self, theta, x3=None):
+    def _unit_dir(self, theta):
         t0 = 0.6 * self.radius
-        G0 = self._G(np.full_like(np.asarray(theta, float), t0), theta, x3)
+        G0 = self._G(np.full_like(np.asarray(theta, float), t0), theta)
         return G0 / np.linalg.norm(G0, axis=-1, keepdims=True)
 
     def __call__(self, x):
@@ -488,11 +475,6 @@ def _principal(theta):
     return np.mod(np.asarray(theta, dtype=float) + np.pi, 2 * np.pi) - np.pi
 
 
-def seglem_extend(smoother, x):
-    """The cylindrical extension at frame points ``x``."""
-    return smoother.evaluate(x)
-
-
 # ---------------------------------------------------------------------------
 # variable radius
 
@@ -509,22 +491,6 @@ class RampRadius:
     def value(self, x3):
         u = (np.asarray(x3, dtype=float) - self.z0) / (self.z1 - self.z0)
         return self.r0 + (self.r1 - self.r0) * eta(u)
-
-    def deriv(self, x3):
-        u = (np.asarray(x3, dtype=float) - self.z0) / (self.z1 - self.z0)
-        return (self.r1 - self.r0) / (self.z1 - self.z0) * eta_prime(u)
-
-
-class ConstantRadius:
-    def __init__(self, r):
-        self.r0 = self.r1 = float(r)
-        self.max_slope = 0.0
-
-    def value(self, x3):
-        return np.full_like(np.asarray(x3, dtype=float), self.r0)
-
-    def deriv(self, x3):
-        return np.zeros_like(np.asarray(x3, dtype=float))
 
 
 class VariableRadiusMap:
@@ -561,57 +527,37 @@ class VariableRadiusMap:
         return J[0] if single else J
 
 
-def cylinder_jacobian_floor(smoother, n_t=24, n_th=48, n_z=8, z_range=None):
+def cylinder_jacobian_floor(smoother):
     """Sampled minimum Jacobian determinant over the cylinder."""
     r = smoother.radius
-    if z_range is None:
-        z_range = (0.0, smoother.fan.length)
-    tg = np.linspace(1e-3 * r, 0.999 * r, n_t)
-    thg = np.linspace(-np.pi, np.pi, n_th, endpoint=False)
-    zg = np.linspace(z_range[0], z_range[1], n_z)
+    tg = np.linspace(1e-3 * r, 0.999 * r, 24)
+    thg = np.linspace(-np.pi, np.pi, 48, endpoint=False)
+    zg = np.linspace(0.0, smoother.fan.length, 8)
     T, TH, Z = np.meshgrid(tg, thg, zg, indexing="ij")
     pts = np.stack([T * np.cos(TH), T * np.sin(TH), Z], axis=-1).reshape(-1, 3)
     dets = np.linalg.det(smoother.jacobian(pts))
     return float(np.min(dets))
 
 
-def variable_radius_extend(smoother, radius_profile, certify=True, n=12000,
-                           rng=None):
-    """Build the r(x3) variant; with ``certify`` the sampled Jacobian must
+def variable_radius_extend(smoother, radius_profile):
+    """Build the r(x3) variant.  Its Jacobian, sampled at 12000 points, must
     stay above half the constant-radius floor, else a parameter error names
     the offending slope bound."""
+    n = 12000
     vmap = VariableRadiusMap(smoother, radius_profile)
-    if certify:
-        floor = cylinder_jacobian_floor(smoother)
-        rng = np.random.default_rng(rng if rng is not None else 0)
-        z0 = getattr(radius_profile, "z0", 0.0)
-        z1 = getattr(radius_profile, "z1", smoother.fan.length)
-        span = max(z1 - z0, 1e-12)
-        z = rng.uniform(z0 - 0.2 * span, z1 + 0.2 * span, n)
-        rloc = radius_profile.value(z)
-        t = rloc * np.sqrt(rng.uniform(1e-4, 0.998 ** 2, n))
-        th = rng.uniform(-np.pi, np.pi, n)
-        pts = np.stack([t * np.cos(th), t * np.sin(th), z], axis=-1)
-        dets = np.linalg.det(vmap.jacobian(pts))
-        if float(np.min(dets)) < 0.5 * floor:
-            raise ParameterError(
-                f"radius slope too large (|r'| <= {radius_profile.max_slope:.3e}): "
-                f"sampled Jacobian {float(np.min(dets)):.3e} fell below half the "
-                f"constant-radius floor {floor:.3e}")
+    floor = cylinder_jacobian_floor(smoother)
+    rng = np.random.default_rng(0)
+    z0, z1 = radius_profile.z0, radius_profile.z1
+    span = max(z1 - z0, 1e-12)
+    z = rng.uniform(z0 - 0.2 * span, z1 + 0.2 * span, n)
+    rloc = radius_profile.value(z)
+    t = rloc * np.sqrt(rng.uniform(1e-4, 0.998 ** 2, n))
+    th = rng.uniform(-np.pi, np.pi, n)
+    pts = np.stack([t * np.cos(th), t * np.sin(th), z], axis=-1)
+    dets = np.linalg.det(vmap.jacobian(pts))
+    if float(np.min(dets)) < 0.5 * floor:
+        raise ParameterError(
+            f"radius slope too large (|r'| <= {radius_profile.max_slope:.3e}): "
+            f"sampled Jacobian {float(np.min(dets)):.3e} fell below half the "
+            f"constant-radius floor {floor:.3e}")
     return vmap
-
-
-def find_xi(smoother, start_slope=2.0, n=4000, max_halvings=12):
-    """Largest certified |r'| bound, found by halving from ``start_slope``."""
-    r = smoother.radius
-    L = max(smoother.fan.length, 4 * r)
-    slope = start_slope
-    for _ in range(max_halvings):
-        dz = 2.0 * abs(0.5 * r) / slope
-        prof = RampRadius(r, 1.5 * r, 0.25 * L, 0.25 * L + max(dz, 1e-9))
-        try:
-            variable_radius_extend(smoother, prof, certify=True, n=n)
-            return slope
-        except ParameterError:
-            slope *= 0.5
-    return 0.0

@@ -1,8 +1,9 @@
 """Low-level geometric primitives shared by the mesh and smoothing modules.
 
 Everything here is plain numpy: frames, simplex measures, point/simplex
-distances, convex clipping, and the exact polygon/disk intersection area
-used by the difference-set volume computation.
+distances, tetrahedron overlap and convex polytopes from halfspaces, plane
+sections, the exact polygon/disk intersection area used by the
+difference-set volume computation, and tetrahedral quadrature.
 """
 
 from __future__ import annotations
@@ -60,12 +61,6 @@ class Frame:
 
     origin: np.ndarray
     R: np.ndarray
-
-    def to_local(self, x):
-        return (np.asarray(x, dtype=float) - self.origin) @ self.R.T
-
-    def to_world(self, y):
-        return np.asarray(y, dtype=float) @ self.R + self.origin
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +143,10 @@ def dist_point_simplex(x, verts):
                for f in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
-def dist_segment_simplex(a, b, verts, n=64):
-    """Distance from segment [a,b] to a simplex, by dense sampling of the
-    segment plus endpoint refinement; adequate for parameter selection."""
-    ts = np.linspace(0.0, 1.0, n)
+def dist_segment_simplex(a, b, verts):
+    """Distance from segment [a,b] to a simplex, by sampling the segment at
+    64 points; adequate for parameter selection."""
+    ts = np.linspace(0.0, 1.0, 64)
     pts = a[None] + ts[:, None] * (b - a)[None]
     return min(dist_point_simplex(p, verts) for p in pts)
 
@@ -198,7 +193,7 @@ def convex_interior_overlap(pa, pb, tol=1e-10):
     return float(vol), center
 
 
-def halfspace_polytope(H, tol=1e-12):
+def halfspace_polytope(H):
     """Vertices of the polytope {x: a.x + b <= 0 per row (a,b)}; an empty
     array when the interior is empty."""
     from scipy.spatial import HalfspaceIntersection
@@ -207,7 +202,7 @@ def halfspace_polytope(H, tol=1e-12):
     A_ub = np.hstack([A, np.ones((len(A), 1))])
     res = linprog(c, A_ub=A_ub, b_ub=b,
                   bounds=[(None, None)] * 3 + [(0, None)], method="highs")
-    if not res.success or res.x[3] <= tol:
+    if not res.success or res.x[3] <= 1e-12:
         return np.zeros((0, 3))
     hs = HalfspaceIntersection(H, res.x[:3])
     return np.asarray(hs.intersections)
@@ -261,23 +256,7 @@ def polytope_plane_section(vertices, n, c):
 
 
 # ---------------------------------------------------------------------------
-# 2D primitives: polygon clipping and polygon/disk intersection area
-
-
-def clip_polygon_halfplane(poly, a, b):
-    """Clip CCW polygon (list of 2-vectors) against {x: a.x + b >= 0}."""
-    out = []
-    m = len(poly)
-    for i in range(m):
-        p, q = poly[i], poly[(i + 1) % m]
-        dp = a[0] * p[0] + a[1] * p[1] + b
-        dq = a[0] * q[0] + a[1] * q[1] + b
-        if dp >= 0:
-            out.append(p)
-        if (dp > 0 and dq < 0) or (dp < 0 and dq > 0):
-            t = dp / (dp - dq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
+# 2D primitives: polygon area and polygon/disk intersection area
 
 
 def polygon_area(poly):
@@ -371,27 +350,6 @@ def tet_plane_section(p, n, c):
 def gauss_legendre(n, a=0.0, b=1.0):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
-_TRI5_PTS = None
-
-
-def triangle_rule_deg5():
-    """Symmetric 7-point degree-5 rule on the reference triangle, as
-    (barycentric coordinates (7,3), weights summing to 1)."""
-    global _TRI5_PTS
-    if _TRI5_PTS is None:
-        a = (6.0 + np.sqrt(15.0)) / 21.0
-        b = (6.0 - np.sqrt(15.0)) / 21.0
-        wa = (155.0 + np.sqrt(15.0)) / 1200.0
-        wb = (155.0 - np.sqrt(15.0)) / 1200.0
-        pts = [(1 / 3, 1 / 3, 1 / 3)]
-        wts = [9.0 / 40.0]
-        for x, w in [(a, wa), (b, wb)]:
-            pts += [(x, x, 1 - 2 * x), (x, 1 - 2 * x, x), (1 - 2 * x, x, x)]
-            wts += [w, w, w]
-        _TRI5_PTS = (np.array(pts), np.array(wts))
-    return _TRI5_PTS
 
 
 _TET_RULE = {}

@@ -9,7 +9,7 @@ pictures (canonical frames) that the smoothing construction assumes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -52,13 +52,14 @@ class SimplicialComplex:
         self.face_cells = {}
         self.edge_cells = {}
         self.vertex_cells = {}
-        for ci, cell in enumerate(self.cells):
+        # plain ints, so simplices print as (0, 7) in messages and keys
+        for ci, cell in enumerate(self.cells.tolist()):
             for tri in combinations(sorted(cell), 3):
                 self.face_cells.setdefault(tri, []).append(ci)
             for seg in combinations(sorted(cell), 2):
                 self.edge_cells.setdefault(seg, []).append(ci)
             for v in cell:
-                self.vertex_cells.setdefault(int(v), []).append(ci)
+                self.vertex_cells.setdefault(v, []).append(ci)
         self.faces = sorted(self.face_cells)
         self.edges = sorted(self.edge_cells)
         self.vertices = sorted(self.vertex_cells)
@@ -86,11 +87,13 @@ class SimplicialComplex:
         hi = self.points.max(axis=0)
         return float(max(np.max(hi - lo), 1e-300))
 
-    def simplex_points(self, simplex):
-        return self.points[list(simplex)]
+    def locate(self, x, tol=1e-10, extend=False):
+        """Cell indices containing points ``x`` (N,3); -1 where outside.
 
-    def locate(self, x, tol=1e-10):
-        """Cell indices containing points ``x`` (N,3); -1 where outside."""
+        The first cell whose barycentric coordinates are all >= -tol wins.
+        With ``extend`` a point outside every cell gets the least-violated
+        cell instead: the one whose smallest barycentric coordinate is
+        largest, the first such cell on a tie."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.full(len(x), -1, dtype=int)
         todo = np.arange(len(x))
@@ -100,15 +103,23 @@ class SimplicialComplex:
             inside = geo.points_in_tet(self.cell_points(ci), x[todo], tol=tol)
             out[todo[inside]] = ci
             todo = todo[~inside]
+        if extend and len(todo):
+            best = np.zeros(len(todo), dtype=int)
+            violation = np.full(len(todo), np.inf)
+            for ci in range(self.n_cells):
+                v = -geo.barycentric(self.cell_points(ci), x[todo]).min(axis=1)
+                better = v < violation
+                best[better] = ci
+                violation[better] = v[better]
+            out[todo] = best
         return out
 
-    def contains(self, x, tol=1e-10):
-        return self.locate(x, tol=tol) >= 0
+    def contains(self, x):
+        return self.locate(x) >= 0
 
     # -- validation
 
     def validate(self):
-        scale = self.coordinate_scale()
         for ci, cell in enumerate(self.cells):
             p = self.points[cell]
             T = geo.tet_edge_matrix(p)
@@ -133,12 +144,13 @@ class SimplicialComplex:
                 if np.any(boxes[a, 0] > boxes[b, 1] + tol) or \
                    np.any(boxes[b, 0] > boxes[a, 1] + tol):
                     continue
-                vol, witness = geo.convex_interior_overlap(
+                vol, _ = geo.convex_interior_overlap(
                     self.cell_points(a), self.cell_points(b), tol=tol)
                 if vol > tol ** 3:
                     raise IntersectionError(
                         f"cells {a} and {b} overlap with interior volume {vol:.3e}")
-                shared = sorted(set(self.cells[a]) & set(self.cells[b]))
+                shared = sorted(set(self.cells[a].tolist())
+                                & set(self.cells[b].tolist()))
                 if not self._touching_is_common_subsimplex(a, b, shared, tol):
                     raise IntersectionError(
                         f"cells {a} and {b} intersect in a set that is not a "
@@ -166,20 +178,21 @@ class SimplicialComplex:
                 "cells": self.cells.tolist()}
 
 
-def _simplex_samples(verts, n=4):
-    """Deterministic barycentric sample points of a simplex."""
+def _simplex_samples(verts):
+    """Deterministic sample points of a simplex: its vertices plus 4 interior
+    points of an edge, or 12 Dirichlet-random points of a face or cell."""
     k = len(verts)
     if k == 1:
         return [verts[0]]
     out = []
-    grid = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    grid = np.linspace(0.0, 1.0, 6)[1:-1]
     if k == 2:
         for t in grid:
             out.append((1 - t) * verts[0] + t * verts[1])
         out += [verts[0], verts[1]]
     else:
         rng = np.random.default_rng(0)
-        W = rng.dirichlet(np.ones(k), size=3 * n)
+        W = rng.dirichlet(np.ones(k), size=12)
         out += list(W @ verts)
         out += list(verts)
     return out
@@ -208,18 +221,21 @@ class PLMap:
     def apply_piece(self, ci, x):
         return np.atleast_2d(x) @ self.matrices[ci].T + self.offsets[ci]
 
-    def __call__(self, x, tol=1e-10):
+    def locate_inside(self, x):
+        """Cell of each point; DomainError for a point outside the complex."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        ci = self.complex.locate(x, tol=tol)
+        ci = self.complex.locate(x)
         if np.any(ci < 0):
-            bad = x[ci < 0][0]
-            raise DomainError(f"point {bad} lies outside the complex")
-        out = np.einsum("nij,nj->ni", self.matrices[ci], x) + self.offsets[ci]
-        return out
+            raise DomainError(f"point {x[ci < 0][0]} lies outside the complex")
+        return ci
 
-    def derivative(self, x, tol=1e-10):
-        ci = self.complex.locate(x, tol=tol)
-        return self.matrices[ci]
+    def __call__(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        ci = self.locate_inside(x)
+        return np.einsum("nij,nj->ni", self.matrices[ci], x) + self.offsets[ci]
+
+    def derivative(self, x):
+        return self.matrices[self.locate_inside(x)]
 
     def image_complex(self):
         """The image mesh: same cells over the mapped vertex positions."""
@@ -237,19 +253,9 @@ class PLMap:
         With ``extend`` image points that fall (slightly) outside the image
         mesh use the least-violated cell instead of raising."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        img = self._image_cached()
-        ci = img.locate(y, tol=tol)
+        ci = self._image_cached().locate(y, tol=tol, extend=extend)
         if np.any(ci < 0):
-            if not extend:
-                raise NonInjectiveError("point outside the image mesh")
-            for k in np.where(ci < 0)[0]:
-                best, bestval = 0, np.inf
-                for c in range(img.n_cells):
-                    lam = geo.barycentric(img.cell_points(c), y[k])
-                    v = float(-np.min(lam))
-                    if v < bestval:
-                        best, bestval = c, v
-                ci[k] = best
+            raise NonInjectiveError("point outside the image mesh")
         M = self.matrices[ci]
         c = self.offsets[ci]
         return np.linalg.solve(M, (y - c)[..., None])[..., 0], ci
@@ -308,15 +314,9 @@ class ValidationReport:
     continuity_residual: float
     min_abs_det: float
     injective: bool
-    witness: np.ndarray | None = None
-    messages: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return self.injective and self.orientation != 0
 
 
-def validate_pl_homeo(plmap, tol_factor=1e-12):
+def validate_pl_homeo(plmap):
     """Continuity, orientation, and global injectivity of a PL map.
 
     Injectivity is audited on the image cells: bounding-box pruning then an
@@ -324,7 +324,7 @@ def validate_pl_homeo(plmap, tol_factor=1e-12):
     """
     cx = plmap.complex
     scale = cx.coordinate_scale()
-    tol = tol_factor * scale
+    tol = 1e-12 * scale
 
     dets = np.linalg.det(plmap.matrices)
     if np.all(dets > 0):
@@ -359,31 +359,22 @@ def validate_pl_homeo(plmap, tol_factor=1e-12):
     boxes = np.array([[img.cell_points(ci).min(axis=0),
                        img.cell_points(ci).max(axis=0)]
                       for ci in range(img.n_cells)])
-    witness = None
-    injective = True
     gtol = 1e-10 * scale
     for a in range(img.n_cells):
         for b in range(a + 1, img.n_cells):
             if np.any(boxes[a, 0] > boxes[b, 1] + gtol) or \
                np.any(boxes[b, 0] > boxes[a, 1] + gtol):
                 continue
-            vol, w = geo.convex_interior_overlap(
+            vol, witness = geo.convex_interior_overlap(
                 img.cell_points(a), img.cell_points(b), tol=gtol)
             if vol > gtol ** 3:
-                injective = False
-                witness = np.asarray(w)
-                break
-        if not injective:
-            break
-    rep = ValidationReport(orientation=orient,
-                           continuity_residual=resid,
-                           min_abs_det=float(np.min(np.abs(dets))),
-                           injective=injective,
-                           witness=witness)
-    if not injective:
-        raise NonInjectiveError(
-            f"image cells overlap near {witness}; map is not injective")
-    return rep
+                raise NonInjectiveError(
+                    f"image cells overlap near {np.asarray(witness)}; "
+                    f"map is not injective")
+    return ValidationReport(orientation=orient,
+                            continuity_residual=resid,
+                            min_abs_det=float(np.min(np.abs(dets))),
+                            injective=True)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +393,6 @@ class FacePair:
     c_pos: np.ndarray
     trivial: bool
     boundary: bool
-
-    @property
-    def normal(self):
-        return self.frame.R[0]
 
 
 @dataclass
@@ -435,9 +422,6 @@ class EdgeFan:
     def to_frame(self, x):
         return (np.atleast_2d(x) - self.V0) @ self.Q.T
 
-    def from_frame(self, y):
-        return np.atleast_2d(y) @ self.Q + self.V0
-
     def image_to_world(self, z):
         return np.atleast_2d(z) @ self.S + self.b_img
 
@@ -460,7 +444,7 @@ class VertexStar:
     boundary: bool
 
 
-def face_pairs(plmap, widths=None):
+def face_pairs(plmap):
     """One FacePair per interior face, with the oriented frame convention:
     the normal points toward the piece with the larger normal stretch."""
     cx = plmap.complex

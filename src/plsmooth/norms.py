@@ -1,6 +1,6 @@
-"""Norm machinery: adaptive tetrahedral quadrature, empirical decreasing
-rearrangements, and the supported rearrangement-invariant norms (L^p,
-Lorentz L^{p,q}, L^inf) with their fundamental functions."""
+"""Norm machinery: empirical decreasing rearrangements, the supported
+rearrangement-invariant norms (L^p, Lorentz L^{p,q}, L^inf) with their
+fundamental functions, and the sup distance between two maps."""
 
 from __future__ import annotations
 
@@ -8,70 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry as geo
 from .errors import InvalidInputError, ParseError
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-
-
-class QuadratureScheme:
-    """Symmetric order-5+ tetrahedral rule with two-level adaptive
-    subdivision (refine until estimates agree to ``rtol`` or ``max_depth``)."""
-
-    def __init__(self, rtol=1e-3, max_depth=8, n=3):
-        self.rtol = rtol
-        self.max_depth = max_depth
-        self.n = n
-
-    def integrate_tet(self, fn, tet):
-        tet = np.asarray(tet, dtype=float)
-        return self._rec(fn, tet, 0, None)
-
-    def _value(self, fn, tet):
-        pts, wts = geo.map_tet_rule(tet, self.n)
-        return float(np.dot(np.asarray(fn(pts), dtype=float), wts))
-
-    def _rec(self, fn, tet, depth, coarse):
-        if coarse is None:
-            coarse = self._value(fn, tet)
-        children = geo.subdivide_tet(tet)
-        fine_parts = [self._value(fn, c) for c in children]
-        fine = float(np.sum(fine_parts))
-        ref = max(abs(fine), abs(coarse), 1e-300)
-        if abs(fine - coarse) <= self.rtol * ref or depth >= self.max_depth:
-            return fine
-        return float(sum(self._rec(fn, c, depth + 1, f)
-                         for c, f in zip(children, fine_parts)))
-
-    def integrate_complex(self, fn, complex, skip=None):
-        total = 0.0
-        for ci in range(complex.n_cells):
-            if skip is not None and skip(ci):
-                continue
-            total += self.integrate_tet(fn, complex.cell_points(ci))
-        return total
-
-    def nodes_complex(self, complex, skip=None, levels=1):
-        """Fixed (points, weights) nodes over all cells, refined ``levels``
-        times uniformly; used for sampling-style norms."""
-        pts, wts = [], []
-        for ci in range(complex.n_cells):
-            if skip is not None and skip(ci):
-                continue
-            stack = [(complex.cell_points(ci), 0)]
-            while stack:
-                tet, d = stack.pop()
-                if d < levels:
-                    stack.extend((c, d + 1) for c in geo.subdivide_tet(tet))
-                else:
-                    p, w = geo.map_tet_rule(tet, self.n)
-                    pts.append(p)
-                    wts.append(w)
-        if not pts:
-            return np.zeros((0, 3)), np.zeros(0)
-        return np.vstack(pts), np.concatenate(wts)
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +21,6 @@ class StepFunction:
 
     values: np.ndarray     # descending
     breaks: np.ndarray     # cumulative widths, same length
-
-    @property
-    def total(self):
-        return float(self.breaks[-1]) if len(self.breaks) else 0.0
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -195,28 +128,10 @@ def rozumny_check(norm, M, deltas, total_measure=1.0):
 
 
 # ---------------------------------------------------------------------------
-# map-difference norms (driven by the pipeline's difference quadrature)
+# map difference (driven by the pipeline's difference quadrature)
 
 
-def _matrix_norms(A):
-    return np.linalg.norm(A, ord=2, axis=(1, 2))
-
-
-def w1p_difference(f, g, p):
-    """(integral of |Dg - Df|^p over the set where they differ)^{1/p}.
-
-    ``g`` must provide difference_quadrature() -> (points, weights) covering
-    {g != f}; cells disjoint from it contribute exactly zero.
-    """
-    pts, wts = g.difference_quadrature()
-    if len(pts) == 0:
-        return 0.0
-    vals = _matrix_norms(np.asarray(g.derivative(pts))
-                         - np.asarray(f.derivative(pts)))
-    return float(np.sum(wts * vals ** p) ** (1.0 / p))
-
-
-def linf_difference(f, g, n_refine=3, rng=None):
+def linf_difference(f, g, rng=None):
     """sup |g - f|, by dense sampling of the difference region with local
     refinement around the running maximum."""
     pts, wts = g.difference_quadrature()
@@ -229,7 +144,7 @@ def linf_difference(f, g, n_refine=3, rng=None):
     best = float(np.max(diff))
     center = pts[int(np.argmax(diff))]
     radius = 0.1 * float(np.max(np.ptp(pts, axis=0)) or 1.0)
-    for _ in range(n_refine):
+    for _ in range(3):
         trial = center + rng.normal(scale=radius, size=(400, 3))
         inside = g.contains(trial)
         trial = trial[inside]

@@ -9,7 +9,7 @@ parameters by lambda and tabulates the convergence quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -17,10 +17,10 @@ from scipy.optimize import root as sp_root
 from scipy.spatial import ConvexHull
 
 from . import geometry as geo
-from .blend import (DEFAULT_PROFILE, ConstantWidth, FaceBlend,
-                    face_blend, face_blend_jacobian, sigma_for_face)
+from .blend import (ConstantWidth, FaceBlend, face_blend, face_blend_jacobian,
+                    sigma_for_face)
 from .edge import EdgeSmoother
-from .errors import ConstructionError, DomainError, ParameterError
+from .errors import ConstructionError, ParameterError
 from .mesh import edge_fans, face_pairs, validate_pl_homeo, vertex_stars
 from .vertex import VertexSmoother
 
@@ -57,11 +57,15 @@ def _star_trivial(plmap, star):
                for c in star.cells)
 
 
-def choose_params(plmap, margin=0.5, validate=True):
-    """Certified baseline parameters; every bound is then halved once more
-    (``margin``) so the construction holds with 2x headroom."""
-    if validate:
-        validate_pl_homeo(plmap)
+# every certified bound is halved once more, so the construction holds with
+# 2x headroom
+MARGIN = 0.5
+
+
+def choose_params(plmap):
+    """Validate the map, then pick certified baseline parameters, each
+    scaled by MARGIN."""
+    validate_pl_homeo(plmap)
     cx = plmap.complex
     pairs = face_pairs(plmap)
     fans = edge_fans(plmap)
@@ -71,7 +75,7 @@ def choose_params(plmap, margin=0.5, validate=True):
     for st in stars:
         if _star_trivial(plmap, st):
             continue
-        R[st.vertex] = margin * st.R
+        R[st.vertex] = MARGIN * st.R
 
     r = {}
     fan_by_edge = {}
@@ -123,10 +127,9 @@ def choose_params(plmap, margin=0.5, validate=True):
                     d = min(geo.dist_point_simplex(p, cx.points[list(tri)])
                             for p in seg)
                     cand.append(0.45 * d)
-        r[e] = margin * float(min(cand))
+        r[e] = MARGIN * float(min(cand))
 
     w = {}
-    pair_by_face = {pr.face: pr for pr in pairs}
     for pr in pairs:
         if pr.trivial:
             continue
@@ -150,7 +153,7 @@ def choose_params(plmap, margin=0.5, validate=True):
             d = min(geo.dist_point_simplex(p, cx.points[list(pr2.face)])
                     for p in bary)
             cand.append(0.4 * d)
-        w[f] = margin * float(min(cand))
+        w[f] = MARGIN * float(min(cand))
     return SmoothingParams(R=R, r=r, w=w, lam=1.0)
 
 
@@ -168,14 +171,14 @@ def _triangle_grid(tri, n):
 
 
 class FacePatch:
-    def __init__(self, pair, width, profile=DEFAULT_PROFILE, tri=None):
+    def __init__(self, pair, width, tri):
         self.pair = pair
         self.width = float(width)
         self.blend = FaceBlend(frame_origin=pair.frame.origin,
                                frame_R=pair.frame.R,
                                M_neg=pair.M_neg, c_neg=pair.c_neg,
                                M_pos=pair.M_pos, c_pos=pair.c_pos,
-                               width=ConstantWidth(width), profile=profile)
+                               width=ConstantWidth(width))
         self.sigma, self.floor = sigma_for_face(self.blend)
         self.tri = np.asarray(tri, dtype=float)
         n, t2, t3 = pair.frame.R
@@ -189,7 +192,7 @@ class FacePatch:
                              self.tri2[2] - self.tri2[0]])
         self._Ainv = np.linalg.inv(A)
 
-    def mask(self, x, tol=1e-12):
+    def mask(self, x):
         x = np.atleast_2d(x)
         s = (x - self._o) @ self.n
         m = (s > 0.0) & (s < self.width)
@@ -197,8 +200,8 @@ class FacePatch:
             return m
         p2 = (x[m] - self._o) @ self._T2
         lam = (p2 - self.tri2[0]) @ self._Ainv.T
-        inside = (lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & \
-                 (lam.sum(axis=1) <= 1.0 + tol)
+        inside = (lam[:, 0] >= -1e-12) & (lam[:, 1] >= -1e-12) & \
+                 (lam.sum(axis=1) <= 1.0 + 1e-12)
         mm = m.copy()
         mm[np.where(m)[0][~inside]] = False
         return mm
@@ -211,11 +214,11 @@ class FacePatch:
 
 
 class EdgePatch:
-    def __init__(self, fan, widths, radius, profile=DEFAULT_PROFILE):
+    def __init__(self, fan, widths, radius):
         self.fan = fan
         self.r = float(radius)
         self.L = fan.length
-        self.smoother = EdgeSmoother(fan, widths, radius, profile=profile)
+        self.smoother = EdgeSmoother(fan, widths, radius)
 
     def mask(self, x):
         y = self.fan.to_frame(x)
@@ -247,7 +250,7 @@ class VertexPatch:
         def hat_g_jac(xrel):
             return stage1.derivative(np.atleast_2d(xrel) + V)
 
-        self.smoother = VertexSmoother(hat_g, hat_g_jac, self.R, star=star)
+        self.smoother = VertexSmoother(hat_g, hat_g_jac, self.R)
 
     def mask(self, x):
         return np.linalg.norm(np.atleast_2d(x) - self.V, axis=-1) < self.R
@@ -293,22 +296,9 @@ class SmoothedMap:
     # -- dispatch
 
     def _bulk_cells(self, x, extend):
-        ci = self.plmap.complex.locate(x, tol=1e-10)
-        miss = ci < 0
-        if np.any(miss):
-            if not extend:
-                raise DomainError(
-                    f"point {x[miss][0]} lies outside the complex")
-            cx = self.plmap.complex
-            for k in np.where(miss)[0]:
-                best, bestval = 0, np.inf
-                for c in range(cx.n_cells):
-                    lam = geo.barycentric(cx.cell_points(c), x[k])
-                    v = float(-np.min(lam))
-                    if v < bestval:
-                        best, bestval = c, v
-                ci[k] = best
-        return ci
+        if extend:
+            return self.plmap.complex.locate(x, extend=True)
+        return self.plmap.locate_inside(x)
 
     def _dispatch(self, x, use_vertex=True, jac=False, extend=False):
         single = np.asarray(x, dtype=float).ndim == 1
@@ -347,23 +337,22 @@ class SmoothedMap:
     def derivative(self, x, extend=False):
         return self._dispatch(x, jac=True, extend=extend)
 
-    def contains(self, x, tol=1e-10):
-        return self.plmap.complex.contains(x, tol=tol)
+    def contains(self, x):
+        return self.plmap.complex.contains(x)
 
     # -- inverse
 
-    def inverse(self, y, seed=None, tol_factor=1e-13, max_iter=60):
+    def inverse(self, y):
+        """Damped Newton from the PL inverse, to a residual of 1e-13 times
+        the coordinate scale in at most 60 steps, then Powell's hybrid
+        method for the points still above it."""
         single = np.asarray(y, dtype=float).ndim == 1
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        if seed is None:
-            x, _ = self.plmap.inverse_pl(y, tol=1e-7, extend=True)
-        else:
-            x = np.atleast_2d(np.asarray(seed, dtype=float)).copy()
-            x = np.broadcast_to(x, y.shape).copy()
-        tol = tol_factor * self.scale
+        x, _ = self.plmap.inverse_pl(y, tol=1e-7, extend=True)
+        tol = 1e-13 * self.scale
         res = self.evaluate(x, extend=True) - y
         rn = np.linalg.norm(res, axis=-1)
-        for _ in range(max_iter):
+        for _ in range(60):
             act = rn > tol
             if not np.any(act):
                 break
@@ -459,38 +448,42 @@ class SmoothedMap:
             m |= vp.mask(pts)
         return m
 
-    def _cylinder_nodes(self, ep, n_t=5, n_th=14, n_z=16):
+    def _cylinder_nodes(self, ep):
+        """Gauss nodes per radial band (5), angular sector (14) and along
+        the edge (16)."""
         r, L, fan = ep.r, ep.L, ep.fan
         tb = np.array([1e-9, 0.4, 7.0 / 15.0, 8.0 / 15.0, 0.6, 0.8, 1.0]) * r
-        tn, tw = _panel_gauss(tb, n_t)
+        tn, tw = _panel_gauss(tb, 5)
         ang = np.append(fan.angles, fan.angles[0] + 2 * np.pi)
-        thn, thw = _panel_gauss(ang, n_th)
-        zn, zw = geo.gauss_legendre(n_z, 0.0, L)
+        thn, thw = _panel_gauss(ang, 14)
+        zn, zw = geo.gauss_legendre(16, 0.0, L)
         T, TH, Z = np.meshgrid(tn, thn, zn, indexing="ij")
         W = tw[:, None, None] * thw[None, :, None] * zw[None, None, :] * T
         y = np.stack([T * np.cos(TH), T * np.sin(TH), Z], axis=-1).reshape(-1, 3)
         world = y @ fan.Q + fan.V0
         return world, W.ravel()
 
-    def _ball_nodes(self, vp, n_r=5, n_pol=8, n_az=16):
+    def _ball_nodes(self, vp):
+        """Gauss nodes per radial shell (5) and in the polar angle (8), 16
+        equispaced azimuths."""
         R = vp.R
         rb = np.array([1e-9, 0.5, 0.75, 1.0]) * R
-        rn, rw = _panel_gauss(rb, n_r)
-        mu, mw = np.polynomial.legendre.leggauss(n_pol)
+        rn, rw = _panel_gauss(rb, 5)
+        mu, mw = np.polynomial.legendre.leggauss(8)
         phi = np.arccos(mu)
-        psi = np.linspace(0, 2 * np.pi, n_az, endpoint=False)
+        psi = np.linspace(0, 2 * np.pi, 16, endpoint=False)
         RR, PH, PS = np.meshgrid(rn, phi, psi, indexing="ij")
-        W = rw[:, None, None] * mw[None, :, None] * (2 * np.pi / n_az) * RR ** 2
+        W = rw[:, None, None] * mw[None, :, None] * (2 * np.pi / 16) * RR ** 2
         pts = np.stack([RR * np.sin(PH) * np.cos(PS),
                         RR * np.sin(PH) * np.sin(PS),
                         RR * np.cos(PH)], axis=-1).reshape(-1, 3)
         return pts + vp.V, W.ravel()
 
-    def volume_difference_set(self, n_gauss=12, n_panels=8):
+    def volume_difference_set(self):
         """Measure of E_lambda from exact slab clipping, sectioned overlap
-        integrals for slab/cylinder and cylinder/domain, and closed forms
-        for the (concentric) cylinder/ball overlaps."""
-        cx = self.plmap.complex
+        integrals for slab/cylinder and cylinder/domain (N_GAUSS nodes on
+        each of N_PANELS panels), and closed forms for the (concentric)
+        cylinder/ball overlaps."""
         total = 0.0
         for fp in self.face_patches:
             verts = self._slab_polytope(fp)
@@ -500,14 +493,14 @@ class SmoothedMap:
             for ep in self.edge_patches:
                 if not set(ep.fan.edge) <= set(fp.pair.face):
                     continue
-                v_slab -= self._slab_cyl_overlap(verts, ep, n_gauss, n_panels)
+                v_slab -= self._slab_cyl_overlap(verts, ep)
             for vp in self.vertex_patches:
                 if vp.star.vertex not in fp.pair.face:
                     continue
-                v_slab -= self._slab_ball_overlap(fp, verts, vp, n_gauss)
+                v_slab -= self._slab_ball_overlap(fp, verts, vp)
             total += max(v_slab, 0.0)
         for ep in self.edge_patches:
-            v_cyl = self._cyl_domain_volume(ep, n_gauss, n_panels)
+            v_cyl = self._cyl_domain_volume(ep)
             for vid in ep.fan.edge:
                 for vp in self.vertex_patches:
                     if vp.star.vertex == vid:
@@ -517,11 +510,11 @@ class SmoothedMap:
             total += 4.0 / 3.0 * np.pi * vp.R ** 3
         return float(total)
 
-    def _slab_cyl_overlap(self, verts, ep, n_gauss, n_panels):
+    def _slab_cyl_overlap(self, verts, ep):
         fan = ep.fan
         d = fan.direction
-        zb = np.linspace(0.0, ep.L, n_panels + 1)
-        zn, zw = _panel_gauss(zb, n_gauss)
+        zb = np.linspace(0.0, ep.L, N_PANELS + 1)
+        zn, zw = _panel_gauss(zb, N_GAUSS)
         acc = 0.0
         for z, wz in zip(zn, zw):
             poly = geo.polytope_plane_section(verts, d, float(d @ fan.V0) + z)
@@ -531,10 +524,10 @@ class SmoothedMap:
             acc += wz * geo.polygon_disk_area(poly2, (0.0, 0.0), ep.r)
         return acc
 
-    def _slab_ball_overlap(self, fp, verts, vp, n_gauss):
+    def _slab_ball_overlap(self, fp, verts, vp):
         n, o, w = fp.n, fp.pair.frame.origin, fp.width
         t2, t3 = fp.pair.frame.R[1], fp.pair.frame.R[2]
-        sn, sw = geo.gauss_legendre(n_gauss, 0.0, w)
+        sn, sw = geo.gauss_legendre(N_GAUSS, 0.0, w)
         c2 = np.array([(vp.V - o) @ t2, (vp.V - o) @ t3])
         acc = 0.0
         for s, ws in zip(sn, sw):
@@ -548,12 +541,12 @@ class SmoothedMap:
                                               np.sqrt(vp.R ** 2 - s ** 2))
         return acc
 
-    def _cyl_domain_volume(self, ep, n_gauss, n_panels):
+    def _cyl_domain_volume(self, ep):
         cx = self.plmap.complex
         fan = ep.fan
         d = fan.direction
-        zb = np.linspace(0.0, ep.L, n_panels + 1)
-        zn, zw = _panel_gauss(zb, n_gauss)
+        zb = np.linspace(0.0, ep.L, N_PANELS + 1)
+        zn, zw = _panel_gauss(zb, N_GAUSS)
         acc = 0.0
         for z, wz in zip(zn, zw):
             c = float(d @ fan.V0) + z
@@ -609,6 +602,11 @@ class SmoothedMap:
         return np.vstack(groups)
 
 
+# sectioned overlap integrals of volume_difference_set
+N_GAUSS = 12
+N_PANELS = 8
+
+
 def _panel_gauss(breaks, n):
     nodes, wts = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
@@ -633,7 +631,7 @@ def _concentric_cyl_ball(r, R):
 # assembly
 
 
-def assemble(plmap, params, profile=DEFAULT_PROFILE):
+def assemble(plmap, params):
     cx = plmap.complex
     pairs = {pr.face: pr for pr in face_pairs(plmap)}
     fans = {fan.edge: fan for fan in edge_fans(plmap)}
@@ -642,8 +640,7 @@ def assemble(plmap, params, profile=DEFAULT_PROFILE):
     face_patches = []
     for f, width in params.w.items():
         pr = pairs[f]
-        face_patches.append(FacePatch(pr, width, profile=profile,
-                                      tri=cx.points[list(f)]))
+        face_patches.append(FacePatch(pr, width, cx.points[list(f)]))
     edge_patches = []
     for e, radius in params.r.items():
         fan = fans[e]
@@ -651,7 +648,7 @@ def assemble(plmap, params, profile=DEFAULT_PROFILE):
         fallback = min(params.w.values()) if params.w else radius / 50.0
         for rf in fan.ray_faces:
             widths.append(params.w.get(rf, min(fallback, radius / 50.0)))
-        edge_patches.append(EdgePatch(fan, widths, radius, profile=profile))
+        edge_patches.append(EdgePatch(fan, widths, radius))
     builders = []
     for v, R in params.R.items():
         st = stars[v]

@@ -110,7 +110,3 @@ def injectivity_audit(evaluate, points, scale=1.0, tol_factor=1e-9,
                                tolerance=tol, passed=passed,
                                witness=witness, seed=seed,
                                extra={"collisions": bad})
-
-
-def seeded(seed):
-    return np.random.default_rng(seed)

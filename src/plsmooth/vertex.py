@@ -72,23 +72,24 @@ def linear_sphere_map(M):
                      lambda x: np.broadcast_to(M, (len(np.atleast_2d(x)), 3, 3)))
 
 
-def _newton_preimages(mu, y, seeds, tol=1e-12, max_iter=30):
+def _newton_preimages(mu, y, seeds):
     """Tangent-plane Newton from all seeds as one batch; returns the (k,3)
     converged points, deduplicated in seed order.
 
-    A seed freezes once its residual is below ``tol`` and stops without a
-    point when its 2x2 tangent system is singular.  Each iteration makes one
-    ``mu`` and one ``mu.ambient_derivative`` call on the seeds still live.
+    A seed freezes once its residual is below 1e-12 and stops without a
+    point when its 2x2 tangent system is singular or after 30 iterations.
+    Each iteration makes one ``mu`` and one ``mu.ambient_derivative`` call
+    on the seeds still live.
     """
     x = geo.normalize(seeds)
     v2, v3 = geo.orthonormal_tangents(y)
     live = np.arange(len(x))
     converged = np.zeros(len(x), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(30):
         if not len(live):
             break
         r = mu(x[live]) - y
-        done = np.linalg.norm(r, axis=-1) < tol
+        done = np.linalg.norm(r, axis=-1) < 1e-12
         converged[live[done]] = True
         live, r = live[~done], r[~done]
         if not len(live):
@@ -142,10 +143,11 @@ def integral_degree(mu, n_polar=32, n_azimuth=64):
     return float(np.sum(dets * W.ravel()) / (4 * np.pi))
 
 
-def degree(mu, y=None, rng=None):
-    """Topological degree by signed preimage count, cross-checked against
-    the integral degree at two quadrature orders."""
-    rng = np.random.default_rng(rng if rng is not None else 7)
+def degree(mu):
+    """Topological degree by signed preimage count at a random regular
+    value, cross-checked against the integral degree at two quadrature
+    orders."""
+    rng = np.random.default_rng(7)
     coarse = integral_degree(mu, 16, 32)
     fine = integral_degree(mu, 32, 64)
     if abs(fine - round(fine)) > 0.1 or round(fine) != round(coarse):
@@ -155,10 +157,9 @@ def degree(mu, y=None, rng=None):
                 f"integral degree does not round robustly ({fine})")
     d_int = int(round(fine))
     seeds = geo.icosphere(3)
-    for attempt in range(5):
-        if y is None or attempt > 0:
-            y = _unit(rng.normal(size=3))
-        pre = _newton_preimages(mu, np.asarray(y, dtype=float), seeds)
+    for _ in range(5):
+        y = _unit(rng.normal(size=3))
+        pre = _newton_preimages(mu, y, seeds)
         if not len(pre):
             continue
         dets = mu.tangent_det(pre)
@@ -168,7 +169,7 @@ def degree(mu, y=None, rng=None):
         if d_count == d_int:
             return d_int
         # one refinement retry with a denser seed grid
-        pre = _newton_preimages(mu, np.asarray(y, dtype=float), geo.icosphere(4))
+        pre = _newton_preimages(mu, y, geo.icosphere(4))
         dets = mu.tangent_det(pre)
         if np.min(np.abs(dets)) >= 1e-8 and int(np.sum(np.sign(dets))) == d_int:
             return d_int
@@ -183,30 +184,29 @@ def degree(mu, y=None, rng=None):
 
 
 class SphereIsotopy:
-    """Normalized linear homotopy between the identity and mu on S^2."""
+    """Normalized linear homotopy between the identity and mu on S^2, with
+    time profile s = time_profile.  The build certifies it: the linear
+    interpolant stays away from 0 at 2000 sampled points and 9 times, and
+    mu has degree 1."""
 
-    def __init__(self, mu, s=time_profile, sprime=time_profile_prime,
-                 check=True, n_check=2000, rng=None):
+    def __init__(self, mu):
         self.mu = mu
-        self.s = s
-        self.sprime = sprime
-        if check:
-            rng = np.random.default_rng(rng if rng is not None else 3)
-            pts = _unit(rng.normal(size=(n_check, 3)))
-            mv = mu(pts)
-            for t in np.linspace(0.0, 1.0, 9):
-                sv = float(self.s(t))
-                V = (1.0 - sv) * pts + sv * mv
-                if float(np.min(np.linalg.norm(V, axis=-1))) < 1e-3:
-                    raise NoIsotopyFound(
-                        "linear interpolant to the sphere map vanishes; "
-                        "the default isotopy provider cannot smooth this vertex")
-            if degree(mu) != 1:
-                raise NoIsotopyFound("sphere map does not have degree 1")
+        rng = np.random.default_rng(3)
+        pts = _unit(rng.normal(size=(2000, 3)))
+        mv = mu(pts)
+        for t in np.linspace(0.0, 1.0, 9):
+            sv = float(time_profile(t))
+            V = (1.0 - sv) * pts + sv * mv
+            if float(np.min(np.linalg.norm(V, axis=-1))) < 1e-3:
+                raise NoIsotopyFound(
+                    "linear interpolant to the sphere map vanishes; "
+                    "the linear isotopy cannot smooth this vertex")
+        if degree(mu) != 1:
+            raise NoIsotopyFound("sphere map does not have degree 1")
 
     def interpolant(self, x, t):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        sv = np.asarray(self.s(t), dtype=float)
+        sv = np.asarray(time_profile(t), dtype=float)
         sv = np.broadcast_to(sv, (len(x),))[:, None]
         return (1.0 - sv) * x + sv * self.mu(x)
 
@@ -219,8 +219,9 @@ class SphereIsotopy:
     def derivative(self, x, t):
         """d/dx and d/dt of Psi at unit vectors x, ambient representation."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        sv = np.broadcast_to(np.asarray(self.s(t), dtype=float), (len(x),))
-        spv = np.broadcast_to(np.asarray(self.sprime(t), dtype=float), (len(x),))
+        sv = np.broadcast_to(np.asarray(time_profile(t), dtype=float), (len(x),))
+        spv = np.broadcast_to(np.asarray(time_profile_prime(t), dtype=float),
+                              (len(x),))
         mv = self.mu(x)
         Dmu = self.mu.ambient_derivative(x)
         V = (1.0 - sv)[:, None] * x + sv[:, None] * mv
@@ -234,9 +235,9 @@ class SphereIsotopy:
         return dPsi_dx, dPsi_dt
 
 
-def sphere_isotopy(mu, **kw):
-    """Default provider: normalized linear homotopy, certified at build."""
-    return SphereIsotopy(mu, **kw)
+def sphere_isotopy(mu):
+    """Normalized linear homotopy, certified at build."""
+    return SphereIsotopy(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +249,14 @@ class VertexSmoother:
     B(0,R) \\ B(0,3R/4), isotopy untwist on B(0,3R/4) \\ B(0,R/2), and the
     linear map rho*x on B(0,R/2)."""
 
-    def __init__(self, hat_g, hat_g_jac, R, star=None,
-                 isotopy_provider=sphere_isotopy, rng=None):
+    def __init__(self, hat_g, hat_g_jac, R):
         self.hat_g = hat_g
         self.hat_g_jac = hat_g_jac
         self.R = float(R)
-        self.star = star
         rr = 0.75 * self.R
         self.mu = SphereMap(lambda x: self.hat_g(np.atleast_2d(x) * rr),
                             lambda x: self.hat_g_jac(np.atleast_2d(x) * rr) * rr)
-        rng = np.random.default_rng(rng if rng is not None else 5)
+        rng = np.random.default_rng(5)
         sph = _unit(rng.normal(size=(4096, 3)))
         norms = np.linalg.norm(self.hat_g(sph * rr), axis=-1)
         if float(np.min(norms)) <= 0:
@@ -272,7 +271,7 @@ class VertexSmoother:
         if float(np.min(dots)) <= 0:
             raise ConstructionError(
                 "radial monotonicity of hat_g fails on the flattening shell")
-        self.isotopy = isotopy_provider(self.mu)
+        self.isotopy = sphere_isotopy(self.mu)
 
     # -- evaluation
 

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from plsmooth.blend import (ConstantWidth, DEFAULT_PROFILE, FaceBlend,
-                            RampWidth, eta, eta_prime, face_blend,
-                            face_blend_jacobian, sigma_for_face, time_profile,
-                            time_profile_prime)
+from plsmooth.blend import (ConstantWidth, FaceBlend, RampWidth, eta,
+                            eta_prime, face_blend, face_blend_jacobian,
+                            sigma_for_face, time_profile, time_profile_prime)
 
 
 def test_eta_endpoints_and_midpoint():

@@ -2,6 +2,7 @@
 and reproducibility."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -38,8 +39,10 @@ def test_validate_ok(kuhn_doc, tmp_path, capsys):
 
 
 def test_validate_fold_exits_2(fold_doc, capsys):
-    assert main(["validate", fold_doc]) == 2
-    assert "validation failure" in capsys.readouterr().err
+    # smooth and sweep validate through choose_params, with the same exit code
+    for command in ("validate", "smooth", "sweep"):
+        assert main([command, fold_doc]) == 2, command
+        assert "validation failure" in capsys.readouterr().err
 
 
 def test_missing_file_exits_1(capsys):
@@ -63,12 +66,19 @@ def test_smooth_summary(kuhn_doc, tmp_path):
     out = tmp_path / "summary.json"
     assert main(["smooth", kuhn_doc, "--lam", "0.5",
                  "--out", str(out)]) == 0
-    summary = json.loads(out.read_text())
+    text = out.read_text()
+    summary = json.loads(text)
     assert summary["lambda"] == 0.5
     assert summary["min_jacobian_det"] > 0
     assert summary["volume_difference_set"] > 0
     assert len(summary["face_widths"]) == 6
     assert len(summary["edge_rho"]) == 1
+    # simplices are named by plain ints
+    assert "np." not in text
+    for key in ("edge_radii", "face_widths", "face_sigma", "face_floor",
+                "edge_rho"):
+        for simplex in summary[key]:
+            assert re.fullmatch(r"\(\d+, \d+(, \d+)?\)", simplex), simplex
 
 
 def test_sweep_table_and_rozumny(kuhn_doc, tmp_path):

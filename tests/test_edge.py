@@ -231,3 +231,31 @@ def test_variable_radius_rejects_steep_ramp():
     prof = RampRadius(0.2, 0.02, 1.0, 1.004)   # |r'| ~ 90, far too steep
     with pytest.raises(ParameterError):
         variable_radius_extend(sm, prof)
+
+
+def _kuhn_smoother():
+    # the cylinder the pipeline builds around the Kuhn cube's diagonal
+    from plsmooth.builders import perturbed_kuhn_map
+    from plsmooth.pipeline import assemble, choose_params
+    pl = perturbed_kuhn_map()
+    return assemble(pl, choose_params(pl)).edge_patches[0].smoother
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EdgeSmoother(make_fan(), [0.002] * 3, 0.2), _kuhn_smoother],
+    ids=["fan", "kuhn_edge"])
+def test_smoother_horizontal_image_ignores_x3(build):
+    # every piece maps e3 to (0, 0, lam), so the horizontal image of every
+    # stage is the one over the plane x3 = 0
+    sm = build()
+    r, L = sm.radius, sm.fan.length
+    rng = np.random.default_rng(11)
+    t = rng.uniform(1e-4, 1.2, 6000) * r
+    th = rng.uniform(-np.pi, np.pi, 6000)
+    z = rng.uniform(0.0, L, 6000)
+    pts = np.stack([t * np.cos(th), t * np.sin(th), z], axis=-1)
+    flat = pts.copy()
+    flat[:, 2] = 0.0
+    scale = max(r, L)
+    err = np.abs(sm.evaluate(pts)[:, :2] - sm.evaluate(flat)[:, :2])
+    assert np.max(err) <= 1e-14 * scale

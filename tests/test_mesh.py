@@ -9,8 +9,9 @@ import plsmooth as ps
 from plsmooth.builders import (kuhn_cube, kuhn_identity, perturbed_kuhn_map,
                                single_tet, subdivided_tet, subdivided_tet_map,
                                two_tet, two_tet_map)
-from plsmooth.errors import (ContinuityError, NonInjectiveError,
+from plsmooth.errors import (ContinuityError, DomainError, NonInjectiveError,
                              OrientationError, ParseError)
+from plsmooth.geometry import barycentric
 from plsmooth.mesh import (SimplicialComplex, edge_fans, face_pairs,
                            load_complex, pl_map_from_vertex_images,
                            save_document, validate_pl_homeo, vertex_stars)
@@ -41,6 +42,62 @@ def test_locate_and_contains():
     assert not cx.contains(np.array([5.0, 5.0, 5.0]))
     ci = cx.locate(np.array([[0.3, 0.3, -0.01]]))
     assert ci[0] >= 0
+
+
+def _least_violated_cells(cx, x):
+    """Brute-force reference: per point, the cell whose smallest barycentric
+    coordinate is largest, the first such cell on a tie."""
+    out = []
+    for p in x:
+        best, bestval = 0, np.inf
+        for c in range(cx.n_cells):
+            v = float(-np.min(barycentric(cx.cell_points(c), p)))
+            if v < bestval:
+                best, bestval = c, v
+        out.append(best)
+    return np.array(out)
+
+
+def _points_just_outside(cx, rng, n=300):
+    """Points pushed a little past a boundary face of ``cx``."""
+    faces = sorted(cx.boundary_faces)
+    ctr = cx.points.mean(axis=0)
+    pts = []
+    for k in rng.integers(len(faces), size=n):
+        tri = cx.points[list(faces[k])]
+        q = rng.dirichlet(np.ones(3)) @ tri
+        nrm = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        nrm /= np.linalg.norm(nrm)
+        if nrm @ (q - ctr) < 0:
+            nrm = -nrm
+        pts.append(q + rng.uniform(1e-6, 0.05) * nrm)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("mesh", ["kuhn_cube", "kuhn_image"])
+def test_locate_extend_matches_least_violated_cell(mesh):
+    cx = kuhn_cube() if mesh == "kuhn_cube" \
+        else perturbed_kuhn_map().image_complex()
+    rng = np.random.default_rng(8)
+    outside = _points_just_outside(cx, rng)
+    assert np.all(cx.locate(outside) == -1)
+    ci = cx.locate(outside, extend=True)
+    assert np.array_equal(ci, _least_violated_cells(cx, outside))
+    # points inside keep the cell the plain locator gives them
+    inside = rng.uniform(0.05, 0.95, size=(200, 3))
+    inside = inside[cx.contains(inside)]
+    assert np.array_equal(cx.locate(inside, extend=True), cx.locate(inside))
+
+
+def test_pl_map_rejects_points_outside():
+    pl = perturbed_kuhn_map()
+    x = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 1.5]])
+    with pytest.raises(DomainError):
+        pl(x)
+    with pytest.raises(DomainError):
+        pl.derivative(x)
+    inner = pl.derivative(x[:1])
+    assert np.array_equal(inner, pl.matrices[pl.complex.locate(x[:1])])
 
 
 def test_pl_map_from_vertex_images_affine():
