@@ -1,7 +1,8 @@
 """Canonical complexes and piecewise affine maps used throughout the tests
 and demos: a single tetrahedron, a two-tetrahedron bipyramid sharing a face,
 the six-piece Kuhn triangulation of the unit cube (whose main diagonal is an
-interior edge), and a subdivided tetrahedron with one interior vertex."""
+interior edge) and of a block of cubes, and a subdivided tetrahedron with one
+interior vertex."""
 
 from __future__ import annotations
 
@@ -44,25 +45,26 @@ def two_tet_map(M_low, M_high, offset_low=None, offset_high=None, **kw):
     return PLMap(cx, [M_high, M_low], [o_hi, o_lo])
 
 
-def kuhn_cube():
-    """Kuhn triangulation: six tetrahedra x_{s(1)} <= x_{s(2)} <= x_{s(3)},
-    all containing the main diagonal of the unit cube."""
-    corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)],
-                       dtype=float)
-
-    def cid(p):
-        return int(p[0]) * 4 + int(p[1]) * 2 + int(p[2])
-
+def kuhn_grid(nx, ny, nz):
+    """An nx x ny x nz block of unit cubes, each split into the six Kuhn
+    tetrahedra x_{s(1)} <= x_{s(2)} <= x_{s(3)} around its main diagonal;
+    the same split in every cube keeps the grid conforming.  Point (i, j, k)
+    has index (i * (ny + 1) + j) * (nz + 1) + k."""
+    shape = (nx + 1, ny + 1, nz + 1)
+    points = np.argwhere(np.ones(shape, dtype=bool)).astype(float)
     cells = []
-    for s in permutations(range(3)):
-        v0 = np.zeros(3)
-        v1 = v0.copy()
-        v1[s[2]] = 1
-        v2 = v1.copy()
-        v2[s[1]] = 1
-        v3 = np.ones(3)
-        cells.append([cid(v0), cid(v1), cid(v2), cid(v3)])
-    return SimplicialComplex(corners, cells)
+    for cube in np.ndindex(nx, ny, nz):
+        for s in permutations(range(3)):
+            # from the cube's low corner to its high one, axis by axis
+            path = np.cumsum([cube] + [np.eye(3, dtype=int)[a] for a in s[::-1]],
+                             axis=0)
+            cells.append(np.ravel_multi_index(path.T, shape))
+    return SimplicialComplex(points, cells)
+
+
+def kuhn_cube():
+    """The six Kuhn tetrahedra of the unit cube, around its diagonal (0, 7)."""
+    return kuhn_grid(1, 1, 1)
 
 
 def kuhn_identity():

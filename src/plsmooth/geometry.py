@@ -12,7 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+
+# matrices per spectral_norm chunk: bounds its (N,3,3) temporaries
+NORM_CHUNK = 4096
 
 
 def normalize(v):
@@ -55,6 +59,43 @@ def rotation_to_e3(v):
     return np.eye(3) + s * K + (1 - c) * (K @ K)
 
 
+def spectral_norm(M):
+    """Largest singular value of each matrix in the stack ``M`` (N,3,3): the
+    root of the largest eigenvalue of M^T M, by the trigonometric solution of
+    its characteristic cubic.  Where the two largest eigenvalues nearly
+    coincide that root is ill-conditioned; there the largest eigenvalue of
+    the 2x2 block orthogonal to the eigenvector of the smallest gives it."""
+    M = np.asarray(M, dtype=float)
+    if len(M) > NORM_CHUNK:
+        return np.concatenate([spectral_norm(M[i:i + NORM_CHUNK])
+                               for i in range(0, len(M), NORM_CHUNK)])
+    # exact power-of-two scaling keeps M^T M clear of underflow and overflow
+    _, e = np.frexp(np.max(np.abs(M), axis=(1, 2)))
+    M = np.ldexp(M, -e[:, None, None])
+    A = np.swapaxes(M, 1, 2) @ M
+    q = np.trace(A, axis1=1, axis2=2) / 3.0
+    B = A - q[:, None, None] * np.eye(3)
+    p = np.sqrt(np.sum(B * B, axis=(1, 2)) / 6.0)
+    r = np.linalg.det(B / np.where(p > 0, p, 1.0)[:, None, None]) / 2.0
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    top = q + 2.0 * p * np.cos(phi)
+    # cos(arccos(r) / 3) amplifies an error in r by at most 1/4 for r >= -1/2
+    close = r < -0.5
+    if np.any(close):
+        A = A[close]
+        low = (q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0))[close]
+        C = A - low[:, None, None] * np.eye(3)
+        # its null vector: the longest cross product of two rows of C
+        v = np.cross(C[:, [0, 0, 1]], C[:, [1, 2, 2]])
+        v = v[np.arange(len(v)), np.argmax(np.sum(v * v, axis=2), axis=1)]
+        v[~np.any(v, axis=1)] = (1.0, 0.0, 0.0)
+        t2, t3 = orthonormal_tangents(normalize(v))
+        a, b, c = (np.einsum("ni,nij,nj->n", s, A, t)
+                   for s, t in ((t2, t2), (t2, t3), (t3, t3)))
+        top[close] = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e)
+
+
 @dataclass(frozen=True)
 class Frame:
     """Rigid motion y = R (x - origin); rows of R are the frame axes."""
@@ -72,22 +113,12 @@ def tet_volume(p):
     return float(np.linalg.det(p[1:] - p[0])) / 6.0
 
 
-def tet_edge_matrix(p):
-    p = np.asarray(p, dtype=float)
-    return (p[1:] - p[0]).T
-
-
 def barycentric(p, x):
     """Barycentric coordinates of points ``x`` (N,3) in tetrahedron ``p`` (4,3)."""
-    T = tet_edge_matrix(p)
-    lam = np.linalg.solve(T, (np.atleast_2d(x) - p[0]).T).T
+    p = np.asarray(p, dtype=float)
+    lam = np.linalg.solve((p[1:] - p[0]).T, (np.atleast_2d(x) - p[0]).T).T
     lam0 = 1.0 - lam.sum(axis=1, keepdims=True)
     return np.hstack([lam0, lam])
-
-
-def points_in_tet(p, x, tol=1e-12):
-    lam = barycentric(p, x)
-    return (lam >= -tol).all(axis=1)
 
 
 def triangle_area(p):
@@ -126,7 +157,8 @@ def dist_point_triangle(x, tri):
 
 
 def dist_point_simplex(x, verts):
-    """Distance from ``x`` to a simplex given by its vertex array (k,3)."""
+    """Distance from ``x`` to a point, segment or triangle given by its
+    vertex array (k,3), k <= 3."""
     verts = np.asarray(verts, dtype=float)
     x = np.asarray(x, dtype=float)
     k = len(verts)
@@ -134,13 +166,7 @@ def dist_point_simplex(x, verts):
         return float(np.linalg.norm(x - verts[0]))
     if k == 2:
         return dist_point_segment(x, verts[0], verts[1])
-    if k == 3:
-        return dist_point_triangle(x, verts)
-    # tetrahedron: zero if inside, else min over faces
-    if points_in_tet(verts, x[None])[0]:
-        return 0.0
-    return min(dist_point_triangle(x, verts[list(f)])
-               for f in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    return dist_point_triangle(x, verts)
 
 
 def dist_segment_simplex(a, b, verts):
@@ -156,18 +182,25 @@ def dist_segment_simplex(a, b, verts):
 
 
 def halfspaces_of_tet(p):
-    """Rows (a, b) with a.x + b <= 0 describing the tetrahedron interior."""
+    """Rows (a, b), a.x + b <= 0 inside, of tetrahedron ``p`` (4,3) or of
+    each of a stack (..., 4, 3).  a is the unit outward normal, so a.x + b is
+    the signed distance; row r carries the facet opposite vertex 3 - r."""
     p = np.asarray(p, dtype=float)
-    faces = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1), (1, 2, 3, 0)]
-    H = np.zeros((4, 4))
-    for r, (i, j, k, opp) in enumerate(faces):
-        n = np.cross(p[j] - p[i], p[k] - p[i])
-        n /= np.linalg.norm(n)
-        if np.dot(n, p[opp] - p[i]) > 0:
-            n = -n
-        H[r, :3] = n
-        H[r, 3] = -np.dot(n, p[i])
-    return H
+    i, j, k, opp = (p[..., idx, :] for idx in np.array(
+        [[0, 0, 0, 1], [1, 1, 2, 2], [2, 3, 3, 3], [3, 2, 1, 0]]))
+    n = normalize(np.cross(j - i, k - i))
+    n = np.where(np.sum(n * (opp - i), axis=-1, keepdims=True) > 0, -n, n)
+    return np.concatenate([n, -np.sum(n * i, axis=-1, keepdims=True)], axis=-1)
+
+
+def _chebyshev_center(H):
+    """Centre and radius of the largest ball in {x: a.x + b <= 0 per row
+    (a, b)} of unit normals a; radius 0 when the LP fails."""
+    c = np.array([0.0, 0.0, 0.0, -1.0])
+    A_ub = np.hstack([H[:, :3], np.ones((len(H), 1))])
+    res = linprog(c, A_ub=A_ub, b_ub=-H[:, 3],
+                  bounds=[(None, None)] * 3 + [(0, None)], method="highs")
+    return (res.x[:3], res.x[3]) if res.success else (None, 0.0)
 
 
 def convex_interior_overlap(pa, pb, tol=1e-10):
@@ -178,34 +211,20 @@ def convex_interior_overlap(pa, pb, tol=1e-10):
     or (0.0, None).  Uses the Chebyshev centre LP followed by a hull volume.
     """
     H = np.vstack([halfspaces_of_tet(pa), halfspaces_of_tet(pb)])
-    A, b = H[:, :3], -H[:, 3]
-    # maximize r s.t. A x + r <= b
-    c = np.array([0.0, 0.0, 0.0, -1.0])
-    A_ub = np.hstack([A, np.ones((len(A), 1))])
-    res = linprog(c, A_ub=A_ub, b_ub=b, bounds=[(None, None)] * 3 + [(0, None)],
-                  method="highs")
-    if not res.success or res.x[3] <= tol:
+    center, radius = _chebyshev_center(H)
+    if radius <= tol:
         return 0.0, None
-    center = res.x[:3]
-    from scipy.spatial import HalfspaceIntersection
-    hs = HalfspaceIntersection(H, center)
-    vol = ConvexHull(hs.intersections).volume
+    vol = ConvexHull(HalfspaceIntersection(H, center).intersections).volume
     return float(vol), center
 
 
 def halfspace_polytope(H):
     """Vertices of the polytope {x: a.x + b <= 0 per row (a,b)}; an empty
     array when the interior is empty."""
-    from scipy.spatial import HalfspaceIntersection
-    A, b = H[:, :3], -H[:, 3]
-    c = np.array([0.0, 0.0, 0.0, -1.0])
-    A_ub = np.hstack([A, np.ones((len(A), 1))])
-    res = linprog(c, A_ub=A_ub, b_ub=b,
-                  bounds=[(None, None)] * 3 + [(0, None)], method="highs")
-    if not res.success or res.x[3] <= 1e-12:
+    center, radius = _chebyshev_center(H)
+    if radius <= 1e-12:
         return np.zeros((0, 3))
-    hs = HalfspaceIntersection(H, res.x[:3])
-    return np.asarray(hs.intersections)
+    return np.asarray(HalfspaceIntersection(H, center).intersections)
 
 
 def polytope_tets(vertices):

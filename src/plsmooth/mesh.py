@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import geometry as geo
 from .errors import (ContinuityError, DegenerateSimplexError, DomainError,
@@ -34,21 +35,20 @@ class SimplicialComplex:
             raise ParseError("points must be an (n,3) array")
         if self.cells.ndim != 2 or self.cells.shape[1] != 4:
             raise ParseError("cells must be an (m,4) array of point indices")
-        self._orient_cells()
+        flip = np.linalg.det(self._edge_vectors()) < 0
+        self.cells[flip] = self.cells[flip][:, [0, 1, 3, 2]]
         self._build_incidence()
         if validate:
             self.validate()
 
     # -- construction helpers
 
-    def _orient_cells(self):
-        for ci, cell in enumerate(self.cells):
-            if geo.tet_volume(self.points[cell]) < 0:
-                self.cells[ci, [2, 3]] = self.cells[ci, [3, 2]]
+    def _edge_vectors(self):
+        """Rows p_i - p_0, i = 1, 2, 3, of every cell (m,3,3)."""
+        P = self.points[self.cells]
+        return P[:, 1:] - P[:, :1]
 
     def _build_incidence(self):
-        self.faces = []
-        self.edges = []
         self.face_cells = {}
         self.edge_cells = {}
         self.vertex_cells = {}
@@ -64,10 +64,9 @@ class SimplicialComplex:
         self.edges = sorted(self.edge_cells)
         self.vertices = sorted(self.vertex_cells)
         self.boundary_faces = {f for f, cs in self.face_cells.items() if len(cs) == 1}
-        self.boundary_edges = {e for e in self.edges
-                               if any(set(e) <= set(f) for f in self.boundary_faces)}
-        self.boundary_vertices = {v for v in self.vertices
-                                  if any(v in f for f in self.boundary_faces)}
+        self.boundary_edges = {e for f in self.boundary_faces
+                               for e in combinations(f, 2)}
+        self.boundary_vertices = {v for f in self.boundary_faces for v in f}
 
     # -- queries
 
@@ -83,9 +82,7 @@ class SimplicialComplex:
         return self.points[self.cells[ci]]
 
     def coordinate_scale(self):
-        lo = self.points.min(axis=0)
-        hi = self.points.max(axis=0)
-        return float(max(np.max(hi - lo), 1e-300))
+        return float(max(np.ptp(self.points, axis=0).max(), 1e-300))
 
     def locate(self, x, tol=1e-10, extend=False):
         """Cell indices containing points ``x`` (N,3); -1 where outside.
@@ -100,7 +97,8 @@ class SimplicialComplex:
         for ci in range(self.n_cells):
             if len(todo) == 0:
                 break
-            inside = geo.points_in_tet(self.cell_points(ci), x[todo], tol=tol)
+            lam = geo.barycentric(self.cell_points(ci), x[todo])
+            inside = (lam >= -tol).all(axis=1)
             out[todo[inside]] = ci
             todo = todo[~inside]
         if extend and len(todo):
@@ -120,56 +118,50 @@ class SimplicialComplex:
     # -- validation
 
     def validate(self):
-        for ci, cell in enumerate(self.cells):
-            p = self.points[cell]
-            T = geo.tet_edge_matrix(p)
-            edge_len = float(np.max(np.linalg.norm(T, axis=0)))
-            det = abs(np.linalg.det(T))
-            if det < 1e-10 * edge_len ** 3:
-                cond = np.linalg.cond(T)
-                raise DegenerateSimplexError(
-                    f"cell {ci} is degenerate (condition number {cond:.3e})")
-        self._check_intersections()
-
-    def _check_intersections(self):
-        # pairwise: the geometric intersection must be the simplex spanned by
-        # the shared vertex set (possibly empty)
-        boxes = np.array([[self.cell_points(ci).min(axis=0),
-                           self.cell_points(ci).max(axis=0)]
-                          for ci in range(self.n_cells)])
-        scale = self.coordinate_scale()
-        tol = 1e-10 * scale
-        for a in range(self.n_cells):
-            for b in range(a + 1, self.n_cells):
-                if np.any(boxes[a, 0] > boxes[b, 1] + tol) or \
-                   np.any(boxes[b, 0] > boxes[a, 1] + tol):
-                    continue
+        """No cell is degenerate, and every two cells meet exactly in the
+        subsimplex spanned by their shared vertices.  Only a pair that fails
+        the second test runs the LP overlap test, which picks the message."""
+        D = self._edge_vectors()
+        edge_len = np.linalg.norm(D, axis=2).max(axis=1)
+        degenerate = np.abs(np.linalg.det(D)) < 1e-10 * edge_len ** 3
+        if degenerate.any():
+            ci = int(np.argmax(degenerate))
+            raise DegenerateSimplexError(
+                f"cell {ci} is degenerate "
+                f"(condition number {np.linalg.cond(D[ci]):.3e})")
+        tol = 1e-10 * self.coordinate_scale()
+        pairs = self._candidate_pairs(tol)
+        # centred, so the plane offsets carry no rounding from a far origin
+        P = self.points[self.cells] - self.points.mean(axis=0)
+        planes = geo.halfspaces_of_tet(P)
+        for start in range(0, len(pairs), PAIR_CHUNK):
+            chunk = pairs[start:start + PAIR_CHUNK]
+            bad = ~_conforming(self.cells, planes, chunk, tol)
+            if bad.any():
+                a, b = (int(c) for c in chunk[np.argmax(bad)])
                 vol, _ = geo.convex_interior_overlap(
                     self.cell_points(a), self.cell_points(b), tol=tol)
                 if vol > tol ** 3:
                     raise IntersectionError(
                         f"cells {a} and {b} overlap with interior volume {vol:.3e}")
-                shared = sorted(set(self.cells[a].tolist())
-                                & set(self.cells[b].tolist()))
-                if not self._touching_is_common_subsimplex(a, b, shared, tol):
-                    raise IntersectionError(
-                        f"cells {a} and {b} intersect in a set that is not a "
-                        f"common subsimplex (shared vertices {shared})")
+                shared = np.intersect1d(self.cells[a], self.cells[b]).tolist()
+                raise IntersectionError(
+                    f"cells {a} and {b} intersect in a set that is not a "
+                    f"common subsimplex (shared vertices {shared})")
 
-    def _touching_is_common_subsimplex(self, a, b, shared, tol):
-        pa, pb = self.cell_points(a), self.cell_points(b)
-        span = self.points[shared] if shared else np.zeros((0, 3))
-        # sample each simplex of cell a of every dimension and check that any
-        # point lying in cell b is within the shared subsimplex
-        for k in (1, 2, 3, 4):
-            for sub in combinations(range(4), k):
-                verts = pa[list(sub)]
-                samples = _simplex_samples(verts)
-                for s in samples:
-                    if geo.dist_point_simplex(s, pb) < tol:
-                        if len(span) == 0 or geo.dist_point_simplex(s, span) > tol:
-                            return False
-        return True
+    def _candidate_pairs(self, tol):
+        """Cell pairs (a, b), a < b, in lexicographic order, whose bounding
+        boxes meet within ``tol``.  Cells that meet have centroids at most
+        twice the largest centroid-to-vertex distance apart."""
+        P = self.points[self.cells]
+        ctr = P.mean(axis=1)
+        reach = float(np.linalg.norm(P - ctr[:, None], axis=2).max())
+        pairs = cKDTree(ctr).query_pairs(2.0 * reach + tol, output_type="ndarray")
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        lo, hi = P.min(axis=1), P.max(axis=1)
+        a, b = pairs[:, 0], pairs[:, 1]
+        meet = np.all((lo[a] <= hi[b] + tol) & (lo[b] <= hi[a] + tol), axis=1)
+        return pairs[meet]
 
     # -- serialization
 
@@ -178,24 +170,31 @@ class SimplicialComplex:
                 "cells": self.cells.tolist()}
 
 
-def _simplex_samples(verts):
-    """Deterministic sample points of a simplex: its vertices plus 4 interior
-    points of an edge, or 12 Dirichlet-random points of a face or cell."""
-    k = len(verts)
-    if k == 1:
-        return [verts[0]]
-    out = []
-    grid = np.linspace(0.0, 1.0, 6)[1:-1]
-    if k == 2:
-        for t in grid:
-            out.append((1 - t) * verts[0] + t * verts[1])
-        out += [verts[0], verts[1]]
-    else:
-        rng = np.random.default_rng(0)
-        W = rng.dirichlet(np.ones(k), size=12)
-        out += list(W @ verts)
-        out += list(verts)
-    return out
+# Cell pairs are checked this many at a time; the (pairs, 56, 3, 3) plane
+# systems of one chunk take about 17 MB.
+PAIR_CHUNK = 4096
+# every choice of 3 of the 8 facet planes of a cell pair
+_PLANE_TRIPLES = np.array(list(combinations(range(8), 3)))
+
+
+def _conforming(cells, planes, pairs, tol):
+    """Per cell pair (a, b): do the cells meet exactly in the face of a
+    spanned by their shared vertices?  That is, does every vertex of the
+    intersection polytope (the feasible solutions of the 56 triples of the 8
+    facet planes) lie on the facets of a opposite its unshared vertices?  A
+    duplicate cell (4 shared vertices) never conforms."""
+    a, b = pairs[:, 0], pairs[:, 1]
+    shared = (cells[a][:, :, None] == cells[b][:, None, :]).any(axis=2)
+    H = np.concatenate([planes[a], planes[b]], axis=1)
+    N = H[:, _PLANE_TRIPLES, :3]
+    independent = np.abs(np.linalg.det(N)) > 1e-12
+    N[~independent] = np.eye(3)
+    X = np.linalg.solve(N, -H[:, _PLANE_TRIPLES, 3:])[..., 0]
+    dist = np.einsum("kpc,ktc->ktp", H[..., :3], X) + H[:, None, :, 3]
+    vertex = independent & np.all(dist <= tol, axis=2)
+    # plane r of a is the facet opposite vertex 3 - r
+    off_face = np.any(~shared[:, None, ::-1] & (dist[..., :4] < -tol), axis=2)
+    return ~np.any(vertex & off_face, axis=1) & ~shared.all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +238,12 @@ class PLMap:
 
     def image_complex(self):
         """The image mesh: same cells over the mapped vertex positions."""
+        cells = self.complex.cells
+        imgs = self.complex.points[cells] @ np.swapaxes(self.matrices, 1, 2)
         imgpts = np.zeros_like(self.complex.points)
-        counts = np.zeros(len(imgpts))
-        for ci, cell in enumerate(self.complex.cells):
-            imgpts[cell] += self.apply_piece(ci, self.complex.points[cell])
-            counts[cell] += 1
-        imgpts /= counts[:, None]
-        return SimplicialComplex(imgpts, self.complex.cells, validate=False)
+        np.add.at(imgpts, cells, imgs + self.offsets[:, None])
+        imgpts /= np.bincount(cells.ravel(), minlength=len(imgpts))[:, None]
+        return SimplicialComplex(imgpts, cells, validate=False)
 
     def inverse_pl(self, y, tol=1e-9, extend=False):
         """Piecewise affine inverse by point location in the image cells.
@@ -276,17 +274,11 @@ class PLMap:
 def pl_map_from_vertex_images(complex, vertex_images):
     """Build the PL map sending each mesh vertex to its image; the pieces are
     the unique affine maps interpolating the four vertex images per cell."""
-    vertex_images = np.asarray(vertex_images, dtype=float)
-    mats, offs = [], []
-    for cell in complex.cells:
-        P = complex.points[cell]
-        Q = vertex_images[cell]
-        T = geo.tet_edge_matrix(P)
-        S = (Q[1:] - Q[0]).T
-        M = S @ np.linalg.inv(T)
-        mats.append(M)
-        offs.append(Q[0] - M @ P[0])
-    return PLMap(complex, mats, offs)
+    P = complex.points[complex.cells]
+    Q = np.asarray(vertex_images, dtype=float)[complex.cells]
+    M = np.swapaxes(Q[:, 1:] - Q[:, :1], 1, 2) @ \
+        np.linalg.inv(np.swapaxes(P[:, 1:] - P[:, :1], 1, 2))
+    return PLMap(complex, M, Q[:, 0] - (M @ P[:, 0, :, None])[..., 0])
 
 
 def normalize_orientation(plmap):
@@ -319,8 +311,9 @@ class ValidationReport:
 def validate_pl_homeo(plmap):
     """Continuity, orientation, and global injectivity of a PL map.
 
-    Injectivity is audited on the image cells: bounding-box pruning then an
-    exact interior-overlap test on surviving pairs.
+    Injectivity is audited on the image cells: the candidate pairs of
+    :meth:`SimplicialComplex._candidate_pairs`, then an exact
+    interior-overlap test on each.
     """
     cx = plmap.complex
     scale = cx.coordinate_scale()
@@ -338,39 +331,25 @@ def validate_pl_homeo(plmap):
 
     # continuity across every shared subsimplex vertex
     resid = 0.0
-    for f, cs in cx.face_cells.items():
-        for a in range(len(cs)):
-            for b in range(a + 1, len(cs)):
-                pa = plmap.apply_piece(cs[a], cx.points[list(f)])
-                pb = plmap.apply_piece(cs[b], cx.points[list(f)])
-                resid = max(resid, float(np.max(np.abs(pa - pb))))
-    for e, cs in cx.edge_cells.items():
-        for a in range(len(cs)):
-            for b in range(a + 1, len(cs)):
-                pa = plmap.apply_piece(cs[a], cx.points[list(e)])
-                pb = plmap.apply_piece(cs[b], cx.points[list(e)])
-                resid = max(resid, float(np.max(np.abs(pa - pb))))
+    for s, cs in [*cx.face_cells.items(), *cx.edge_cells.items()]:
+        p = cx.points[list(s)]
+        for a, b in combinations(cs, 2):
+            diff = plmap.apply_piece(a, p) - plmap.apply_piece(b, p)
+            resid = max(resid, float(np.max(np.abs(diff))))
     if resid > tol:
         raise ContinuityError(
             f"pieces disagree on a shared subsimplex (residual {resid:.3e})")
 
     # injectivity of the image cells
     img = plmap.image_complex()
-    boxes = np.array([[img.cell_points(ci).min(axis=0),
-                       img.cell_points(ci).max(axis=0)]
-                      for ci in range(img.n_cells)])
     gtol = 1e-10 * scale
-    for a in range(img.n_cells):
-        for b in range(a + 1, img.n_cells):
-            if np.any(boxes[a, 0] > boxes[b, 1] + gtol) or \
-               np.any(boxes[b, 0] > boxes[a, 1] + gtol):
-                continue
-            vol, witness = geo.convex_interior_overlap(
-                img.cell_points(a), img.cell_points(b), tol=gtol)
-            if vol > gtol ** 3:
-                raise NonInjectiveError(
-                    f"image cells overlap near {np.asarray(witness)}; "
-                    f"map is not injective")
+    for a, b in img._candidate_pairs(gtol).tolist():
+        vol, witness = geo.convex_interior_overlap(
+            img.cell_points(a), img.cell_points(b), tol=gtol)
+        if vol > gtol ** 3:
+            raise NonInjectiveError(
+                f"image cells overlap near {np.asarray(witness)}; "
+                f"map is not injective")
     return ValidationReport(orientation=orient,
                             continuity_residual=resid,
                             min_abs_det=float(np.min(np.abs(dets))),

@@ -669,9 +669,8 @@ def lambda_sweep(plmap, params, lambdas=(1.0, 0.5, 0.25, 0.125, 0.0625),
                  p=2.0, q=2.0, rng=0):
     from .norms import linf_difference
     rows = []
-    piece_norms = np.linalg.norm(plmap.matrices, ord=2, axis=(1, 2))
-    piece_inv_norms = np.linalg.norm(np.linalg.inv(plmap.matrices),
-                                     ord=2, axis=(1, 2))
+    piece_norms = geo.spectral_norm(plmap.matrices)
+    piece_inv_norms = geo.spectral_norm(np.linalg.inv(plmap.matrices))
     for lam in lambdas:
         g = assemble(plmap, params.scaled(lam))
         vol = g.volume_difference_set()
@@ -680,7 +679,7 @@ def lambda_sweep(plmap, params, lambdas=(1.0, 0.5, 0.25, 0.125, 0.0625),
         pa, wa = pts[act], wts[act]
         Dg = g.derivative(pa)
         Df = plmap.derivative(pa)
-        diff = np.linalg.norm(Dg - Df, ord=2, axis=(1, 2))
+        diff = geo.spectral_norm(Dg - Df)
         w1p = float(np.sum(wa * diff ** p) ** (1.0 / p))
         linf = linf_difference(plmap, g, rng=rng)
         # inverse quantities via the change of variables y = g(x)
@@ -689,12 +688,12 @@ def lambda_sweep(plmap, params, lambdas=(1.0, 0.5, 0.25, 0.125, 0.0625),
         y = g.evaluate(pa)
         xb, ci = plmap.inverse_pl(y, tol=1e-7, extend=True)
         Dfi = np.linalg.inv(plmap.matrices[ci])
-        diff_inv = np.linalg.norm(Dgi - Dfi, ord=2, axis=(1, 2))
+        diff_inv = geo.spectral_norm(Dgi - Dfi)
         w1q_inv = float(np.sum(wa * diff_inv ** q * Jg) ** (1.0 / q))
         linf_inv = float(np.max(np.linalg.norm(pa - xb, axis=-1)))
-        sup_dg = float(max(np.max(np.linalg.norm(Dg, ord=2, axis=(1, 2))),
+        sup_dg = float(max(np.max(geo.spectral_norm(Dg)),
                            np.max(piece_norms)))
-        sup_dgi = float(max(np.max(np.linalg.norm(Dgi, ord=2, axis=(1, 2))),
+        sup_dgi = float(max(np.max(geo.spectral_norm(Dgi)),
                             np.max(piece_inv_norms)))
         rows.append(dict(zip(SWEEP_COLUMNS,
                              (float(lam), vol, linf, w1p, linf_inv,

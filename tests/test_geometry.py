@@ -1,5 +1,7 @@
 """Geometry helper tests against closed-form oracles."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -166,3 +168,44 @@ def test_halfspaces_of_tet_membership():
     outside = np.array([1.0, 1.0, 1.0])
     assert np.all(H[:, :3] @ inside + H[:, 3] <= 1e-12)
     assert np.any(H[:, :3] @ outside + H[:, 3] > 0)
+
+
+def _with_singular_values(s, seed):
+    """Matrices R1 diag(s) R2 with random rotations R1, R2."""
+    rng = np.random.default_rng(seed)
+    R1, _ = np.linalg.qr(rng.normal(size=(len(s), 3, 3)))
+    R2, _ = np.linalg.qr(rng.normal(size=(len(s), 3, 3)))
+    return R1 @ (s[:, :, None] * R2)
+
+
+def test_spectral_norm_matches_svd():
+    rng = np.random.default_rng(5)
+    s = rng.uniform(0.1, 3.0, size=(500, 3))
+    top_pair, low_pair, rank2 = s.copy(), s.copy(), s.copy()
+    top_pair[:, 1] = top_pair[:, 0] = np.max(s, axis=1)
+    low_pair[:, 1] = low_pair[:, 2] = np.min(s, axis=1)
+    rank2[:, 2] = 0.0
+    u, w = rng.normal(size=(2, 500, 3))
+    cases = {
+        "gaussian": rng.normal(size=(2000, 3, 3)),
+        "identity": np.eye(3)[None],
+        "zero": np.zeros((3, 3, 3)),
+        "rank-1": u[:, :, None] * w[:, None, :],
+        "rank-2": _with_singular_values(rank2, 1),
+        # the trigonometric root is ill-conditioned for a double top value
+        "top two equal": _with_singular_values(top_pair, 2),
+        "bottom two equal": _with_singular_values(low_pair, 3),
+        "near identity": np.eye(3) + 1e-9 * rng.normal(size=(500, 3, 3)),
+        # M^T M a few ulps from the identity: one of these has a null vector
+        # of exact zeros in the nearly-equal branch
+        "ulps from identity": np.array([
+            np.diag(np.sqrt(1.0 + np.array(d) * 2.0 ** -52))
+            for d in product(range(-4, 5), repeat=3)]),
+        "tiny": 1e-200 * rng.normal(size=(50, 3, 3)),
+        "huge": 1e200 * rng.normal(size=(50, 3, 3)),
+    }
+    for name, M in cases.items():
+        ref = np.linalg.norm(M, ord=2, axis=(1, 2))
+        np.testing.assert_allclose(geo.spectral_norm(M), ref, rtol=1e-12,
+                                   atol=0, err_msg=name)
+    assert geo.spectral_norm([np.diag([2.0, -5.0, 1.0])]) == pytest.approx([5.0])

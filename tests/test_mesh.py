@@ -2,16 +2,21 @@
 
 import json
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
 import plsmooth as ps
-from plsmooth.builders import (kuhn_cube, kuhn_identity, perturbed_kuhn_map,
-                               single_tet, subdivided_tet, subdivided_tet_map,
-                               two_tet, two_tet_map)
-from plsmooth.errors import (ContinuityError, DomainError, NonInjectiveError,
+from plsmooth.builders import (kuhn_cube, kuhn_grid, kuhn_identity,
+                               perturbed_kuhn_map, single_tet, subdivided_tet,
+                               subdivided_tet_map, two_tet, two_tet_map)
+from plsmooth.errors import (ContinuityError, DegenerateSimplexError,
+                             DomainError, IntersectionError, NonInjectiveError,
                              OrientationError, ParseError)
-from plsmooth.geometry import barycentric
+from plsmooth.geometry import barycentric, tet_volume
 from plsmooth.mesh import (SimplicialComplex, edge_fans, face_pairs,
                            load_complex, pl_map_from_vertex_images,
                            save_document, validate_pl_homeo, vertex_stars)
@@ -248,3 +253,145 @@ def test_inverse_pl_roundtrip():
     y = pl(x)
     xb, _ = pl.inverse_pl(y)
     assert np.max(np.linalg.norm(x - xb, axis=-1)) < 1e-9
+
+
+def test_degenerate_cell_message_names_first_cell():
+    pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                    [1, 1, 0], [2, 2, 0]])
+    cells = [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 4, 5]]
+    with pytest.raises(DegenerateSimplexError) as exc:
+        SimplicialComplex(pts, cells)
+    cond = np.linalg.cond(pts[[1, 2, 4]] - pts[0])
+    assert str(exc.value) == f"cell 1 is degenerate (condition number {cond:.3e})"
+
+
+def test_cells_are_oriented_positively():
+    cx = kuhn_grid(2, 1, 1)
+    given = cx.cells.copy()
+    given[::2, [0, 1]] = given[::2, [1, 0]]  # every other cell reversed
+    cy = SimplicialComplex(cx.points, given)
+    # a reversed cell gets its last two vertices exchanged; the others stay
+    expect = given.copy()
+    expect[::2, [2, 3]] = expect[::2, [3, 2]]
+    assert np.array_equal(cy.cells, expect)
+    assert all(tet_volume(cy.cell_points(c)) > 0 for c in range(cy.n_cells))
+
+
+def test_kuhn_grid_layout():
+    cx = kuhn_grid(3, 2, 1)
+    assert cx.n_cells == 6 * 3 * 2 * 1
+    assert np.array_equal(cx.points[(2 * 3 + 1) * 2 + 1], [2.0, 1.0, 1.0])
+    total = sum(tet_volume(cx.cell_points(c)) for c in range(cx.n_cells))
+    assert total == pytest.approx(6.0)
+    assert np.array_equal(kuhn_cube().cells, kuhn_grid(1, 1, 1).cells)
+
+
+def test_boundary_simplices_match_brute_force():
+    cx = kuhn_grid(2, 2, 1)
+    faces = {f for f, cs in cx.face_cells.items() if len(cs) == 1}
+    edges = {e for e in cx.edges if any(set(e) <= set(f) for f in faces)}
+    verts = {v for v in cx.vertices if any(v in f for f in faces)}
+    assert cx.boundary_faces == faces
+    assert cx.boundary_edges == edges
+    assert cx.boundary_vertices == verts
+    # one cube thick: every vertex is on the boundary, but not every edge
+    assert verts == set(cx.vertices)
+    assert len(edges) < len(cx.edges)
+
+
+# -- conformity: two cells meet exactly in their common subsimplex
+
+_REF = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+_CORNER = np.vstack([np.zeros(3), np.eye(3)])  # a cell reaching away from _REF
+
+
+def _pair(points_b, cells_b=(4, 5, 6, 7)):
+    """The reference cell as cell 0 and a second cell as cell 1."""
+    return np.vstack([_REF, points_b]), [[0, 1, 2, 3], list(cells_b)]
+
+
+def _hanging_vertex():
+    # below the triangle z = 0 one cell; above it three cells around a
+    # vertex at the triangle's centroid, which hangs in the lower cell's face
+    pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1 / 3, 1 / 3, -1],
+                    [1 / 3, 1 / 3, 0], [1 / 3, 1 / 3, 1]])
+    return pts, [[0, 1, 2, 3], [0, 1, 4, 5], [1, 2, 4, 5], [2, 0, 4, 5]]
+
+
+OVERLAP = "overlap with interior volume"
+NONCONFORMING = "not a common subsimplex"
+CONFORMITY_CASES = {
+    "shared face": (two_tet().points, two_tet().cells.tolist(), None),
+    "shared edge": (*_pair([[0, -1, 0], [0, 0, -1]], (0, 1, 4, 5)), None),
+    "shared vertex": (*_pair(-_REF[1:], (0, 4, 5, 6)), None),
+    "disjoint": (*_pair(_REF + [2.0, 0, 0]), None),
+    # bounding boxes overlap, the cells do not
+    "disjoint, boxes overlap": (*_pair(_REF + 0.6), None),
+    "overlapping": (*_pair(_REF + 0.1), OVERLAP),
+    "duplicate": (_REF, [[0, 1, 2, 3], [0, 1, 2, 3]], OVERLAP),
+    "hanging vertex": (*_hanging_vertex(), NONCONFORMING),
+    # a vertex of cell 1 at the centroid of a face of cell 0
+    "vertex on face centroid": (*_pair(_CORNER + 1 / 3), NONCONFORMING),
+    # ... and at the midpoint of an edge of cell 0
+    "vertex on edge midpoint": (*_pair(_CORNER + [0.5, 0.5, 0]),
+                                NONCONFORMING),
+}
+
+
+@pytest.mark.parametrize("order", ["given", "reversed"])
+@pytest.mark.parametrize("case", list(CONFORMITY_CASES))
+def test_conformity_check(case, order):
+    pts, cells, error = CONFORMITY_CASES[case]
+    if order == "reversed":
+        cells = cells[::-1]
+    if error is None:
+        SimplicialComplex(pts, cells)
+    else:
+        with pytest.raises(IntersectionError, match=error):
+            SimplicialComplex(pts, cells)
+
+
+_floats = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.tuples(_floats, _floats, _floats, _floats).filter(
+           lambda q: np.linalg.norm(q) > 0.1),
+       scale=st.floats(1e-3, 1e3), shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+       mirror=st.booleans())
+def test_similar_kuhn_grids_validate(q, scale, shift, mirror):
+    cx = kuhn_grid(2, 1, 1)
+    A = scale * Rotation.from_quat(q).as_matrix()
+    if mirror:
+        A[:, 0] *= -1.0
+    cy = SimplicialComplex(cx.points @ A.T + np.asarray(shift), cx.cells)
+    assert cy.n_cells == 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(-1.0, 2.0), y=st.floats(-1.0, 2.0), z=st.floats(0.05, 2.0))
+def test_apex_pushed_through_shared_face_rejected(x, y, z):
+    with pytest.raises(IntersectionError, match=OVERLAP):
+        two_tet(apex_low=(x, y, z))
+
+
+def test_candidate_pairs_linear_in_cells():
+    cx = kuhn_grid(4, 4, 4)
+    tol = 1e-10 * cx.coordinate_scale()
+    pairs = {tuple(p) for p in cx._candidate_pairs(tol).tolist()}
+    # every pair of cells that meet (here: that share a vertex) is a candidate
+    meeting = {(a, b) for cs in cx.vertex_cells.values()
+               for a, b in combinations(sorted(cs), 2)}
+    assert meeting <= pairs
+    # a Kuhn cell's bounding box is its cube, which meets 27 cubes of 6 cells
+    # each: at most 27 * 6 / 2 pairs per cell, against m (m - 1) / 2 = 73,536
+    # pairs of all 384 cells
+    assert len(pairs) <= 27 * 6 // 2 * cx.n_cells
+
+
+@pytest.mark.parametrize("shift", [(1e4, 0, 0), (-3e5, 2e5, 7e4)])
+def test_small_grid_far_from_origin_validates(shift):
+    # cells of size 1e-3 at coordinates up to 3e5: the facet planes must not
+    # carry the rounding of the far origin
+    cx = kuhn_grid(2, 1, 1)
+    SimplicialComplex(1e-3 * cx.points + np.array(shift), cx.cells)
