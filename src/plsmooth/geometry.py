@@ -1,9 +1,11 @@
 """Low-level geometric primitives shared by the mesh and smoothing modules.
 
 Everything here is plain numpy: frames, simplex measures, point/simplex
-distances, tetrahedron overlap and convex polytopes from halfspaces, plane
-sections, the exact polygon/disk intersection area used by the
-difference-set volume computation, and tetrahedral quadrature.
+distances, tetrahedron overlap and convex polytopes from halfspaces, and
+tetrahedral and Gauss quadrature.  The difference-set volume computation
+uses two batched kernels: ``plane_sections`` cuts a stack of convex
+polytopes by one plane each, and ``polygon_disk_areas`` gives the exact area
+of each resulting polygon within a disk.
 """
 
 from __future__ import annotations
@@ -242,36 +244,46 @@ def polytope_tets(vertices):
     return tets
 
 
-def polytope_plane_section(vertices, n, c):
-    """Ordered polygon of {x: n.x = c} ∩ conv(vertices), as 3D points."""
-    vertices = np.asarray(vertices, dtype=float)
-    if len(vertices) < 4:
-        return []
-    n = np.asarray(n, dtype=float)
-    hull = ConvexHull(vertices)
-    d = vertices @ n - c
-    pts = []
-    seen = set()
-    for simplex in hull.simplices:
-        idx = list(simplex)
-        for a in range(3):
-            i, j = idx[a], idx[(a + 1) % 3]
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                continue
-            seen.add(key)
-            if abs(d[i]) < 1e-14:
-                pts.append(vertices[i])
-            if d[i] * d[j] < 0:
-                t = d[i] / (d[i] - d[j])
-                pts.append(vertices[i] + t * (vertices[j] - vertices[i]))
-    if len(pts) < 3:
-        return []
-    pts = np.array(pts)
-    t2, t3 = orthonormal_tangents(n / np.linalg.norm(n))
-    ctr = pts.mean(axis=0)
-    ang = np.arctan2((pts - ctr) @ t3, (pts - ctr) @ t2)
-    return [pts[i] for i in np.argsort(ang)]
+# the 6 vertex-index pairs of a tetrahedron's edges
+TET_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+
+
+def hull_edges(hull):
+    """Unique vertex-index pairs (E,2) of the edges of a ConvexHull's
+    triangular facets."""
+    pairs = hull.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    return np.unique(np.sort(pairs, axis=1), axis=0)
+
+
+def plane_sections(V, edges, n, c, origin, axes):
+    """Sections {x: n.x = c[k]} (P planes) of the convex polytopes with
+    vertices V[k] (P,m,3), or of one polytope V (m,3), and edges ``edges``
+    (E,2).  A vertex within 1e-14 of its plane and the crossing point of each
+    edge whose ends lie strictly on opposite sides are the polygon's vertices.
+    Returns the polygons in the frame y = axes @ (x - origin), ``axes``
+    (2,3), ordered by angle about their vertex mean and padded to (P,K,2),
+    and each polygon's vertex count, 0 for a section of fewer than 3 points.
+    """
+    c = np.asarray(c, dtype=float)
+    V = np.broadcast_to(np.asarray(V, dtype=float), c.shape + np.shape(V)[-2:])
+    edges = np.asarray(edges)
+    d = V @ np.asarray(n, dtype=float) - c[:, None]
+    di, dj = d[:, edges[:, 0]], d[:, edges[:, 1]]
+    cross = di * dj < 0
+    t = np.where(cross, di / np.where(cross, di - dj, 1.0), 0.0)[..., None]
+    Vi = V[:, edges[:, 0]]
+    pts = np.concatenate([V, Vi + t * (V[:, edges[:, 1]] - Vi)], axis=1)
+    on_edge = np.zeros(V.shape[1], dtype=bool)
+    on_edge[edges] = True
+    keep = np.concatenate([(np.abs(d) < 1e-14) & on_edge, cross], axis=1)
+    y = (pts - origin) @ np.asarray(axes, dtype=float).T
+    counts = keep.sum(axis=1)
+    ctr = np.einsum("pk,pkj->pj", keep, y) / np.maximum(counts, 1)[:, None]
+    ang = np.arctan2(y[..., 1] - ctr[:, 1:], y[..., 0] - ctr[:, :1])
+    order = np.argsort(np.where(keep, ang, np.inf), axis=1)
+    order = order[:, :counts.max(initial=0)]
+    poly = np.take_along_axis(y, order[..., None], axis=1)
+    return poly, np.where(counts >= 3, counts, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,88 +298,64 @@ def polygon_area(poly):
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _segment_disk_area(p, q, r):
-    # area contribution of directed edge p->q for the intersection of the
-    # polygon with the disk of radius r centred at the origin
-    rp, rq = np.hypot(*p), np.hypot(*q)
-    cross = p[0] * q[1] - p[1] * q[0]
-    if rp <= r and rq <= r:
-        return 0.5 * cross
-    d = (q[0] - p[0], q[1] - p[1])
-    dd = d[0] * d[0] + d[1] * d[1]
-    if dd < 1e-300:
-        return 0.0
-    # intersect segment with circle
-    pb = p[0] * d[0] + p[1] * d[1]
-    disc = pb * pb - dd * (rp * rp - r * r)
-    ts = []
-    if disc > 0:
-        sq = np.sqrt(disc)
-        for t in ((-pb - sq) / dd, (-pb + sq) / dd):
-            if 0.0 < t < 1.0:
-                ts.append(t)
-    pts = [np.asarray(p, dtype=float)] + \
-          [np.asarray(p, dtype=float) + t * np.asarray(d) for t in sorted(ts)] + \
-          [np.asarray(q, dtype=float)]
-    area = 0.0
-    for u, v in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (u + v)
-        if np.hypot(*mid) <= r:
-            area += 0.5 * (u[0] * v[1] - u[1] * v[0])
-        else:
-            a0 = np.arctan2(u[1], u[0])
-            a1 = np.arctan2(v[1], v[0])
-            da = a1 - a0
-            # pick the arc on the same side as the chord direction
-            while da <= -np.pi:
-                da += 2 * np.pi
-            while da > np.pi:
-                da -= 2 * np.pi
-            area += 0.5 * r * r * da
-    return area
+def _cross2(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def polygon_disk_area(poly, center, r):
-    """Exact area of (simple CCW polygon) ∩ (disk of radius r at center)."""
-    if len(poly) < 3 or r <= 0:
-        return 0.0
-    c = np.asarray(center, dtype=float)
-    P = [np.asarray(p, dtype=float) - c for p in poly]
-    area = 0.0
-    m = len(P)
-    for i in range(m):
-        area += _segment_disk_area(P[i], P[(i + 1) % m], r)
-    return abs(area)
+def polygon_disk_areas(P, counts, centers, r):
+    """Exact area of each convex polygon P[k, :counts[k]] (B,K,2), ordered in
+    either orientation, intersected with the disk of radius r[k] about
+    centers[k]; ``r`` and ``centers`` may also be one value for all.
 
-
-def tet_plane_section(p, n, c):
-    """Ordered polygon (list of 3-vectors) of {x: n.x = c} ∩ tetrahedron."""
-    p = np.asarray(p, dtype=float)
-    d = p @ n - c
-    pts = []
-    for i in range(4):
-        if abs(d[i]) < 1e-14:
-            pts.append(p[i])
-        for j in range(i + 1, 4):
-            if d[i] * d[j] < 0:
-                t = d[i] / (d[i] - d[j])
-                pts.append(p[i] + t * (p[j] - p[i]))
-    if len(pts) < 3:
-        return []
-    pts = np.array(pts)
-    # order by angle in the section plane
-    t2, t3 = orthonormal_tangents(np.asarray(n, dtype=float) / np.linalg.norm(n))
-    ctr = pts.mean(axis=0)
-    ang = np.arctan2((pts - ctr) @ t3, (pts - ctr) @ t2)
-    return [pts[i] for i in np.argsort(ang)]
+    A count below 3 or a radius <= 0 gives 0.  Edge p->q adds the signed
+    area of triangle (centre, p, q) within the disk: it splits at the circle
+    crossings t1 <= t2, clipped to [0, 1], into a chord inside and circular
+    sectors outside.
+    """
+    centers = np.asarray(centers, dtype=float)
+    p = np.asarray(P, dtype=float) - centers[..., None, :]
+    counts = np.asarray(counts)[:, None]
+    k = np.arange(p.shape[1])
+    q = np.take_along_axis(p, np.where(k + 1 < counts, k + 1, 0)[..., None],
+                           axis=1)
+    r = np.asarray(r, dtype=float)[..., None]
+    d = q - p
+    dd = np.sum(d * d, axis=-1)
+    ok = (k < counts) & (counts >= 3) & (dd >= 1e-300) & (r > 0)
+    dd = np.where(ok, dd, 1.0)
+    pb = np.sum(p * d, axis=-1)
+    disc = pb * pb - dd * (np.sum(p * p, axis=-1) - r * r)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    # no crossing: the whole edge is outside, one sector from p to q
+    t1 = np.where(disc > 0, np.clip((-pb - sq) / dd, 0.0, 1.0), 1.0)
+    t2 = np.where(disc > 0, np.clip((-pb + sq) / dd, 0.0, 1.0), 1.0)
+    # t = 1 takes q itself: p + (q - p) can miss a q at the centre by an ulp
+    a = np.where(t1[..., None] == 1.0, q, p + t1[..., None] * d)
+    b = np.where(t2[..., None] == 1.0, q, p + t2[..., None] * d)
+    sector = 0.5 * r * r
+    area = 0.5 * _cross2(a, b)
+    # a sector only for a piece of positive length: for a piece at the
+    # centre, atan2 of rounding noise can be anything in [-pi, pi]
+    area += np.where(t1 > 0, sector * np.arctan2(_cross2(p, a),
+                                                  np.sum(p * a, axis=-1)), 0.0)
+    area += np.where(t2 < 1, sector * np.arctan2(_cross2(b, q),
+                                                  np.sum(b * q, axis=-1)), 0.0)
+    return np.abs(np.sum(np.where(ok, area, 0.0), axis=-1))
 
 
 # ---------------------------------------------------------------------------
 # quadrature rules
 
 
+_GAUSS_LEGENDRE = {}
+
+
 def gauss_legendre(n, a=0.0, b=1.0):
-    x, w = np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes and weights on [a, b]; the reference rule
+    is computed once per n."""
+    if n not in _GAUSS_LEGENDRE:
+        _GAUSS_LEGENDRE[n] = np.polynomial.legendre.leggauss(n)
+    x, w = _GAUSS_LEGENDRE[n]
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

@@ -292,6 +292,7 @@ class SmoothedMap:
         self.vertex_patches = [build(self.stage1)
                                for build in vertex_patch_builders]
         self._dq = None
+        self._slabs = {}
 
     # -- dispatch
 
@@ -393,12 +394,17 @@ class SmoothedMap:
     # -- difference-set geometry
 
     def _slab_polytope(self, fp):
-        cx = self.plmap.complex
-        H = geo.halfspaces_of_tet(cx.cell_points(fp.pair.cell_pos))
-        n, o, w = fp.n, fp.pair.frame.origin, fp.width
-        rows = np.array([[-n[0], -n[1], -n[2], float(n @ o)],
-                         [n[0], n[1], n[2], float(-n @ o - w)]])
-        return geo.halfspace_polytope(np.vstack([H, rows]))
+        """Vertices of the slab of ``fp`` clipped to its cell, computed once
+        per map."""
+        if fp.pair.face not in self._slabs:
+            cx = self.plmap.complex
+            H = geo.halfspaces_of_tet(cx.cell_points(fp.pair.cell_pos))
+            n, o, w = fp.n, fp.pair.frame.origin, fp.width
+            rows = np.array([[-n[0], -n[1], -n[2], float(n @ o)],
+                             [n[0], n[1], n[2], float(-n @ o - w)]])
+            self._slabs[fp.pair.face] = geo.halfspace_polytope(
+                np.vstack([H, rows]))
+        return self._slabs[fp.pair.face]
 
     def _in_cyl_or_ball(self, pts):
         m = np.zeros(len(pts), dtype=bool)
@@ -480,24 +486,28 @@ class SmoothedMap:
         return pts + vp.V, W.ravel()
 
     def volume_difference_set(self):
-        """Measure of E_lambda from exact slab clipping, sectioned overlap
-        integrals for slab/cylinder and cylinder/domain (N_GAUSS nodes on
-        each of N_PANELS panels), and closed forms for the (concentric)
-        cylinder/ball overlaps."""
+        """Measure of E_lambda = {g != f}: each slab less its overlaps with
+        the cylinders and balls, each cylinder within the domain less its end
+        balls, and the balls.  Slab volumes are exact (one ConvexHull per
+        slab); overlaps are integrated over plane sections, each an exact
+        polygon/disk area: across the edge for slab/cylinder (less the part
+        in an end ball, which slab/ball holds) and cylinder/domain (N_GAUSS
+        nodes on each of N_PANELS panels), across the face for slab/ball.
+        Cylinder/ball is a closed form, the two being concentric."""
         total = 0.0
         for fp in self.face_patches:
             verts = self._slab_polytope(fp)
             if len(verts) < 4:
                 continue
-            v_slab = ConvexHull(verts).volume
+            hull = ConvexHull(verts)
+            edges = geo.hull_edges(hull)
+            v_slab = hull.volume
             for ep in self.edge_patches:
-                if not set(ep.fan.edge) <= set(fp.pair.face):
-                    continue
-                v_slab -= self._slab_cyl_overlap(verts, ep)
+                if set(ep.fan.edge) <= set(fp.pair.face):
+                    v_slab -= self._slab_cyl_overlap(verts, edges, ep)
             for vp in self.vertex_patches:
-                if vp.star.vertex not in fp.pair.face:
-                    continue
-                v_slab -= self._slab_ball_overlap(fp, verts, vp)
+                if vp.star.vertex in fp.pair.face:
+                    v_slab -= self._slab_ball_overlap(fp, verts, edges, vp)
             total += max(v_slab, 0.0)
         for ep in self.edge_patches:
             v_cyl = self._cyl_domain_volume(ep)
@@ -510,55 +520,56 @@ class SmoothedMap:
             total += 4.0 / 3.0 * np.pi * vp.R ** 3
         return float(total)
 
-    def _slab_cyl_overlap(self, verts, ep):
-        fan = ep.fan
-        d = fan.direction
-        zb = np.linspace(0.0, ep.L, N_PANELS + 1)
-        zn, zw = _panel_gauss(zb, N_GAUSS)
-        acc = 0.0
-        for z, wz in zip(zn, zw):
-            poly = geo.polytope_plane_section(verts, d, float(d @ fan.V0) + z)
-            if len(poly) < 3:
-                continue
-            poly2 = [((p - fan.V0) @ fan.Q.T)[:2] for p in poly]
-            acc += wz * geo.polygon_disk_area(poly2, (0.0, 0.0), ep.r)
-        return acc
+    def _slab_cyl_overlap(self, verts, edges, ep):
+        """|slab ∩ cylinder| less its part in the balls at the edge's ends.
 
-    def _slab_ball_overlap(self, fp, verts, vp):
-        n, o, w = fp.n, fp.pair.frame.origin, fp.width
-        t2, t3 = fp.pair.frame.R[1], fp.pair.frame.R[2]
-        sn, sw = geo.gauss_legendre(N_GAUSS, 0.0, w)
-        c2 = np.array([(vp.V - o) @ t2, (vp.V - o) @ t3])
-        acc = 0.0
-        for s, ws in zip(sn, sw):
-            if s >= vp.R:
+        In a section across the edge at distance u from an end, the ball at
+        that end is a disk of radius sqrt(R^2 - u^2) about the cylinder's
+        axis; its part of the cylinder's disk is integrated with negative
+        weights on panels of its own, split where that radius reaches r."""
+        fan = ep.fan
+        z, wz = _panel_gauss(np.linspace(0.0, ep.L, N_PANELS + 1), N_GAUSS)
+        z, wz, radii = [z], [wz], [np.full(len(z), ep.r)]
+        for vp in self.vertex_patches:
+            if vp.star.vertex not in fan.edge:
                 continue
-            poly = geo.polytope_plane_section(verts, n, float(n @ o) + s)
-            if len(poly) < 3:
-                continue
-            poly2 = [np.array([(p - o) @ t2, (p - o) @ t3]) for p in poly]
-            acc += ws * geo.polygon_disk_area(poly2, c2,
-                                              np.sqrt(vp.R ** 2 - s ** 2))
-        return acc
+            top = min(vp.R, ep.L)
+            kink = min(np.sqrt(max(vp.R ** 2 - ep.r ** 2, 0.0)), top)
+            u, wu = _panel_gauss(np.array([0.0, kink, top]), N_GAUSS)
+            radii.append(np.minimum(ep.r, np.sqrt(np.maximum(
+                vp.R ** 2 - u ** 2, 0.0))))
+            z.append(u if vp.star.vertex == fan.edge[0] else ep.L - u)
+            wz.append(-wu)
+        z, wz = np.concatenate(z), np.concatenate(wz)
+        poly, k = geo.plane_sections(verts, edges, fan.direction,
+                                     fan.direction @ fan.V0 + z, fan.V0,
+                                     fan.Q[:2])
+        return float(wz @ geo.polygon_disk_areas(poly, k, (0.0, 0.0),
+                                                 np.concatenate(radii)))
+
+    def _slab_ball_overlap(self, fp, verts, edges, vp):
+        n, o, axes = fp.n, fp.pair.frame.origin, fp.pair.frame.R[1:]
+        s, ws = geo.gauss_legendre(N_GAUSS, 0.0, fp.width)
+        poly, k = geo.plane_sections(verts, edges, n, n @ o + s, o, axes)
+        return float(ws @ geo.polygon_disk_areas(poly, k, axes @ (vp.V - o),
+            np.sqrt(np.maximum(vp.R ** 2 - s ** 2, 0.0))))
 
     def _cyl_domain_volume(self, ep):
+        """|cylinder ∩ domain|, sectioning the cells that span each plane."""
         cx = self.plmap.complex
         fan = ep.fan
-        d = fan.direction
-        zb = np.linspace(0.0, ep.L, N_PANELS + 1)
-        zn, zw = _panel_gauss(zb, N_GAUSS)
-        acc = 0.0
-        for z, wz in zip(zn, zw):
-            c = float(d @ fan.V0) + z
-            area = 0.0
-            for ci in range(cx.n_cells):
-                poly = geo.tet_plane_section(cx.cell_points(ci), d, c)
-                if len(poly) < 3:
-                    continue
-                poly2 = [((p - fan.V0) @ fan.Q.T)[:2] for p in poly]
-                area += geo.polygon_disk_area(poly2, (0.0, 0.0), ep.r)
-            acc += wz * area
-        return acc
+        z, wz = _panel_gauss(np.linspace(0.0, ep.L, N_PANELS + 1), N_GAUSS)
+        c = fan.direction @ fan.V0 + z
+        tets = cx.points[cx.cells]
+        h = tets @ fan.direction
+        plane, cell = np.nonzero((h.min(axis=1) < c[:, None] + 1e-14)
+                                 & (h.max(axis=1) > c[:, None] - 1e-14))
+        poly, k = geo.plane_sections(tets[cell], geo.TET_EDGES,
+                                     fan.direction, c[plane], fan.V0,
+                                     fan.Q[:2])
+        area = np.bincount(plane, geo.polygon_disk_areas(
+            poly, k, (0.0, 0.0), ep.r), minlength=len(z))
+        return float(wz @ area)
 
     # -- stratified sampling for audits
 
@@ -670,7 +681,8 @@ def lambda_sweep(plmap, params, lambdas=(1.0, 0.5, 0.25, 0.125, 0.0625),
     from .norms import linf_difference
     rows = []
     piece_norms = geo.spectral_norm(plmap.matrices)
-    piece_inv_norms = geo.spectral_norm(np.linalg.inv(plmap.matrices))
+    piece_invs = np.linalg.inv(plmap.matrices)
+    piece_inv_norms = geo.spectral_norm(piece_invs)
     for lam in lambdas:
         g = assemble(plmap, params.scaled(lam))
         vol = g.volume_difference_set()
@@ -687,7 +699,7 @@ def lambda_sweep(plmap, params, lambdas=(1.0, 0.5, 0.25, 0.125, 0.0625),
         Dgi = np.linalg.inv(Dg)
         y = g.evaluate(pa)
         xb, ci = plmap.inverse_pl(y, tol=1e-7, extend=True)
-        Dfi = np.linalg.inv(plmap.matrices[ci])
+        Dfi = piece_invs[ci]
         diff_inv = geo.spectral_norm(Dgi - Dfi)
         w1q_inv = float(np.sum(wa * diff_inv ** q * Jg) ** (1.0 / q))
         linf_inv = float(np.max(np.linalg.norm(pa - xb, axis=-1)))

@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 from plsmooth import geometry as geo
@@ -50,31 +51,37 @@ def test_polygon_area_shoelace():
     assert geo.polygon_area(sq) == pytest.approx(4.0)
 
 
+def _disk_area(poly, center, r):
+    """polygon_disk_areas of one polygon given as a list of points."""
+    P = np.asarray(poly, dtype=float)[None]
+    return float(geo.polygon_disk_areas(P, [len(poly)], center, r)[0])
+
+
 def test_polygon_disk_area_disk_inside():
     sq = [np.array([-1.0, -1]), np.array([1.0, -1]),
           np.array([1.0, 1]), np.array([-1.0, 1])]
-    assert geo.polygon_disk_area(sq, (0, 0), 0.5) == pytest.approx(
+    assert _disk_area(sq, (0, 0), 0.5) == pytest.approx(
         np.pi * 0.25, rel=1e-12)
 
 
 def test_polygon_disk_area_polygon_inside():
     sq = [np.array([-1.0, -1]), np.array([1.0, -1]),
           np.array([1.0, 1]), np.array([-1.0, 1])]
-    assert geo.polygon_disk_area(sq, (0, 0), 10.0) == pytest.approx(4.0)
+    assert _disk_area(sq, (0, 0), 10.0) == pytest.approx(4.0)
 
 
 def test_polygon_disk_area_half_disk():
     # half plane x <= 0 as a big square clipped at x = 0
     sq = [np.array([-9.0, -9]), np.array([0.0, -9]),
           np.array([0.0, 9]), np.array([-9.0, 9])]
-    assert geo.polygon_disk_area(sq, (0, 0), 1.0) == pytest.approx(
+    assert _disk_area(sq, (0, 0), 1.0) == pytest.approx(
         np.pi / 2, rel=1e-10)
 
 
 def test_polygon_disk_area_disjoint():
     sq = [np.array([5.0, 5]), np.array([6.0, 5]),
           np.array([6.0, 6]), np.array([5.0, 6])]
-    assert geo.polygon_disk_area(sq, (0, 0), 1.0) == pytest.approx(0.0)
+    assert _disk_area(sq, (0, 0), 1.0) == pytest.approx(0.0)
 
 
 def test_halfspace_polytope_cube():
@@ -107,18 +114,22 @@ def test_polytope_tets_volume():
 def test_polytope_plane_section_cube():
     verts = np.array([[x, y, z] for x in (0, 1) for y in (0, 1)
                       for z in (0, 1)], dtype=float)
-    poly = geo.polytope_plane_section(verts, np.array([0.0, 0, 1]), 0.5)
-    assert len(poly) >= 4
-    assert np.allclose([p[2] for p in poly], 0.5)
-    poly2 = [p[:2] for p in poly]
-    assert geo.polygon_area(poly2) == pytest.approx(1.0)
+    poly, k = geo.plane_sections(verts[None], geo.hull_edges(
+        ConvexHull(verts)), np.array([0.0, 0, 1]), [0.5], np.zeros(3),
+        np.eye(3)[:2])
+    assert k[0] >= 4
+    # every section vertex lies on the unit square's boundary
+    on = np.min(np.stack([poly[0], 1.0 - poly[0]]), axis=(0, 2))
+    assert np.allclose(on[:k[0]], 0.0)
+    assert geo.polygon_area(poly[0, :k[0]]) == pytest.approx(1.0)
 
 
 def test_tet_plane_section_triangle():
-    poly = geo.tet_plane_section(REF_TET, np.array([0.0, 0, 1]), 0.5)
-    poly2 = [p[:2] for p in poly]
+    poly, k = geo.plane_sections(REF_TET[None], geo.TET_EDGES,
+                                 np.array([0.0, 0, 1]), [0.5], np.zeros(3),
+                                 np.eye(3)[:2])
     # cross section of the corner tet at z = 1/2 is a right triangle
-    assert geo.polygon_area(poly2) == pytest.approx(0.125)
+    assert geo.polygon_area(poly[0, :k[0]]) == pytest.approx(0.125)
 
 
 def test_gauss_legendre_degree():
@@ -209,3 +220,273 @@ def test_spectral_norm_matches_svd():
         np.testing.assert_allclose(geo.spectral_norm(M), ref, rtol=1e-12,
                                    atol=0, err_msg=name)
     assert geo.spectral_norm([np.diag([2.0, -5.0, 1.0])]) == pytest.approx([5.0])
+
+
+# ---------------------------------------------------------------------------
+# the batched section and polygon/disk kernels against the scalar code they
+# replaced, kept here as the reference
+
+
+def _ref_polytope_plane_section(vertices, n, c):
+    """Ordered polygon of {x: n.x = c} ∩ conv(vertices), as 3D points."""
+    vertices = np.asarray(vertices, dtype=float)
+    if len(vertices) < 4:
+        return []
+    hull = ConvexHull(vertices)
+    d = vertices @ n - c
+    pts = []
+    seen = set()
+    for simplex in hull.simplices:
+        idx = list(simplex)
+        for a in range(3):
+            i, j = idx[a], idx[(a + 1) % 3]
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                continue
+            seen.add(key)
+            if abs(d[i]) < 1e-14:
+                pts.append(vertices[i])
+            if d[i] * d[j] < 0:
+                t = d[i] / (d[i] - d[j])
+                pts.append(vertices[i] + t * (vertices[j] - vertices[i]))
+    if len(pts) < 3:
+        return []
+    pts = np.array(pts)
+    t2, t3 = geo.orthonormal_tangents(n / np.linalg.norm(n))
+    ctr = pts.mean(axis=0)
+    ang = np.arctan2((pts - ctr) @ t3, (pts - ctr) @ t2)
+    return [pts[i] for i in np.argsort(ang)]
+
+
+def _ref_tet_plane_section(p, n, c):
+    """Ordered polygon (list of 3-vectors) of {x: n.x = c} ∩ tetrahedron."""
+    d = p @ n - c
+    pts = []
+    for i in range(4):
+        if abs(d[i]) < 1e-14:
+            pts.append(p[i])
+        for j in range(i + 1, 4):
+            if d[i] * d[j] < 0:
+                t = d[i] / (d[i] - d[j])
+                pts.append(p[i] + t * (p[j] - p[i]))
+    if len(pts) < 3:
+        return []
+    pts = np.array(pts)
+    t2, t3 = geo.orthonormal_tangents(n / np.linalg.norm(n))
+    ctr = pts.mean(axis=0)
+    ang = np.arctan2((pts - ctr) @ t3, (pts - ctr) @ t2)
+    return [pts[i] for i in np.argsort(ang)]
+
+
+def _ref_segment_disk_area(p, q, r):
+    # area contribution of directed edge p->q for the intersection of the
+    # polygon with the disk of radius r centred at the origin
+    rp, rq = np.hypot(*p), np.hypot(*q)
+    cross = p[0] * q[1] - p[1] * q[0]
+    if rp <= r and rq <= r:
+        return 0.5 * cross
+    d = (q[0] - p[0], q[1] - p[1])
+    dd = d[0] * d[0] + d[1] * d[1]
+    if dd < 1e-300:
+        return 0.0
+    pb = p[0] * d[0] + p[1] * d[1]
+    disc = pb * pb - dd * (rp * rp - r * r)
+    ts = []
+    if disc > 0:
+        sq = np.sqrt(disc)
+        for t in ((-pb - sq) / dd, (-pb + sq) / dd):
+            if 0.0 < t < 1.0:
+                ts.append(t)
+    pts = [np.asarray(p, dtype=float)] + \
+          [np.asarray(p, dtype=float) + t * np.asarray(d) for t in sorted(ts)] + \
+          [np.asarray(q, dtype=float)]
+    area = 0.0
+    for u, v in zip(pts[:-1], pts[1:]):
+        mid = 0.5 * (u + v)
+        if np.hypot(*mid) <= r:
+            area += 0.5 * (u[0] * v[1] - u[1] * v[0])
+        else:
+            da = np.arctan2(v[1], v[0]) - np.arctan2(u[1], u[0])
+            while da <= -np.pi:
+                da += 2 * np.pi
+            while da > np.pi:
+                da -= 2 * np.pi
+            area += 0.5 * r * r * da
+    return area
+
+
+def _ref_polygon_disk_area(poly, center, r):
+    """Exact area of (simple CCW polygon) ∩ (disk of radius r at center)."""
+    if len(poly) < 3 or r <= 0:
+        return 0.0
+    P = [np.asarray(p, dtype=float) - np.asarray(center, dtype=float)
+         for p in poly]
+    return abs(sum(_ref_segment_disk_area(P[i], P[(i + 1) % len(P)], r)
+                   for i in range(len(P))))
+
+
+def _pad(polys):
+    """Stack ragged polygons into (B,K,2) plus counts."""
+    K = max([len(p) for p in polys] + [1])
+    out = np.zeros((len(polys), K, 2))
+    for i, p in enumerate(polys):
+        out[i, :len(p)] = p
+    return out, np.array([len(p) for p in polys])
+
+
+def _check_sections(V, edges, n, c, ref_polys, rng):
+    """plane_sections of V (P,m,3) against reference 3D polygons: same
+    points, same area, same area within a disk."""
+    axes = np.array(geo.orthonormal_tangents(n / np.linalg.norm(n)))
+    origin = rng.normal(size=3)
+    poly, k = geo.plane_sections(V, edges, n, c, origin, axes)
+    scale = np.max(np.ptp(V, axis=1), axis=1)
+    for i, ref in enumerate(ref_polys):
+        assert (k[i] >= 3) == (len(ref) >= 3)
+        if len(ref) < 3:
+            continue
+        ref2 = (np.array(ref) - origin) @ axes.T
+        got = poly[i, :k[i]]
+        gap = np.linalg.norm(got[:, None] - ref2[None], axis=-1)
+        tol = 1e-12 * (scale[i] + np.linalg.norm(origin))
+        assert np.all(gap.min(axis=1) <= tol)
+        assert np.all(gap.min(axis=0) <= tol)
+        assert abs(geo.polygon_area(got)) == pytest.approx(
+            abs(geo.polygon_area(ref2)), rel=1e-9, abs=1e-14 * scale[i] ** 2)
+        center = ref2.mean(axis=0) + rng.normal(size=2) * scale[i]
+        r = rng.uniform(0.05, 1.0) * scale[i]
+        assert _disk_area(got, center, r) == pytest.approx(
+            _ref_polygon_disk_area(ref2, center, r), rel=1e-9,
+            abs=1e-14 * scale[i] ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(3, 9), seed=st.integers(0, 2 ** 32 - 1),
+       aspect=st.floats(1e-3, 1.0), shift=st.floats(-2.0, 2.0),
+       r=st.floats(0.01, 3.0))
+def test_polygon_disk_areas_match_reference(m, seed, aspect, shift, r):
+    # convex polygons: points of an ellipse in angle order, rotated; CW
+    # ones too, and disks from inside to well outside the polygon
+    rng = np.random.default_rng(seed)
+    polys, centers = [], []
+    for _ in range(8):
+        ang = np.sort(rng.uniform(0.0, 2 * np.pi, m))
+        if rng.uniform() < 0.5:
+            ang = ang[::-1]
+        rot = rng.uniform(0.0, 2 * np.pi)
+        e = np.stack([np.cos(ang), aspect * np.sin(ang)], axis=1)
+        R = np.array([[np.cos(rot), -np.sin(rot)], [np.sin(rot), np.cos(rot)]])
+        polys.append(e @ R.T + rng.normal(size=2))
+        centers.append(polys[-1].mean(axis=0) + shift * rng.normal(size=2))
+    P, k = _pad(polys)
+    radii = r * rng.uniform(0.5, 1.0, len(polys))
+    got = geo.polygon_disk_areas(P, k, np.array(centers), radii)
+    ref = [_ref_polygon_disk_area(p, c, rr)
+           for p, c, rr in zip(polys, centers, radii)]
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(-0.1, 1.1))
+def test_tet_sections_match_reference(seed, frac):
+    rng = np.random.default_rng(seed)
+    tets = rng.normal(size=(6, 4, 3))
+    tets = tets[np.abs([geo.tet_volume(t) for t in tets]) > 1e-3]
+    n = rng.normal(size=3)
+    h = tets @ n
+    c = h.min(axis=1) + frac * np.ptp(h, axis=1)
+    ref = [_ref_tet_plane_section(t, n, ci) for t, ci in zip(tets, c)]
+    _check_sections(tets, geo.TET_EDGES, n, c, ref, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), width=st.floats(1e-6, 0.2),
+       across=st.booleans())
+def test_slab_sections_match_reference(seed, width, across):
+    # a tetrahedron clipped to a thin slab {0 < m.x - c0 < width}, cut
+    # across the slab by a random plane or parallel to it
+    rng = np.random.default_rng(seed)
+    tet = rng.normal(size=(4, 3))
+    if abs(geo.tet_volume(tet)) < 1e-2:
+        return
+    m = geo.normalize(rng.normal(size=3))
+    c0 = tet.mean(axis=0) @ m
+    H = np.vstack([geo.halfspaces_of_tet(tet),
+                   np.append(-m, c0), np.append(m, -c0 - width)])
+    verts = geo.halfspace_polytope(H)
+    if len(verts) < 4:
+        return
+    n = m if not across else rng.normal(size=3)
+    h = verts @ n
+    c = h.min() + np.linspace(-0.05, 1.05, 12) * np.ptp(h)
+    ref = [_ref_polytope_plane_section(verts, n, ci) for ci in c]
+    edges = geo.hull_edges(ConvexHull(verts))
+    _check_sections(np.broadcast_to(verts, (len(c),) + verts.shape), edges,
+                    n, c, ref, rng)
+
+
+def test_polygon_disk_areas_vertex_at_centre():
+    # sections through a cylinder's axis have a vertex at the disk centre,
+    # exactly or up to rounding, with either sign of zero
+    wedge = 0.5 * 0.25 * (np.arctan(5.0) - np.arctan(0.2))
+    for z in (0.0, -0.0, 1e-17, -3e-17):
+        P = np.array([[[z, z], [1.0, 0.2], [1.0, 1.0], [0.2, 1.0]]])
+        assert geo.polygon_disk_areas(P, [4], (0.0, 0.0), 0.5)[0] == \
+            pytest.approx(wedge, rel=1e-12, abs=0)
+        assert geo.polygon_disk_areas(P[:, ::-1], [4], (0.0, 0.0), 0.5)[0] \
+            == pytest.approx(wedge, rel=1e-12, abs=0)
+        sq = np.array([[[z, z], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
+        for r, want in ((0.5, np.pi / 16), (1.0, np.pi / 4), (2.0, 1.0)):
+            assert geo.polygon_disk_areas(sq, [4], (0.0, 0.0), r)[0] == \
+                pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_polygon_disk_areas_special_edges():
+    def area(poly, r, k=None):
+        P = np.array([poly], dtype=float)
+        return geo.polygon_disk_areas(P, [len(poly) if k is None else k],
+                                      (0.0, 0.0), r)[0]
+
+    # an edge through the centre: half the disk
+    assert area([[-1, 0], [1, 0], [1, 1], [-1, 1]], 0.5) == \
+        pytest.approx(np.pi / 8, rel=1e-12, abs=0)
+    # a tangent edge, from outside and from inside
+    assert area([[-1, 0.5], [1, 0.5], [1, 2], [-1, 2]], 0.5) == 0.0
+    assert area([[-1, -2], [1, -2], [1, 0.5], [-1, 0.5]], 0.5) == \
+        pytest.approx(np.pi / 4, rel=1e-12, abs=0)
+    # a repeated vertex changes nothing
+    sq = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
+    assert area(sq[:2] + sq[1:], 0.7) == pytest.approx(area(sq, 0.7),
+                                                       rel=1e-14, abs=0)
+    assert area(sq[:2] + sq[1:], 0.7) == pytest.approx(
+        _ref_polygon_disk_area(np.array(sq[:2] + sq[1:], float), (0, 0),
+                               0.7), rel=1e-12, abs=0)
+    # fewer than 3 points, and r <= 0
+    assert area(sq, 0.7, k=2) == 0.0
+    assert area(sq, 0.0) == 0.0
+    assert area(sq, -1.0) == 0.0
+
+
+def test_plane_sections_through_tet_vertices():
+    up, axes = np.array([0.0, 0, 1]), np.eye(3)[:2]
+    # the base plane holds three vertices; the top one only the apex
+    poly, k = geo.plane_sections(np.stack([REF_TET] * 4), geo.TET_EDGES, up,
+                                 [0.0, 1.0, 1.5, -0.5], np.zeros(3), axes)
+    assert list(k) == [3, 0, 0, 0]
+    assert abs(geo.polygon_area(poly[0, :3])) == pytest.approx(0.5)
+    # the plane x = y holds vertices 0 and 3 and cuts edge 1-2
+    n = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    t2, t3 = geo.orthonormal_tangents(n)
+    poly, k = geo.plane_sections(REF_TET[None], geo.TET_EDGES, n, [0.0],
+                                 np.zeros(3), np.stack([t2, t3]))
+    ref = _ref_tet_plane_section(REF_TET, n, 0.0)
+    assert k[0] == len(ref) == 3
+    ref2 = np.array(ref) @ np.stack([t2, t3]).T
+    assert abs(geo.polygon_area(poly[0, :3])) == pytest.approx(
+        abs(geo.polygon_area(ref2)), rel=1e-12, abs=0)
+    assert abs(geo.polygon_area(ref2)) == pytest.approx(
+        0.5 * np.sqrt(0.5), rel=1e-12, abs=0)
+    # an empty batch
+    poly, k = geo.plane_sections(np.zeros((0, 4, 3)), geo.TET_EDGES, up,
+                                 np.zeros(0), np.zeros(3), axes)
+    assert poly.shape == (0, 0, 2) and k.shape == (0,)

@@ -3,7 +3,10 @@ assembly and dispatch, the difference set, inversion, and the sweep."""
 
 import numpy as np
 import pytest
+from scipy import spatial
 
+from plsmooth import geometry as geo
+from plsmooth import pipeline
 from plsmooth.builders import (kuhn_identity, perturbed_kuhn_map,
                                subdivided_tet_map, two_tet_map)
 from plsmooth.errors import ParameterError
@@ -210,6 +213,106 @@ def test_volume_shrinks_linearly(kuhn_setup):
     v1 = g.volume_difference_set()
     v2 = assemble(pl, params.scaled(0.5)).volume_difference_set()
     assert v2 < 0.55 * v1
+
+
+@pytest.mark.parametrize("lam, expected", [
+    (1.0, 1.390478071662295e-01),
+    (0.25, 1.025670236346706e-02),
+    (0.0625, 7.549161450812140e-04),
+])
+def test_volume_difference_set_pinned(kuhn_setup, lam, expected):
+    # values of the per-plane scalar sectioning the batched kernels replaced
+    pl, params, _ = kuhn_setup
+    vol = assemble(pl, params.scaled(lam)).volume_difference_set()
+    assert vol == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_volume_difference_set_builds_one_hull_per_slab(kuhn_setup,
+                                                       monkeypatch):
+    # a per-plane loop would build a hull for every section plane
+    pl, params, _ = kuhn_setup
+    g = assemble(pl, params)
+    built = []
+
+    class CountingHull(spatial.ConvexHull):
+        def __init__(self, *args, **kw):
+            built.append(1)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(geo, "ConvexHull", CountingHull)
+    monkeypatch.setattr(pipeline, "ConvexHull", CountingHull)
+    assert g.volume_difference_set() > 0
+    assert 0 < len(built) <= len(g.face_patches)
+
+
+def test_gauss_legendre_reuses_reference_rule(monkeypatch):
+    x0, w0 = geo.gauss_legendre(12)
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    x1, w1 = geo.gauss_legendre(12)
+    assert calls == []
+    assert np.array_equal(x0, x1) and np.array_equal(w0, w1)
+
+
+def _clip(poly, a, b):
+    """Part of the convex polygon ``poly`` (list of 2-vectors) in a.y <= b."""
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        fp, fq = a @ p - b, a @ q - b
+        if fp <= 0:
+            out.append(p)
+        if fp * fq < 0:
+            out.append(p + fp / (fp - fq) * (q - p))
+    return out
+
+
+def _slab_cyl_ball(g, fp, ep, vp):
+    """|slab ∩ cylinder ∩ ball| by sections parallel to the face: in each,
+    the slab is the cell's section, the cylinder (about an edge of the face)
+    a strip and the ball a disk."""
+    o, n, axes = fp.pair.frame.origin, fp.n, fp.pair.frame.R[1:]
+    H = geo.halfspaces_of_tet(g.plmap.complex.cell_points(fp.pair.cell_pos))
+    u, a0 = axes @ ep.fan.direction, axes @ (ep.fan.V0 - o)
+    v = np.array([-u[1], u[0]])
+    big = 10.0 * g.scale
+    total = 0.0
+    for s, ws in zip(*geo.gauss_legendre(12, 0.0, fp.width)):
+        x0 = o + s * n
+        poly = [big * np.array(c)
+                for c in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+        for h in H:
+            poly = _clip(poly, axes @ h[:3], -(h[:3] @ x0 + h[3]))
+        half = np.sqrt(ep.r ** 2 - s ** 2)
+        for a, b in ((v, v @ a0 + half), (-v, half - v @ a0), (-u, -(u @ a0)),
+                     (u, u @ a0 + ep.L)):
+            poly = _clip(poly, a, b)
+        if len(poly) >= 3:
+            total += ws * geo.polygon_disk_areas(
+                np.array(poly)[None], [len(poly)], axes @ (vp.V - o),
+                np.sqrt(vp.R ** 2 - s ** 2))[0]
+    return total
+
+
+@pytest.mark.parametrize("lam, before", [
+    (1.0, 1.8494537228698488e-04),
+    (0.0625, 1.0441033136444162e-06),
+])
+def test_volume_adds_back_slab_cylinder_ball_overlap(subdiv_setup, lam,
+                                                      before):
+    # |E| took both |slab ∩ cyl| and |slab ∩ ball| from each slab; the
+    # triple overlap, counted twice, is now added back.  ``before`` is |E|
+    # without it.
+    pl, params, _ = subdiv_setup
+    g = assemble(pl, params.scaled(lam))
+    triple = sum(_slab_cyl_ball(g, fp, ep, vp)
+                 for fp in g.face_patches for ep in g.edge_patches
+                 if set(ep.fan.edge) <= set(fp.pair.face)
+                 for vp in g.vertex_patches if vp.star.vertex in ep.fan.edge)
+    assert triple > 1e-6 * before
+    assert g.volume_difference_set() - before == pytest.approx(
+        triple, rel=1e-6, abs=0)
 
 
 # ---------------------------------------------------------------------------
