@@ -8,15 +8,13 @@ g -> f in W^{1,p} and rearrangement-invariant norms as the smoothing
 scale lambda goes to 0.
 """
 
-from .blend import (ConstantWidth, FaceBlend, RampWidth, eta, eta_prime,
-                    face_blend, face_blend_jacobian, sigma_for_face,
-                    time_profile)
+from .blend import (FaceBlend, eta, eta_prime, face_blend,
+                    face_blend_jacobian, sigma_for_face, time_profile)
 from .builders import (kuhn_cube, kuhn_identity, perturbed_kuhn_map,
                        single_tet, subdivided_tet, subdivided_tet_map,
                        two_tet, two_tet_map)
-from .edge import (CircleIsotopy, EdgeSmoother, RampRadius, VariableRadiusMap,
-                   circle_isotopy, fan_map, ray_blends, synthetic_fan,
-                   variable_radius_extend, wedge_jacobian, wedge_map)
+from .edge import (CircleIsotopy, EdgeSmoother, fan_map, ray_blends,
+                   synthetic_fan, wedge_jacobian, wedge_map)
 from .errors import (CertificationError, ConstructionError, ContinuityError,
                      DegenerateSimplexError, DomainError, IntersectionError,
                      InvalidInputError, NoIsotopyFound, NonInjectiveError,
@@ -27,13 +25,10 @@ from .mesh import (EdgeFan, FacePair, PLMap, SimplicialComplex, VertexStar,
                    pl_map_from_vertex_images, save_document,
                    validate_pl_homeo, vertex_stars)
 from .norms import (RINorm, StepFunction, linf_difference, parse_norm,
-                    rearrangement, ri_norm, rozumny_check)
+                    rearrangement, rozumny_check)
 from .pipeline import (SmoothedMap, SmoothingParams, assemble, choose_params,
                        format_table, lambda_sweep)
-from .verify import (CertificationReport, fd_check, injectivity_audit,
-                     jacobian_grid)
 from .vertex import (SphereIsotopy, SphereMap, VertexSmoother, degree,
-                     integral_degree, sphere_isotopy, star_flatten,
-                     vertlem_extend)
+                     integral_degree, star_flatten, vertlem_extend)
 
 __version__ = "0.1.0"

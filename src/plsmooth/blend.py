@@ -2,7 +2,7 @@
 
 The blend replaces a piecewise affine map, given by two affine pieces that
 agree on the plane {y1 = 0} of a face frame, with a convex combination
-inside the strip 0 < y1 < w(y2, y3).  All derivatives are analytic.
+inside the strip 0 < y1 < w.  All derivatives are analytic.
 """
 
 from __future__ import annotations
@@ -58,50 +58,6 @@ def time_profile_prime(t):
 
 
 # ---------------------------------------------------------------------------
-# width fields
-
-
-class ConstantWidth:
-    def __init__(self, w):
-        if w <= 0:
-            raise DomainError("width must be positive")
-        self.w = float(w)
-        self.grad_bound = 0.0
-
-    def value(self, y2, y3):
-        return np.full_like(np.asarray(y2, dtype=float), self.w)
-
-    def gradient(self, y2, y3):
-        z = np.zeros_like(np.asarray(y2, dtype=float))
-        return z, z
-
-
-class RampWidth:
-    """Smoothstep ramp between two widths along an in-plane direction.
-
-    w(y2,y3) = wa + (wb-wa) * eta((u - u0)/ell) with u = c2*y2 + c3*y3.
-    The gradient is analytic; its sup norm is 2|wb-wa|/ell.
-    """
-
-    def __init__(self, wa, wb, u0=0.0, ell=1.0, direction=(1.0, 0.0)):
-        if wa <= 0 or wb <= 0 or ell <= 0:
-            raise DomainError("ramp widths and length must be positive")
-        self.wa, self.wb, self.u0, self.ell = float(wa), float(wb), float(u0), float(ell)
-        d = np.asarray(direction, dtype=float)
-        self.dir = d / np.linalg.norm(d)
-        self.grad_bound = 2.0 * abs(wb - wa) / ell
-
-    def value(self, y2, y3):
-        u = self.dir[0] * np.asarray(y2, dtype=float) + self.dir[1] * np.asarray(y3, dtype=float)
-        return self.wa + (self.wb - self.wa) * eta((u - self.u0) / self.ell)
-
-    def gradient(self, y2, y3):
-        u = self.dir[0] * np.asarray(y2, dtype=float) + self.dir[1] * np.asarray(y3, dtype=float)
-        g = (self.wb - self.wa) / self.ell * eta_prime((u - self.u0) / self.ell)
-        return g * self.dir[0], g * self.dir[1]
-
-
-# ---------------------------------------------------------------------------
 # face blending
 
 
@@ -110,9 +66,8 @@ class FaceBlend:
     """Blend of two affine pieces across the plane {y1 = 0} of a frame.
 
     frame_origin/frame_R define local coordinates y = R (x - origin); the
-    piece (M_neg, c_neg) applies on y1 <= 0 and (M_pos, c_pos) on y1 >= w.
-    ``width`` is a ConstantWidth or RampWidth field on (y2, y3); ``sigma``
-    is the certified gradient bound (inf when the pieces coincide).
+    piece (M_neg, c_neg) applies on y1 <= 0 and (M_pos, c_pos) on
+    y1 >= width.
     """
 
     frame_origin: np.ndarray
@@ -121,26 +76,15 @@ class FaceBlend:
     c_neg: np.ndarray
     M_pos: np.ndarray
     c_pos: np.ndarray
-    width: object
-    sigma: float = np.inf
-    floor: float = 0.0
+    width: float
+
+    def __post_init__(self):
+        if not self.width > 0:
+            raise DomainError("width must be positive")
+        self.width = float(self.width)
 
     def local(self, x):
         return (np.atleast_2d(x) - self.frame_origin) @ self.frame_R.T
-
-    def f(self, x):
-        """The unblended piecewise affine map."""
-        x = np.atleast_2d(x)
-        y1 = self.local(x)[:, 0]
-        neg = x @ self.M_neg.T + self.c_neg
-        pos = x @ self.M_pos.T + self.c_pos
-        return np.where((y1 <= 0.0)[:, None], neg, pos)
-
-    def __call__(self, x):
-        return face_blend(self, x)
-
-    def jacobian(self, x):
-        return face_blend_jacobian(self, x)
 
 
 def face_blend(blend, x):
@@ -148,9 +92,7 @@ def face_blend(blend, x):
     single = np.asarray(x, dtype=float).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = blend.local(x)
-    w = blend.width.value(y[:, 1], y[:, 2])
-    if np.any(w <= 0):
-        raise DomainError("width field non-positive at a query point")
+    w = blend.width
     u = y[:, 0] / w
     e = eta(u)
     neg = x @ blend.M_neg.T + blend.c_neg
@@ -169,27 +111,19 @@ def face_blend_jacobian(blend, x):
     single = np.asarray(x, dtype=float).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = blend.local(x)
-    w = blend.width.value(y[:, 1], y[:, 2])
-    if np.any(w <= 0):
-        raise DomainError("width field non-positive at a query point")
+    w = blend.width
     u = y[:, 0] / w
     e = eta(u)
     ep = eta_prime(u)
     neg = x @ blend.M_neg.T + blend.c_neg
     pos = x @ blend.M_pos.T + blend.c_pos
     diff = pos - neg
-    n = blend.frame_R[0]
-    t2 = blend.frame_R[1]
-    t3 = blend.frame_R[2]
-    g2, g3 = blend.width.gradient(y[:, 1], y[:, 2])
-    # grad of u = y1/w(y2,y3) in world coordinates
-    gradu = (1.0 / w)[:, None] * n[None, :] \
-        - (y[:, 0] / w ** 2)[:, None] * (g2[:, None] * t2[None, :] + g3[:, None] * t3[None, :])
+    # grad of u = y1/w in world coordinates
+    gradu = (1.0 / w) * blend.frame_R[0]
     J = (1.0 - e)[:, None, None] * blend.M_neg[None] + e[:, None, None] * blend.M_pos[None]
-    J = J + ep[:, None, None] * diff[:, :, None] * gradu[:, None, :]
-    off = (y[:, 0] <= 0.0) | (y[:, 0] >= w)
-    J[off & (y[:, 0] <= 0.0)] = blend.M_neg
-    J[off & (y[:, 0] > 0.0)] = blend.M_pos
+    J = J + ep[:, None, None] * diff[:, :, None] * gradu[None, None, :]
+    J[y[:, 0] <= 0.0] = blend.M_neg
+    J[y[:, 0] >= w] = blend.M_pos
     return J[0] if single else J
 
 

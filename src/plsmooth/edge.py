@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .blend import (ConstantWidth, FaceBlend, eta, eta_prime, face_blend,
+from .blend import (FaceBlend, eta, eta_prime, face_blend,
                     face_blend_jacobian, sigma_for_face,
                     time_profile, time_profile_prime)
 from .errors import (ConstructionError, InvalidInputError, ParameterError)
@@ -69,7 +69,7 @@ def synthetic_fan(angles, matrices, length=1.0):
                    b_img=np.zeros(3), lam=lam, angles=angles,
                    ray_faces=[None] * m, sector_cells=list(range(m)),
                    pieces=matrices, min_gap=min_gap, trivial=trivial,
-                   boundary=False, complete_start=True, complete_end=True)
+                   complete_start=True, complete_end=True)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,9 @@ def synthetic_fan(angles, matrices, length=1.0):
 
 
 def ray_blends(fan, widths):
-    """One FaceBlend per ray, oriented toward the larger normal stretch."""
+    """One FaceBlend per ray, oriented toward the larger normal stretch.
+    Each blend passes sigma_for_face, which rejects a degenerate or
+    inconsistent ray."""
     m = fan.m
     widths = np.broadcast_to(np.asarray(widths, dtype=float), (m,))
     out = []
@@ -107,9 +109,8 @@ def ray_blends(fan, widths):
         R = np.vstack([n, d, t3])
         blend = FaceBlend(frame_origin=zero, frame_R=R,
                           M_neg=M_neg, c_neg=zero, M_pos=M_pos, c_pos=zero,
-                          width=ConstantWidth(widths[i]))
-        sigma, floor = sigma_for_face(blend)
-        blend.sigma, blend.floor = sigma, floor
+                          width=widths[i])
+        sigma_for_face(blend)
         out.append(blend)
     return out
 
@@ -118,11 +119,10 @@ def _sector_matrices(fan, theta):
     return fan.pieces[fan.sector_of(theta)]
 
 
-def wedge_map(fan, widths, x, blends=None):
-    """The sectorwise-blended map in frame coordinates (valid for
-    x1^2+x2^2 >= (r/4)^2 if the width condition holds there)."""
-    if blends is None:
-        blends = ray_blends(fan, widths)
+def wedge_map(fan, blends, x):
+    """The sectorwise-blended map in frame coordinates, with ``blends`` from
+    ray_blends (valid for x1^2+x2^2 >= (r/4)^2 if the width condition holds
+    there)."""
     single = np.asarray(x, dtype=float).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
     theta = np.arctan2(x[:, 1], x[:, 0])
@@ -131,16 +131,14 @@ def wedge_map(fan, widths, x, blends=None):
         a = float(fan.angles[i])
         d = np.array([np.cos(a), np.sin(a), 0.0])
         u = x @ blend.frame_R[0]
-        w = blend.width.w
+        w = blend.width
         mask = (u > 0.0) & (u < w) & (x @ d > 0.0)
         if np.any(mask):
             out[mask] = face_blend(blend, x[mask])
     return out[0] if single else out
 
 
-def wedge_jacobian(fan, widths, x, blends=None):
-    if blends is None:
-        blends = ray_blends(fan, widths)
+def wedge_jacobian(fan, blends, x):
     single = np.asarray(x, dtype=float).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
     theta = np.arctan2(x[:, 1], x[:, 0])
@@ -149,7 +147,7 @@ def wedge_jacobian(fan, widths, x, blends=None):
         a = float(fan.angles[i])
         d = np.array([np.cos(a), np.sin(a), 0.0])
         u = x @ blend.frame_R[0]
-        w = blend.width.w
+        w = blend.width
         mask = (u > 0.0) & (u < w) & (x @ d > 0.0)
         if np.any(mask):
             out[mask] = face_blend_jacobian(blend, x[mask])
@@ -202,10 +200,6 @@ class CircleIsotopy:
         return (1.0 - sv) + sv * np.asarray(self.Hprime(theta))
 
 
-def circle_isotopy(H, Hprime):
-    return CircleIsotopy(H, Hprime)
-
-
 # ---------------------------------------------------------------------------
 # the cylindrical extension
 
@@ -242,7 +236,7 @@ class EdgeSmoother:
         self.blends = ray_blends(self.fan, self.widths)
         self._setup_planar()
 
-    # -- planar reduction helpers (exact for constant widths)
+    # -- planar reduction helpers
     #
     # Every piece maps e3 to (0, 0, lam), so the horizontal image of the
     # wedge does not depend on x3: it is evaluated over the plane x3 = 0.
@@ -254,8 +248,7 @@ class EdgeSmoother:
         t, theta = np.broadcast_arrays(t, theta)
         pts = np.stack([t * np.cos(theta), t * np.sin(theta),
                         np.zeros_like(t)], axis=-1)
-        vals = wedge_map(self.fan, self.widths, pts.reshape(-1, 3),
-                         blends=self.blends)
+        vals = wedge_map(self.fan, self.blends, pts.reshape(-1, 3))
         return vals.reshape(t.shape + (3,))[..., :2]
 
     def _setup_planar(self):
@@ -305,8 +298,8 @@ class EdgeSmoother:
         t0 = 0.6 * self.radius
         p0 = np.stack([t0 * np.cos(theta), t0 * np.sin(theta),
                        np.zeros_like(theta)], axis=-1)
-        Jw = wedge_jacobian(self.fan, self.widths, p0.reshape(-1, 3),
-                            blends=self.blends).reshape(theta.shape + (3, 3))
+        Jw = wedge_jacobian(self.fan, self.blends,
+                            p0.reshape(-1, 3)).reshape(theta.shape + (3, 3))
         tang = np.stack([-t0 * np.sin(theta), t0 * np.cos(theta),
                          np.zeros_like(theta)], axis=-1)
         dG = np.einsum("...ij,...j->...i", Jw, tang)[..., :2]
@@ -316,13 +309,12 @@ class EdgeSmoother:
 
     # -- evaluation
 
-    def evaluate(self, x, radius=None):
+    def evaluate(self, x):
         """The extended map at frame points ``x`` (N,3); for t >= r this is
-        the wedge map.  ``radius`` optionally gives a per-point radius."""
+        the wedge map."""
         single = np.asarray(x, dtype=float).ndim == 1
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.full(len(x), self.radius) if radius is None \
-            else np.broadcast_to(np.asarray(radius, dtype=float), (len(x),))
+        r = self.radius
         t = np.hypot(x[:, 0], x[:, 1])
         theta = np.arctan2(x[:, 1], x[:, 0])
         lam = self.lam
@@ -330,14 +322,13 @@ class EdgeSmoother:
 
         outer = t >= r
         if np.any(outer):
-            out[outer] = wedge_map(self.fan, self.widths, x[outer],
-                                   blends=self.blends)
+            out[outer] = wedge_map(self.fan, self.blends, x[outer])
 
         p1 = (~outer) & (t >= 0.8 * r)
         if np.any(p1):
-            w3 = wedge_map(self.fan, self.widths, x[p1], blends=self.blends)
+            w3 = wedge_map(self.fan, self.blends, x[p1])
             h3 = w3[:, 2] - lam * x[p1, 2]
-            e1 = eta((5.0 * t[p1] - 4.0 * r[p1]) / r[p1])
+            e1 = eta((5.0 * t[p1] - 4.0 * r) / r)
             out[p1, :2] = w3[:, :2]
             out[p1, 2] = lam * x[p1, 2] + e1 * h3
 
@@ -345,14 +336,14 @@ class EdgeSmoother:
         if np.any(p2):
             G = self._G(t[p2], theta[p2])
             u = self._unit_dir(theta[p2])
-            e2 = eta((5.0 * t[p2] - 3.0 * r[p2]) / r[p2])
+            e2 = eta((5.0 * t[p2] - 3.0 * r) / r)
             out[p2, :2] = e2[:, None] * G \
                 + ((1.0 - e2) * t[p2] * self.rho)[:, None] * u
             out[p2, 2] = lam * x[p2, 2]
 
         p3 = (t < 0.6 * r) & (t >= 0.4 * r)
         if np.any(p3):
-            tau = (5.0 * t[p3] - 2.0 * r[p3]) / r[p3]
+            tau = (5.0 * t[p3] - 2.0 * r) / r
             H = self._H(theta[p3])
             L = theta[p3] + time_profile(tau) * (H - theta[p3])
             out[p3, 0] = t[p3] * self.rho * np.cos(L)
@@ -374,7 +365,7 @@ class EdgeSmoother:
     def __call__(self, x):
         return self.evaluate(x)
 
-    # -- analytic derivative (constant widths, constant radius)
+    # -- analytic derivative
 
     def jacobian(self, x):
         single = np.asarray(x, dtype=float).ndim == 1
@@ -389,14 +380,12 @@ class EdgeSmoother:
 
         outer = t >= r
         if np.any(outer):
-            out[outer] = wedge_jacobian(self.fan, self.widths, x[outer],
-                                        blends=self.blends)
+            out[outer] = wedge_jacobian(self.fan, self.blends, x[outer])
 
         p1 = (~outer) & (t >= 0.8 * r)
         if np.any(p1):
-            Jw = wedge_jacobian(self.fan, self.widths, x[p1],
-                                blends=self.blends)
-            w3 = wedge_map(self.fan, self.widths, x[p1], blends=self.blends)
+            Jw = wedge_jacobian(self.fan, self.blends, x[p1])
+            w3 = wedge_map(self.fan, self.blends, x[p1])
             h3 = w3[:, 2] - lam * x[p1, 2]
             e1 = eta((5.0 * t[p1] - 4.0 * r) / r)
             de1 = (5.0 / r) * eta_prime((5.0 * t[p1] - 4.0 * r) / r)
@@ -410,8 +399,7 @@ class EdgeSmoother:
         if np.any(p2):
             pts = x[p2].copy()
             pts[:, 2] = 0.0
-            Jw = wedge_jacobian(self.fan, self.widths, pts,
-                                blends=self.blends)
+            Jw = wedge_jacobian(self.fan, self.blends, pts)
             G = self._G(t[p2], theta[p2])
             u, du = self._unit_dir_deriv(theta[p2])
             e2 = eta((5.0 * t[p2] - 3.0 * r) / r)
@@ -461,7 +449,7 @@ class EdgeSmoother:
         p0 = np.stack([t0 * np.cos(theta), t0 * np.sin(theta),
                        np.zeros_like(theta)], axis=-1)
         G0 = self._G(np.full_like(theta, t0), theta)
-        Jw = wedge_jacobian(self.fan, self.widths, p0, blends=self.blends)
+        Jw = wedge_jacobian(self.fan, self.blends, p0)
         tang = np.stack([-t0 * np.sin(theta), t0 * np.cos(theta),
                          np.zeros_like(theta)], axis=-1)
         dG = np.einsum("nij,nj->ni", Jw, tang)[:, :2]
@@ -473,91 +461,3 @@ class EdgeSmoother:
 
 def _principal(theta):
     return np.mod(np.asarray(theta, dtype=float) + np.pi, 2 * np.pi) - np.pi
-
-
-# ---------------------------------------------------------------------------
-# variable radius
-
-
-class RampRadius:
-    """Smoothstep radius profile r(x3) between r0 and r1 over [z0, z1]."""
-
-    def __init__(self, r0, r1, z0, z1):
-        if r0 <= 0 or r1 <= 0 or z1 <= z0:
-            raise ParameterError("need positive radii and z1 > z0")
-        self.r0, self.r1, self.z0, self.z1 = map(float, (r0, r1, z0, z1))
-        self.max_slope = 2.0 * abs(r1 - r0) / (z1 - z0)
-
-    def value(self, x3):
-        u = (np.asarray(x3, dtype=float) - self.z0) / (self.z1 - self.z0)
-        return self.r0 + (self.r1 - self.r0) * eta(u)
-
-
-class VariableRadiusMap:
-    """The cylindrical extension with slicewise radius r(x3).
-
-    Evaluation reuses the constant-radius formulas with per-point radius;
-    the derivative is a central finite difference because the slices couple
-    through r'(x3).
-    """
-
-    def __init__(self, smoother, radius_profile):
-        self.smoother = smoother
-        self.radius_profile = radius_profile
-
-    def evaluate(self, x):
-        single = np.asarray(x, dtype=float).ndim == 1
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = self.radius_profile.value(x[:, 2])
-        out = self.smoother.evaluate(x, radius=r)
-        return out[0] if single else out
-
-    def __call__(self, x):
-        return self.evaluate(x)
-
-    def jacobian(self, x):
-        single = np.asarray(x, dtype=float).ndim == 1
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        h = 1e-6 * self.smoother.radius
-        J = np.empty((len(x), 3, 3))
-        for j in range(3):
-            dx = np.zeros(3)
-            dx[j] = h
-            J[:, :, j] = (self.evaluate(x + dx) - self.evaluate(x - dx)) / (2 * h)
-        return J[0] if single else J
-
-
-def cylinder_jacobian_floor(smoother):
-    """Sampled minimum Jacobian determinant over the cylinder."""
-    r = smoother.radius
-    tg = np.linspace(1e-3 * r, 0.999 * r, 24)
-    thg = np.linspace(-np.pi, np.pi, 48, endpoint=False)
-    zg = np.linspace(0.0, smoother.fan.length, 8)
-    T, TH, Z = np.meshgrid(tg, thg, zg, indexing="ij")
-    pts = np.stack([T * np.cos(TH), T * np.sin(TH), Z], axis=-1).reshape(-1, 3)
-    dets = np.linalg.det(smoother.jacobian(pts))
-    return float(np.min(dets))
-
-
-def variable_radius_extend(smoother, radius_profile):
-    """Build the r(x3) variant.  Its Jacobian, sampled at 12000 points, must
-    stay above half the constant-radius floor, else a parameter error names
-    the offending slope bound."""
-    n = 12000
-    vmap = VariableRadiusMap(smoother, radius_profile)
-    floor = cylinder_jacobian_floor(smoother)
-    rng = np.random.default_rng(0)
-    z0, z1 = radius_profile.z0, radius_profile.z1
-    span = max(z1 - z0, 1e-12)
-    z = rng.uniform(z0 - 0.2 * span, z1 + 0.2 * span, n)
-    rloc = radius_profile.value(z)
-    t = rloc * np.sqrt(rng.uniform(1e-4, 0.998 ** 2, n))
-    th = rng.uniform(-np.pi, np.pi, n)
-    pts = np.stack([t * np.cos(th), t * np.sin(th), z], axis=-1)
-    dets = np.linalg.det(vmap.jacobian(pts))
-    if float(np.min(dets)) < 0.5 * floor:
-        raise ParameterError(
-            f"radius slope too large (|r'| <= {radius_profile.max_slope:.3e}): "
-            f"sampled Jacobian {float(np.min(dets)):.3e} fell below half the "
-            f"constant-radius floor {floor:.3e}")
-    return vmap

@@ -204,11 +204,10 @@ def _conforming(cells, planes, pairs, tol):
 class PLMap:
     """Per-cell affine pieces on a validated complex."""
 
-    def __init__(self, complex, matrices, offsets, reflected=False):
+    def __init__(self, complex, matrices, offsets):
         self.complex = complex
         self.matrices = np.array(matrices, dtype=float)
         self.offsets = np.array(offsets, dtype=float)
-        self.reflected = bool(reflected)
         if self.matrices.shape != (complex.n_cells, 3, 3):
             raise ParseError("need one 3x3 matrix per cell")
         if self.offsets.shape != (complex.n_cells, 3):
@@ -279,21 +278,6 @@ def pl_map_from_vertex_images(complex, vertex_images):
     M = np.swapaxes(Q[:, 1:] - Q[:, :1], 1, 2) @ \
         np.linalg.inv(np.swapaxes(P[:, 1:] - P[:, :1], 1, 2))
     return PLMap(complex, M, Q[:, 0] - (M @ P[:, 0, :, None])[..., 0])
-
-
-def normalize_orientation(plmap):
-    """If every piece is sense-reversing, pre-compose with the reflection
-    (x1,x2,x3) -> (-x1,x2,x3) and record it."""
-    dets = np.linalg.det(plmap.matrices)
-    if np.all(dets > 0):
-        return plmap
-    if np.all(dets < 0):
-        rho = np.diag([-1.0, 1.0, 1.0])
-        pts = plmap.complex.points @ rho
-        cx = SimplicialComplex(pts, plmap.complex.cells, validate=False)
-        mats = plmap.matrices @ rho
-        return PLMap(cx, mats, plmap.offsets, reflected=True)
-    raise OrientationError("pieces mix orientation signs")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +355,6 @@ class FacePair:
     M_pos: np.ndarray
     c_pos: np.ndarray
     trivial: bool
-    boundary: bool
 
 
 @dataclass
@@ -390,7 +373,6 @@ class EdgeFan:
     pieces: np.ndarray          # framed linear pieces, (m,3,3), per sector
     min_gap: float              # min over |theta_i - theta_j + k*pi|, capped pi/8
     trivial: bool
-    boundary: bool
     complete_start: bool        # all cells at the start vertex are in the fan
     complete_end: bool
 
@@ -420,7 +402,6 @@ class VertexStar:
     faces: list
     edges: list
     R: float
-    boundary: bool
 
 
 def face_pairs(plmap):
@@ -464,7 +445,7 @@ def face_pairs(plmap):
         frame = geo.Frame(origin=p.mean(axis=0), R=R)
         out.append(FacePair(face=f, cell_neg=ca, cell_pos=cb, frame=frame,
                             M_neg=Ma, c_neg=ca_off, M_pos=Mb, c_pos=cb_off,
-                            trivial=trivial, boundary=f in cx.boundary_faces))
+                            trivial=trivial))
     return out
 
 
@@ -528,7 +509,6 @@ def edge_fans(plmap):
                            Q=Qz, S=S, b_img=b_img, lam=lam, angles=angles,
                            ray_faces=ray_faces, sector_cells=sector_cells,
                            pieces=pieces, min_gap=min_gap, trivial=trivial,
-                           boundary=False,
                            complete_start=completes[0],
                            complete_end=completes[1]))
     return out
@@ -556,7 +536,7 @@ def vertex_stars(plmap):
         faces = [f for f in cx.faces if v in f and f not in cx.boundary_faces]
         edges = [e for e in cx.edges if v in e and e not in cx.boundary_edges]
         out.append(VertexStar(vertex=v, V=V, cells=cells, faces=faces,
-                              edges=edges, R=R, boundary=False))
+                              edges=edges, R=R))
     return out
 
 

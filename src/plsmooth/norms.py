@@ -97,10 +97,6 @@ class RINorm:
         return (self.p / self.q) ** (1.0 / self.q) * s ** (1.0 / self.p)
 
 
-def ri_norm(norm, values, weights):
-    return norm(values, weights)
-
-
 def parse_norm(spec):
     """Parse 'lp:2', 'lorentz:2:1', or 'linf'."""
     parts = str(spec).split(":")

@@ -17,7 +17,7 @@ from scipy.optimize import root as sp_root
 from scipy.spatial import ConvexHull
 
 from . import geometry as geo
-from .blend import (ConstantWidth, FaceBlend, face_blend, face_blend_jacobian,
+from .blend import (FaceBlend, face_blend, face_blend_jacobian,
                     sigma_for_face)
 from .edge import EdgeSmoother
 from .errors import ConstructionError, ParameterError
@@ -64,8 +64,11 @@ MARGIN = 0.5
 
 def choose_params(plmap):
     """Validate the map, then pick certified baseline parameters, each
-    scaled by MARGIN."""
-    validate_pl_homeo(plmap)
+    scaled by MARGIN.  Only sense-preserving maps are smoothed."""
+    if validate_pl_homeo(plmap).orientation < 0:
+        raise ConstructionError(
+            "the map reverses orientation; the construction needs a "
+            "sense-preserving map")
     cx = plmap.complex
     pairs = face_pairs(plmap)
     fans = edge_fans(plmap)
@@ -97,6 +100,11 @@ def choose_params(plmap):
                         raise ConstructionError(
                             f"edge {e}: complete endpoint {vid} has an interior "
                             f"face {f} not containing the edge; unsmoothable")
+            elif vid in cx.boundary_vertices:
+                raise ConstructionError(
+                    f"edge {e}: endpoint {vid} is a boundary vertex whose "
+                    f"star the edge's cells do not fill; edges that reach "
+                    f"the boundary are not smoothed")
             else:
                 raise ConstructionError(
                     f"edge {e}: endpoint {vid} is neither an interior vertex "
@@ -178,7 +186,7 @@ class FacePatch:
                                frame_R=pair.frame.R,
                                M_neg=pair.M_neg, c_neg=pair.c_neg,
                                M_pos=pair.M_pos, c_pos=pair.c_pos,
-                               width=ConstantWidth(width))
+                               width=width)
         self.sigma, self.floor = sigma_for_face(self.blend)
         self.tri = np.asarray(tri, dtype=float)
         n, t2, t3 = pair.frame.R

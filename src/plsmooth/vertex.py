@@ -235,11 +235,6 @@ class SphereIsotopy:
         return dPsi_dx, dPsi_dt
 
 
-def sphere_isotopy(mu):
-    """Normalized linear homotopy, certified at build."""
-    return SphereIsotopy(mu)
-
-
 # ---------------------------------------------------------------------------
 # the vertex smoother
 
@@ -271,7 +266,7 @@ class VertexSmoother:
         if float(np.min(dots)) <= 0:
             raise ConstructionError(
                 "radial monotonicity of hat_g fails on the flattening shell")
-        self.isotopy = sphere_isotopy(self.mu)
+        self.isotopy = SphereIsotopy(self.mu)
 
     # -- evaluation
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from plsmooth.blend import (ConstantWidth, FaceBlend, RampWidth, eta,
-                            eta_prime, face_blend, face_blend_jacobian,
-                            sigma_for_face, time_profile, time_profile_prime)
+from plsmooth.blend import (FaceBlend, eta, eta_prime, face_blend,
+                            face_blend_jacobian, sigma_for_face, time_profile,
+                            time_profile_prime)
+from plsmooth.errors import DomainError
 
 
 def test_eta_endpoints_and_midpoint():
@@ -61,7 +62,7 @@ def _pair(d=np.array([1.0, 0.0, 0.0]), w=0.01):
     A2 = A1 + np.outer(d, [1.0, 0, 0])
     return FaceBlend(frame_origin=np.zeros(3), frame_R=np.eye(3),
                      M_neg=A1, c_neg=np.zeros(3), M_pos=A2, c_pos=np.zeros(3),
-                     width=ConstantWidth(w))
+                     width=w)
 
 
 def test_face_blend_exact_off_strip():
@@ -102,7 +103,7 @@ def test_jacobian_det_above_floor():
     fb = _pair(d=np.array([0.6, 0.3, -0.2]), w=0.02)
     sigma, floor = sigma_for_face(fb)[:2]
     x = rng.uniform(-1, 1, size=(4000, 3))
-    x[:, 0] = rng.uniform(0, fb.width.w, 4000)
+    x[:, 0] = rng.uniform(0, fb.width, 4000)
     dets = np.linalg.det(face_blend_jacobian(fb, x))
     assert np.min(dets) >= floor - 1e-12
 
@@ -129,23 +130,15 @@ def test_first_coordinate_derivative_positive():
     # [D1 g]^1 >= [D1 A1]^1 for the constant-width blend
     fb = _pair(d=np.array([0.8, 0.1, 0.1]), w=0.01)
     x = np.random.default_rng(2).uniform(-0.5, 0.5, size=(2000, 3))
-    x[:, 0] = np.random.default_rng(3).uniform(0, fb.width.w, 2000)
+    x[:, 0] = np.random.default_rng(3).uniform(0, fb.width, 2000)
     J = face_blend_jacobian(fb, x)
     assert np.min(J[:, 0, 0]) >= fb.M_neg[0, 0] - 1e-12
 
 
-def test_ramp_width_bounds():
-    w = RampWidth(0.01, 0.03, 0.0, 1.0)
-    y2 = np.linspace(-0.5, 1.5, 201)
-    y3 = np.zeros_like(y2)
-    vals = w.value(y2, y3)
-    assert np.all(vals >= 0.01 - 1e-15)
-    assert np.all(vals <= 0.03 + 1e-15)
-    assert vals[0] == pytest.approx(0.01)
-    assert vals[-1] == pytest.approx(0.03)
-    grads = np.linalg.norm(np.asarray(w.gradient(y2, y3)), axis=0)
-    assert np.max(grads) <= w.grad_bound + 1e-12
-    assert w.grad_bound >= np.max(np.abs(np.gradient(vals, y2))) - 1e-6
+@pytest.mark.parametrize("w", [0.0, -1e-3, np.nan])
+def test_face_blend_rejects_nonpositive_width(w):
+    with pytest.raises(DomainError):
+        _pair(w=w)
 
 
 def test_frame_equivariance():
@@ -159,7 +152,7 @@ def test_frame_equivariance():
     fb2 = FaceBlend(frame_origin=np.zeros(3), frame_R=fb.frame_R @ R,
                     M_neg=fb.M_neg @ R, c_neg=np.zeros(3),
                     M_pos=fb.M_pos @ R, c_pos=np.zeros(3),
-                    width=ConstantWidth(0.05))
+                    width=0.05)
     x = rng.uniform(-0.2, 0.2, size=(200, 3))
     assert np.allclose(face_blend(fb, x), face_blend(fb2, x @ R),
                        atol=1e-12)

@@ -7,10 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from plsmooth.builders import (perturbed_kuhn_map, subdivided_tet,
-                               two_tet_map)
+from plsmooth.builders import (kuhn_grid, kuhn_identity, perturbed_kuhn_map,
+                               subdivided_tet, two_tet_map)
 from plsmooth.cli import main
-from plsmooth.mesh import pl_map_from_vertex_images, save_document
+from plsmooth.mesh import PLMap, pl_map_from_vertex_images, save_document
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,38 @@ def test_validate_fold_exits_2(fold_doc, capsys):
     for command in ("validate", "smooth", "sweep"):
         assert main([command, fold_doc]) == 2, command
         assert "validation failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build", [perturbed_kuhn_map, kuhn_identity],
+                         ids=["perturbed_kuhn", "identity"])
+def test_orientation_reversing_map_exits_3(build, tmp_path, capsys):
+    # post-composed with the reflection (x1, x2, x3) -> (-x1, x2, x3): a
+    # valid PL homeomorphism, but not a sense-preserving one
+    pl = build()
+    rho = np.diag([-1.0, 1.0, 1.0])
+    doc = tmp_path / "reflected.json"
+    save_document(PLMap(pl.complex, rho @ pl.matrices, pl.offsets @ rho), doc)
+    assert main(["validate", str(doc)]) == 0
+    assert "orientation: -1" in capsys.readouterr().out
+    for command in ("smooth", "sweep"):
+        assert main([command, str(doc)]) == 3, command
+        assert "orientation" in capsys.readouterr().err, command
+
+
+def test_edge_reaching_the_boundary_exits_3(tmp_path, capsys):
+    # in kuhn_grid(2, 2, 2) every neighbour of the centre vertex 13 lies on
+    # the boundary, so each nontrivial edge at 13 reaches the boundary
+    cx = kuhn_grid(2, 2, 2)
+    images = cx.points.copy()
+    images[13] += [0.05, -0.03, 0.02]
+    doc = tmp_path / "grid.json"
+    save_document(pl_map_from_vertex_images(cx, images), doc)
+    assert main(["validate", str(doc)]) == 0
+    capsys.readouterr()
+    assert main(["smooth", str(doc)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"edge \(\d+, 13\): endpoint \d+ is a boundary vertex",
+                     err), err
 
 
 def test_missing_file_exits_1(capsys):

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from plsmooth.blend import ConstantWidth, FaceBlend, face_blend
-from plsmooth.edge import (CircleIsotopy, EdgeSmoother, RampRadius,
-                           circle_isotopy, fan_map, ray_blends,
-                           synthetic_fan, variable_radius_extend, wedge_map)
+from plsmooth.blend import face_blend
+from plsmooth.edge import (CircleIsotopy, EdgeSmoother, fan_map, ray_blends,
+                           synthetic_fan, wedge_map)
 from plsmooth.errors import (InvalidInputError, ParameterError)
 
 
@@ -46,7 +45,7 @@ def test_wedge_exact_off_strips():
     dist = np.min(np.abs((th[:, None] - fan.angles[None, :] + np.pi) % (2 * np.pi)
                          - np.pi), axis=1) * t
     keep = dist > 0.05
-    out = wedge_map(fan, w, pts[keep])
+    out = wedge_map(fan, ray_blends(fan, w), pts[keep])
     oracle = fan_map(fan, pts[keep])
     assert np.array_equal(out, oracle)
 
@@ -63,7 +62,7 @@ def test_two_ray_wedge_equals_face_blend():
     w = 0.02
     pts = np.random.default_rng(2).uniform(-0.5, 0.5, size=(3000, 3))
     pts[:, 2] = np.random.default_rng(3).uniform(0, 1, 3000)
-    out = wedge_map(fan, [w, w], pts)
+    out = wedge_map(fan, ray_blends(fan, [w, w]), pts)
     blends = ray_blends(fan, [w, w])
     ref = face_blend(blends[0], pts)
     ref2 = face_blend(blends[1], pts)
@@ -82,7 +81,7 @@ def test_smoother_matches_wedge_at_radius():
     z = rng.uniform(0.2, 1.8, 3000)
     pts = np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
     out = sm.evaluate(pts)
-    ref = wedge_map(fan, sm.widths, pts)
+    ref = wedge_map(fan, ray_blends(fan, sm.widths), pts)
     assert np.max(np.abs(out - ref)) < 1e-10 * 2.0
 
 
@@ -96,8 +95,9 @@ def test_smoother_plane_preservation():
     pts = np.stack([t * np.cos(th), t * np.sin(th), z], axis=-1)
     # axis translation equivariance: g(x + c e3) = g(x) + lam c e3
     c = 0.37
-    wout = wedge_map(fan, sm.widths, pts)
-    shifted = wedge_map(fan, sm.widths, pts + np.array([0, 0, c]))
+    blends = ray_blends(fan, sm.widths)
+    wout = wedge_map(fan, blends, pts)
+    shifted = wedge_map(fan, blends, pts + np.array([0, 0, c]))
     assert np.max(np.abs(shifted - wout - np.array([0, 0, fan.lam * c]))) \
         < 1e-10
     # after the flattening band (t <= 4r/5) so does the smoothed cylinder
@@ -193,8 +193,8 @@ def test_small_for_use_of_edges_guard():
 
 
 def test_circle_isotopy_sine():
-    iso = circle_isotopy(lambda th: th + 0.3 * np.sin(th),
-                         lambda th: 1.0 + 0.3 * np.cos(th))
+    iso = CircleIsotopy(lambda th: th + 0.3 * np.sin(th),
+                        lambda th: 1.0 + 0.3 * np.cos(th))
     th = np.linspace(-np.pi, np.pi, 721)
     # endpoints of the isotopy are the identity and H
     assert np.max(np.abs(iso.lift(th, 0.0) - th)) < 1e-12
@@ -207,30 +207,8 @@ def test_circle_isotopy_sine():
 
 def test_circle_isotopy_rejects_nonmonotone():
     with pytest.raises(Exception):
-        circle_isotopy(lambda th: th + 1.5 * np.sin(th),
-                       lambda th: 1.0 + 1.5 * np.cos(th))
-
-
-def test_variable_radius_certifies_gentle_ramp():
-    fan = make_fan(jump=0.2)
-    sm = EdgeSmoother(fan, [0.002] * 3, 0.2)
-    prof = RampRadius(0.2, 0.16, 0.5, 1.5)
-    vm = variable_radius_extend(sm, prof)
-    rng = np.random.default_rng(10)
-    t = rng.uniform(0.001, 0.12, 50)
-    th = rng.uniform(-np.pi, np.pi, 50)
-    z = rng.uniform(0.6, 1.4, 50)
-    pts = np.stack([t * np.cos(th), t * np.sin(th), z], axis=-1)
-    dets = np.linalg.det(vm.jacobian(pts))
-    assert np.min(dets) > 0
-
-
-def test_variable_radius_rejects_steep_ramp():
-    fan = make_fan(jump=0.2)
-    sm = EdgeSmoother(fan, [0.002] * 3, 0.2)
-    prof = RampRadius(0.2, 0.02, 1.0, 1.004)   # |r'| ~ 90, far too steep
-    with pytest.raises(ParameterError):
-        variable_radius_extend(sm, prof)
+        CircleIsotopy(lambda th: th + 1.5 * np.sin(th),
+                      lambda th: 1.0 + 1.5 * np.cos(th))
 
 
 def _kuhn_smoother():

@@ -138,21 +138,6 @@ def test_validate_rejects_fold_with_witness():
     assert exc.value.args  # carries a witness message
 
 
-def test_orientation_normalization_reflected():
-    from plsmooth.mesh import normalize_orientation
-    cx = two_tet()
-    M = np.diag([-1.0, 1.0, 1.0])
-    pl = ps.PLMap(cx, np.array([M, M]), np.zeros((2, 3)))
-    assert validate_pl_homeo(pl).orientation == -1
-    pl2 = normalize_orientation(pl)
-    assert pl2.reflected
-    assert np.all(np.linalg.det(pl2.matrices) > 0)
-    # the normalized map composed with the reflection reproduces the original
-    rho = np.diag([-1.0, 1.0, 1.0])
-    x = np.array([0.2, 0.3, 0.1])
-    assert np.allclose(pl2(x @ rho), pl(x))
-
-
 def test_orientation_mixed_rejected():
     cx = two_tet()
     pl = ps.PLMap(cx, np.array([np.eye(3), np.diag([-1.0, 1, 1])]),

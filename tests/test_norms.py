@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from plsmooth.errors import InvalidInputError, ParseError
 from plsmooth.norms import (RINorm, StepFunction, parse_norm, rearrangement,
-                            ri_norm, rozumny_check)
+                            rozumny_check)
 
 
 def test_rearrangement_simple():
@@ -29,7 +29,7 @@ def test_lp_matches_direct_quadrature():
             vals = rng.uniform(0, 5, 200)
             wts = rng.uniform(0.001, 1, 200)
             direct = np.sum(wts * vals ** p) ** (1.0 / p)
-            via_rearr = ri_norm(norm, vals, wts)
+            via_rearr = norm(vals, wts)
             assert via_rearr == pytest.approx(direct, rel=1e-6)
 
 
@@ -37,8 +37,8 @@ def test_lorentz_pp_equals_lp():
     rng = np.random.default_rng(1)
     vals = rng.uniform(0, 3, 100)
     wts = rng.uniform(0.01, 1, 100)
-    lp = ri_norm(RINorm("lp", p=2.0), vals, wts)
-    lorentz = ri_norm(RINorm("lorentz", p=2.0, q=2.0), vals, wts)
+    lp = RINorm("lp", p=2.0)(vals, wts)
+    lorentz = RINorm("lorentz", p=2.0, q=2.0)(vals, wts)
     assert lorentz == pytest.approx(lp, rel=1e-10)
 
 
@@ -46,7 +46,7 @@ def test_lorentz_indicator_closed_form():
     # ||M chi_E||_{p,q} = M (p/q)^{1/q} |E|^{1/p}
     M, measure, p, q = 2.5, 0.3, 2.0, 1.0
     norm = RINorm("lorentz", p=p, q=q)
-    val = ri_norm(norm, np.array([M]), np.array([measure]))
+    val = norm(np.array([M]), np.array([measure]))
     assert val == pytest.approx(M * (p / q) ** (1 / q) * measure ** (1 / p),
                                 rel=1e-12)
     assert norm.fundamental(measure) == pytest.approx(
@@ -56,7 +56,7 @@ def test_lorentz_indicator_closed_form():
 def test_linf_norm():
     vals = np.array([0.5, 4.0, 1.0])
     wts = np.array([1.0, 1e-6, 1.0])
-    assert ri_norm(RINorm("linf"), vals, wts) == pytest.approx(4.0)
+    assert RINorm("linf")(vals, wts) == pytest.approx(4.0)
 
 
 def test_fundamental_function_properties():
@@ -113,8 +113,8 @@ def test_rearrangement_invariance(seed):
     wts = rng.uniform(0.01, 1, n)
     perm = rng.permutation(n)
     norm = RINorm("lorentz", p=2.0, q=1.0)
-    a = ri_norm(norm, vals, wts)
-    b = ri_norm(norm, vals[perm], wts[perm])
+    a = norm(vals, wts)
+    b = norm(vals[perm], wts[perm])
     assert a == pytest.approx(b, rel=1e-10)
 
 

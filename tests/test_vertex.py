@@ -5,9 +5,9 @@ import pytest
 
 from plsmooth import geometry as geo
 from plsmooth.errors import NoIsotopyFound
-from plsmooth.vertex import (SphereMap, VertexSmoother, _newton_preimages,
-                             degree, integral_degree, linear_sphere_map,
-                             sphere_isotopy)
+from plsmooth.vertex import (SphereIsotopy, SphereMap, VertexSmoother,
+                             _newton_preimages, degree, integral_degree,
+                             linear_sphere_map)
 
 
 def test_degree_identity():
@@ -47,7 +47,7 @@ def test_sphere_isotopy_near_identity():
     rng = np.random.default_rng(1)
     A = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
     mu = linear_sphere_map(A)
-    iso = sphere_isotopy(mu)
+    iso = SphereIsotopy(mu)
     u = rng.normal(size=(500, 3))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     # endpoints: identity at s=0 and mu at s=1
@@ -60,7 +60,7 @@ def test_sphere_isotopy_near_identity():
 
 def test_sphere_isotopy_rejects_antipodal():
     with pytest.raises(NoIsotopyFound):
-        sphere_isotopy(linear_sphere_map(-np.eye(3)))
+        SphereIsotopy(linear_sphere_map(-np.eye(3)))
 
 
 def _linear_vertex_smoother(A, R=1.0):
