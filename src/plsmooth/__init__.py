@@ -9,7 +9,7 @@ scale lambda goes to 0.
 """
 
 from .blend import (FaceBlend, eta, eta_prime, face_blend,
-                    face_blend_jacobian, sigma_for_face, time_profile)
+                    face_blend_jacobian, face_floor, time_profile)
 from .builders import (kuhn_cube, kuhn_identity, perturbed_kuhn_map,
                        single_tet, subdivided_tet, subdivided_tet_map,
                        two_tet, two_tet_map)

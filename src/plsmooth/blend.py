@@ -130,13 +130,10 @@ def face_blend_jacobian(blend, x):
 def _normalized_frame_data(blend):
     """Quantities of the blend in its fully normalized frame.
 
-    Returns (a1, a2, J2, dnorm, Gamma): the two normal stretches with
-    0 < a1 <= a2, the tangential 2x2 determinant, |(Mpos - Mneg) n|, and a
-    norm bound on the unperturbed derivative over the strip.
+    Returns (a1, J2): the smaller of the two normal stretches, a1 > 0, and
+    the tangential 2x2 determinant.
     """
     n = blend.frame_R[0]
-    D = blend.M_pos - blend.M_neg
-    d = D @ n
     # image plane normal: common tangential image vectors
     v2 = blend.M_neg @ blend.frame_R[1]
     v3 = blend.M_neg @ blend.frame_R[2]
@@ -151,30 +148,25 @@ def _normalized_frame_data(blend):
         nu, s_neg, s_pos = -nu, -s_neg, -s_pos
     if s_neg <= 0 or s_pos <= 0:
         raise InvalidInputError("pieces do not cross the face plane consistently")
-    a1, a2 = min(s_neg, s_pos), max(s_neg, s_pos)
     # tangential 2x2 determinant in orthonormal tangent bases
     t2i = v2 - (nu @ v2) * nu
     t3i = v3 - (nu @ v3) * nu
     b2 = t2i / np.linalg.norm(t2i)
     b3 = np.cross(nu, b2)
     J2 = float((b2 @ t2i) * (b3 @ t3i) - (b3 @ t2i) * (b2 @ t3i))
-    Gamma = max(np.linalg.norm(blend.M_neg, 2), np.linalg.norm(blend.M_pos, 2)) \
-        + 2.0 * np.linalg.norm(d)
-    return a1, a2, abs(J2), float(np.linalg.norm(d)), float(Gamma)
+    return min(s_neg, s_pos), abs(J2)
 
 
-def sigma_for_face(blend):
-    """Certified width-gradient bound and the matching Jacobian floor.
+def face_floor(blend):
+    """Certified Jacobian floor a1*J2/2 of the blend.
 
-    The blend's Jacobian is the constant-width Jacobian plus a rank-one
-    perturbation bounded by 2|d| |Dw|; an adjugate bound turns that into
-    J >= a1*J2 - 2|d| sigma Gamma^2.  sigma is chosen so the right side
-    stays above floor = a1*J2/2.  Returns (sigma, floor).
+    Inside the strip Dg = M_neg + c (M_pos - M_neg) with c = eta(u) +
+    u eta'(u) >= 0, and the difference is rank one, so det Dg is affine in
+    c.  With the normal toward the larger normal stretch, as face_pairs and
+    ray_blends orient it, det Dg >= det M_neg = a1*J2; the floor keeps 2x
+    headroom.
     """
-    a1, _, J2, dnorm, Gamma = _normalized_frame_data(blend)
+    a1, J2 = _normalized_frame_data(blend)
     if J2 <= 0:
         raise InvalidInputError("degenerate image face (J2 = 0)")
-    floor = 0.5 * a1 * J2
-    if dnorm == 0.0:
-        return np.inf, floor
-    return floor / (2.0 * dnorm * Gamma ** 2), floor
+    return 0.5 * a1 * J2

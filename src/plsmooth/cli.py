@@ -70,8 +70,6 @@ def cmd_smooth(args):
         "vertex_radii": {str(k): v for k, v in g.params.R.items()},
         "edge_radii": {str(k): v for k, v in g.params.r.items()},
         "face_widths": {str(k): v for k, v in g.params.w.items()},
-        "face_sigma": {str(fp.pair.face): fp.sigma
-                       for fp in g.face_patches},
         "face_floor": {str(fp.pair.face): fp.floor
                        for fp in g.face_patches},
         "edge_rho": {str(ep.fan.edge): ep.smoother.rho

@@ -19,10 +19,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .blend import (FaceBlend, eta, eta_prime, face_blend,
-                    face_blend_jacobian, sigma_for_face,
+                    face_blend_jacobian, face_floor,
                     time_profile, time_profile_prime)
 from .errors import (ConstructionError, InvalidInputError, ParameterError)
-from .mesh import EdgeFan
+from .mesh import EdgeFan, min_gap_and_trivial
 
 _E3 = np.array([0.0, 0.0, 1.0])
 
@@ -55,15 +55,7 @@ def synthetic_fan(angles, matrices, length=1.0):
         if np.linalg.norm((lo - hi) @ d) > 1e-10 or \
            np.linalg.norm((lo - hi) @ _E3) > 1e-10:
             raise InvalidInputError(f"pieces disagree on ray {i}")
-    gaps = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            dth = abs(angles[i] - angles[j]) % np.pi
-            dth = min(dth, np.pi - dth)
-            gaps.append(dth if dth > 1e-12 else np.pi)
-    min_gap = min(gaps + [np.pi / 8.0])
-    trivial = all(np.allclose(matrices[i], matrices[0], atol=1e-14)
-                  for i in range(m))
+    min_gap, trivial = min_gap_and_trivial(angles, matrices)
     return EdgeFan(edge=(0, 1), V0=np.zeros(3), direction=_E3.copy(),
                    length=float(length), Q=np.eye(3), S=np.eye(3),
                    b_img=np.zeros(3), lam=lam, angles=angles,
@@ -78,7 +70,7 @@ def synthetic_fan(angles, matrices, length=1.0):
 
 def ray_blends(fan, widths):
     """One FaceBlend per ray, oriented toward the larger normal stretch.
-    Each blend passes sigma_for_face, which rejects a degenerate or
+    Each blend passes face_floor, which rejects a degenerate or
     inconsistent ray."""
     m = fan.m
     widths = np.broadcast_to(np.asarray(widths, dtype=float), (m,))
@@ -110,7 +102,7 @@ def ray_blends(fan, widths):
         blend = FaceBlend(frame_origin=zero, frame_R=R,
                           M_neg=M_neg, c_neg=zero, M_pos=M_pos, c_pos=zero,
                           width=widths[i])
-        sigma_for_face(blend)
+        face_floor(blend)
         out.append(blend)
     return out
 
@@ -280,7 +272,6 @@ class EdgeSmoother:
         if np.min(Hp) <= 0:
             raise ConstructionError(
                 "squeeze circle map is not orientation preserving")
-        self.isotopy = CircleIsotopy(self._H, self._Hprime, check=False)
 
     def _H(self, theta):
         """Exact lift of the squeeze circle map (spline used only to pick

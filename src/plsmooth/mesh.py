@@ -130,7 +130,22 @@ class SimplicialComplex:
                 f"cell {ci} is degenerate "
                 f"(condition number {np.linalg.cond(D[ci]):.3e})")
         tol = 1e-10 * self.coordinate_scale()
-        pairs = self._candidate_pairs(tol)
+        bad = self._nonconforming_pair(self._candidate_pairs(tol), tol)
+        if bad is not None:
+            a, b = bad
+            vol, _ = geo.convex_interior_overlap(
+                self.cell_points(a), self.cell_points(b), tol=tol)
+            if vol > tol ** 3:
+                raise IntersectionError(
+                    f"cells {a} and {b} overlap with interior volume {vol:.3e}")
+            shared = np.intersect1d(self.cells[a], self.cells[b]).tolist()
+            raise IntersectionError(
+                f"cells {a} and {b} intersect in a set that is not a "
+                f"common subsimplex (shared vertices {shared})")
+
+    def _nonconforming_pair(self, pairs, tol):
+        """The first cell pair (a, b) of ``pairs`` that does not meet exactly
+        in a common subsimplex, or None."""
         # centred, so the plane offsets carry no rounding from a far origin
         P = self.points[self.cells] - self.points.mean(axis=0)
         planes = geo.halfspaces_of_tet(P)
@@ -138,16 +153,8 @@ class SimplicialComplex:
             chunk = pairs[start:start + PAIR_CHUNK]
             bad = ~_conforming(self.cells, planes, chunk, tol)
             if bad.any():
-                a, b = (int(c) for c in chunk[np.argmax(bad)])
-                vol, _ = geo.convex_interior_overlap(
-                    self.cell_points(a), self.cell_points(b), tol=tol)
-                if vol > tol ** 3:
-                    raise IntersectionError(
-                        f"cells {a} and {b} overlap with interior volume {vol:.3e}")
-                shared = np.intersect1d(self.cells[a], self.cells[b]).tolist()
-                raise IntersectionError(
-                    f"cells {a} and {b} intersect in a set that is not a "
-                    f"common subsimplex (shared vertices {shared})")
+                return tuple(int(c) for c in chunk[np.argmax(bad)])
+        return None
 
     def _candidate_pairs(self, tol):
         """Cell pairs (a, b), a < b, in lexicographic order, whose bounding
@@ -296,8 +303,9 @@ def validate_pl_homeo(plmap):
     """Continuity, orientation, and global injectivity of a PL map.
 
     Injectivity is audited on the image cells: the candidate pairs of
-    :meth:`SimplicialComplex._candidate_pairs`, then an exact
-    interior-overlap test on each.
+    :meth:`SimplicialComplex._candidate_pairs`, then an LP interior-overlap
+    test on each, then the exact conformity check of complex validation,
+    which also rejects image cells that touch outside a common face.
     """
     cx = plmap.complex
     scale = cx.coordinate_scale()
@@ -327,13 +335,19 @@ def validate_pl_homeo(plmap):
     # injectivity of the image cells
     img = plmap.image_complex()
     gtol = 1e-10 * scale
-    for a, b in img._candidate_pairs(gtol).tolist():
+    pairs = img._candidate_pairs(gtol)
+    for a, b in pairs.tolist():
         vol, witness = geo.convex_interior_overlap(
             img.cell_points(a), img.cell_points(b), tol=gtol)
         if vol > gtol ** 3:
             raise NonInjectiveError(
                 f"image cells overlap near {np.asarray(witness)}; "
                 f"map is not injective")
+    bad = img._nonconforming_pair(pairs, gtol)
+    if bad is not None:
+        raise NonInjectiveError(
+            f"image cells {bad[0]} and {bad[1]} touch outside a common "
+            f"face; map is not injective")
     return ValidationReport(orientation=orient,
                             continuity_residual=resid,
                             min_abs_det=float(np.min(np.abs(dets))),
@@ -492,15 +506,7 @@ def edge_fans(plmap):
         S = geo.rotation_to_e3(u)
         b_img = M0 @ va + c0
         pieces = np.array([S @ plmap.matrices[ci] @ Qz.T for ci in sector_cells])
-        trivial = all(np.allclose(pieces[i], pieces[0], atol=1e-14)
-                      for i in range(m))
-        gaps = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                d = abs(angles[i] - angles[j])
-                d = min(d % np.pi, np.pi - (d % np.pi)) if d % np.pi else 0.0
-                gaps.append(d if d > 1e-12 else np.pi)
-        min_gap = min(gaps + [np.pi / 8.0])
+        min_gap, trivial = min_gap_and_trivial(angles, pieces)
         completes = []
         for vid in e:
             star = set(cx.vertex_cells[vid])
@@ -512,6 +518,18 @@ def edge_fans(plmap):
                            complete_start=completes[0],
                            complete_end=completes[1]))
     return out
+
+
+def min_gap_and_trivial(angles, pieces):
+    """The ``min_gap`` and ``trivial`` fields of an EdgeFan: the smallest
+    angle between two distinct ray lines, capped at pi/8, and whether all
+    sector pieces agree."""
+    i, j = np.triu_indices(len(angles), 1)
+    d = np.abs(angles[i] - angles[j]) % np.pi
+    d = np.minimum(d, np.pi - d)
+    min_gap = min(np.min(np.where(d > 1e-12, d, np.pi), initial=np.pi),
+                  np.pi / 8.0)
+    return float(min_gap), bool(np.allclose(pieces, pieces[0], atol=1e-14))
 
 
 def vertex_stars(plmap):

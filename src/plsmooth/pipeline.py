@@ -14,11 +14,9 @@ from itertools import combinations
 
 import numpy as np
 from scipy.optimize import root as sp_root
-from scipy.spatial import ConvexHull
 
 from . import geometry as geo
-from .blend import (FaceBlend, face_blend, face_blend_jacobian,
-                    sigma_for_face)
+from .blend import FaceBlend, face_blend, face_blend_jacobian, face_floor
 from .edge import EdgeSmoother
 from .errors import ConstructionError, ParameterError
 from .mesh import edge_fans, face_pairs, validate_pl_homeo, vertex_stars
@@ -179,7 +177,14 @@ def _triangle_grid(tri, n):
 
 
 class FacePatch:
-    def __init__(self, pair, width, tri):
+    """The slab {0 < s < width} over a face, s the distance from the face
+    toward ``cell_pos``.  Within that cell the slab is a frustum: its base
+    is the face, its top the face moved the fraction t = width / h toward
+    the cell's apex, h the apex height, and its volume |cell| t (3 - 3t +
+    t^2), the cell less the tetrahedron (1 - t)^3 |cell| at the apex,
+    without the cancellation of that difference."""
+
+    def __init__(self, pair, width, tri, apex):
         self.pair = pair
         self.width = float(width)
         self.blend = FaceBlend(frame_origin=pair.frame.origin,
@@ -187,11 +192,25 @@ class FacePatch:
                                M_neg=pair.M_neg, c_neg=pair.c_neg,
                                M_pos=pair.M_pos, c_pos=pair.c_pos,
                                width=width)
-        self.sigma, self.floor = sigma_for_face(self.blend)
+        self.floor = face_floor(self.blend)
         self.tri = np.asarray(tri, dtype=float)
         n, t2, t3 = pair.frame.R
         self.n = n
         o = pair.frame.origin
+        h = float(n @ (apex - o))
+        t = self.width / h
+        if t >= 1.0:
+            raise ParameterError(
+                f"face {pair.face}: slab width {self.width:.3e} is at or "
+                f"above the apex height {h:.3e} of cell {pair.cell_pos}")
+        base = self.tri
+        cell = geo.tet_volume(np.vstack([base, apex]))
+        if cell < 0:
+            base, cell = base[[0, 2, 1]], -cell
+        self.frustum = np.vstack([base, base + t * (apex - base)])
+        # the volumes of the FRUSTUM_TETS
+        self.tet_volumes = cell * t * (1.0 - t) ** np.arange(3)
+        self.volume = cell * t * (3.0 - 3.0 * t + t * t)
         T2 = np.vstack([t2, t3]).T
         self.tri2 = (self.tri - o) @ T2
         self._T2 = T2
@@ -300,7 +319,6 @@ class SmoothedMap:
         self.vertex_patches = [build(self.stage1)
                                for build in vertex_patch_builders]
         self._dq = None
-        self._slabs = {}
 
     # -- dispatch
 
@@ -401,27 +419,6 @@ class SmoothedMap:
 
     # -- difference-set geometry
 
-    def _slab_polytope(self, fp):
-        """Vertices of the slab of ``fp`` clipped to its cell, computed once
-        per map."""
-        if fp.pair.face not in self._slabs:
-            cx = self.plmap.complex
-            H = geo.halfspaces_of_tet(cx.cell_points(fp.pair.cell_pos))
-            n, o, w = fp.n, fp.pair.frame.origin, fp.width
-            rows = np.array([[-n[0], -n[1], -n[2], float(n @ o)],
-                             [n[0], n[1], n[2], float(-n @ o - w)]])
-            self._slabs[fp.pair.face] = geo.halfspace_polytope(
-                np.vstack([H, rows]))
-        return self._slabs[fp.pair.face]
-
-    def _in_cyl_or_ball(self, pts):
-        m = np.zeros(len(pts), dtype=bool)
-        for vp in self.vertex_patches:
-            m |= vp.mask(pts)
-        for ep in self.edge_patches:
-            m |= ep.mask(pts)
-        return m
-
     def difference_quadrature(self):
         """Fixed quadrature nodes and weights covering {g != f}; nodes
         handed to other patches by precedence carry zero weight."""
@@ -429,8 +426,7 @@ class SmoothedMap:
             return self._dq
         pts_all, wts_all = [], []
         for fp in self.face_patches:
-            verts = self._slab_polytope(fp)
-            for tet in geo.polytope_tets(verts):
+            for tet in fp.frustum[geo.FRUSTUM_TETS]:
                 for child in geo.subdivide_tet(tet):
                     p, wq = geo.map_tet_rule(child, 3)
                     pts_all.append(p)
@@ -438,11 +434,12 @@ class SmoothedMap:
         if pts_all:
             pts = np.vstack(pts_all)
             wts = np.concatenate(wts_all)
-            wts[self._in_cyl_or_ball(pts)] = 0.0
+            wts[_union_mask(self.vertex_patches + self.edge_patches,
+                            pts)] = 0.0
             pts_all, wts_all = [pts], [wts]
         for ep in self.edge_patches:
             p, wq = self._cylinder_nodes(ep)
-            keep = ~self._ball_mask(p)
+            keep = ~_union_mask(self.vertex_patches, p)
             wq = np.where(keep & self.contains(p), wq, 0.0)
             pts_all.append(p)
             wts_all.append(wq)
@@ -455,12 +452,6 @@ class SmoothedMap:
         else:
             self._dq = (np.vstack(pts_all), np.concatenate(wts_all))
         return self._dq
-
-    def _ball_mask(self, pts):
-        m = np.zeros(len(pts), dtype=bool)
-        for vp in self.vertex_patches:
-            m |= vp.mask(pts)
-        return m
 
     def _cylinder_nodes(self, ep):
         """Gauss nodes per radial band (5), angular sector (14) and along
@@ -496,26 +487,21 @@ class SmoothedMap:
     def volume_difference_set(self):
         """Measure of E_lambda = {g != f}: each slab less its overlaps with
         the cylinders and balls, each cylinder within the domain less its end
-        balls, and the balls.  Slab volumes are exact (one ConvexHull per
-        slab); overlaps are integrated over plane sections, each an exact
+        balls, and the balls.  Slab volumes are exact (the frustum's closed
+        form); overlaps are integrated over plane sections, each an exact
         polygon/disk area: across the edge for slab/cylinder (less the part
         in an end ball, which slab/ball holds) and cylinder/domain (N_GAUSS
         nodes on each of N_PANELS panels), across the face for slab/ball.
         Cylinder/ball is a closed form, the two being concentric."""
         total = 0.0
         for fp in self.face_patches:
-            verts = self._slab_polytope(fp)
-            if len(verts) < 4:
-                continue
-            hull = ConvexHull(verts)
-            edges = geo.hull_edges(hull)
-            v_slab = hull.volume
+            v_slab = fp.volume
             for ep in self.edge_patches:
                 if set(ep.fan.edge) <= set(fp.pair.face):
-                    v_slab -= self._slab_cyl_overlap(verts, edges, ep)
+                    v_slab -= self._slab_cyl_overlap(fp, ep)
             for vp in self.vertex_patches:
                 if vp.star.vertex in fp.pair.face:
-                    v_slab -= self._slab_ball_overlap(fp, verts, edges, vp)
+                    v_slab -= self._slab_ball_overlap(fp, vp)
             total += max(v_slab, 0.0)
         for ep in self.edge_patches:
             v_cyl = self._cyl_domain_volume(ep)
@@ -528,7 +514,7 @@ class SmoothedMap:
             total += 4.0 / 3.0 * np.pi * vp.R ** 3
         return float(total)
 
-    def _slab_cyl_overlap(self, verts, edges, ep):
+    def _slab_cyl_overlap(self, fp, ep):
         """|slab ∩ cylinder| less its part in the balls at the edge's ends.
 
         In a section across the edge at distance u from an end, the ball at
@@ -549,16 +535,18 @@ class SmoothedMap:
             z.append(u if vp.star.vertex == fan.edge[0] else ep.L - u)
             wz.append(-wu)
         z, wz = np.concatenate(z), np.concatenate(wz)
-        poly, k = geo.plane_sections(verts, edges, fan.direction,
+        poly, k = geo.plane_sections(fp.frustum, geo.FRUSTUM_EDGES,
+                                     fan.direction,
                                      fan.direction @ fan.V0 + z, fan.V0,
                                      fan.Q[:2])
         return float(wz @ geo.polygon_disk_areas(poly, k, (0.0, 0.0),
                                                  np.concatenate(radii)))
 
-    def _slab_ball_overlap(self, fp, verts, edges, vp):
+    def _slab_ball_overlap(self, fp, vp):
         n, o, axes = fp.n, fp.pair.frame.origin, fp.pair.frame.R[1:]
         s, ws = geo.gauss_legendre(N_GAUSS, 0.0, fp.width)
-        poly, k = geo.plane_sections(verts, edges, n, n @ o + s, o, axes)
+        poly, k = geo.plane_sections(fp.frustum, geo.FRUSTUM_EDGES, n,
+                                     n @ o + s, o, axes)
         return float(ws @ geo.polygon_disk_areas(poly, k, axes @ (vp.V - o),
             np.sqrt(np.maximum(vp.R ** 2 - s ** 2, 0.0))))
 
@@ -586,16 +574,11 @@ class SmoothedMap:
         cx = self.plmap.complex
         groups = []
         for fp in self.face_patches:
-            verts = self._slab_polytope(fp)
-            tets = geo.polytope_tets(verts)
-            if tets:
-                vols = np.array([abs(geo.tet_volume(t)) for t in tets])
-                pick = rng.choice(len(tets), size=n_per_patch,
-                                  p=vols / vols.sum())
-                bar = rng.dirichlet(np.ones(4), size=n_per_patch)
-                pts = np.einsum("nk,nkj->nj",
-                                bar, np.array([tets[i] for i in pick]))
-                groups.append(pts)
+            pick = rng.choice(3, size=n_per_patch,
+                              p=fp.tet_volumes / fp.volume)
+            bar = rng.dirichlet(np.ones(4), size=n_per_patch)
+            tets = fp.frustum[geo.FRUSTUM_TETS[pick]]
+            groups.append(np.einsum("nk,nkj->nj", bar, tets))
         for ep in self.edge_patches:
             t = ep.r * np.sqrt(rng.uniform(1e-6, 1.0, 4 * n_per_patch))
             th = rng.uniform(-np.pi, np.pi, 4 * n_per_patch)
@@ -624,6 +607,14 @@ class SmoothedMap:
 # sectioned overlap integrals of volume_difference_set
 N_GAUSS = 12
 N_PANELS = 8
+
+
+def _union_mask(patches, pts):
+    """Points of ``pts`` inside any of ``patches``."""
+    m = np.zeros(len(pts), dtype=bool)
+    for p in patches:
+        m |= p.mask(pts)
+    return m
 
 
 def _panel_gauss(breaks, n):
@@ -659,7 +650,9 @@ def assemble(plmap, params):
     face_patches = []
     for f, width in params.w.items():
         pr = pairs[f]
-        face_patches.append(FacePatch(pr, width, cx.points[list(f)]))
+        apex, = set(cx.cells[pr.cell_pos].tolist()) - set(f)
+        face_patches.append(FacePatch(pr, width, cx.points[list(f)],
+                                      cx.points[apex]))
     edge_patches = []
     for e, radius in params.r.items():
         fan = fans[e]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from plsmooth.blend import (FaceBlend, face_blend, face_blend_jacobian,
-                            sigma_for_face)
+                            face_floor)
 from plsmooth.builders import (perturbed_kuhn_map, subdivided_tet,
                                two_tet)
 from plsmooth.edge import (CircleIsotopy, EdgeSmoother, ray_blends,
@@ -62,7 +62,7 @@ def test_criterion_1_face_blend():
     # determinant floor inside the strip
     xin = x.copy()
     xin[:, 0] = rng.uniform(0.0, fb.width, len(x))
-    _, floor = sigma_for_face(fb)[:2]
+    floor = face_floor(fb)
     dets = np.linalg.det(face_blend_jacobian(fb, xin[:20000]))
     ok &= np.min(dets) >= floor - 1e-12
     # finite-difference Jacobian check

@@ -10,7 +10,9 @@ import pytest
 from plsmooth.builders import (kuhn_grid, kuhn_identity, perturbed_kuhn_map,
                                subdivided_tet, two_tet_map)
 from plsmooth.cli import main
-from plsmooth.mesh import PLMap, pl_map_from_vertex_images, save_document
+from plsmooth.errors import NonInjectiveError
+from plsmooth.mesh import (PLMap, SimplicialComplex, pl_map_from_vertex_images,
+                           save_document, validate_pl_homeo)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,23 @@ def test_validate_ok(kuhn_doc, tmp_path, capsys):
     out = tmp_path / "report.txt"
     assert main(["validate", kuhn_doc, "--out", str(out)]) == 0
     assert "PASS" in out.read_text()
+
+
+def test_touching_image_cells_exit_2(tmp_path, capsys):
+    # two disjoint tetrahedra; the second's piece moves its vertex 0 onto
+    # the centroid of the first's face x + y + z = 1, so the images touch
+    # without overlapping
+    ref = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    shift = np.array([3.0, 0.0, 0.0])
+    cx = SimplicialComplex(np.vstack([ref, ref + shift]),
+                           [[0, 1, 2, 3], [4, 5, 6, 7]])
+    pl = PLMap(cx, [np.eye(3)] * 2, [np.zeros(3), 1.0 / 3.0 - shift])
+    with pytest.raises(NonInjectiveError, match="cells 0 and 1 touch"):
+        validate_pl_homeo(pl)
+    path = tmp_path / "touch.json"
+    save_document(pl, path)
+    assert main(["validate", str(path)]) == 2
+    assert "cells 0 and 1 touch" in capsys.readouterr().err
 
 
 def test_validate_fold_exits_2(fold_doc, capsys):
@@ -107,8 +126,7 @@ def test_smooth_summary(kuhn_doc, tmp_path):
     assert len(summary["edge_rho"]) == 1
     # simplices are named by plain ints
     assert "np." not in text
-    for key in ("edge_radii", "face_widths", "face_sigma", "face_floor",
-                "edge_rho"):
+    for key in ("edge_radii", "face_widths", "face_floor", "edge_rho"):
         for simplex in summary[key]:
             assert re.fullmatch(r"\(\d+, \d+(, \d+)?\)", simplex), simplex
 

@@ -84,39 +84,14 @@ def test_polygon_disk_area_disjoint():
     assert _disk_area(sq, (0, 0), 1.0) == pytest.approx(0.0)
 
 
-def test_halfspace_polytope_cube():
-    H = []
-    for j in range(3):
-        a = np.zeros(3)
-        a[j] = 1.0
-        H.append(np.append(a, -1.0))      # x_j <= 1
-        H.append(np.append(-a, 0.0))      # x_j >= 0
-    verts = geo.halfspace_polytope(np.array(H))
-    assert len(verts) == 8
-    assert ConvexHull(verts).volume == pytest.approx(1.0)
-
-
-def test_halfspace_polytope_infeasible():
-    H = np.array([[1.0, 0, 0, 0.5], [-1.0, 0, 0, 0.5],
-                  [0, 1.0, 0, -1], [0, -1.0, 0, 0],
-                  [0, 0, 1.0, -1], [0, 0, -1.0, 0]])
-    assert len(geo.halfspace_polytope(H)) == 0
-
-
-def test_polytope_tets_volume():
-    verts = np.array([[x, y, z] for x in (0, 1) for y in (0, 1)
-                      for z in (0, 1)], dtype=float)
-    tets = geo.polytope_tets(verts)
-    total = sum(abs(geo.tet_volume(t)) for t in tets)
-    assert total == pytest.approx(1.0)
-
-
 def test_polytope_plane_section_cube():
     verts = np.array([[x, y, z] for x in (0, 1) for y in (0, 1)
                       for z in (0, 1)], dtype=float)
-    poly, k = geo.plane_sections(verts[None], geo.hull_edges(
-        ConvexHull(verts)), np.array([0.0, 0, 1]), [0.5], np.zeros(3),
-        np.eye(3)[:2])
+    # vertex i has coordinates the bits of i; an edge flips one bit
+    edges = [(i, i | b) for i in range(8) for b in (1, 2, 4) if not i & b]
+    assert len(edges) == 12
+    poly, k = geo.plane_sections(verts[None], edges, np.array([0.0, 0, 1]),
+                                 [0.5], np.zeros(3), np.eye(3)[:2])
     assert k[0] >= 4
     # every section vertex lies on the unit square's boundary
     on = np.min(np.stack([poly[0], 1.0 - poly[0]]), axis=(0, 2))
@@ -236,12 +211,17 @@ def _ref_polytope_plane_section(vertices, n, c):
     d = vertices @ n - c
     pts = []
     seen = set()
-    for simplex in hull.simplices:
+    for s, simplex in enumerate(hull.simplices):
         idx = list(simplex)
         for a in range(3):
             i, j = idx[a], idx[(a + 1) % 3]
             key = (min(i, j), max(i, j))
-            if key in seen:
+            # the diagonal the triangulation draws across a planar face is
+            # no edge: its crossing would be a point inside a polygon edge
+            other = hull.neighbors[s, (a + 2) % 3]
+            if key in seen or np.allclose(hull.equations[s, :3],
+                                          hull.equations[other, :3],
+                                          rtol=0, atol=1e-6):
                 continue
             seen.add(key)
             if abs(d[i]) < 1e-14:
@@ -403,26 +383,24 @@ def test_tet_sections_match_reference(seed, frac):
 @given(seed=st.integers(0, 2 ** 32 - 1), width=st.floats(1e-6, 0.2),
        across=st.booleans())
 def test_slab_sections_match_reference(seed, width, across):
-    # a tetrahedron clipped to a thin slab {0 < m.x - c0 < width}, cut
-    # across the slab by a random plane or parallel to it
+    # the frustum that a thin slab of width ``width`` over a face cuts from
+    # a tetrahedron, cut across the slab by a random plane or parallel to it
     rng = np.random.default_rng(seed)
     tet = rng.normal(size=(4, 3))
     if abs(geo.tet_volume(tet)) < 1e-2:
         return
-    m = geo.normalize(rng.normal(size=3))
-    c0 = tet.mean(axis=0) @ m
-    H = np.vstack([geo.halfspaces_of_tet(tet),
-                   np.append(-m, c0), np.append(m, -c0 - width)])
-    verts = geo.halfspace_polytope(H)
-    if len(verts) < 4:
+    tri, apex = tet[:3], tet[3]
+    m = geo.normalize(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
+    t = width / abs(m @ (apex - tri[0]))
+    if t >= 1.0:
         return
+    verts = np.vstack([tri, tri + t * (apex - tri)])
     n = m if not across else rng.normal(size=3)
     h = verts @ n
     c = h.min() + np.linspace(-0.05, 1.05, 12) * np.ptp(h)
     ref = [_ref_polytope_plane_section(verts, n, ci) for ci in c]
-    edges = geo.hull_edges(ConvexHull(verts))
-    _check_sections(np.broadcast_to(verts, (len(c),) + verts.shape), edges,
-                    n, c, ref, rng)
+    _check_sections(np.broadcast_to(verts, (len(c),) + verts.shape),
+                    geo.FRUSTUM_EDGES, n, c, ref, rng)
 
 
 def test_polygon_disk_areas_vertex_at_centre():

@@ -3,15 +3,18 @@ assembly and dispatch, the difference set, inversion, and the sweep."""
 
 import numpy as np
 import pytest
-from scipy import spatial
+import scipy.optimize
+import scipy.spatial
+from hypothesis import given, settings, strategies as st
 
 from plsmooth import geometry as geo
-from plsmooth import pipeline
 from plsmooth.builders import (kuhn_identity, perturbed_kuhn_map,
                                subdivided_tet_map, two_tet_map)
 from plsmooth.errors import ParameterError
-from plsmooth.pipeline import (SWEEP_COLUMNS, SmoothingParams, assemble,
-                               choose_params, format_table, lambda_sweep)
+from plsmooth.mesh import FacePair, face_pairs
+from plsmooth.pipeline import (SWEEP_COLUMNS, FacePatch, SmoothingParams,
+                               assemble, choose_params, format_table,
+                               lambda_sweep)
 
 
 @pytest.fixture(scope="module")
@@ -227,22 +230,97 @@ def test_volume_difference_set_pinned(kuhn_setup, lam, expected):
     assert vol == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-def test_volume_difference_set_builds_one_hull_per_slab(kuhn_setup,
-                                                       monkeypatch):
-    # a per-plane loop would build a hull for every section plane
-    pl, params, _ = kuhn_setup
+@pytest.mark.parametrize("build", [perturbed_kuhn_map, subdivided_tet_map])
+def test_patch_geometry_needs_no_lp_or_hull(build, monkeypatch):
+    # every slab is a closed-form frustum of its cell
+    pl = build()
+    params = choose_params(pl)
+    calls = []
+
+    def counting(name, fn):
+        return lambda *args, **kw: calls.append(name) or fn(*args, **kw)
+
+    for module in (geo, scipy.spatial, scipy.optimize):
+        for name in ("linprog", "ConvexHull", "HalfspaceIntersection"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
     g = assemble(pl, params)
-    built = []
-
-    class CountingHull(spatial.ConvexHull):
-        def __init__(self, *args, **kw):
-            built.append(1)
-            super().__init__(*args, **kw)
-
-    monkeypatch.setattr(geo, "ConvexHull", CountingHull)
-    monkeypatch.setattr(pipeline, "ConvexHull", CountingHull)
     assert g.volume_difference_set() > 0
-    assert 0 < len(built) <= len(g.face_patches)
+    assert g.difference_quadrature()[1].sum() > 0
+    assert len(g.sample_patches(n_per_patch=20, rng=1)) > 0
+    assert calls == []
+
+
+def _face_patch(tet, frac):
+    """The FacePatch of face tet[:3] toward the apex tet[3], of width frac
+    times the apex height, with the normal, face centroid and width."""
+    tri, apex = tet[:3], tet[3]
+    o = tri.mean(axis=0)
+    n = geo.normalize(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
+    if n @ (apex - o) < 0:
+        n = -n
+    pair = FacePair(face=(0, 1, 2), cell_neg=0, cell_pos=1,
+                    frame=geo.Frame(origin=o, R=np.vstack(
+                        [n, *geo.orthonormal_tangents(n)])),
+                    M_neg=np.eye(3), c_neg=np.zeros(3),
+                    M_pos=np.eye(3) + np.outer(n, n), c_pos=-(n @ o) * n,
+                    trivial=False)
+    w = frac * (n @ (apex - o))
+    return FacePatch(pair, w, tri, apex), n, o, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(1e-6, 0.1))
+def test_face_patch_frustum_matches_halfspace_intersection(seed, frac):
+    rng = np.random.default_rng(seed)
+    tet = rng.normal(size=(4, 3))
+    if abs(geo.tet_volume(tet)) < 1e-2:
+        return
+    fp, n, o, w = _face_patch(tet, frac)
+    # the cell's halfspaces and the slab's two planes, about a point on the
+    # segment from the face centroid to the apex at half the slab height
+    H = np.vstack([geo.halfspaces_of_tet(tet), np.append(-n, n @ o),
+                   np.append(n, -(n @ o) - w)])
+    inner = o + 0.5 * (w / (n @ (tet[3] - o))) * (tet[3] - o)
+    # each vertex solved on the three planes qhull names for it: qhull's
+    # own points can sit 1e-12 of the scale off them
+    planes = scipy.spatial.HalfspaceIntersection(H, inner).dual_facets
+    ref = np.array([np.linalg.solve(H[p[:3], :3], -H[p[:3], 3])
+                    for p in planes])
+    scale = np.max(np.ptp(tet, axis=0))
+    gap = np.linalg.norm(ref[:, None] - fp.frustum[None], axis=-1)
+    assert np.all(gap.min(axis=0) <= 1e-12 * scale)
+    assert np.all(gap.min(axis=1) <= 1e-12 * scale)
+    # a pyramid frustum of height w: a hull's volume of a slab this thin
+    # resolves only 1e-8 of it
+    s = (ref - o) @ n
+    base, top = (scipy.spatial.ConvexHull(
+        (ref[side] - o) @ fp.pair.frame.R[1:].T).volume
+        for side in (s < 0.5 * w, s > 0.5 * w))
+    assert fp.volume == pytest.approx(
+        w / 3.0 * (base + top + np.sqrt(base * top)), rel=1e-9, abs=0)
+    # the top vertices' rounding moves a determinant by some ulps of the
+    # cell's volume
+    vols = [geo.tet_volume(t) for t in fp.frustum[geo.FRUSTUM_TETS]]
+    atol = 1e-13 * abs(geo.tet_volume(tet))
+    assert min(vols) > 0
+    assert sum(vols) == pytest.approx(fp.volume, rel=1e-9, abs=atol)
+    np.testing.assert_allclose(vols, fp.tet_volumes, rtol=1e-9, atol=atol)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.5])
+def test_width_at_or_above_apex_height_rejected(factor):
+    pl = perturbed_kuhn_map()
+    params = choose_params(pl)
+    cx = pl.complex
+    f = next(iter(params.w))
+    pr = next(p for p in face_pairs(pl) if p.face == f)
+    apex, = set(cx.cells[pr.cell_pos].tolist()) - set(f)
+    h = pr.frame.R[0] @ (cx.points[apex] - pr.frame.origin)
+    params.w[f] = factor * h
+    with pytest.raises(ParameterError, match="apex height"):
+        assemble(pl, params)
 
 
 def test_gauss_legendre_reuses_reference_rule(monkeypatch):
@@ -296,8 +374,8 @@ def _slab_cyl_ball(g, fp, ep, vp):
 
 
 @pytest.mark.parametrize("lam, before", [
-    (1.0, 1.8494537228698488e-04),
-    (0.0625, 1.0441033136444162e-06),
+    (1.0, 1.8494537228696184e-04),
+    (0.0625, 1.0441033136149429e-06),
 ])
 def test_volume_adds_back_slab_cylinder_ball_overlap(subdiv_setup, lam,
                                                       before):
