@@ -22,7 +22,7 @@ from .blend import (FaceBlend, eta, eta_prime, face_blend,
                     face_blend_jacobian, face_floor,
                     time_profile, time_profile_prime)
 from .errors import (ConstructionError, InvalidInputError, ParameterError)
-from .mesh import EdgeFan, min_gap_and_trivial
+from .mesh import EdgeFan, min_gap_and_trivial, pieces_agree
 
 _E3 = np.array([0.0, 0.0, 1.0])
 
@@ -91,7 +91,7 @@ def ray_blends(fan, widths):
         s_hi = float(nu @ (A_hi @ n))
         if s_lo < 0:
             s_lo, s_hi = -s_lo, -s_hi
-        equal = np.allclose(A_lo, A_hi, atol=1e-14)
+        equal = pieces_agree(A_lo, A_hi)
         if (not equal) and s_hi < s_lo:
             n = -n
             M_neg, M_pos = A_hi, A_lo

@@ -1,16 +1,20 @@
 """Low-level geometric primitives shared by the mesh and smoothing modules.
 
-Everything here is plain numpy: frames, simplex measures, point/simplex
-distances, the interior-overlap test of two tetrahedra (the one LP, used by
-validation), the edge and tetrahedron index tables of a tetrahedron and of
-a frustum of one, and tetrahedral and Gauss quadrature.  The difference-set
-volume computation uses two batched kernels: ``plane_sections`` cuts a
-stack of convex polytopes by one plane each, and ``polygon_disk_areas``
-gives the exact area of each resulting polygon within a disk.
+Everything here is plain numpy: frames, simplex measures, the interior-
+overlap test of two tetrahedra (the one LP, used by validation), the edge
+and tetrahedron index tables of a tetrahedron and of a frustum of one, and
+tetrahedral and Gauss quadrature.  The distances that parameter selection
+needs are exact and batched over stacks of points, segments and triangles:
+``dist_point_simplex`` (points to triangles), ``dist_segment_triangle`` and
+``dist_triangle_triangle``.  The difference-set volume computation uses two
+batched kernels: ``plane_sections`` cuts a stack of convex polytopes by one
+plane each, and ``polygon_disk_areas`` gives the exact area of each
+resulting polygon within a disk.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,54 +134,99 @@ def triangle_area(p):
 
 
 # ---------------------------------------------------------------------------
-# distances
+# distances: exact and batched, broadcast over the leading axes (the closed
+# forms of Ericson, Real-Time Collision Detection, ch. 5)
 
 
-def dist_point_segment(x, a, b):
+# the vertex-index pairs of a triangle's edges
+_TRI_EDGES = ((0, 1), (1, 2), (0, 2))
+
+
+def _dot(u, v):
+    """Dot products over the last axis; rounded as np.dot rounds one pair."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _least(ds):
+    """Elementwise minimum of the arrays ``ds``, broadcast."""
+    return functools.reduce(np.minimum, ds)
+
+
+def _dist_point_segment(x, a, b):
+    """Distance from points x to segments [a, b], all (..., 3).  A segment of
+    length 0 is its point."""
     ab = b - a
-    t = float(np.dot(x - a, ab) / np.dot(ab, ab))
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(x - (a + t * ab)))
+    ll = _dot(ab, ab)
+    t = np.clip(_dot(x - a, ab) / np.where(ll > 0, ll, 1.0), 0.0, 1.0)
+    # t = 1 takes b itself: a + (b - a) can miss it by an ulp
+    d = x - np.where(t[..., None] == 1.0, b, a + t[..., None] * ab)
+    return np.sqrt(_dot(d, d))
 
 
-def dist_point_triangle(x, tri):
-    a, b, c = [np.asarray(v, dtype=float) for v in tri]
-    n = np.cross(b - a, c - a)
-    nn = np.dot(n, n)
-    if nn < 1e-300:
-        return min(dist_point_segment(x, a, b), dist_point_segment(x, a, c))
-    # project and test barycentric membership of the projection
-    t = np.dot(x - a, n) / nn
-    proj = x - t * n
-    M = np.column_stack([b - a, c - a])
-    uv, *_ = np.linalg.lstsq(M, proj - a, rcond=None)
-    u, v = uv
-    if u >= 0 and v >= 0 and u + v <= 1:
-        return abs(t) * np.sqrt(nn)
-    return min(dist_point_segment(x, a, b),
-               dist_point_segment(x, b, c),
-               dist_point_segment(x, a, c))
+def _dist_segment_segment(p1, q1, p2, q2):
+    """Distance between segments [p1, q1] and [p2, q2], all (..., 3).  The
+    squared distance is convex on the parameter square, so its minimum is
+    the lines' closest pair, where that pair lies in both segments, or on
+    the square's boundary: one segment's endpoint against the other."""
+    d1, d2, r = q1 - p1, q2 - p2, p1 - p2
+    a, b, e = _dot(d1, d1), _dot(d1, d2), _dot(d2, d2)
+    c, f = _dot(d1, r), _dot(d2, r)
+    den = a * e - b * b
+    st = np.stack([b * f - c * e, a * f - b * c]) / np.where(den > 0, den, 1.0)
+    gap = p1 + st[0, ..., None] * d1 - (p2 + st[1, ..., None] * d2)
+    inner = (den > 0) & np.all((st >= 0) & (st <= 1), axis=0)
+    return _least([np.where(inner, np.sqrt(_dot(gap, gap)), np.inf)]
+                  + [_dist_point_segment(x, u, v) for x, u, v in
+                     ((p1, p2, q2), (q1, p2, q2), (p2, p1, q1), (q2, p1, q1))])
 
 
-def dist_point_simplex(x, verts):
-    """Distance from ``x`` to a point, segment or triangle given by its
-    vertex array (k,3), k <= 3."""
-    verts = np.asarray(verts, dtype=float)
-    x = np.asarray(x, dtype=float)
-    k = len(verts)
-    if k == 1:
-        return float(np.linalg.norm(x - verts[0]))
-    if k == 2:
-        return dist_point_segment(x, verts[0], verts[1])
-    return dist_point_triangle(x, verts)
+def _in_triangle(x, T, n):
+    """Whether x projects along the normal n into the closed triangle T."""
+    return np.all([_dot(np.cross(T[..., j, :] - T[..., i, :],
+                                 x - T[..., i, :]), n) >= 0
+                   for i, j in ((0, 1), (1, 2), (2, 0))], axis=0)
 
 
-def dist_segment_simplex(a, b, verts):
-    """Distance from segment [a,b] to a simplex, by sampling the segment at
-    64 points; adequate for parameter selection."""
-    ts = np.linspace(0.0, 1.0, 64)
-    pts = a[None] + ts[:, None] * (b - a)[None]
-    return min(dist_point_simplex(p, verts) for p in pts)
+def dist_point_simplex(x, T):
+    """Distance from points x (..., 3) to triangles T (..., 3, 3): the
+    distance to the plane where x projects into the triangle, else the least
+    distance to its three edges.  A degenerate triangle is its edges."""
+    x, T = np.asarray(x, dtype=float), np.asarray(T, dtype=float)
+    a = T[..., 0, :]
+    n = np.cross(T[..., 1, :] - a, T[..., 2, :] - a)
+    nn = _dot(n, n)
+    proper = nn >= 1e-300
+    t = _dot(x - a, n) / np.where(proper, nn, 1.0)
+    edges = _least([_dist_point_segment(x, T[..., i, :], T[..., j, :])
+                    for i, j in _TRI_EDGES])
+    return np.where(proper & _in_triangle(x, T, n), np.abs(t) * np.sqrt(nn),
+                    edges)
+
+
+def dist_segment_triangle(p, q, T):
+    """Distance from segments [p, q] (..., 3) to triangles T (..., 3, 3): 0
+    where the segment crosses the triangle, else the least distance of its
+    endpoints to the triangle and of the segment to the triangle's edges,
+    where the closest pair of a segment and a triangle that miss lies."""
+    p, q, T = (np.asarray(v, dtype=float) for v in (p, q, T))
+    a = T[..., 0, :]
+    n = np.cross(T[..., 1, :] - a, T[..., 2, :] - a)
+    dp, dq = _dot(p - a, n), _dot(q - a, n)
+    cross = np.sign(dp) * np.sign(dq) < 0
+    s = dp / np.where(cross, dp - dq, 1.0)
+    cross &= _in_triangle(p + s[..., None] * (q - p), T, n)
+    return np.where(cross, 0.0, _least(
+        [dist_point_simplex(p, T), dist_point_simplex(q, T)]
+        + [_dist_segment_segment(p, q, T[..., i, :], T[..., j, :])
+           for i, j in _TRI_EDGES]))
+
+
+def dist_triangle_triangle(A, B):
+    """Distance between triangles A and B (..., 3, 3): the least distance of
+    either's edges to the other, 0 where they meet."""
+    AB = np.stack(np.broadcast_arrays(A, B), axis=-3).astype(float)
+    return dist_segment_triangle(AB[..., [0, 1, 0], :], AB[..., [1, 2, 2], :],
+                                 AB[..., ::-1, None, :, :]).min(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

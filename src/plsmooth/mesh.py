@@ -413,9 +413,16 @@ class VertexStar:
     vertex: int
     V: np.ndarray
     cells: list
-    faces: list
-    edges: list
     R: float
+
+
+def pieces_agree(A, B):
+    """Whether the linear parts A and B, or stacks of them, are one piece:
+    max |A - B| <= 1e-12 max |A|.  Offsets are not compared: where two
+    pieces meet, the continuity that validation checks makes equal linear
+    parts equal maps."""
+    A, B = np.asarray(A), np.asarray(B)
+    return bool(np.max(np.abs(A - B)) <= 1e-12 * np.max(np.abs(A)))
 
 
 def face_pairs(plmap):
@@ -437,8 +444,7 @@ def face_pairs(plmap):
         # now ca sits on the negative side of n
         Ma, ca_off = plmap.piece(ca)
         Mb, cb_off = plmap.piece(cb)
-        trivial = np.allclose(Ma, Mb, atol=1e-14) and \
-            np.allclose(ca_off, cb_off, atol=1e-14)
+        trivial = pieces_agree(Ma, Mb)
         # orient n toward the larger normal stretch
         v2 = p[1] - p[0]
         v3 = p[2] - p[0]
@@ -476,13 +482,12 @@ def edge_fans(plmap):
         L = float(np.linalg.norm(direction))
         direction = direction / L
         Qz = geo.rotation_to_e3(direction)  # world -> frame rotation
-        # faces through the edge
+        # faces through the edge, one per vertex off it in its cells
         rays = []
-        for f in cx.faces:
-            if set(e) <= set(f):
-                other = [v for v in f if v not in e][0]
-                y = Qz @ (cx.points[other] - va)
-                rays.append((float(np.arctan2(y[1], y[0])), f))
+        for other in set(cx.cells[cells].ravel().tolist()) - set(e):
+            y = Qz @ (cx.points[other] - va)
+            rays.append((float(np.arctan2(y[1], y[0])),
+                         tuple(sorted((*e, other)))))
         rays.sort()
         angles = np.array([r[0] for r in rays])
         ray_faces = [r[1] for r in rays]
@@ -529,12 +534,15 @@ def min_gap_and_trivial(angles, pieces):
     d = np.minimum(d, np.pi - d)
     min_gap = min(np.min(np.where(d > 1e-12, d, np.pi), initial=np.pi),
                   np.pi / 8.0)
-    return float(min_gap), bool(np.allclose(pieces, pieces[0], atol=1e-14))
+    return float(min_gap), pieces_agree(pieces[0], pieces)
 
 
 def vertex_stars(plmap):
     """One VertexStar per interior vertex, with the outer radius R such that
-    B(V, 2R) lies inside the star."""
+    B(V, 2R) lies inside the star: 0.4 of the distance from the vertex to
+    its link, the faces of its cells opposite it.  An interior vertex's star
+    is a neighbourhood of it bounded by the link, so no simplex away from
+    the vertex comes closer."""
     cx = plmap.complex
     out = []
     for v in cx.vertices:
@@ -542,20 +550,17 @@ def vertex_stars(plmap):
             continue
         V = cx.points[v]
         cells = cx.vertex_cells[v]
-        clearance = np.inf
-        for ci in range(cx.n_cells):
-            for k in (1, 2, 3):
-                for sub in combinations(sorted(cx.cells[ci]), k):
-                    if v in sub:
-                        continue
-                    clearance = min(clearance,
-                                    geo.dist_point_simplex(V, cx.points[list(sub)]))
-        R = 0.4 * clearance
-        faces = [f for f in cx.faces if v in f and f not in cx.boundary_faces]
-        edges = [e for e in cx.edges if v in e and e not in cx.boundary_edges]
-        out.append(VertexStar(vertex=v, V=V, cells=cells, faces=faces,
-                              edges=edges, R=R))
+        link = cx.points[opposite_faces(cx, cells, v)]
+        R = 0.4 * float(geo.dist_point_simplex(V, link).min())
+        out.append(VertexStar(vertex=v, V=V, cells=cells, R=R))
     return out
+
+
+def opposite_faces(cx, cells, v):
+    """The face opposite vertex v of each of ``cells``, which contain v:
+    sorted vertex triples (k, 3)."""
+    F = np.sort(cx.cells[cells], axis=1)
+    return F[F != v].reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

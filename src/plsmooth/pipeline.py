@@ -19,7 +19,8 @@ from . import geometry as geo
 from .blend import FaceBlend, face_blend, face_blend_jacobian, face_floor
 from .edge import EdgeSmoother
 from .errors import ConstructionError, ParameterError
-from .mesh import edge_fans, face_pairs, validate_pl_homeo, vertex_stars
+from .mesh import (edge_fans, face_pairs, opposite_faces, pieces_agree,
+                   validate_pl_homeo, vertex_stars)
 from .vertex import VertexSmoother
 
 
@@ -47,14 +48,6 @@ class SmoothingParams:
                                lam=lam)
 
 
-def _star_trivial(plmap, star):
-    M0 = plmap.matrices[star.cells[0]]
-    c0 = plmap.offsets[star.cells[0]]
-    return all(np.allclose(plmap.matrices[c], M0, atol=1e-14)
-               and np.allclose(plmap.offsets[c], c0, atol=1e-14)
-               for c in star.cells)
-
-
 # every certified bound is halved once more, so the construction holds with
 # 2x headroom
 MARGIN = 0.5
@@ -74,12 +67,14 @@ def choose_params(plmap):
 
     R = {}
     for st in stars:
-        if _star_trivial(plmap, st):
+        M = plmap.matrices[st.cells]
+        if pieces_agree(M[0], M):
             continue
         R[st.vertex] = MARGIN * st.R
 
     r = {}
     fan_by_edge = {}
+    faces = np.array(cx.faces)
     for fan in fans:
         if fan.trivial:
             continue
@@ -87,17 +82,24 @@ def choose_params(plmap):
         e = fan.edge
         a, b = cx.points[e[0]], cx.points[e[1]]
         cand = [0.2 * fan.length]
-        ends = ((e[0], fan.complete_start), (e[1], fan.complete_end))
-        for vid, complete in ends:
+        # each end, the other end, and whether the edge's cells fill the
+        # end's star
+        ends = ((e[0], e[1], fan.complete_start),
+                (e[1], e[0], fan.complete_end))
+        for vid, other, complete in ends:
             if vid in R:
                 cand.append(0.2 * R[vid])
             elif complete:
-                for f in cx.faces:
-                    if vid in f and f not in cx.boundary_faces \
-                            and not set(e) <= set(f):
-                        raise ConstructionError(
-                            f"edge {e}: complete endpoint {vid} has an interior "
-                            f"face {f} not containing the edge; unsmoothable")
+                # every cell at vid holds the edge, so the faces at vid off
+                # the edge are those opposite its other end
+                loose = sorted(set(map(tuple, opposite_faces(
+                    cx, cx.vertex_cells[vid], other).tolist()))
+                    - cx.boundary_faces)
+                if loose:
+                    raise ConstructionError(
+                        f"edge {e}: complete endpoint {vid} has an interior "
+                        f"face {loose[0]} not containing the edge; "
+                        f"unsmoothable")
             elif vid in cx.boundary_vertices:
                 raise ConstructionError(
                     f"edge {e}: endpoint {vid} is a boundary vertex whose "
@@ -107,35 +109,27 @@ def choose_params(plmap):
                 raise ConstructionError(
                     f"edge {e}: endpoint {vid} is neither an interior vertex "
                     f"nor axially complete; unsmoothable")
-        # clearance to simplices sharing no vertex with the edge
-        clear = np.inf
-        for f in cx.faces:
-            if set(e) & set(f):
-                continue
-            clear = min(clear, geo.dist_segment_simplex(
-                a, b, cx.points[list(f)]))
-        if np.isfinite(clear):
-            cand.append(0.25 * clear)
-        # faces of fan cells meeting the segment only at a ball endpoint
-        for vid, complete in ends:
+        # clearance to the faces sharing no vertex with the edge
+        far = faces[~np.isin(faces, e).any(axis=1)]
+        if len(far):
+            cand.append(0.25 * geo.dist_segment_triangle(
+                a, b, cx.points[far]).min())
+        # the fan cells' faces that meet the edge only at a ball endpoint,
+        # those opposite the other end, cleared by the edge from 0.9 R to
+        # 0.6 L
+        u = (b - a) / fan.length
+        for vid, other, complete in ends:
             if complete:
                 continue
-            z0 = 0.9 * R[vid]
-            sgn = 1.0 if vid == e[0] else -1.0
-            base = a if vid == e[0] else b
-            zs = np.linspace(z0, 0.6 * fan.length, 24)
-            seg = base + sgn * zs[:, None] * \
-                ((b - a) / fan.length)[None, :]
-            for ci in fan.sector_cells:
-                for tri in combinations(sorted(cx.cells[ci]), 3):
-                    if set(e) <= set(tri) or vid not in tri:
-                        continue
-                    d = min(geo.dist_point_simplex(p, cx.points[list(tri)])
-                            for p in seg)
-                    cand.append(0.45 * d)
+            base, sgn = (a, 1.0) if vid == e[0] else (b, -1.0)
+            tris = opposite_faces(cx, fan.sector_cells, other)
+            cand.append(0.45 * geo.dist_segment_triangle(
+                base + sgn * (0.9 * R[vid]) * u,
+                base + sgn * (0.6 * fan.length) * u, cx.points[tris]).min())
         r[e] = MARGIN * float(min(cand))
 
     w = {}
+    live = np.array([pr.face for pr in pairs if not pr.trivial]).reshape(-1, 3)
     for pr in pairs:
         if pr.trivial:
             continue
@@ -151,25 +145,13 @@ def choose_params(plmap):
         for ci in (pr.cell_neg, pr.cell_pos):
             vol = abs(geo.tet_volume(cx.cell_points(ci)))
             cand.append(0.2 * 3.0 * vol / area)
-        # separation from unrelated nontrivial faces
-        for pr2 in pairs:
-            if pr2.trivial or set(pr2.face) & set(f):
-                continue
-            bary = _triangle_grid(tri, 6)
-            d = min(geo.dist_point_simplex(p, cx.points[list(pr2.face)])
-                    for p in bary)
-            cand.append(0.4 * d)
+        # separation from the nontrivial faces sharing no vertex with f
+        far = live[~np.isin(live, f).any(axis=1)]
+        if len(far):
+            cand.append(0.4 * geo.dist_triangle_triangle(
+                tri, cx.points[far]).min())
         w[f] = MARGIN * float(min(cand))
     return SmoothingParams(R=R, r=r, w=w, lam=1.0)
-
-
-def _triangle_grid(tri, n):
-    pts = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            k = n - i - j
-            pts.append((i * tri[0] + j * tri[1] + k * tri[2]) / n)
-    return np.array(pts)
 
 
 # ---------------------------------------------------------------------------

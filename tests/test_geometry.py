@@ -45,6 +45,129 @@ def test_dist_point_simplex():
         pytest.approx(5.0)
 
 
+# the scalar distances the batched kernels replaced: one lstsq per point
+# against a triangle, and a segment sampled at 64 points
+
+
+def _ref_dist_point_segment(x, a, b):
+    ab = b - a
+    t = min(1.0, max(0.0, float(np.dot(x - a, ab) / np.dot(ab, ab))))
+    return float(np.linalg.norm(x - (a + t * ab)))
+
+
+def _ref_dist_point_triangle(x, tri):
+    a, b, c = tri
+    n = np.cross(b - a, c - a)
+    nn = np.dot(n, n)
+    t = np.dot(x - a, n) / nn
+    uv, *_ = np.linalg.lstsq(np.column_stack([b - a, c - a]),
+                             x - t * n - a, rcond=None)
+    if uv[0] >= 0 and uv[1] >= 0 and uv.sum() <= 1:
+        return float(abs(t) * np.sqrt(nn))
+    return min(_ref_dist_point_segment(x, a, b),
+               _ref_dist_point_segment(x, b, c),
+               _ref_dist_point_segment(x, a, c))
+
+
+def _ref_dist_segment_simplex(a, b, tri):
+    pts = a + np.linspace(0.0, 1.0, 64)[:, None] * (b - a)
+    return min(_ref_dist_point_triangle(p, tri) for p in pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3),
+       kind=st.sampled_from(["free", "parallel", "coplanar", "point"]))
+def test_dist_segment_triangle_brackets_samples(seed, scale, kind):
+    rng = np.random.default_rng(seed)
+    centre = rng.normal(size=3) * scale
+    tri = centre + rng.normal(size=(3, 3)) * scale
+    p, q = centre + rng.normal(size=(2, 3)) * scale
+    n = geo.normalize(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
+    if kind == "parallel":
+        q = q - ((q - p) @ n) * n
+    elif kind == "coplanar":
+        p, q = (v - ((v - tri[0]) @ n) * n for v in (p, q))
+    elif kind == "point":
+        q = p
+    exact = float(geo.dist_segment_triangle(p, q, tri))
+    sampled = _ref_dist_segment_simplex(p, q, tri)
+    # rounding of coordinates of magnitude up to about 5 scale
+    tol = 1e-13 * scale
+    # the sampled distance never reads below the exact one, and the closest
+    # point of the segment is within half a spacing of one of its 64 samples
+    assert sampled >= exact - tol
+    assert exact >= sampled - 0.5 * np.linalg.norm(q - p) / 63 - tol
+    # the batched point distances are the scalar ones
+    pts = p + np.linspace(0.0, 1.0, 9)[:, None] * (q - p)
+    assert np.allclose(geo.dist_point_simplex(pts, tri),
+                       [_ref_dist_point_triangle(x, tri) for x in pts],
+                       rtol=1e-12, atol=tol)
+
+
+TRI = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+
+
+@pytest.mark.parametrize("p,q,expected", [
+    # crosses the triangle's interior
+    ((0.2, 0.2, -1.0), (0.3, 0.1, 1.0), 0.0),
+    # crosses it within its plane
+    ((-1.0, 0.2, 0.0), (2.0, 0.2, 0.0), 0.0),
+    # parallel to the plane, above the interior
+    ((0.1, 0.1, 0.5), (0.3, 0.2, 0.5), 0.5),
+    # closest at the endpoint p, above the interior
+    ((0.2, 0.2, 0.3), (0.5, 0.7, 2.0), 0.3),
+    # skew to the edge on the x-axis, closest at (0.4, 0, 0)
+    ((0.5, -0.5, -1.0), (0.3, -0.5, 1.0), 0.5),
+    # along an edge, and beyond its end
+    ((0.2, 0.0, 0.0), (0.7, 0.0, 0.0), 0.0),
+    ((1.5, 0.0, 0.0), (3.0, 0.0, 0.0), 0.5),
+    # a point: p == q
+    ((0.2, 0.2, 0.5), (0.2, 0.2, 0.5), 0.5),
+    ((-3.0, -4.0, 0.0), (-3.0, -4.0, 0.0), 5.0),
+])
+def test_dist_segment_triangle_cases(p, q, expected):
+    d = geo.dist_segment_triangle(np.array(p), np.array(q), TRI)
+    assert d == pytest.approx(expected, abs=1e-15)
+    # reversing the segment changes nothing
+    assert geo.dist_segment_triangle(np.array(q), np.array(p), TRI) == d
+
+
+def test_dist_segment_triangle_broadcasts():
+    rng = np.random.default_rng(5)
+    P, Q = rng.normal(size=(2, 4, 1, 3))
+    T = rng.normal(size=(6, 3, 3))
+    d = geo.dist_segment_triangle(P, Q, T)
+    assert d.shape == (4, 6)
+    assert d[2, 3] == geo.dist_segment_triangle(P[2, 0], Q[2, 0], T[3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3))
+def test_dist_triangle_triangle_brackets_samples(seed, scale):
+    rng = np.random.default_rng(seed)
+    A, B = rng.normal(size=(2, 3, 3)) * scale
+    exact = float(geo.dist_triangle_triangle(A, B))
+    assert geo.dist_triangle_triangle(B, A) == exact
+    k = 16
+    bary = np.array([(i, j, k - i - j) for i in range(k + 1)
+                     for j in range(k + 1 - i)]) / k
+    dists = [_ref_dist_point_triangle(x, B) for x in bary @ A]
+    tol = 1e-13 * scale
+    assert exact <= min(dists) + tol
+    # each point of A is within its diameter / k of a grid point
+    diam = np.linalg.norm(A - np.roll(A, 1, axis=0), axis=1).max()
+    assert exact >= min(dists) - diam / k - tol
+
+
+def test_dist_triangle_triangle_cases():
+    # a triangle piercing TRI, one above it, one beside it in its plane
+    pierce = np.array([[0.2, 0.2, -1.0], [0.3, 0.1, 1.0], [2.0, 2.0, 1.0]])
+    above = TRI + [0.0, 0.0, 0.25]
+    beside = TRI + [1.5, 0.0, 0.0]
+    d = geo.dist_triangle_triangle(TRI, np.stack([pierce, above, beside]))
+    assert d == pytest.approx([0.0, 0.25, 0.5], abs=1e-15)
+
+
 def test_polygon_area_shoelace():
     sq = [np.array([0.0, 0]), np.array([2.0, 0]),
           np.array([2.0, 2]), np.array([0.0, 2])]

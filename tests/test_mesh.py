@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 import plsmooth as ps
+from plsmooth import geometry as geo
 from plsmooth.builders import (kuhn_cube, kuhn_grid, kuhn_identity,
                                perturbed_kuhn_map, single_tet, subdivided_tet,
                                subdivided_tet_map, two_tet, two_tet_map)
@@ -17,7 +18,7 @@ from plsmooth.errors import (ContinuityError, DegenerateSimplexError,
                              DomainError, IntersectionError, NonInjectiveError,
                              OrientationError, ParseError)
 from plsmooth.geometry import barycentric, tet_volume
-from plsmooth.mesh import (SimplicialComplex, edge_fans, face_pairs,
+from plsmooth.mesh import (PLMap, SimplicialComplex, edge_fans, face_pairs,
                            load_complex, pl_map_from_vertex_images,
                            save_document, validate_pl_homeo, vertex_stars)
 
@@ -201,6 +202,28 @@ def test_vertex_stars_subdivided():
     st = stars[0]
     assert len(st.cells) == 4
     assert st.R > 0
+
+
+def _all_subsimplex_clearance(cx, v):
+    """The distance from vertex v to every point, edge and triangle of every
+    cell that does not contain it, each as a triangle with repeated
+    vertices: the scan vertex_stars made before it read the link only."""
+    subs = {sub for cell in cx.cells.tolist() for k in (1, 2, 3)
+            for sub in combinations(sorted(cell), k) if v not in sub}
+    T = np.array([sub + (sub[-1],) * (3 - len(sub)) for sub in subs])
+    return float(geo.dist_point_simplex(cx.points[v], cx.points[T]).min())
+
+
+@pytest.mark.parametrize("pl,v", [
+    (subdivided_tet_map(), 4),
+    (PLMap(kuhn_grid(2, 2, 2), np.broadcast_to(np.eye(3), (48, 3, 3)),
+           np.zeros((48, 3))), 13)], ids=["subdivided_tet", "kuhn_grid_2"])
+def test_vertex_star_radius_is_the_all_subsimplex_clearance(pl, v):
+    # an interior vertex's link bounds its star, so no simplex away from
+    # the vertex is nearer than the link
+    stars = vertex_stars(pl)
+    assert [st.vertex for st in stars] == [v]
+    assert stars[0].R == 0.4 * _all_subsimplex_clearance(pl.complex, v)
 
 
 def test_document_roundtrip(tmp_path):

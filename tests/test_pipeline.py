@@ -83,6 +83,70 @@ def test_identity_needs_no_smoothing():
     assert not params.R and not params.r and not params.w
 
 
+def test_kink_of_relative_size_5e6_gets_a_slab():
+    # pieces agree only within 1e-12 relative: numpy's default rtol of
+    # 1e-5 had called this kink trivial and left it in g
+    M = np.eye(3) + 5e-6 * np.outer([0.0, 0, 1], [0.0, 0, 1])
+    params = choose_params(two_tet_map(np.eye(3), M))
+    assert list(params.w) == [(0, 1, 2)]
+    assert not params.R and not params.r
+    # pieces equal up to rounding still need no patch
+    params = choose_params(kuhn_identity())
+    assert not params.R and not params.r and not params.w
+
+
+def test_choose_params_pinned():
+    # the values the sampled clearances gave; the exact ones give the same
+    p = choose_params(perturbed_kuhn_map())
+    assert p.R == {}
+    assert p.r == {(0, 7): 0.17320508075688773}
+    assert p.w == {f: 0.0004786323739679288 for f in
+                   [(0, 1, 7), (0, 2, 7), (0, 3, 7), (0, 4, 7), (0, 5, 7),
+                    (0, 6, 7)]}
+    p = choose_params(subdivided_tet_map())
+    assert p.R == {4: 0.028867513459481287}
+    assert p.r == {(v, 4): 0.002886751345948129 for v in range(4)}
+    assert p.w == {f: 7.977206232798813e-06 for f in
+                   [(0, 1, 4), (0, 2, 4), (0, 3, 4), (1, 2, 4), (1, 3, 4),
+                    (2, 3, 4)]}
+
+
+def test_choose_params_batches_distances(monkeypatch):
+    # one batched call per clearance, where the sampled loops made 572
+    calls = []
+    dist = geo.dist_point_simplex
+    monkeypatch.setattr(geo, "dist_point_simplex",
+                        lambda *a: calls.append(1) or dist(*a))
+    choose_params(subdivided_tet_map())
+    assert 0 < len(calls) <= 50
+
+
+def test_edge_clearances_measure_the_scanned_faces(monkeypatch):
+    # the faces each edge clearance measures come from the incidence maps;
+    # they are the ones a scan of every face of the complex finds
+    pl = subdivided_tet_map()
+    cx = pl.complex
+    index = {tuple(x): i for i, x in enumerate(cx.points.tolist())}
+    seen = []
+    dist = geo.dist_segment_triangle
+
+    def recording(p, q, T):
+        seen.append(sorted(tuple(sorted(index[tuple(x)] for x in tri))
+                           for tri in np.asarray(T).tolist()))
+        return dist(p, q, T)
+
+    monkeypatch.setattr(geo, "dist_segment_triangle", recording)
+    params = choose_params(pl)
+    want = []
+    for e in params.r:
+        cells = [set(cx.cells[c].tolist()) for c in cx.edge_cells[e]]
+        want.append([f for f in cx.faces if not set(f) & set(e)])
+        want += [[f for f in cx.faces if vid in f and not set(e) <= set(f)
+                  and any(set(f) <= c for c in cells)]
+                 for vid in e if vid in params.R]
+    assert seen == want
+
+
 def test_params_scaling():
     p = SmoothingParams(R={0: 1.0}, r={(0, 1): 0.5}, w={(0, 1, 2): 0.1})
     half = p.scaled(0.5)
