@@ -13,8 +13,8 @@ from .blend import (FaceBlend, eta, eta_prime, face_blend,
 from .builders import (kuhn_cube, kuhn_identity, perturbed_kuhn_map,
                        single_tet, subdivided_tet, subdivided_tet_map,
                        two_tet, two_tet_map)
-from .edge import (CircleIsotopy, EdgeSmoother, fan_map, ray_blends,
-                   synthetic_fan, wedge_jacobian, wedge_map)
+from .edge import (EdgeSmoother, fan_map, ray_blends, synthetic_fan,
+                   wedge_jacobian, wedge_map)
 from .errors import (CertificationError, ConstructionError, ContinuityError,
                      DegenerateSimplexError, DomainError, IntersectionError,
                      InvalidInputError, NoIsotopyFound, NonInjectiveError,

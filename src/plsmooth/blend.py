@@ -127,46 +127,49 @@ def face_blend_jacobian(blend, x):
     return J[0] if single else J
 
 
-def _normalized_frame_data(blend):
-    """Quantities of the blend in its fully normalized frame.
+def normal_stretches(M_neg, M_pos, n, t2, t3):
+    """The image-face unit normal nu, along M_neg t2 x M_neg t3, and the
+    normal stretches nu.(M_neg n) and nu.(M_pos n), signed so that M_neg's
+    is >= 0.
 
-    Returns (a1, J2): the smaller of the two normal stretches, a1 > 0, and
-    the tangential 2x2 determinant.
+    A blend's slab lies on the side of the larger stretch: face_floor's
+    bound needs det Dg to grow across the strip.
     """
-    n = blend.frame_R[0]
-    # image plane normal: common tangential image vectors
-    v2 = blend.M_neg @ blend.frame_R[1]
-    v3 = blend.M_neg @ blend.frame_R[2]
-    nu = np.cross(v2, v3)
+    nu = np.cross(M_neg @ t2, M_neg @ t3)
     nun = np.linalg.norm(nu)
     if nun < 1e-300:
         raise InvalidInputError("degenerate image face (J2 = 0)")
     nu = nu / nun
-    s_neg = float(nu @ (blend.M_neg @ n))
-    s_pos = float(nu @ (blend.M_pos @ n))
+    s_neg = float(nu @ (M_neg @ n))
+    s_pos = float(nu @ (M_pos @ n))
     if s_neg < 0:
         nu, s_neg, s_pos = -nu, -s_neg, -s_pos
+    return nu, s_neg, s_pos
+
+
+def face_floor(blend):
+    """Certified Jacobian floor a1*J2/2 of the blend, a1 the smaller normal
+    stretch and J2 the tangential 2x2 determinant, both taken in the fully
+    normalized frame.
+
+    Inside the strip Dg = M_neg + c (M_pos - M_neg) with c = eta(u) +
+    u eta'(u) >= 0, and the difference is rank one, so det Dg is affine in
+    c.  With the normal toward the larger normal stretch, which face_pairs
+    and ray_blends choose from normal_stretches, det Dg >= det M_neg =
+    a1*J2; the floor keeps 2x headroom.
+    """
+    n, t2, t3 = blend.frame_R
+    nu, s_neg, s_pos = normal_stretches(blend.M_neg, blend.M_pos, n, t2, t3)
     if s_neg <= 0 or s_pos <= 0:
         raise InvalidInputError("pieces do not cross the face plane consistently")
     # tangential 2x2 determinant in orthonormal tangent bases
+    v2 = blend.M_neg @ t2
+    v3 = blend.M_neg @ t3
     t2i = v2 - (nu @ v2) * nu
     t3i = v3 - (nu @ v3) * nu
     b2 = t2i / np.linalg.norm(t2i)
     b3 = np.cross(nu, b2)
-    J2 = float((b2 @ t2i) * (b3 @ t3i) - (b3 @ t2i) * (b2 @ t3i))
-    return min(s_neg, s_pos), abs(J2)
-
-
-def face_floor(blend):
-    """Certified Jacobian floor a1*J2/2 of the blend.
-
-    Inside the strip Dg = M_neg + c (M_pos - M_neg) with c = eta(u) +
-    u eta'(u) >= 0, and the difference is rank one, so det Dg is affine in
-    c.  With the normal toward the larger normal stretch, as face_pairs and
-    ray_blends orient it, det Dg >= det M_neg = a1*J2; the floor keeps 2x
-    headroom.
-    """
-    a1, J2 = _normalized_frame_data(blend)
+    J2 = abs(float((b2 @ t2i) * (b3 @ t3i) - (b3 @ t2i) * (b2 @ t3i)))
     if J2 <= 0:
         raise InvalidInputError("degenerate image face (J2 = 0)")
-    return 0.5 * a1 * J2
+    return 0.5 * min(s_neg, s_pos) * J2

@@ -7,8 +7,10 @@ angular sector, and the common image edge direction is (0,0,lam).
 
 The wedge map blends consecutive pieces across each ray plane; the
 cylindrical extension replaces the wedge inside radius r by three annular
-stages (flatten, radial squeeze, circle-isotopy untwist) and a linear core
-diag(rho, rho, lam).
+stages and a linear core diag(rho, rho, lam).  The stages are a flattening
+band, a radial squeeze onto the squeeze circle's image directions, and an
+untwist ring whose angle is the monotone circle isotopy (1 - s) theta + s H
+from the identity to the lift H of the squeeze circle map.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .blend import (FaceBlend, eta, eta_prime, face_blend,
-                    face_blend_jacobian, face_floor,
+                    face_blend_jacobian, face_floor, normal_stretches,
                     time_profile, time_profile_prime)
 from .errors import (ConstructionError, InvalidInputError, ParameterError)
 from .mesh import EdgeFan, min_gap_and_trivial, pieces_agree
@@ -82,17 +84,8 @@ def ray_blends(fan, widths):
         n = np.array([-np.sin(a), np.cos(a), 0.0])
         A_lo = fan.pieces[(i - 1) % m]
         A_hi = fan.pieces[i]
-        nu = np.cross(A_hi @ d, A_hi @ _E3)
-        nun = np.linalg.norm(nu)
-        if nun < 1e-300:
-            raise InvalidInputError(f"degenerate image of ray {i}")
-        nu = nu / nun
-        s_lo = float(nu @ (A_lo @ n))
-        s_hi = float(nu @ (A_hi @ n))
-        if s_lo < 0:
-            s_lo, s_hi = -s_lo, -s_hi
-        equal = pieces_agree(A_lo, A_hi)
-        if (not equal) and s_hi < s_lo:
+        _, s_lo, s_hi = normal_stretches(A_lo, A_hi, n, d, _E3)
+        if not pieces_agree(A_lo, A_hi) and s_hi < s_lo:
             n = -n
             M_neg, M_pos = A_hi, A_lo
         else:
@@ -107,89 +100,47 @@ def ray_blends(fan, widths):
     return out
 
 
-def _sector_matrices(fan, theta):
-    return fan.pieces[fan.sector_of(theta)]
+def _sector_pieces(fan, x):
+    return fan.pieces[fan.sector_of(np.arctan2(x[:, 1], x[:, 0]))]
 
 
-def wedge_map(fan, blends, x):
-    """The sectorwise-blended map in frame coordinates, with ``blends`` from
-    ray_blends (valid for x1^2+x2^2 >= (r/4)^2 if the width condition holds
-    there)."""
-    single = np.asarray(x, dtype=float).ndim == 1
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    theta = np.arctan2(x[:, 1], x[:, 0])
-    out = np.einsum("nij,nj->ni", _sector_matrices(fan, theta), x)
-    for i, blend in enumerate(blends):
-        a = float(fan.angles[i])
-        d = np.array([np.cos(a), np.sin(a), 0.0])
+def _ray_slabs(blends, x):
+    """(blend, mask) for each ray whose slab 0 < u < w, on the ray's side
+    of the axis, holds some of the points ``x`` (N,3)."""
+    for blend in blends:
         u = x @ blend.frame_R[0]
-        w = blend.width
-        mask = (u > 0.0) & (u < w) & (x @ d > 0.0)
+        mask = (u > 0.0) & (u < blend.width) & (x @ blend.frame_R[1] > 0.0)
         if np.any(mask):
-            out[mask] = face_blend(blend, x[mask])
-    return out[0] if single else out
-
-
-def wedge_jacobian(fan, blends, x):
-    single = np.asarray(x, dtype=float).ndim == 1
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    theta = np.arctan2(x[:, 1], x[:, 0])
-    out = _sector_matrices(fan, theta).copy()
-    for i, blend in enumerate(blends):
-        a = float(fan.angles[i])
-        d = np.array([np.cos(a), np.sin(a), 0.0])
-        u = x @ blend.frame_R[0]
-        w = blend.width
-        mask = (u > 0.0) & (u < w) & (x @ d > 0.0)
-        if np.any(mask):
-            out[mask] = face_blend_jacobian(blend, x[mask])
-    return out[0] if single else out
+            yield blend, mask
 
 
 def fan_map(fan, x):
     """The exact piecewise linear map in frame coordinates."""
     single = np.asarray(x, dtype=float).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    theta = np.arctan2(x[:, 1], x[:, 0])
-    out = np.einsum("nij,nj->ni", _sector_matrices(fan, theta), x)
+    out = np.einsum("nij,nj->ni", _sector_pieces(fan, x), x)
     return out[0] if single else out
 
 
-# ---------------------------------------------------------------------------
-# circle isotopy
+def wedge_map(fan, blends, x):
+    """fan_map with each ray's slab replaced by its face blend, ``blends``
+    from ray_blends (valid for x1^2+x2^2 >= (r/4)^2 if the width condition
+    holds there)."""
+    single = np.asarray(x, dtype=float).ndim == 1
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = fan_map(fan, x)
+    for blend, mask in _ray_slabs(blends, x):
+        out[mask] = face_blend(blend, x[mask])
+    return out[0] if single else out
 
 
-class CircleIsotopy:
-    """Isotopy from the identity to a sense-preserving circle diffeo.
-
-    The target is given by its degree-1 lift H (strictly increasing,
-    H(theta + 2pi) = H(theta) + 2pi) and its derivative Hprime.  The
-    interpolated lift is L(theta, t) = (1 - s(t)) theta + s(t) H(theta) with
-    s = time_profile, identically 0 near t=0 and 1 near t=1, so the
-    endpoints are met exactly and d/dtheta L lies between 1 and H'
-    pointwise.
-    """
-
-    def __init__(self, H, Hprime, check=True):
-        self.H = H
-        self.Hprime = Hprime
-        if check:
-            th = np.linspace(-np.pi, np.pi, 513)
-            Hv = np.asarray(H(th), dtype=float)
-            if np.any(np.diff(Hv) <= 0):
-                raise InvalidInputError("lift is not strictly increasing")
-            wrap = np.asarray(H(th + 2 * np.pi), dtype=float)
-            if np.max(np.abs(wrap - Hv - 2 * np.pi)) > 1e-8:
-                raise InvalidInputError("lift is not a degree-1 lift")
-
-    def lift(self, theta, t):
-        theta = np.asarray(theta, dtype=float)
-        sv = time_profile(t)
-        return (1.0 - sv) * theta + sv * np.asarray(self.H(theta))
-
-    def dlift_dtheta(self, theta, t):
-        sv = time_profile(t)
-        return (1.0 - sv) + sv * np.asarray(self.Hprime(theta))
+def wedge_jacobian(fan, blends, x):
+    single = np.asarray(x, dtype=float).ndim == 1
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = _sector_pieces(fan, x)
+    for blend, mask in _ray_slabs(blends, x):
+        out[mask] = face_blend_jacobian(blend, x[mask])
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +196,8 @@ class EdgeSmoother:
 
     def _setup_planar(self):
         r = self.radius
-        t0 = 0.6 * r
         thg = np.linspace(-np.pi, np.pi, 2049)
-        G0 = self._G(np.full_like(thg, t0), thg)
+        G0, dG0 = self._circle(thg)
         raw = np.unwrap(np.arctan2(G0[:, 1], G0[:, 0]))
         if abs((raw[-1] - raw[0]) - 2 * np.pi) > 1e-6:
             raise ConstructionError(
@@ -268,35 +218,29 @@ class EdgeSmoother:
         if self.rho <= 0:
             raise ConstructionError(
                 "image of the wedge annulus touches the axis (rho search failed)")
-        Hp = self._Hprime(np.linspace(-np.pi, np.pi, 2048))
-        if np.min(Hp) <= 0:
+        # H' = (G0 x dG0) / |G0|^2
+        if np.min(G0[:, 0] * dG0[:, 1] - G0[:, 1] * dG0[:, 0]) <= 0:
             raise ConstructionError(
                 "squeeze circle map is not orientation preserving")
 
-    def _H(self, theta):
-        """Exact lift of the squeeze circle map (spline used only to pick
-        the 2pi branch)."""
-        theta = np.asarray(theta, dtype=float)
+    def _circle(self, theta):
+        """The squeeze circle t0 = 3r/5: the wedge's horizontal image G0
+        there and its derivative dG0/dtheta, each (N, 2)."""
         t0 = 0.6 * self.radius
-        G0 = self._G(np.full_like(theta, t0), theta)
-        raw = np.arctan2(G0[..., 1], G0[..., 0])
+        c, s, z = t0 * np.cos(theta), t0 * np.sin(theta), np.zeros_like(theta)
+        p0 = np.stack([c, s, z], axis=-1)
+        G0 = wedge_map(self.fan, self.blends, p0)[:, :2]
+        Jw = wedge_jacobian(self.fan, self.blends, p0)
+        dG0 = np.einsum("nij,nj->ni", Jw, np.stack([-s, c, z], axis=-1))
+        return G0, dG0[:, :2]
+
+    def _H(self, theta, G0):
+        """Exact lift of the squeeze circle map at ``theta``, G0 its image
+        there (the spline only picks the 2pi branch)."""
+        raw = np.arctan2(G0[:, 1], G0[:, 0])
         ref = theta + self._psi_ref(_principal(theta))
         k = np.round((ref - raw) / (2 * np.pi))
         return raw + 2 * np.pi * k
-
-    def _Hprime(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        t0 = 0.6 * self.radius
-        p0 = np.stack([t0 * np.cos(theta), t0 * np.sin(theta),
-                       np.zeros_like(theta)], axis=-1)
-        Jw = wedge_jacobian(self.fan, self.blends,
-                            p0.reshape(-1, 3)).reshape(theta.shape + (3, 3))
-        tang = np.stack([-t0 * np.sin(theta), t0 * np.cos(theta),
-                         np.zeros_like(theta)], axis=-1)
-        dG = np.einsum("...ij,...j->...i", Jw, tang)[..., :2]
-        G0 = self._G(np.full_like(theta, t0), theta)
-        num = G0[..., 0] * dG[..., 1] - G0[..., 1] * dG[..., 0]
-        return num / np.sum(G0 ** 2, axis=-1)
 
     # -- evaluation
 
@@ -326,7 +270,8 @@ class EdgeSmoother:
         p2 = (t < 0.8 * r) & (t >= 0.6 * r)
         if np.any(p2):
             G = self._G(t[p2], theta[p2])
-            u = self._unit_dir(theta[p2])
+            G0 = self._G(0.6 * r, theta[p2])
+            u = G0 / np.linalg.norm(G0, axis=-1, keepdims=True)
             e2 = eta((5.0 * t[p2] - 3.0 * r) / r)
             out[p2, :2] = e2[:, None] * G \
                 + ((1.0 - e2) * t[p2] * self.rho)[:, None] * u
@@ -335,7 +280,7 @@ class EdgeSmoother:
         p3 = (t < 0.6 * r) & (t >= 0.4 * r)
         if np.any(p3):
             tau = (5.0 * t[p3] - 2.0 * r) / r
-            H = self._H(theta[p3])
+            H = self._H(theta[p3], self._G(0.6 * r, theta[p3]))
             L = theta[p3] + time_profile(tau) * (H - theta[p3])
             out[p3, 0] = t[p3] * self.rho * np.cos(L)
             out[p3, 1] = t[p3] * self.rho * np.sin(L)
@@ -347,11 +292,6 @@ class EdgeSmoother:
             out[core, 1] = self.rho * x[core, 1]
             out[core, 2] = lam * x[core, 2]
         return out[0] if single else out
-
-    def _unit_dir(self, theta):
-        t0 = 0.6 * self.radius
-        G0 = self._G(np.full_like(np.asarray(theta, float), t0), theta)
-        return G0 / np.linalg.norm(G0, axis=-1, keepdims=True)
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -392,7 +332,10 @@ class EdgeSmoother:
             pts[:, 2] = 0.0
             Jw = wedge_jacobian(self.fan, self.blends, pts)
             G = self._G(t[p2], theta[p2])
-            u, du = self._unit_dir_deriv(theta[p2])
+            G0, dG0 = self._circle(theta[p2])
+            nrm = np.linalg.norm(G0, axis=-1, keepdims=True)
+            u = G0 / nrm
+            du = (dG0 - u * np.sum(u * dG0, axis=-1, keepdims=True)) / nrm
             e2 = eta((5.0 * t[p2] - 3.0 * r) / r)
             de2 = (5.0 / r) * eta_prime((5.0 * t[p2] - 3.0 * r) / r)
             dt = np.stack([c[p2], s[p2]], axis=-1)          # grad t
@@ -412,8 +355,10 @@ class EdgeSmoother:
             tau = (5.0 * t[p3] - 2.0 * r) / r
             sv = time_profile(tau)
             dsv = time_profile_prime(tau) * (5.0 / r)
-            H = self._H(theta[p3])
-            Hp = self._Hprime(theta[p3])
+            G0, dG0 = self._circle(theta[p3])
+            H = self._H(theta[p3], G0)
+            Hp = (G0[:, 0] * dG0[:, 1] - G0[:, 1] * dG0[:, 0]) \
+                / np.sum(G0 ** 2, axis=-1)
             psi = H - theta[p3]
             L = theta[p3] + sv * psi
             Lth = 1.0 + sv * (Hp - 1.0)
@@ -433,21 +378,6 @@ class EdgeSmoother:
         if np.any(core):
             out[core] = np.diag([rho, rho, lam])
         return out[0] if single else out
-
-    def _unit_dir_deriv(self, theta):
-        t0 = 0.6 * self.radius
-        theta = np.asarray(theta, dtype=float)
-        p0 = np.stack([t0 * np.cos(theta), t0 * np.sin(theta),
-                       np.zeros_like(theta)], axis=-1)
-        G0 = self._G(np.full_like(theta, t0), theta)
-        Jw = wedge_jacobian(self.fan, self.blends, p0)
-        tang = np.stack([-t0 * np.sin(theta), t0 * np.cos(theta),
-                         np.zeros_like(theta)], axis=-1)
-        dG = np.einsum("nij,nj->ni", Jw, tang)[:, :2]
-        nrm = np.linalg.norm(G0, axis=-1, keepdims=True)
-        u = G0 / nrm
-        du = (dG - u * np.sum(u * dG, axis=-1, keepdims=True)) / nrm
-        return u, du
 
 
 def _principal(theta):

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import geometry as geo
+from .blend import normal_stretches
 from .errors import (ContinuityError, DegenerateSimplexError, DomainError,
                      IntersectionError, NonInjectiveError, OrientationError,
                      ParseError)
@@ -223,9 +224,6 @@ class PLMap:
     def piece(self, ci):
         return self.matrices[ci], self.offsets[ci]
 
-    def apply_piece(self, ci, x):
-        return np.atleast_2d(x) @ self.matrices[ci].T + self.offsets[ci]
-
     def locate_inside(self, x):
         """Cell of each point; DomainError for a point outside the complex."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -242,12 +240,16 @@ class PLMap:
     def derivative(self, x):
         return self.matrices[self.locate_inside(x)]
 
+    def _cell_images(self):
+        """The image of each cell's vertices under its own piece (m,4,3)."""
+        P = self.complex.points[self.complex.cells]
+        return P @ np.swapaxes(self.matrices, 1, 2) + self.offsets[:, None]
+
     def image_complex(self):
         """The image mesh: same cells over the mapped vertex positions."""
         cells = self.complex.cells
-        imgs = self.complex.points[cells] @ np.swapaxes(self.matrices, 1, 2)
         imgpts = np.zeros_like(self.complex.points)
-        np.add.at(imgpts, cells, imgs + self.offsets[:, None])
+        np.add.at(imgpts, cells, self._cell_images())
         imgpts /= np.bincount(cells.ravel(), minlength=len(imgpts))[:, None]
         return SimplicialComplex(imgpts, cells, validate=False)
 
@@ -302,6 +304,8 @@ class ValidationReport:
 def validate_pl_homeo(plmap):
     """Continuity, orientation, and global injectivity of a PL map.
 
+    Continuity is the spread of each vertex's images over all the cells
+    that hold it, so cells that share only a vertex are compared too.
     Injectivity is audited on the image cells: the candidate pairs of
     :meth:`SimplicialComplex._candidate_pairs`, then an LP interior-overlap
     test on each, then the exact conformity check of complex validation,
@@ -321,16 +325,18 @@ def validate_pl_homeo(plmap):
         raise OrientationError(
             f"determinant signs are mixed (first offending cell {bad})")
 
-    # continuity across every shared subsimplex vertex
-    resid = 0.0
-    for s, cs in [*cx.face_cells.items(), *cx.edge_cells.items()]:
-        p = cx.points[list(s)]
-        for a, b in combinations(cs, 2):
-            diff = plmap.apply_piece(a, p) - plmap.apply_piece(b, p)
-            resid = max(resid, float(np.max(np.abs(diff))))
+    # continuity: the spread of each vertex's images over its cells
+    imgs = plmap._cell_images()
+    lo = np.full((cx.n_points, 3), np.inf)
+    hi = np.full((cx.n_points, 3), -np.inf)
+    np.minimum.at(lo, cx.cells, imgs)
+    np.maximum.at(hi, cx.cells, imgs)
+    spread = np.max(hi - lo, axis=1)
+    resid = float(np.max(spread))
     if resid > tol:
         raise ContinuityError(
-            f"pieces disagree on a shared subsimplex (residual {resid:.3e})")
+            f"pieces disagree at vertex {int(np.argmax(spread))} "
+            f"(residual {resid:.3e})")
 
     # injectivity of the image cells
     img = plmap.image_complex()
@@ -446,21 +452,12 @@ def face_pairs(plmap):
         Mb, cb_off = plmap.piece(cb)
         trivial = pieces_agree(Ma, Mb)
         # orient n toward the larger normal stretch
-        v2 = p[1] - p[0]
-        v3 = p[2] - p[0]
-        nu = np.cross(Ma @ v2, Ma @ v3)
-        nun = np.linalg.norm(nu)
-        if nun > 0:
-            nu = nu / nun
-            sa = float(nu @ (Ma @ n))
-            sb = float(nu @ (Mb @ n))
-            if sa < 0:
-                sa, sb = -sa, -sb
-            if not trivial and sb < sa:
-                n = -n
-                ca, cb = cb, ca
-                Ma, Mb = Mb, Ma
-                ca_off, cb_off = cb_off, ca_off
+        _, sa, sb = normal_stretches(Ma, Mb, n, p[1] - p[0], p[2] - p[0])
+        if not trivial and sb < sa:
+            n = -n
+            ca, cb = cb, ca
+            Ma, Mb = Mb, Ma
+            ca_off, cb_off = cb_off, ca_off
         R = np.vstack([n, *geo.orthonormal_tangents(n)])
         frame = geo.Frame(origin=p.mean(axis=0), R=R)
         out.append(FacePair(face=f, cell_neg=ca, cell_pos=cb, frame=frame,

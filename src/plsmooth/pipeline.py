@@ -90,16 +90,10 @@ def choose_params(plmap):
             if vid in R:
                 cand.append(0.2 * R[vid])
             elif complete:
-                # every cell at vid holds the edge, so the faces at vid off
-                # the edge are those opposite its other end
-                loose = sorted(set(map(tuple, opposite_faces(
-                    cx, cx.vertex_cells[vid], other).tolist()))
-                    - cx.boundary_faces)
-                if loose:
-                    raise ConstructionError(
-                        f"edge {e}: complete endpoint {vid} has an interior "
-                        f"face {loose[0]} not containing the edge; "
-                        f"unsmoothable")
+                # every cell at vid holds the edge, so a face at vid off the
+                # edge spans a cell only with the other end: it is a
+                # boundary face, and there is nothing to clear
+                pass
             elif vid in cx.boundary_vertices:
                 raise ConstructionError(
                     f"edge {e}: endpoint {vid} is a boundary vertex whose "

@@ -14,8 +14,8 @@ from plsmooth.blend import (FaceBlend, face_blend, face_blend_jacobian,
                             face_floor)
 from plsmooth.builders import (perturbed_kuhn_map, subdivided_tet,
                                two_tet)
-from plsmooth.edge import (CircleIsotopy, EdgeSmoother, ray_blends,
-                           synthetic_fan, wedge_map)
+from plsmooth.edge import (EdgeSmoother, ray_blends, synthetic_fan,
+                           wedge_jacobian, wedge_map)
 from plsmooth.errors import NonInjectiveError, OrientationError
 from plsmooth.mesh import PLMap, pl_map_from_vertex_images, validate_pl_homeo
 from plsmooth.norms import RINorm, rozumny_check
@@ -26,6 +26,14 @@ from plsmooth.vertex import degree, integral_degree, linear_sphere_map
 def _report(ok, label):
     print(f"[{'PASS' if ok else 'FAIL'}] {label}")
     assert ok, label
+
+
+def _angle_rate(F, J, x):
+    """d/dtheta at fixed t of the angle of the horizontal image F, from the
+    Jacobians J at the frame points x."""
+    dF = np.einsum("nij,nj->ni", J, np.stack(
+        [-x[:, 1], x[:, 0], np.zeros(len(x))], axis=-1))
+    return (F[:, 0] * dF[:, 1] - F[:, 1] * dF[:, 0]) / np.sum(F ** 2, axis=-1)
 
 
 def _make_fan(jump=0.4, angles=(-2.5, 0.3, 1.8), lam=1.1, seed=0):
@@ -125,18 +133,41 @@ def test_criterion_2_edge_smoother():
                 "positivity, scale)")
 
 
-def test_criterion_3_circle_isotopy():
-    """Monotone circle isotopy for H(theta) = theta + 0.3 sin(theta)."""
-    iso = CircleIsotopy(lambda th: th + 0.3 * np.sin(th),
-                        lambda th: 1.0 + 0.3 * np.cos(th))
-    th = np.linspace(-np.pi, np.pi, 1441)
-    ok = np.max(np.abs(iso.lift(th, 0.0) - th)) < 1e-12
-    ok &= np.max(np.abs(iso.lift(th, 1.0)
-                        - (th + 0.3 * np.sin(th)))) < 1e-12
-    for s in np.linspace(0, 1, 21):
-        d = iso.dlift_dtheta(th, s)
-        ok &= np.min(d) >= 0.7 - 1e-12 and np.max(d) <= 1.3 + 1e-12
-    _report(ok, "criterion 3: circle isotopy (endpoints, derivative range)")
+def test_criterion_3_untwist_ring(kuhn_sweep):
+    """The untwist ring is a monotone circle isotopy from the identity to
+    the lift H of the squeeze circle map, on a synthetic fan and on the
+    perturbed Kuhn map's edge."""
+    pl, params, _ = kuhn_sweep
+    ok = True
+    rng = np.random.default_rng(5)
+    for sm in (EdgeSmoother(_make_fan(), [0.002] * 3, 0.2),
+               assemble(pl, params).edge_patches[0].smoother):
+        r, fan = sm.radius, sm.fan
+        blends = ray_blends(fan, sm.widths)
+        t = rng.uniform(0.4, 0.6, 4000) * r
+        th = rng.uniform(-np.pi, np.pi, 4000)
+        x = np.stack([t * np.cos(th), t * np.sin(th),
+                      rng.uniform(0.0, fan.length, 4000)], axis=-1)
+        F = sm.evaluate(x)[:, :2]
+        # the lift is theta for t <= 7r/15 (the image is rho x) ...
+        core = t <= 7.0 / 15.0 * r
+        ok &= np.max(np.abs(F[core] - sm.rho * x[core, :2])) <= 1e-14 * r
+        # ... and H for t >= 8r/15 (the image points along G(3r/5, theta))
+        p0 = 0.6 * r * np.stack([np.cos(th), np.sin(th), 0 * th], axis=-1)
+        G0 = wedge_map(fan, blends, p0)[:, :2]
+        u = G0 / np.linalg.norm(G0, axis=-1, keepdims=True)
+        outer = t >= 8.0 / 15.0 * r
+        Fu = F / np.linalg.norm(F, axis=-1, keepdims=True)
+        ok &= np.max(np.abs(Fu[outer] - u[outer])) <= 1e-12
+        # between them dL/dtheta stays between 1 and H'
+        dL = _angle_rate(F, sm.jacobian(x), x)
+        Hp = _angle_rate(G0, wedge_jacobian(fan, blends, p0), p0)
+        slack = 1e-9 * np.maximum(1.0, Hp)
+        ok &= np.min(Hp) > 0
+        ok &= np.all((dL >= np.minimum(1.0, Hp) - slack)
+                     & (dL <= np.maximum(1.0, Hp) + slack))
+    _report(ok, "criterion 3: untwist ring (lift theta to H, derivative "
+                "between 1 and H')")
 
 
 def test_criterion_4_vertex_smoother():

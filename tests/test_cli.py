@@ -10,7 +10,7 @@ import pytest
 from plsmooth.builders import (kuhn_grid, kuhn_identity, perturbed_kuhn_map,
                                subdivided_tet, two_tet_map)
 from plsmooth.cli import main
-from plsmooth.errors import NonInjectiveError
+from plsmooth.errors import ContinuityError, NonInjectiveError
 from plsmooth.mesh import (PLMap, SimplicialComplex, pl_map_from_vertex_images,
                            save_document, validate_pl_homeo)
 
@@ -55,6 +55,22 @@ def test_touching_image_cells_exit_2(tmp_path, capsys):
     save_document(pl, path)
     assert main(["validate", str(path)]) == 2
     assert "cells 0 and 1 touch" in capsys.readouterr().err
+
+
+def test_cells_meeting_at_a_vertex_must_agree_there_exit_2(tmp_path,
+                                                            capsys):
+    # two tetrahedra share only vertex 0, and their pieces send it to two
+    # points: no face or edge is shared, yet the map is discontinuous
+    pts = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
+    cx = SimplicialComplex(pts, [[0, 1, 2, 3], [0, 4, 5, 6]])
+    pl = PLMap(cx, [np.eye(3)] * 2, [np.zeros(3), [0.05, 0.02, 0.01]])
+    with pytest.raises(ContinuityError, match="at vertex 0 "):
+        validate_pl_homeo(pl)
+    path = tmp_path / "vertex.json"
+    save_document(pl, path)
+    for command in ("validate", "smooth"):
+        assert main([command, str(path)]) == 2, command
+    assert "residual 5.000e-02" in capsys.readouterr().err
 
 
 def test_validate_fold_exits_2(fold_doc, capsys):

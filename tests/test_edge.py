@@ -1,11 +1,12 @@
-"""Edge wedge, cylinder smoother, and circle isotopy tests."""
+"""Edge wedge, cylinder smoother, and untwist ring tests."""
 
 import numpy as np
 import pytest
 
 from plsmooth.blend import face_blend
-from plsmooth.edge import (CircleIsotopy, EdgeSmoother, fan_map, ray_blends,
-                           synthetic_fan, wedge_map)
+import plsmooth.edge
+from plsmooth.edge import (EdgeSmoother, fan_map, ray_blends, synthetic_fan,
+                           wedge_jacobian, wedge_map)
 from plsmooth.errors import (InvalidInputError, ParameterError)
 
 
@@ -70,6 +71,18 @@ def test_two_ray_wedge_equals_face_blend():
     ok = np.isclose(out, ref, atol=1e-12).all(axis=-1) | \
         np.isclose(out, ref2, atol=1e-12).all(axis=-1)
     assert np.all(ok)
+
+
+def test_ray_blends_face_the_larger_normal_stretch():
+    # face_floor's bound needs each slab on the side of the piece that
+    # stretches the ray plane's normal more; these fans have slabs on both
+    # sides of their rays
+    for seed in range(4):
+        fan = make_fan(seed=seed)
+        for blend in ray_blends(fan, 0.01):
+            n, d, t3 = blend.frame_R
+            nu = np.cross(blend.M_neg @ d, blend.M_neg @ t3)
+            assert 0 < nu @ blend.M_neg @ n <= nu @ blend.M_pos @ n
 
 
 def test_smoother_matches_wedge_at_radius():
@@ -192,25 +205,6 @@ def test_small_for_use_of_edges_guard():
         EdgeSmoother(fan, [0.05] * 3, 0.2)  # widths far too large for r/4
 
 
-def test_circle_isotopy_sine():
-    iso = CircleIsotopy(lambda th: th + 0.3 * np.sin(th),
-                        lambda th: 1.0 + 0.3 * np.cos(th))
-    th = np.linspace(-np.pi, np.pi, 721)
-    # endpoints of the isotopy are the identity and H
-    assert np.max(np.abs(iso.lift(th, 0.0) - th)) < 1e-12
-    assert np.max(np.abs(iso.lift(th, 1.0) - (th + 0.3 * np.sin(th)))) < 1e-12
-    for s in np.linspace(0, 1, 11):
-        d = iso.dlift_dtheta(th, s)
-        assert np.min(d) >= 0.7 - 1e-12
-        assert np.max(d) <= 1.3 + 1e-12
-
-
-def test_circle_isotopy_rejects_nonmonotone():
-    with pytest.raises(Exception):
-        CircleIsotopy(lambda th: th + 1.5 * np.sin(th),
-                      lambda th: 1.0 + 1.5 * np.cos(th))
-
-
 def _kuhn_smoother():
     # the cylinder the pipeline builds around the Kuhn cube's diagonal
     from plsmooth.builders import perturbed_kuhn_map
@@ -219,9 +213,12 @@ def _kuhn_smoother():
     return assemble(pl, choose_params(pl)).edge_patches[0].smoother
 
 
-@pytest.mark.parametrize("build", [
+SMOOTHERS = pytest.mark.parametrize("build", [
     lambda: EdgeSmoother(make_fan(), [0.002] * 3, 0.2), _kuhn_smoother],
     ids=["fan", "kuhn_edge"])
+
+
+@SMOOTHERS
 def test_smoother_horizontal_image_ignores_x3(build):
     # every piece maps e3 to (0, 0, lam), so the horizontal image of every
     # stage is the one over the plane x3 = 0
@@ -237,3 +234,80 @@ def test_smoother_horizontal_image_ignores_x3(build):
     scale = max(r, L)
     err = np.abs(sm.evaluate(pts)[:, :2] - sm.evaluate(flat)[:, :2])
     assert np.max(err) <= 1e-14 * scale
+
+
+def _ring(sm, lo, hi, n=3000, seed=12):
+    """Frame points with lo r <= t < hi r, and their angles."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(lo, hi, n) * sm.radius
+    th = rng.uniform(-np.pi, np.pi, n)
+    z = rng.uniform(0.0, sm.fan.length, n)
+    return np.stack([t * np.cos(th), t * np.sin(th), z], axis=-1), th
+
+
+def _angle_rate(F, J, x):
+    """d/dtheta at fixed t of the angle of the horizontal image F, from the
+    Jacobians J at the frame points x."""
+    dF = np.einsum("nij,nj->ni", J, np.stack(
+        [-x[:, 1], x[:, 0], np.zeros(len(x))], axis=-1))
+    return (F[:, 0] * dF[:, 1] - F[:, 1] * dF[:, 0]) / np.sum(F ** 2, axis=-1)
+
+
+def _squeeze_circle(sm, th):
+    """The wedge's horizontal image G0 on the circle t = 3r/5 and the
+    derivative H' of its angle, from the public wedge kernels."""
+    t0 = 0.6 * sm.radius
+    blends = ray_blends(sm.fan, sm.widths)
+    p0 = np.stack([t0 * np.cos(th), t0 * np.sin(th), np.zeros_like(th)],
+                  axis=-1)
+    G0 = wedge_map(sm.fan, blends, p0)[:, :2]
+    return G0, _angle_rate(G0, wedge_jacobian(sm.fan, blends, p0), p0)
+
+
+@SMOOTHERS
+def test_untwist_ring_lift(build):
+    # the untwist angle runs from theta at the core's end of the ring to
+    # the lift H of the squeeze circle map at the squeeze's end
+    sm = build()
+    r = sm.radius
+    x, _ = _ring(sm, 0.4, 7.0 / 15.0)
+    out = sm.evaluate(x)
+    assert np.max(np.abs(out[:, :2] - sm.rho * x[:, :2])) <= 1e-14 * r
+    x, th = _ring(sm, 8.0 / 15.0, 0.6)
+    out = sm.evaluate(x)[:, :2]
+    rad = np.linalg.norm(out, axis=-1)
+    G0, _ = _squeeze_circle(sm, th)
+    u = G0 / np.linalg.norm(G0, axis=-1, keepdims=True)
+    assert np.max(np.abs(rad - sm.rho * np.hypot(x[:, 0], x[:, 1]))) \
+        <= 1e-14 * r
+    assert np.max(np.abs(out / rad[:, None] - u)) <= 1e-12
+
+
+@SMOOTHERS
+def test_untwist_ring_angular_derivative(build):
+    # at fixed t the image angle L = (1 - s) theta + s H is monotone:
+    # dL/dtheta lies between 1 and H' > 0
+    sm = build()
+    x, th = _ring(sm, 0.4, 0.6)
+    dL = _angle_rate(sm.evaluate(x)[:, :2], sm.jacobian(x), x)
+    _, Hp = _squeeze_circle(sm, th)
+    assert np.min(Hp) > 0
+    slack = 1e-9 * np.maximum(1.0, Hp)
+    assert np.all(dL >= np.minimum(1.0, Hp) - slack)
+    assert np.all(dL <= np.maximum(1.0, Hp) + slack)
+    assert np.ptp(dL) > 1e-3          # the ring does untwist
+
+
+def test_untwist_jacobian_evaluates_the_circle_once(monkeypatch):
+    # H, H' and the squeeze directions all come from one evaluation of the
+    # wedge and its Jacobian on the squeeze circle
+    sm = EdgeSmoother(make_fan(), [0.002] * 3, 0.2)
+    calls = {"wedge_map": 0, "wedge_jacobian": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(plsmooth.edge, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(plsmooth.edge, name, counted)
+    x, _ = _ring(sm, 0.4, 0.6)
+    sm.jacobian(x)
+    assert calls == {"wedge_map": 1, "wedge_jacobian": 1}
