@@ -90,6 +90,10 @@ def cmd_smooth(args):
 
 
 def cmd_sweep(args):
+    for opt in ("p", "q"):
+        val = getattr(args, opt)
+        if not 1.0 <= val < np.inf:
+            raise ParseError(f"--{opt} must lie in [1, inf), got {val}")
     plmap = _load_map(args.input)
     params = choose_params(plmap)  # validates the map first
     lambdas = tuple(args.lambdas)
@@ -97,10 +101,7 @@ def cmd_sweep(args):
                         rng=args.seed)
     lines = [format_table(rows)]
     if args.norm:
-        from . import geometry as geo
-        cx = plmap.complex
-        total = sum(abs(geo.tet_volume(cx.cell_points(c)))
-                    for c in range(cx.n_cells))
+        total = float(plmap.complex.cell_volumes().sum())
         M = 2.0 * max(r["sup_Dg"] for r in rows)
         deltas = [r["vol_E"] / total for r in rows]
         for spec in args.norm:
@@ -152,7 +153,8 @@ def build_parser():
 
 
 def _apply_config(ap, argv):
-    """Parse once to find --config, merge its values as defaults, reparse."""
+    """Parse once to find --config, merge its values as defaults, reparse.
+    A key names an option of the parser or of the chosen subcommand."""
     args, _ = ap.parse_known_args(argv)
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -160,13 +162,41 @@ def _apply_config(ap, argv):
         if not isinstance(cfg, dict):
             raise ParseError("config must be a JSON object")
         ns = ap.parse_args(argv)
+        options = _options(ap, ns.command)
         given = _explicit_flags(argv)
         for key, val in cfg.items():
             attr = key.replace("-", "_")
-            if hasattr(ns, attr) and attr not in given:
-                setattr(ns, attr, val)
+            if attr in options and attr not in given:
+                setattr(ns, attr, _config_value(options[attr], key, val))
         return ns
     return ap.parse_args(argv)
+
+
+def _options(ap, command):
+    """The options of ``ap`` and of its subcommand ``command`` that take a
+    value, by destination."""
+    sub, = (a for a in ap._actions
+            if isinstance(a, argparse._SubParsersAction))
+    actions = ap._actions + sub.choices[command]._actions
+    return {a.dest: a for a in actions if a.option_strings and a.nargs != 0}
+
+
+def _config_value(action, key, val):
+    """Config value ``val`` converted as argparse converts the arguments of
+    ``action``: a list for an option that takes several values or repeats,
+    each item passed to the option's type as its command-line text."""
+    many = action.nargs in ("+", "*") or isinstance(action,
+                                                    argparse._AppendAction)
+    if many != isinstance(val, list) or (many and not val):
+        raise ParseError(f"config key {key!r} needs "
+                         f"{'a non-empty list' if many else 'a single value'}"
+                         f", got {val!r}")
+    convert = action.type or str
+    try:
+        items = [convert(str(v)) for v in (val if many else [val])]
+    except ValueError as exc:
+        raise ParseError(f"config key {key!r}: {exc}") from None
+    return items if many else items[0]
 
 
 def _explicit_flags(argv):

@@ -1,15 +1,16 @@
 """Low-level geometric primitives shared by the mesh and smoothing modules.
 
-Everything here is plain numpy: frames, simplex measures, the interior-
-overlap test of two tetrahedra (the one LP, used by validation), the edge
-and tetrahedron index tables of a tetrahedron and of a frustum of one, and
-tetrahedral and Gauss quadrature.  The distances that parameter selection
-needs are exact and batched over stacks of points, segments and triangles:
-``dist_point_simplex`` (points to triangles), ``dist_segment_triangle`` and
-``dist_triangle_triangle``.  The difference-set volume computation uses two
-batched kernels: ``plane_sections`` cuts a stack of convex polytopes by one
-plane each, and ``polygon_disk_areas`` gives the exact area of each
-resulting polygon within a disk.
+Everything here is plain numpy: frames, closed-form 3x3 kernels (``det3``,
+``inv3``, ``spectral_norm``) batched over stacks of matrices, simplex
+measures, the interior-overlap test of two tetrahedra (the one LP, used by
+validation), the edge and tetrahedron index tables of a tetrahedron and of a
+frustum of one, and tetrahedral and Gauss quadrature.  The distances that
+parameter selection needs are exact and batched over stacks of points,
+segments and triangles: ``dist_point_simplex`` (points to triangles),
+``dist_segment_triangle`` and ``dist_triangle_triangle``.  The difference-set
+volume computation uses two batched kernels: ``plane_sections`` cuts a stack
+of convex polytopes by one plane each, and ``polygon_disk_areas`` gives the
+exact area of each resulting polygon within a disk.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 
-# matrices per spectral_norm chunk: bounds its (N,3,3) temporaries
+# matrices per chunk of the 3x3 kernels: bounds their temporaries
 NORM_CHUNK = 4096
 
 
@@ -66,30 +67,90 @@ def rotation_to_e3(v):
     return np.eye(3) + s * K + (1 - c) * (K @ K)
 
 
+def _chunked(kernel):
+    """``kernel`` of a stack of 3x3 matrices, (..., 3, 3), applied to at most
+    NORM_CHUNK of them at a time."""
+    @functools.wraps(kernel)
+    def chunked(M):
+        M = np.asarray(M, dtype=float)
+        flat = M.reshape(-1, 3, 3)
+        if len(flat) <= NORM_CHUNK:
+            return kernel(M)
+        out = np.concatenate([kernel(flat[i:i + NORM_CHUNK])
+                              for i in range(0, len(flat), NORM_CHUNK)])
+        return out.reshape(M.shape[:-2] + out.shape[1:])
+    return chunked
+
+
+def _scaled_entries(M):
+    """The entries of each matrix of ``M`` (..., 3, 3), row by row, as one
+    contiguous array (9, ...) per entry, each matrix scaled by an exact power
+    of two to a largest |entry| in [1/2, 1); and the exponents e, with M the
+    scaled matrix times 2^e.  Products of scaled entries neither underflow
+    nor overflow."""
+    a = np.ascontiguousarray(np.moveaxis(M.reshape(M.shape[:-2] + (9,)), -1, 0))
+    _, e = np.frexp(np.max(np.abs(a), axis=0))
+    return np.ldexp(a, -e), e
+
+
+def _det(a):
+    """Determinants of the matrices with entries ``a`` (9, ...), row by row:
+    the cofactor expansion along the first row."""
+    return (a[0] * (a[4] * a[8] - a[5] * a[7])
+            + a[1] * (a[5] * a[6] - a[3] * a[8])
+            + a[2] * (a[3] * a[7] - a[4] * a[6]))
+
+
+def _matrices(a, shape):
+    """The matrices of entries ``a`` (9, ...), as a contiguous ``shape``."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1)).reshape(shape)
+
+
+@_chunked
+def det3(M):
+    """Determinant of each matrix in ``M`` (..., 3, 3) by cofactor expansion,
+    after an exact power-of-two scaling."""
+    a, e = _scaled_entries(M)
+    return np.ldexp(_det(a), 3 * e)
+
+
+@_chunked
+def inv3(M):
+    """Inverse of each matrix in ``M`` (..., 3, 3): its adjugate over its
+    determinant, after an exact power-of-two scaling.  A singular matrix
+    gets non-finite entries, as a division by zero does."""
+    a, e = _scaled_entries(M)
+    adj = np.stack([a[4] * a[8] - a[5] * a[7], a[7] * a[2] - a[8] * a[1],
+                    a[1] * a[5] - a[2] * a[4], a[5] * a[6] - a[3] * a[8],
+                    a[8] * a[0] - a[6] * a[2], a[2] * a[3] - a[0] * a[5],
+                    a[3] * a[7] - a[4] * a[6], a[6] * a[1] - a[7] * a[0],
+                    a[0] * a[4] - a[1] * a[3]])
+    return _matrices(np.ldexp(adj / _det(a), -e), M.shape)
+
+
+@_chunked
 def spectral_norm(M):
     """Largest singular value of each matrix in the stack ``M`` (N,3,3): the
     root of the largest eigenvalue of M^T M, by the trigonometric solution of
     its characteristic cubic.  Where the two largest eigenvalues nearly
     coincide that root is ill-conditioned; there the largest eigenvalue of
     the 2x2 block orthogonal to the eigenvector of the smallest gives it."""
-    M = np.asarray(M, dtype=float)
-    if len(M) > NORM_CHUNK:
-        return np.concatenate([spectral_norm(M[i:i + NORM_CHUNK])
-                               for i in range(0, len(M), NORM_CHUNK)])
     # exact power-of-two scaling keeps M^T M clear of underflow and overflow
-    _, e = np.frexp(np.max(np.abs(M), axis=(1, 2)))
-    M = np.ldexp(M, -e[:, None, None])
-    A = np.swapaxes(M, 1, 2) @ M
-    q = np.trace(A, axis1=1, axis2=2) / 3.0
-    B = A - q[:, None, None] * np.eye(3)
-    p = np.sqrt(np.sum(B * B, axis=(1, 2)) / 6.0)
-    r = np.linalg.det(B / np.where(p > 0, p, 1.0)[:, None, None]) / 2.0
+    m, e = _scaled_entries(M)
+    # M^T M, entries row by row: entry (j, k) is column j dot column k
+    c = m.reshape(3, 3, -1)
+    A = np.stack([np.sum(c[:, j] * c[:, k], axis=0)
+                  for j in range(3) for k in range(3)])
+    q = (A[0] + A[4] + A[8]) / 3.0
+    B = A - q * np.eye(3).reshape(9, 1)
+    p = np.sqrt(np.sum(B * B, axis=0) / 6.0)
+    r = _det(B / np.where(p > 0, p, 1.0)) / 2.0
     phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
     top = q + 2.0 * p * np.cos(phi)
     # cos(arccos(r) / 3) amplifies an error in r by at most 1/4 for r >= -1/2
     close = r < -0.5
     if np.any(close):
-        A = A[close]
+        A = _matrices(A[:, close], (-1, 3, 3))
         low = (q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0))[close]
         C = A - low[:, None, None] * np.eye(3)
         # its null vector: the longest cross product of two rows of C
@@ -123,9 +184,14 @@ def tet_volume(p):
 def barycentric(p, x):
     """Barycentric coordinates of points ``x`` (N,3) in tetrahedron ``p`` (4,3)."""
     p = np.asarray(p, dtype=float)
-    lam = np.linalg.solve((p[1:] - p[0]).T, (np.atleast_2d(x) - p[0]).T).T
-    lam0 = 1.0 - lam.sum(axis=1, keepdims=True)
-    return np.hstack([lam0, lam])
+    return barycentric_inv(np.atleast_2d(x) - p[0], inv3(p[1:] - p[0]))
+
+
+def barycentric_inv(d, Dinv):
+    """Barycentric coordinates (N,4) of the points p0 + d, d (N,3), in a
+    tetrahedron with vertex p0 and rows p_i - p0 of inverse ``Dinv``."""
+    lam = d @ Dinv
+    return np.hstack([1.0 - lam.sum(axis=1, keepdims=True), lam])
 
 
 def triangle_area(p):

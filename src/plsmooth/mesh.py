@@ -36,8 +36,15 @@ class SimplicialComplex:
             raise ParseError("points must be an (n,3) array")
         if self.cells.ndim != 2 or self.cells.shape[1] != 4:
             raise ParseError("cells must be an (m,4) array of point indices")
-        flip = np.linalg.det(self._edge_vectors()) < 0
-        self.cells[flip] = self.cells[flip][:, [0, 1, 3, 2]]
+        # orient every cell positively by the sign bit of its determinant,
+        # which survives under- and overflow; keep each cell's first vertex
+        # and inverse edge matrix for locate (a degenerate cell, which
+        # validate rejects, gets a non-finite one)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            flip = np.signbit(geo.det3(self._edge_vectors()))
+            self.cells[flip] = self.cells[flip][:, [0, 1, 3, 2]]
+            self._edge_inv = geo.inv3(self._edge_vectors())
+        self._p0 = self.points[self.cells[:, 0]]
         self._build_incidence()
         if validate:
             self.validate()
@@ -82,6 +89,10 @@ class SimplicialComplex:
     def cell_points(self, ci):
         return self.points[self.cells[ci]]
 
+    def cell_volumes(self):
+        """The volume of every cell (m,), from one batched determinant."""
+        return np.abs(np.linalg.det(self._edge_vectors())) / 6.0
+
     def coordinate_scale(self):
         return float(max(np.ptp(self.points, axis=0).max(), 1e-300))
 
@@ -98,7 +109,7 @@ class SimplicialComplex:
         for ci in range(self.n_cells):
             if len(todo) == 0:
                 break
-            lam = geo.barycentric(self.cell_points(ci), x[todo])
+            lam = self._barycentric(ci, x[todo])
             inside = (lam >= -tol).all(axis=1)
             out[todo[inside]] = ci
             todo = todo[~inside]
@@ -106,12 +117,17 @@ class SimplicialComplex:
             best = np.zeros(len(todo), dtype=int)
             violation = np.full(len(todo), np.inf)
             for ci in range(self.n_cells):
-                v = -geo.barycentric(self.cell_points(ci), x[todo]).min(axis=1)
+                v = -self._barycentric(ci, x[todo]).min(axis=1)
                 better = v < violation
                 best[better] = ci
                 violation[better] = v[better]
             out[todo] = best
         return out
+
+    def _barycentric(self, ci, x):
+        """Barycentric coordinates of points ``x`` in cell ``ci``, with the
+        arithmetic of :func:`geometry.barycentric`."""
+        return geo.barycentric_inv(x - self._p0[ci], self._edge_inv[ci])
 
     def contains(self, x):
         return self.locate(x) >= 0
@@ -234,7 +250,10 @@ class PLMap:
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        ci = self.locate_inside(x)
+        return self.apply(x, self.locate_inside(x))
+
+    def apply(self, x, ci):
+        """The piece of cell ``ci[k]`` at each point ``x[k]``."""
         return np.einsum("nij,nj->ni", self.matrices[ci], x) + self.offsets[ci]
 
     def derivative(self, x):

@@ -123,6 +123,7 @@ def choose_params(plmap):
         r[e] = MARGIN * float(min(cand))
 
     w = {}
+    vols = cx.cell_volumes()
     live = np.array([pr.face for pr in pairs if not pr.trivial]).reshape(-1, 3)
     for pr in pairs:
         if pr.trivial:
@@ -137,8 +138,7 @@ def choose_params(plmap):
         tri = cx.points[list(f)]
         area = geo.triangle_area(tri)
         for ci in (pr.cell_neg, pr.cell_pos):
-            vol = abs(geo.tet_volume(cx.cell_points(ci)))
-            cand.append(0.2 * 3.0 * vol / area)
+            cand.append(0.2 * 3.0 * vols[ci] / area)
         # separation from the nontrivial faces sharing no vertex with f
         far = live[~np.isin(live, f).any(axis=1)]
         if len(far):
@@ -234,8 +234,7 @@ class EdgePatch:
 
     def jacobian(self, x):
         y = self.fan.to_frame(x)
-        J = self.smoother.jacobian(y)
-        return np.einsum("ij,njk,kl->nil", self.fan.S.T, J, self.fan.Q)
+        return self.fan.S.T @ self.smoother.jacobian(y) @ self.fan.Q
 
 
 class VertexPatch:
@@ -327,8 +326,7 @@ class SmoothedMap:
             if jac:
                 out[todo] = self.plmap.matrices[ci]
             else:
-                out[todo] = np.einsum("nij,nj->ni", self.plmap.matrices[ci],
-                                      x[todo]) + self.plmap.offsets[ci]
+                out[todo] = self.plmap.apply(x[todo], ci)
         return out[0] if single else out
 
     def evaluate(self, x, extend=False):
@@ -569,14 +567,11 @@ class SmoothedMap:
             rad = vp.R * rng.uniform(0, 1, n_per_patch) ** (1 / 3)
             groups.append(vp.V + rad[:, None] * u)
         # bulk
-        vols = np.array([abs(geo.tet_volume(cx.cell_points(c)))
-                         for c in range(cx.n_cells)])
+        vols = cx.cell_volumes()
         pick = rng.choice(cx.n_cells, size=4 * n_per_patch,
                           p=vols / vols.sum())
         bar = rng.dirichlet(np.ones(4), size=4 * n_per_patch)
-        pts = np.einsum("nk,nkj->nj", bar,
-                        np.array([cx.cell_points(c) for c in pick]))
-        groups.append(pts)
+        groups.append(np.einsum("nk,nkj->nj", bar, cx.points[cx.cells[pick]]))
         return np.vstack(groups)
 
 
@@ -658,7 +653,7 @@ def lambda_sweep(plmap, params, lambdas=(1.0, 0.5, 0.25, 0.125, 0.0625),
     from .norms import linf_difference
     rows = []
     piece_norms = geo.spectral_norm(plmap.matrices)
-    piece_invs = np.linalg.inv(plmap.matrices)
+    piece_invs = geo.inv3(plmap.matrices)
     piece_inv_norms = geo.spectral_norm(piece_invs)
     for lam in lambdas:
         g = assemble(plmap, params.scaled(lam))
@@ -666,15 +661,19 @@ def lambda_sweep(plmap, params, lambdas=(1.0, 0.5, 0.25, 0.125, 0.0625),
         pts, wts = g.difference_quadrature()
         act = wts > 0
         pa, wa = pts[act], wts[act]
+        # one pass over the nodes: f, Df, g and Dg each evaluated once
+        cf = plmap.locate_inside(pa)
+        Df = plmap.matrices[cf]
+        y = g.evaluate(pa)
         Dg = g.derivative(pa)
-        Df = plmap.derivative(pa)
         diff = geo.spectral_norm(Dg - Df)
         w1p = float(np.sum(wa * diff ** p) ** (1.0 / p))
-        linf = linf_difference(plmap, g, rng=rng)
+        linf = linf_difference(
+            plmap, g, pa, np.linalg.norm(y - plmap.apply(pa, cf), axis=-1),
+            rng=rng)
         # inverse quantities via the change of variables y = g(x)
-        Jg = np.linalg.det(Dg)
-        Dgi = np.linalg.inv(Dg)
-        y = g.evaluate(pa)
+        Jg = geo.det3(Dg)
+        Dgi = geo.inv3(Dg)
         xb, ci = plmap.inverse_pl(y, tol=1e-7, extend=True)
         Dfi = piece_invs[ci]
         diff_inv = geo.spectral_norm(Dgi - Dfi)

@@ -186,6 +186,29 @@ def test_config_defaults_and_explicit_override(kuhn_doc, tmp_path):
     assert json.loads(out2.read_text())["lambda"] == 0.5
 
 
+@pytest.mark.parametrize("opt,val", [("--p", "0"), ("--q", "-1"),
+                                     ("--p", "inf")])
+def test_sweep_rejects_exponents_outside_one_to_inf(kuhn_doc, capsys, opt,
+                                                    val):
+    assert main(["sweep", kuhn_doc, "--lambdas", "1.0", opt, val]) == 1
+    assert f"{opt} must lie in [1, inf)" in capsys.readouterr().err
+
+
+def test_config_values_convert_like_flags(kuhn_doc, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "a.json"
+    cfg.write_text(json.dumps({"lam": "0.5"}))
+    assert main(["--config", str(cfg), "smooth", kuhn_doc,
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lambda"] == 0.5
+    cfg.write_text(json.dumps({"lambdas": 0.5}))
+    assert main(["--config", str(cfg), "sweep", kuhn_doc]) == 1
+    assert "config key 'lambdas'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"lam": True}))
+    assert main(["--config", str(cfg), "smooth", kuhn_doc]) == 1
+    assert "config key 'lam'" in capsys.readouterr().err
+
+
 def test_repeatable_outputs(kuhn_doc, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -320,6 +320,58 @@ def test_spectral_norm_matches_svd():
     assert geo.spectral_norm([np.diag([2.0, -5.0, 1.0])]) == pytest.approx([5.0])
 
 
+def _kernel_cases():
+    """Stacks of 3x3 matrices for det3 and inv3: Gaussian, rank-deficient,
+    near-identity, tiny and huge."""
+    rng = np.random.default_rng(6)
+    rank2 = rng.uniform(0.1, 3.0, size=(500, 3))
+    rank2[:, 2] = 0.0
+    u, w = rng.normal(size=(2, 500, 3))
+    return {
+        "gaussian": rng.normal(size=(2000, 3, 3)),
+        "zero": np.zeros((3, 3, 3)),
+        "rank-1": u[:, :, None] * w[:, None, :],
+        "rank-2": _with_singular_values(rank2, 1),
+        "near identity": np.eye(3) + 1e-9 * rng.normal(size=(500, 3, 3)),
+        "tiny": 1e-200 * rng.normal(size=(50, 3, 3)),
+        "huge": 1e200 * rng.normal(size=(50, 3, 3)),
+    }
+
+
+def test_det3_matches_lapack():
+    eps = np.finfo(float).eps
+    for name, M in _kernel_cases().items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref, got = np.linalg.det(M), geo.det3(M)
+            # both rounding errors are a few eps times the permanent of |M|,
+            # at most the product of its row 1-norms
+            bound = 16 * eps * np.prod(np.abs(M).sum(axis=2), axis=1)
+            # equal where both under- or overflow, to 0 or the same infinity
+            assert np.all((got == ref) | (np.abs(got - ref) <= bound)), name
+            assert geo.det3(M[0]) == got[0]
+    assert geo.det3(np.diag([2.0, -5.0, 1.0])) == -10.0
+
+
+def test_inv3_matches_lapack():
+    eps = np.finfo(float).eps
+    cases = _kernel_cases()
+    for name in ("gaussian", "near identity", "tiny", "huge"):
+        M = cases[name]
+        ref = np.linalg.inv(M)
+        got = geo.inv3(M)
+        # both within a few eps cond(M) |M^-1| of the true inverse
+        tol = 64 * eps * np.linalg.cond(M) * np.abs(ref).max(axis=(1, 2))
+        assert np.all(np.abs(got - ref) <= tol[:, None, None]), name
+        assert np.array_equal(geo.inv3(M[0]), got[0])
+        np.testing.assert_allclose(got @ M, np.broadcast_to(np.eye(3), M.shape),
+                                   rtol=0, atol=1e-8, err_msg=name)
+    # a singular matrix, rank-deficient in exact arithmetic, has no finite
+    # inverse
+    singular = np.array([cases["zero"][0], np.arange(9.0).reshape(3, 3)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.isfinite(geo.inv3(singular)).all(axis=(1, 2)).any()
+
+
 # ---------------------------------------------------------------------------
 # the batched section and polygon/disk kernels against the scalar code they
 # replaced, kept here as the reference

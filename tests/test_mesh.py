@@ -95,6 +95,65 @@ def test_locate_extend_matches_least_violated_cell(mesh):
     assert np.array_equal(cx.locate(inside, extend=True), cx.locate(inside))
 
 
+@pytest.mark.parametrize("scale", [1e-120, 1e-60, 1e60, 1e120])
+def test_locate_is_scale_free(scale):
+    # points well inside each cell of kuhn_cube, and the same points with the
+    # cube scaled far from unit size
+    cx = kuhn_cube()
+    rng = np.random.default_rng(4)
+    bar = 0.01 + 0.96 * rng.dirichlet(np.ones(4), size=(cx.n_cells, 40))
+    x = np.einsum("cnk,ckj->cnj", bar, cx.points[cx.cells]).reshape(-1, 3)
+    cells = np.repeat(np.arange(cx.n_cells), 40)
+    assert np.array_equal(cx.locate(x), cells)
+    # validate=False: this tests the constructor's orientation flip and the
+    # locator alone; half the cells come in negatively oriented
+    cells_in = cx.cells.copy()
+    cells_in[::2] = cells_in[::2, [1, 0, 2, 3]]
+    far = SimplicialComplex(cx.points * scale, cells_in, validate=False)
+    assert np.array_equal(far.cells[1::2], cx.cells[1::2])
+    assert np.array_equal(np.sort(far.cells, axis=1), np.sort(cx.cells, axis=1))
+    assert np.all(np.linalg.det(np.diff(cx.points[far.cells], axis=1)) > 0)
+    assert np.array_equal(far.locate(x * scale), cells)
+    assert np.array_equal(far.locate(x * scale, extend=True), cells)
+
+
+def _brute_force_locate(cx, x, tol=1e-10):
+    """Reference for locate, from geometry.barycentric one cell at a time:
+    the first cell whose barycentric coordinates are all >= -tol, else -1;
+    and the same with the least-violated cell, the first on a tie, in place
+    of -1."""
+    low = np.array([barycentric(cx.cell_points(c), x).min(axis=1)
+                    for c in range(cx.n_cells)])
+    inside = low >= -tol
+    first = np.where(inside.any(axis=0), np.argmax(inside, axis=0), -1)
+    return first, np.where(first >= 0, first, np.argmax(low, axis=0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.0, 0.08))
+def test_locate_matches_brute_force_first_cell(seed, amplitude):
+    rng = np.random.default_rng(seed)
+    grid = kuhn_grid(2, 2, 2)
+    # the first-cell rule is defined for any cells: the complex is not
+    # validated, so the test covers the locator alone
+    cx = SimplicialComplex(
+        grid.points + rng.uniform(-amplitude, amplitude, grid.points.shape),
+        grid.cells, validate=False)
+    P = cx.points
+    bar = rng.dirichlet(np.ones(4), size=100)
+    x = np.vstack([
+        P,
+        P[np.array(cx.edges)].mean(axis=1),
+        P[np.array(cx.faces)].mean(axis=1),
+        np.einsum("nk,nkj->nj", bar,
+                  P[cx.cells[rng.integers(cx.n_cells, size=100)]]),
+        _points_just_outside(cx, rng, n=50),
+    ])
+    first, least = _brute_force_locate(cx, x)
+    assert np.array_equal(cx.locate(x), first)
+    assert np.array_equal(cx.locate(x, extend=True), least)
+
+
 def test_pl_map_rejects_points_outside():
     pl = perturbed_kuhn_map()
     x = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 1.5]])
