@@ -3,8 +3,9 @@
 Everything here is plain numpy: frames, closed-form 3x3 kernels (``det3``,
 ``inv3``, ``spectral_norm``) batched over stacks of matrices, simplex
 measures, the interior-overlap test of two tetrahedra (the one LP, used by
-validation), the edge and tetrahedron index tables of a tetrahedron and of a
-frustum of one, and tetrahedral and Gauss quadrature.  The distances that
+validation; an intersection too thin for qhull counts as empty), the edge
+and tetrahedron index tables of a tetrahedron and of a frustum of one, and
+tetrahedral and Gauss quadrature.  The distances that
 parameter selection needs are exact and batched over stacks of points,
 segments and triangles: ``dist_point_simplex`` (points to triangles),
 ``dist_segment_triangle`` and ``dist_triangle_triangle``.  The difference-set
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 
 # matrices per chunk of the 3x3 kernels: bounds their temporaries
@@ -326,14 +327,18 @@ def convex_interior_overlap(pa, pb, tol=1e-10):
 
     Returns (volume, witness) where volume is the Lebesgue measure of the
     intersection of the open interiors and witness is a point well inside it,
-    or (0.0, None).  Uses the Chebyshev centre LP followed by a hull volume.
+    or (0.0, None).  Uses the Chebyshev centre LP followed by a hull volume;
+    an intersection too thin for qhull to build also gives (0.0, None).
     """
     H = np.vstack([halfspaces_of_tet(pa), halfspaces_of_tet(pb)])
     center, radius = _chebyshev_center(H)
     if radius <= tol:
         return 0.0, None
-    vol = ConvexHull(HalfspaceIntersection(H, center).intersections).volume
-    return float(vol), center
+    try:
+        hull = ConvexHull(HalfspaceIntersection(H, center).intersections)
+    except QhullError:
+        return 0.0, None
+    return float(hull.volume), center
 
 
 # the 6 vertex-index pairs of a tetrahedron's edges
@@ -513,39 +518,3 @@ def subdivide_tet(p):
         np.array([m02, m03, m13, m23]),
         np.array([m02, m12, m13, m23]),
     ]
-
-
-def icosphere(subdiv=3):
-    """Vertices of a subdivided icosahedron on the unit sphere.
-
-    subdiv=3 gives 642 vertices.
-    """
-    t = (1.0 + np.sqrt(5.0)) / 2.0
-    verts = np.array([
-        [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
-        [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
-        [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
-    ], dtype=float)
-    verts = normalize(verts)
-    faces = [(0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-             (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-             (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-             (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1)]
-    verts = [tuple(v) for v in verts]
-    index = {v: i for i, v in enumerate(verts)}
-
-    def midpoint(i, j):
-        v = normalize(0.5 * (np.array(verts[i]) + np.array(verts[j])))
-        key = tuple(np.round(v, 12))
-        if key not in index:
-            index[key] = len(verts)
-            verts.append(key)
-        return index[key]
-
-    for _ in range(subdiv):
-        nf = []
-        for i, j, k in faces:
-            a, b, c = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            nf += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
-        faces = nf
-    return normalize(np.array(verts, dtype=float))

@@ -96,6 +96,18 @@ class SimplicialComplex:
     def coordinate_scale(self):
         return float(max(np.ptp(self.points, axis=0).max(), 1e-300))
 
+    def _unit_scale(self):
+        """The power of two that brings the coordinate scale into [1/2, 1).
+        Multiplying by it is exact, and keeps cubed edge lengths and cross
+        products of edge vectors clear of over- and underflow."""
+        return np.ldexp(1.0, -np.frexp(self.coordinate_scale())[1])
+
+    def _scaled_cells(self):
+        """Cell vertex coordinates (m,4,3), centred, so that the plane
+        offsets carry no rounding from a far origin, and unit-scaled."""
+        return (self.points[self.cells] - self.points.mean(axis=0)) \
+            * self._unit_scale()
+
     def locate(self, x, tol=1e-10, extend=False):
         """Cell indices containing points ``x`` (N,3); -1 where outside.
 
@@ -137,8 +149,10 @@ class SimplicialComplex:
     def validate(self):
         """No cell is degenerate, and every two cells meet exactly in the
         subsimplex spanned by their shared vertices.  Only a pair that fails
-        the second test runs the LP overlap test, which picks the message."""
-        D = self._edge_vectors()
+        the second test runs the LP overlap test, which picks the message.
+        Both tests work on unit-scaled coordinates, so they are scale-free."""
+        s = self._unit_scale()
+        D = self._edge_vectors() * s
         edge_len = np.linalg.norm(D, axis=2).max(axis=1)
         degenerate = np.abs(np.linalg.det(D)) < 1e-10 * edge_len ** 3
         if degenerate.any():
@@ -150,11 +164,12 @@ class SimplicialComplex:
         bad = self._nonconforming_pair(self._candidate_pairs(tol), tol)
         if bad is not None:
             a, b = bad
-            vol, _ = geo.convex_interior_overlap(
-                self.cell_points(a), self.cell_points(b), tol=tol)
-            if vol > tol ** 3:
+            P = self._scaled_cells()
+            vol, _ = geo.convex_interior_overlap(P[a], P[b], tol=tol * s)
+            if vol > (tol * s) ** 3:
                 raise IntersectionError(
-                    f"cells {a} and {b} overlap with interior volume {vol:.3e}")
+                    f"cells {a} and {b} overlap with interior volume "
+                    f"{vol * (1 / s) ** 3:.3e}")
             shared = np.intersect1d(self.cells[a], self.cells[b]).tolist()
             raise IntersectionError(
                 f"cells {a} and {b} intersect in a set that is not a "
@@ -163,9 +178,8 @@ class SimplicialComplex:
     def _nonconforming_pair(self, pairs, tol):
         """The first cell pair (a, b) of ``pairs`` that does not meet exactly
         in a common subsimplex, or None."""
-        # centred, so the plane offsets carry no rounding from a far origin
-        P = self.points[self.cells] - self.points.mean(axis=0)
-        planes = geo.halfspaces_of_tet(P)
+        planes = geo.halfspaces_of_tet(self._scaled_cells())
+        tol = tol * self._unit_scale()
         for start in range(0, len(pairs), PAIR_CHUNK):
             chunk = pairs[start:start + PAIR_CHUNK]
             bad = ~_conforming(self.cells, planes, chunk, tol)

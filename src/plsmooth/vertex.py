@@ -4,7 +4,8 @@ Frame convention: the vertex sits at the origin; an already-smoothed map
 ``hat_g`` (faces blended, edges cylindrically extended) is available on the
 shell B(0,2R) \\ B(0,R/2).  The vertex smoother flattens the image of the
 shell onto spheres, untwists the induced sphere map through an isotopy, and
-fills the inner ball with the linear map rho*x.
+fills the inner ball with the linear map rho*x.  The sphere map's degree is
+the Gauss integral of its surface Jacobian (``degree``).
 """
 
 from __future__ import annotations
@@ -40,94 +41,30 @@ class SphereMap:
         return _unit(self.ambient(np.asarray(x, dtype=float)))
 
     def ambient_derivative(self, x):
-        """Derivative of x -> ambient(x)/|ambient(x)| in ambient coordinates."""
+        """The sphere map at x and its derivative, in ambient coordinates,
+        from one ``ambient`` and one ``ambient_jac`` call."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         G = self.ambient(x)
         J = self.ambient_jac(x)
         n = np.linalg.norm(G, axis=-1, keepdims=True)
         mu = G / n
         P = np.eye(3) - mu[:, :, None] * mu[:, None, :]
-        return np.einsum("nij,njk->nik", P, J) / n[:, :, None]
+        return mu, np.einsum("nij,njk->nik", P, J) / n[:, :, None]
 
     def tangent_det(self, x):
         """Jacobian determinant of the surface map in oriented tangent frames."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        mu = self(x)
-        D = self.ambient_derivative(x)
+        mu, D = self.ambient_derivative(x)
         u2, u3 = geo.orthonormal_tangents(x)
         v2, v3 = geo.orthonormal_tangents(mu)
-        T = _tangent_block(D, u2, u3, v2, v3)
+        T = np.stack([v2, v3], axis=-2) @ D @ np.stack([u2, u3], axis=-1)
         return T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
-
-
-def _tangent_block(D, u2, u3, v2, v3):
-    """The 2x2 blocks [[v2.D.u2, v2.D.u3], [v3.D.u2, v3.D.u3]] of the (N,3,3)
-    derivatives D between the tangent frames at x and at its image."""
-    return np.stack([v2, v3], axis=-2) @ D @ np.stack([u2, u3], axis=-1)
 
 
 def linear_sphere_map(M):
     M = np.asarray(M, dtype=float)
     return SphereMap(lambda x: np.atleast_2d(x) @ M.T,
                      lambda x: np.broadcast_to(M, (len(np.atleast_2d(x)), 3, 3)))
-
-
-def _newton_preimages(mu, y, seeds):
-    """Tangent-plane Newton from all seeds as one batch; returns the (k,3)
-    converged points, deduplicated in seed order.
-
-    A seed freezes once its residual is below 1e-12 and stops without a
-    point when its 2x2 tangent system is singular or after 30 iterations.
-    Each iteration makes one ``mu`` and one ``mu.ambient_derivative`` call
-    on the seeds still live.
-    """
-    x = geo.normalize(seeds)
-    v2, v3 = geo.orthonormal_tangents(y)
-    live = np.arange(len(x))
-    converged = np.zeros(len(x), dtype=bool)
-    for _ in range(30):
-        if not len(live):
-            break
-        r = mu(x[live]) - y
-        done = np.linalg.norm(r, axis=-1) < 1e-12
-        converged[live[done]] = True
-        live, r = live[~done], r[~done]
-        if not len(live):
-            break
-        xl = x[live]
-        u2, u3 = geo.orthonormal_tangents(xl)
-        A = _tangent_block(mu.ambient_derivative(xl), u2, u3, v2, v3)
-        b = np.stack([r @ v2, r @ v3], axis=-1)
-        step, solved = _solve_2x2(A, -b)
-        live, xl, step = live[solved], xl[solved], step[solved]
-        u2, u3 = u2[solved], u3[solved]
-        clip = np.linalg.norm(step, axis=-1) > 1.0
-        step[clip] /= np.linalg.norm(step[clip], axis=-1, keepdims=True)
-        x[live] = geo.normalize(xl + step[:, :1] * u2 + step[:, 1:] * u3)
-    cand = x[converged]
-    if len(cand):
-        cand = cand[np.linalg.norm(mu(cand) - y, axis=-1) < 1e-10]
-    found = []
-    for p in cand:
-        if all(np.linalg.norm(q - p) >= 1e-7 for q in found):
-            found.append(p)
-    return np.array(found).reshape(-1, 3)
-
-
-def _solve_2x2(A, b):
-    """Solve the (N,2,2) systems A s = b; returns (s, solved), where
-    ``solved`` is False for the systems LAPACK reports singular."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(A), bool)
-    except np.linalg.LinAlgError:
-        step = np.zeros_like(b)
-        solved = np.ones(len(A), bool)
-        for k in range(len(A)):
-            try:
-                step[k] = np.linalg.solve(A[k], b[k])
-            except np.linalg.LinAlgError:
-                solved[k] = False
-        return step, solved
 
 
 def integral_degree(mu, n_polar=32, n_azimuth=64):
@@ -144,10 +81,14 @@ def integral_degree(mu, n_polar=32, n_azimuth=64):
 
 
 def degree(mu):
-    """Topological degree by signed preimage count at a random regular
-    value, cross-checked against the integral degree at two quadrature
-    orders."""
-    rng = np.random.default_rng(7)
+    """Topological degree of the sphere map ``mu``: the integral degree at
+    two quadrature orders, and at a third when they do not round to one
+    integer; a value that does not round robustly is a CertificationError.
+
+    The integral is the only method.  The vertex ball's isotopy
+    normalize((1 - s) x + s mu(x)) exists exactly when mu(x) != -x for every
+    x, and that alone makes mu homotopic to the identity, hence of degree 1;
+    a preimage count could only add a rejection."""
     coarse = integral_degree(mu, 16, 32)
     fine = integral_degree(mu, 32, 64)
     if abs(fine - round(fine)) > 0.1 or round(fine) != round(coarse):
@@ -155,28 +96,7 @@ def degree(mu):
         if abs(fine - round(fine)) > 0.1:
             raise CertificationError(
                 f"integral degree does not round robustly ({fine})")
-    d_int = int(round(fine))
-    seeds = geo.icosphere(3)
-    for _ in range(5):
-        y = _unit(rng.normal(size=3))
-        pre = _newton_preimages(mu, y, seeds)
-        if not len(pre):
-            continue
-        dets = mu.tangent_det(pre)
-        if np.min(np.abs(dets)) < 1e-8:
-            continue  # y too close to a critical value; re-draw
-        d_count = int(np.sum(np.sign(dets)))
-        if d_count == d_int:
-            return d_int
-        # one refinement retry with a denser seed grid
-        pre = _newton_preimages(mu, y, geo.icosphere(4))
-        dets = mu.tangent_det(pre)
-        if np.min(np.abs(dets)) >= 1e-8 and int(np.sum(np.sign(dets))) == d_int:
-            return d_int
-        raise CertificationError(
-            f"preimage count {int(np.sum(np.sign(dets)))} disagrees with "
-            f"integral degree {d_int}")
-    raise CertificationError("no regular value found for the degree count")
+    return int(round(fine))
 
 
 # ---------------------------------------------------------------------------
@@ -186,44 +106,37 @@ def degree(mu):
 class SphereIsotopy:
     """Normalized linear homotopy between the identity and mu on S^2, with
     time profile s = time_profile.  The build certifies it: the linear
-    interpolant stays away from 0 at 2000 sampled points and 9 times, and
-    mu has degree 1."""
+    interpolant stays away from 0 at 2000 sampled points, and mu has degree
+    1.  For unit x and mu(x) the interpolant is shortest at s = 1/2, where
+    its length is |x + mu(x)|/2, so that one value is tested."""
 
     def __init__(self, mu):
         self.mu = mu
         rng = np.random.default_rng(3)
         pts = _unit(rng.normal(size=(2000, 3)))
-        mv = mu(pts)
-        for t in np.linspace(0.0, 1.0, 9):
-            sv = float(time_profile(t))
-            V = (1.0 - sv) * pts + sv * mv
-            if float(np.min(np.linalg.norm(V, axis=-1))) < 1e-3:
-                raise NoIsotopyFound(
-                    "linear interpolant to the sphere map vanishes; "
-                    "the linear isotopy cannot smooth this vertex")
+        if float(np.min(np.linalg.norm(pts + mu(pts), axis=-1))) / 2 < 1e-3:
+            raise NoIsotopyFound(
+                "linear interpolant to the sphere map vanishes; "
+                "the linear isotopy cannot smooth this vertex")
         if degree(mu) != 1:
             raise NoIsotopyFound("sphere map does not have degree 1")
 
-    def interpolant(self, x, t):
+    def __call__(self, x, t):
+        single = np.asarray(x, dtype=float).ndim == 1
         x = np.atleast_2d(np.asarray(x, dtype=float))
         sv = np.asarray(time_profile(t), dtype=float)
         sv = np.broadcast_to(sv, (len(x),))[:, None]
-        return (1.0 - sv) * x + sv * self.mu(x)
-
-    def __call__(self, x, t):
-        single = np.asarray(x, dtype=float).ndim == 1
-        V = self.interpolant(x, t)
-        out = _unit(V)
+        out = _unit((1.0 - sv) * x + sv * self.mu(x))
         return out[0] if single else out
 
     def derivative(self, x, t):
-        """d/dx and d/dt of Psi at unit vectors x, ambient representation."""
+        """Psi and its d/dx and d/dt at unit vectors x, ambient
+        representation, from one ``mu.ambient_derivative`` call."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         sv = np.broadcast_to(np.asarray(time_profile(t), dtype=float), (len(x),))
         spv = np.broadcast_to(np.asarray(time_profile_prime(t), dtype=float),
                               (len(x),))
-        mv = self.mu(x)
-        Dmu = self.mu.ambient_derivative(x)
+        mv, Dmu = self.mu.ambient_derivative(x)
         V = (1.0 - sv)[:, None] * x + sv[:, None] * mv
         n = np.linalg.norm(V, axis=-1, keepdims=True)
         Psi = V / n
@@ -232,7 +145,7 @@ class SphereIsotopy:
         dPsi_dx = np.einsum("nij,njk->nik", P, DV) / n[:, :, None]
         dV_dt = spv[:, None] * (mv - x)
         dPsi_dt = np.einsum("nij,nj->ni", P, dV_dt) / n
-        return dPsi_dx, dPsi_dt
+        return Psi, dPsi_dx, dPsi_dt
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +275,7 @@ def vertlem_extend(smoother, x):
     nx = np.linalg.norm(x, axis=-1)
     xhat = x / nx[:, None]
     tau = eta((4.0 * nx - 2.0 * R) / R)
-    V = smoother.isotopy.interpolant(xhat, tau)
-    Psi = _unit(V)
-    return (rho * nx)[:, None] * Psi
+    return (rho * nx)[:, None] * smoother.isotopy(xhat, tau)
 
 
 def _vertlem_jac(smoother, x):
@@ -374,8 +285,7 @@ def _vertlem_jac(smoother, x):
     xhat = x / nx[:, None]
     tau = eta((4.0 * nx - 2.0 * R) / R)
     dtau = eta_prime((4.0 * nx - 2.0 * R) / R) * (4.0 / R)
-    Psi = smoother.isotopy(xhat, tau)
-    dPsi_dx, dPsi_dt = smoother.isotopy.derivative(xhat, tau)
+    Psi, dPsi_dx, dPsi_dt = smoother.isotopy.derivative(xhat, tau)
     Dxhat = (np.eye(3) - xhat[:, :, None] * xhat[:, None, :]) / nx[:, None, None]
     total = np.einsum("nij,njk->nik", dPsi_dx, Dxhat) \
         + dPsi_dt[:, :, None] * (dtau[:, None] * xhat)[:, None, :]

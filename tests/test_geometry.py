@@ -254,12 +254,6 @@ def test_subdivide_tet_partition():
     assert np.allclose(vols, 1.0 / 48.0)
 
 
-def test_icosphere():
-    pts = geo.icosphere(3)
-    assert len(pts) == 642
-    assert np.allclose(np.linalg.norm(pts, axis=-1), 1.0, atol=1e-12)
-
-
 def test_rotation_to_e3():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -15,7 +15,8 @@ from plsmooth.builders import (kuhn_cube, kuhn_grid, kuhn_identity,
                                perturbed_kuhn_map, single_tet, subdivided_tet,
                                subdivided_tet_map, two_tet, two_tet_map)
 from plsmooth.errors import (ContinuityError, DegenerateSimplexError,
-                             DomainError, IntersectionError, NonInjectiveError,
+                             DomainError, IntersectionError,
+                             InvalidInputError, NonInjectiveError,
                              OrientationError, ParseError)
 from plsmooth.geometry import barycentric, tet_volume
 from plsmooth.mesh import (PLMap, SimplicialComplex, edge_fans, face_pairs,
@@ -462,3 +463,36 @@ def test_small_grid_far_from_origin_validates(shift):
     # carry the rounding of the far origin
     cx = kuhn_grid(2, 1, 1)
     SimplicialComplex(1e-3 * cx.points + np.array(shift), cx.cells)
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e-60, 1e60, 1e120])
+def test_validate_is_scale_free(scale):
+    # cubed edge lengths and unit facet normals of the raw coordinates over-
+    # or underflow at these scales; validation works on unit-scaled ones
+    cx = kuhn_cube()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        SimplicialComplex(cx.points * scale, cx.cells)
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1.0, 1e120])
+def test_overlap_rejected_at_any_scale(scale):
+    cx = kuhn_cube()
+    pts = np.vstack([cx.points, [0.3, 0.3, 0.3]])
+    cells = np.vstack([cx.cells, [0, 1, 2, 8]])
+    with pytest.raises(IntersectionError):
+        SimplicialComplex(pts * scale, cells)
+
+
+@pytest.mark.parametrize("a", [1e-9, 1e-6, 1e-4, 1e-2])
+def test_perturbed_grids_validate_or_raise_typed_error(a):
+    # qhull cannot build some of the near-degenerate intersections the LP
+    # overlap test meets here (seeds 1, 2 and 5 at 1e-9); whether each grid
+    # is accepted is ROADMAP item 2, not asserted
+    grid = kuhn_grid(2, 2, 2)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        try:
+            SimplicialComplex(
+                grid.points + rng.uniform(-a, a, grid.points.shape), grid.cells)
+        except InvalidInputError:
+            pass

@@ -6,12 +6,13 @@ import pytest
 import scipy.optimize
 import scipy.spatial
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
 from plsmooth import geometry as geo
 from plsmooth.builders import (kuhn_identity, perturbed_kuhn_map,
                                subdivided_tet_map, two_tet_map)
-from plsmooth.errors import ParameterError
-from plsmooth.mesh import FacePair, face_pairs
+from plsmooth.errors import ConstructionError, ParameterError
+from plsmooth.mesh import FacePair, face_pairs, pl_map_from_vertex_images
 from plsmooth.pipeline import (SWEEP_COLUMNS, FacePatch, SmoothingParams,
                                assemble, choose_params, format_table,
                                lambda_sweep)
@@ -518,3 +519,28 @@ def test_two_tet_slab_only_volume_exact():
     vol = g.volume_difference_set()
     pts, wts = g.difference_quadrature()
     assert abs(wts.sum() - vol) < 1e-10 * max(vol, 1e-30)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the linear sphere "
+                   "isotopy assumes mu is near the identity")
+@pytest.mark.parametrize("axis", [(1, 1, 1), (1, 0, 0), (0, 1, 0), (1, 2, 3)])
+def test_rotated_vertex_ball_is_diffeomorphic_or_rejected(axis):
+    # subdivided_tet_map followed by a rotation by pi is a valid,
+    # sense-preserving map whose sphere map reaches mu(x) = -x; the ball
+    # must be rejected or have det Dg > 0 on its untwist shell
+    base = subdivided_tet_map()
+    cx = base.complex
+    Q = Rotation.from_rotvec(
+        np.pi * np.asarray(axis) / np.linalg.norm(axis)).as_matrix()
+    pl = pl_map_from_vertex_images(cx, base(cx.points) @ Q.T)
+    try:
+        g = assemble(pl, choose_params(pl))
+    except ConstructionError:
+        return
+    (vp,) = g.vertex_patches
+    rng = np.random.default_rng(0)
+    u = rng.normal(size=(20000, 3))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    x = vp.V + u * (vp.R * rng.uniform(0.5, 0.75, 20000))[:, None]
+    assert np.all(np.linalg.det(g.derivative(x)) > 0)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from plsmooth import geometry as geo
+from plsmooth.builders import subdivided_tet_map
 from plsmooth.errors import NoIsotopyFound
+from plsmooth.pipeline import assemble, choose_params
 from plsmooth.vertex import (SphereIsotopy, SphereMap, VertexSmoother,
-                             _newton_preimages, degree, integral_degree,
-                             linear_sphere_map)
+                             degree, integral_degree, linear_sphere_map)
 
 
 def test_degree_identity():
@@ -153,7 +154,7 @@ def test_sphere_map_tangent_det_sign():
 
 
 # ---------------------------------------------------------------------------
-# batched degree certification against the per-point reference
+# batched sphere-map kernels against the per-point reference
 
 
 def _ref_tangents(n):
@@ -164,41 +165,9 @@ def _ref_tangents(n):
     return t2, np.cross(n, t2)
 
 
-def _ref_newton_preimages(mu, y, seeds, tol=1e-12, max_iter=30):
-    """Scalar Newton, one seed and one point per sphere-map call."""
-    found = []
-    for x in seeds:
-        x = x / np.linalg.norm(x)
-        ok = False
-        for _ in range(max_iter):
-            r = mu(x[None])[0] - y
-            if np.linalg.norm(r) < tol:
-                ok = True
-                break
-            u2, u3 = _ref_tangents(x)
-            D = mu.ambient_derivative(x[None])[0]
-            v2, v3 = _ref_tangents(y)
-            A = np.array([[v2 @ D @ u2, v2 @ D @ u3],
-                          [v3 @ D @ u2, v3 @ D @ u3]])
-            b = np.array([v2 @ r, v3 @ r])
-            try:
-                step = np.linalg.solve(A, -b)
-            except np.linalg.LinAlgError:
-                break
-            if np.linalg.norm(step) > 1.0:
-                step = step / np.linalg.norm(step)
-            x = x + step[0] * u2 + step[1] * u3
-            x = x / np.linalg.norm(x)
-        if ok and np.linalg.norm(mu(x[None])[0] - y) < 1e-10:
-            if all(np.linalg.norm(p - x) >= 1e-7 for p in found):
-                found.append(x)
-    return found
-
-
 def _ref_tangent_det(mu, x):
     """Per-point loop over oriented tangent frames."""
-    m = mu(x)
-    D = mu.ambient_derivative(x)
+    m, D = mu.ambient_derivative(x)
     out = np.empty(len(x))
     for k in range(len(x)):
         u2, u3 = _ref_tangents(x[k])
@@ -235,30 +204,6 @@ def _squaring_sphere_map():
 def _random_unit(rng, n):
     u = rng.normal(size=(n, 3))
     return u / np.linalg.norm(u, axis=-1, keepdims=True)
-
-
-def test_degree_two_batched_preimages_match_scalar():
-    sm = _squaring_sphere_map()
-    assert degree(sm) == 2
-    seeds = geo.icosphere(2)  # holds both critical poles
-    for y in _random_unit(np.random.default_rng(8), 2):
-        pre = _newton_preimages(sm, y, seeds)
-        ref = np.array(_ref_newton_preimages(sm, y, seeds))
-        assert pre.shape == ref.shape == (2, 3)
-        assert np.max(np.abs(pre - ref)) < 1e-10
-
-
-def test_newton_seed_at_critical_pole_stops():
-    # the tangent system at the pole is exactly zero, so that seed stops
-    # while the rest of the batch goes on
-    sm = _squaring_sphere_map()
-    y = _random_unit(np.random.default_rng(9), 1)[0]
-    pole = np.array([[0.0, 0.0, 1.0]])
-    assert _newton_preimages(sm, y, pole).shape == (0, 3)
-    seeds = np.vstack([pole, geo.icosphere(2)])
-    pre = _newton_preimages(sm, y, seeds)
-    assert len(pre) == 2
-    assert np.array_equal(pre, _newton_preimages(sm, y, seeds[1:]))
 
 
 def test_vectorised_frames_match_per_point():
@@ -298,11 +243,53 @@ class _CountingSphereMap(SphereMap):
 
 
 def test_degree_sphere_call_count():
-    # the batched Newton makes a few calls per iteration, not a few per
-    # seed and iteration (about 24k calls with one point each)
+    # each integral degree makes one sphere-map call; the preimage count
+    # that cross-checked it made about 65 more
     rng = np.random.default_rng(0)
     A = np.eye(3) + 0.4 * rng.normal(size=(3, 3))
-    sm = linear_sphere_map(A)
-    counting = _CountingSphereMap(sm.ambient, sm.ambient_jac)
-    assert degree(counting) == 1
-    assert counting.calls <= 200
+    for sm, want in ((linear_sphere_map(A), 1), (_squaring_sphere_map(), 2)):
+        counting = _CountingSphereMap(sm.ambient, sm.ambient_jac)
+        assert degree(counting) == want
+        assert counting.calls <= 3
+
+
+def test_vertex_ball_build_sphere_call_count(monkeypatch):
+    # building the subdivided_tet_map ball made 68 sphere-map calls with the
+    # preimage count; the antipodality sample and the two integral degrees
+    # need 3
+    calls = []
+
+    def counted(method):
+        def wrapper(self, x):
+            calls.append(method.__name__)
+            return method(self, x)
+        return wrapper
+
+    for method in (SphereMap.__call__, SphereMap.ambient_derivative):
+        monkeypatch.setattr(SphereMap, method.__name__, counted(method))
+    pl = subdivided_tet_map()
+    assert len(assemble(pl, choose_params(pl)).vertex_patches) == 1
+    assert len(calls) < 68
+    assert len(calls) == 3
+
+
+def test_untwist_jacobian_evaluates_hat_g_once():
+    # one hat_g and one hat_g_jac call give Psi, mu and its derivative on
+    # the untwist shell; evaluating them apart took 3 hat_g calls
+    rng = np.random.default_rng(12)
+    A = np.eye(3) + 0.15 * rng.normal(size=(3, 3))
+    calls = {"hat_g": 0, "hat_g_jac": 0}
+
+    def hat_g(x):
+        calls["hat_g"] += 1
+        return np.atleast_2d(x) @ A.T
+
+    def hat_g_jac(x):
+        calls["hat_g_jac"] += 1
+        return np.broadcast_to(A, (len(np.atleast_2d(x)), 3, 3)).copy()
+
+    vs = VertexSmoother(hat_g, hat_g_jac, 1.0)
+    x = _random_unit(rng, 50) * rng.uniform(0.5, 0.74, 50)[:, None]
+    calls.update(hat_g=0, hat_g_jac=0)
+    vs.jacobian(x)
+    assert calls == {"hat_g": 1, "hat_g_jac": 1}
