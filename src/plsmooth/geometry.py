@@ -183,15 +183,10 @@ def tet_volume(p):
 
 
 def barycentric(p, x):
-    """Barycentric coordinates of points ``x`` (N,3) in tetrahedron ``p`` (4,3)."""
+    """Barycentric coordinates (N,4) of points ``x`` (N,3) in tetrahedron
+    ``p`` (4,3)."""
     p = np.asarray(p, dtype=float)
-    return barycentric_inv(np.atleast_2d(x) - p[0], inv3(p[1:] - p[0]))
-
-
-def barycentric_inv(d, Dinv):
-    """Barycentric coordinates (N,4) of the points p0 + d, d (N,3), in a
-    tetrahedron with vertex p0 and rows p_i - p0 of inverse ``Dinv``."""
-    lam = d @ Dinv
+    lam = (np.atleast_2d(x) - p[0]) @ inv3(p[1:] - p[0])
     return np.hstack([1.0 - lam.sum(axis=1, keepdims=True), lam])
 
 

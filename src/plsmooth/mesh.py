@@ -111,35 +111,35 @@ class SimplicialComplex:
     def locate(self, x, tol=1e-10, extend=False):
         """Cell indices containing points ``x`` (N,3); -1 where outside.
 
-        The first cell whose barycentric coordinates are all >= -tol wins.
-        With ``extend`` a point outside every cell gets the least-violated
-        cell instead: the one whose smallest barycentric coordinate is
-        largest, the first such cell on a tie."""
+        One pass over the cells, testing each point by its smallest
+        barycentric coordinate (the arithmetic of
+        :func:`geometry.barycentric`).  A point takes the first cell that
+        contains it exactly (smallest coordinate >= 0) and drops out of the
+        pass there; otherwise the first cell within ``tol``; otherwise, with
+        ``extend``, the least-violated cell, whose smallest coordinate is
+        largest (the first on a tie); otherwise -1."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.full(len(x), -1, dtype=int)
+        # the smallest coordinate clipped at -tol, so that every cell within
+        # tol ties and the first of them stays the best
+        best = np.full(len(x), -np.inf)
         todo = np.arange(len(x))
         for ci in range(self.n_cells):
             if len(todo) == 0:
                 break
-            lam = self._barycentric(ci, x[todo])
-            inside = (lam >= -tol).all(axis=1)
-            out[todo[inside]] = ci
+            lam = (x.take(todo, axis=0) - self._p0[ci]) @ self._edge_inv[ci]
+            l1, l2, l3 = lam.T
+            low = np.minimum(np.minimum(1.0 - (l1 + l2 + l3), l1),
+                             np.minimum(l2, l3))
+            score = np.minimum(low, -tol)
+            better = score > best.take(todo)
+            best[todo[better]] = score[better]
+            inside = low >= 0
+            out[todo[better | inside]] = ci
             todo = todo[~inside]
-        if extend and len(todo):
-            best = np.zeros(len(todo), dtype=int)
-            violation = np.full(len(todo), np.inf)
-            for ci in range(self.n_cells):
-                v = -self._barycentric(ci, x[todo]).min(axis=1)
-                better = v < violation
-                best[better] = ci
-                violation[better] = v[better]
-            out[todo] = best
+        if not extend:
+            out[todo[best[todo] < -tol]] = -1
         return out
-
-    def _barycentric(self, ci, x):
-        """Barycentric coordinates of points ``x`` in cell ``ci``, with the
-        arithmetic of :func:`geometry.barycentric`."""
-        return geo.barycentric_inv(x - self._p0[ci], self._edge_inv[ci])
 
     def contains(self, x):
         return self.locate(x) >= 0
@@ -287,22 +287,25 @@ class PLMap:
         return SimplicialComplex(imgpts, cells, validate=False)
 
     def inverse_pl(self, y, tol=1e-9, extend=False):
-        """Piecewise affine inverse by point location in the image cells.
+        """Piecewise affine inverse: locate ``y`` among the image cells, by
+        the rule of :meth:`SimplicialComplex.locate`, and apply the stored
+        inverse of that cell's piece.  Returns the preimages and the cells.
 
         With ``extend`` image points that fall (slightly) outside the image
         mesh use the least-violated cell instead of raising."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        ci = self._image_cached().locate(y, tol=tol, extend=extend)
+        img, invs = self.inverse_pieces()
+        ci = img.locate(y, tol=tol, extend=extend)
         if np.any(ci < 0):
             raise NonInjectiveError("point outside the image mesh")
-        M = self.matrices[ci]
-        c = self.offsets[ci]
-        return np.linalg.solve(M, (y - c)[..., None])[..., 0], ci
+        return np.einsum("nij,nj->ni", invs[ci], y - self.offsets[ci]), ci
 
-    def _image_cached(self):
-        if not hasattr(self, "_image"):
-            self._image = self.image_complex()
-        return self._image
+    def inverse_pieces(self):
+        """The image complex and the inverse matrix of every piece (m,3,3),
+        built on the first call and kept."""
+        if not hasattr(self, "_inverse"):
+            self._inverse = self.image_complex(), geo.inv3(self.matrices)
+        return self._inverse
 
     def to_dict(self):
         d = self.complex.to_dict()
@@ -342,7 +345,8 @@ def validate_pl_homeo(plmap):
     Injectivity is audited on the image cells: the candidate pairs of
     :meth:`SimplicialComplex._candidate_pairs`, then an LP interior-overlap
     test on each, then the exact conformity check of complex validation,
-    which also rejects image cells that touch outside a common face.
+    which also rejects image cells that touch outside a common face.  Both
+    run on unit-scaled image coordinates, so the audit is scale-free.
     """
     cx = plmap.complex
     scale = cx.coordinate_scale()
@@ -371,17 +375,18 @@ def validate_pl_homeo(plmap):
             f"pieces disagree at vertex {int(np.argmax(spread))} "
             f"(residual {resid:.3e})")
 
-    # injectivity of the image cells
+    # injectivity of the image cells, the LP on unit-scaled coordinates
     img = plmap.image_complex()
     gtol = 1e-10 * scale
     pairs = img._candidate_pairs(gtol)
+    s = img._unit_scale()
+    P = img._scaled_cells()
     for a, b in pairs.tolist():
-        vol, witness = geo.convex_interior_overlap(
-            img.cell_points(a), img.cell_points(b), tol=gtol)
-        if vol > gtol ** 3:
+        vol, witness = geo.convex_interior_overlap(P[a], P[b], tol=gtol * s)
+        if vol > (gtol * s) ** 3:
+            witness = witness / s + img.points.mean(axis=0)
             raise NonInjectiveError(
-                f"image cells overlap near {np.asarray(witness)}; "
-                f"map is not injective")
+                f"image cells overlap near {witness}; map is not injective")
     bad = img._nonconforming_pair(pairs, gtol)
     if bad is not None:
         raise NonInjectiveError(

@@ -653,7 +653,7 @@ def lambda_sweep(plmap, params, lambdas=(1.0, 0.5, 0.25, 0.125, 0.0625),
     from .norms import linf_difference
     rows = []
     piece_norms = geo.spectral_norm(plmap.matrices)
-    piece_invs = geo.inv3(plmap.matrices)
+    piece_invs = plmap.inverse_pieces()[1]
     piece_inv_norms = geo.spectral_norm(piece_invs)
     for lam in lambdas:
         g = assemble(plmap, params.scaled(lam))

@@ -118,15 +118,35 @@ def test_locate_is_scale_free(scale):
     assert np.array_equal(far.locate(x * scale, extend=True), cells)
 
 
+def test_locate_prefers_exact_containment():
+    # kuhn_cube cells 4 (y >= x >= z) and 5 (x >= y >= z) share the face
+    # x = y and hold the bottom face z = 0; their barycentric coordinates
+    # here are differences of coordinates
+    cx = kuhn_cube()
+    assert sorted(cx.cells[4]) == [0, 2, 6, 7]
+    assert sorted(cx.cells[5]) == [0, 4, 6, 7]
+    x = np.array([
+        [0.5, 0.5 - 3e-11, 0.25],   # in cell 5, 3e-11 outside cell 4
+        [0.5, 0.5, 0.25],           # on the shared face: the first cell
+        [0.5, 0.5 - 8e-11, -5e-11],  # outside, within tol of both cells
+        [0.5, 0.5 - 8e-10, -5e-10],  # outside, beyond tol of every cell
+        [0.5, 0.5, -5e-10],         # ... and equally far from cells 4 and 5
+    ])
+    assert cx.locate(x).tolist() == [5, 4, 4, -1, -1]
+    assert cx.locate(x, extend=True).tolist() == [5, 4, 4, 5, 4]
+    assert cx.contains(x).tolist() == [True, True, True, False, False]
+
+
 def _brute_force_locate(cx, x, tol=1e-10):
     """Reference for locate, from geometry.barycentric one cell at a time:
-    the first cell whose barycentric coordinates are all >= -tol, else -1;
-    and the same with the least-violated cell, the first on a tie, in place
-    of -1."""
+    the first cell whose barycentric coordinates are all >= 0, else the
+    first whose coordinates are all >= -tol, else -1; and the same with the
+    least-violated cell, the first on a tie, in place of -1."""
     low = np.array([barycentric(cx.cell_points(c), x).min(axis=1)
                     for c in range(cx.n_cells)])
-    inside = low >= -tol
-    first = np.where(inside.any(axis=0), np.argmax(inside, axis=0), -1)
+    exact, near = low >= 0, low >= -tol
+    first = np.where(exact.any(axis=0), np.argmax(exact, axis=0),
+                     np.where(near.any(axis=0), np.argmax(near, axis=0), -1))
     return first, np.where(first >= 0, first, np.argmax(low, axis=0))
 
 
@@ -197,6 +217,26 @@ def test_validate_rejects_fold_with_witness():
     with pytest.raises((NonInjectiveError, OrientationError)) as exc:
         validate_pl_homeo(pl)
     assert exc.value.args  # carries a witness message
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e-60, 1.0, 1e60, 1e120])
+def test_validate_pl_homeo_is_scale_free(scale):
+    cx = kuhn_cube()
+    eye = np.broadcast_to(np.eye(3), (7, 3, 3))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rep = validate_pl_homeo(PLMap(
+            SimplicialComplex(cx.points * scale, cx.cells), eye[:6],
+            np.zeros((6, 3))))
+    assert rep.injective
+    # a seventh cell, apart from the cube, translated into it by its piece
+    pts = np.vstack([cx.points, [[3.2, 0.2, 0.2], [3.6, 0.2, 0.2],
+                                 [3.2, 0.6, 0.2], [3.2, 0.2, 0.6]]])
+    offsets = np.zeros((7, 3))
+    offsets[6, 0] = -3.0
+    cells = np.vstack([cx.cells, [8, 9, 10, 11]])
+    pl = PLMap(SimplicialComplex(pts * scale, cells), eye, offsets * scale)
+    with pytest.raises(NonInjectiveError, match="overlap near"):
+        validate_pl_homeo(pl)
 
 
 def test_orientation_mixed_rejected():
@@ -321,6 +361,23 @@ def test_inverse_pl_roundtrip():
     y = pl(x)
     xb, _ = pl.inverse_pl(y)
     assert np.max(np.linalg.norm(x - xb, axis=-1)) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1.0, 1e120])
+def test_inverse_pl_matches_linear_solve(scale):
+    # the stored inverse pieces against LAPACK on the cells inverse_pl picks;
+    # scaling the images scales every matrix, and so its inverse, by 1/scale
+    grid = kuhn_grid(2, 2, 2)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        images = grid.points + rng.uniform(-0.05, 0.05, grid.points.shape)
+        pl = pl_map_from_vertex_images(grid, images * scale)
+        x = rng.uniform(0.0, 2.0, size=(400, 3))
+        y = pl(x)
+        xb, ci = pl.inverse_pl(y, extend=True)
+        ref = np.linalg.solve(pl.matrices[ci],
+                              (y - pl.offsets[ci])[..., None])[..., 0]
+        assert np.max(np.abs(xb - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_degenerate_cell_message_names_first_cell():

@@ -479,6 +479,23 @@ def test_inverse_roundtrip_with_vertex_ball(subdiv_setup):
     assert np.max(np.linalg.norm(xb - pts, axis=-1)) < 1e-11 * g.scale
 
 
+@pytest.mark.parametrize("depth", [5e-11, 2e-10, 1e-9])
+def test_inverse_roundtrip_just_across_a_kinked_face(depth):
+    # the pieces agree on z = 0 and the lower cell (index 1) is squeezed
+    # fourfold, so its slab lies in the upper cell (index 0).  At depth 2e-10
+    # x lies beyond the locate tol of cell 0, but its image y lies only 5e-11
+    # outside image cell 0.  Taking the first image cell within tol would
+    # start Newton at f_0^-1(y), within tol of cell 0, where g equals y
+    # exactly, and stop 1.5e-10 from x; exact containment comes first.
+    pl = two_tet_map(np.diag([1.0, 1.0, 0.25]), np.eye(3))
+    g = assemble(pl, choose_params(pl))
+    assert [fp.pair.cell_pos for fp in g.face_patches] == [0]
+    x = np.array([[0.3, 0.3, -depth]])
+    assert not g.face_patches[0].mask(x)[0]
+    xb = g.inverse(g.evaluate(x))
+    assert np.max(np.linalg.norm(xb - x, axis=-1)) <= 1e-12 * g.scale
+
+
 # ---------------------------------------------------------------------------
 # the sweep
 
