@@ -29,6 +29,6 @@ from .norms import (RINorm, StepFunction, linf_difference, parse_norm,
 from .pipeline import (SmoothedMap, SmoothingParams, assemble, choose_params,
                        format_table, lambda_sweep)
 from .vertex import (SphereIsotopy, SphereMap, VertexSmoother, degree,
-                     integral_degree, star_flatten, vertlem_extend)
+                     integral_degree)
 
 __version__ = "0.1.0"

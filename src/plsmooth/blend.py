@@ -1,8 +1,11 @@
-"""Smooth step profile and the elementary face-blending map.
+"""Smooth step profile, the radial stage split and the elementary
+face-blending map.
 
 The blend replaces a piecewise affine map, given by two affine pieces that
 agree on the plane {y1 = 0} of a face frame, with a convex combination
-inside the strip 0 < y1 < w.  All derivatives are analytic.
+inside the strip 0 < y1 < w.  All derivatives are analytic.  The edge
+cylinder and the vertex ball are each a sequence of radial stages, split
+by ``radial_stages``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,32 @@ def time_profile_prime(t):
     return 3.0 * eta_prime(3.0 * np.asarray(t, dtype=float) - 1.0)
 
 
+def radial_stages(stages, parts, size, rad, cols, jac):
+    """One pass of a map made of radial stages: its value (N,3) and, when
+    ``jac``, its Jacobian (N,3,3), else None, at points of radius ``rad``.
+
+    ``stages`` lists (k, stage) from the centre out.  Stage k holds the
+    points with k/parts size <= rad < k'/parts size, k' the next stage's k,
+    the last stage the rest.  It is called once, as stage(*rows, s, jac),
+    on its points' rows of the per-point arrays ``cols`` (the points
+    first) and its band coordinate s = (parts rad - k size) / size, which
+    runs from 0 to 1 across a band one part wide, and returns its value and
+    Jacobian (None without ``jac``)."""
+    x = cols[0]
+    out = np.empty_like(x)
+    J = np.empty((len(x), 3, 3)) if jac else None
+    region = np.searchsorted([k / parts * size for k, _ in stages[1:]], rad,
+                             side="right")
+    for i, (k, stage) in enumerate(stages):
+        m = region == i
+        if np.any(m):
+            out[m], Jm = stage(*(c[m] for c in cols),
+                               (parts * rad[m] - k * size) / size, jac)
+            if jac:
+                J[m] = Jm
+    return out, J
+
+
 # ---------------------------------------------------------------------------
 # face blending
 
@@ -90,7 +119,21 @@ class FaceBlend:
 def face_blend(blend, x):
     """Evaluate the blended map at points ``x`` (N,3) or a single point."""
     single = np.asarray(x, dtype=float).ndim == 1
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = blend_pass(blend, np.atleast_2d(np.asarray(x, dtype=float)),
+                     False)[0]
+    return out[0] if single else out
+
+
+def face_blend_jacobian(blend, x):
+    """Analytic Jacobian of the blended map, shape (N,3,3)."""
+    single = np.asarray(x, dtype=float).ndim == 1
+    J = blend_pass(blend, np.atleast_2d(np.asarray(x, dtype=float)), True)[1]
+    return J[0] if single else J
+
+
+def blend_pass(blend, x, jac):
+    """The blended map at points ``x`` (N,3) and, when ``jac``, its analytic
+    Jacobian (N,3,3), else None: one pass over the strip coordinate."""
     y = blend.local(x)
     w = blend.width
     u = y[:, 0] / w
@@ -103,28 +146,16 @@ def face_blend(blend, x):
     off_pos = y[:, 0] >= w
     out[off_neg] = neg[off_neg]
     out[off_pos] = pos[off_pos]
-    return out[0] if single else out
-
-
-def face_blend_jacobian(blend, x):
-    """Analytic Jacobian of the blended map, shape (N,3,3)."""
-    single = np.asarray(x, dtype=float).ndim == 1
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = blend.local(x)
-    w = blend.width
-    u = y[:, 0] / w
-    e = eta(u)
-    ep = eta_prime(u)
-    neg = x @ blend.M_neg.T + blend.c_neg
-    pos = x @ blend.M_pos.T + blend.c_pos
-    diff = pos - neg
+    if not jac:
+        return out, None
     # grad of u = y1/w in world coordinates
     gradu = (1.0 / w) * blend.frame_R[0]
     J = (1.0 - e)[:, None, None] * blend.M_neg[None] + e[:, None, None] * blend.M_pos[None]
-    J = J + ep[:, None, None] * diff[:, :, None] * gradu[None, None, :]
-    J[y[:, 0] <= 0.0] = blend.M_neg
-    J[y[:, 0] >= w] = blend.M_pos
-    return J[0] if single else J
+    J = J + eta_prime(u)[:, None, None] * (pos - neg)[:, :, None] \
+        * gradu[None, None, :]
+    J[off_neg] = blend.M_neg
+    J[off_pos] = blend.M_pos
+    return out, J
 
 
 def normal_stretches(M_neg, M_pos, n, t2, t3):

@@ -18,19 +18,14 @@ import sys
 import numpy as np
 
 from . import geometry as geo
-from .errors import (CertificationError, ConstructionError, ContinuityError,
-                     DegenerateSimplexError, DomainError, IntersectionError,
-                     InvalidInputError, NoIsotopyFound, NonInjectiveError,
-                     OrientationError, ParameterError, ParseError)
+from .errors import (CertificationError, ConstructionError, DomainError,
+                     InvalidInputError, ParameterError, ParseError)
 from .mesh import PLMap, load_complex, validate_pl_homeo
 from .norms import parse_norm, rozumny_check
 from .pipeline import (assemble, choose_params, format_table, lambda_sweep)
 
-_VALIDATION_ERRORS = (InvalidInputError, DegenerateSimplexError,
-                      IntersectionError, ContinuityError, OrientationError,
-                      NonInjectiveError, DomainError)
-_CERTIFICATION_ERRORS = (CertificationError, ConstructionError,
-                         NoIsotopyFound, ParameterError)
+_VALIDATION_ERRORS = (InvalidInputError, DomainError)
+_CERTIFICATION_ERRORS = (CertificationError, ConstructionError, ParameterError)
 
 
 def _load_map(path):

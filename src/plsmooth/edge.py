@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .blend import (FaceBlend, eta, eta_prime, face_blend,
-                    face_blend_jacobian, face_floor, normal_stretches,
-                    time_profile, time_profile_prime)
+from .blend import (FaceBlend, blend_pass, eta, eta_prime, face_floor,
+                    normal_stretches, radial_stages, time_profile,
+                    time_profile_prime)
 from .errors import (ConstructionError, InvalidInputError, ParameterError)
 from .mesh import EdgeFan, min_gap_and_trivial, pieces_agree
 
@@ -127,34 +127,52 @@ def wedge_map(fan, blends, x):
     from ray_blends (valid for x1^2+x2^2 >= (r/4)^2 if the width condition
     holds there)."""
     single = np.asarray(x, dtype=float).ndim == 1
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = fan_map(fan, x)
-    for blend, mask in _ray_slabs(blends, x):
-        out[mask] = face_blend(blend, x[mask])
+    out = _wedge(fan, blends, np.atleast_2d(np.asarray(x, dtype=float)),
+                 False)[0]
     return out[0] if single else out
 
 
 def wedge_jacobian(fan, blends, x):
     single = np.asarray(x, dtype=float).ndim == 1
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = _sector_pieces(fan, x)
+    J = _wedge(fan, blends, np.atleast_2d(np.asarray(x, dtype=float)),
+               True)[1]
+    return J[0] if single else J
+
+
+def _wedge(fan, blends, x, jac):
+    """The wedge map at points ``x`` (N,3) and, when ``jac``, its Jacobian
+    (N,3,3), else None, from one ray-slab pass."""
+    A = _sector_pieces(fan, x)
+    out = np.einsum("nij,nj->ni", A, x)
     for blend, mask in _ray_slabs(blends, x):
-        out[mask] = face_blend_jacobian(blend, x[mask])
-    return out[0] if single else out
+        out[mask], Jb = blend_pass(blend, x[mask], jac)
+        if jac:
+            A[mask] = Jb
+    return out, (A if jac else None)
 
 
 # ---------------------------------------------------------------------------
 # the cylindrical extension
 
 
+# The cylinder's regions from the axis out, each from its inner radius in
+# fifths of the cylinder radius r: the linear core, the untwist ring, the
+# squeeze band, whose inner circle is the squeeze circle, the flattening
+# band and the wedge.
+_FIFTHS = 5
+_UNTWIST, _SQUEEZE, _FLATTEN, _OUTER = 2, 3, 4, 5
+
+
 @dataclass
 class EdgeSmoother:
     """Wedge map plus its extension inside the cylinder of radius r.
 
-    The annuli fractions are fixed at (2/5, 3/5, 4/5, 1) of r: flatten on
+    The regions are bounded at (2/5, 3/5, 4/5, 1) of r: flatten on
     [4r/5, r], squeeze on [3r/5, 4r/5], untwist on [2r/5, 3r/5], and the
     linear map diag(rho, rho, lam) inside (the untwist time profile is flat
-    near its ends, so the map is already linear for t <= 7r/15).
+    near its ends, so the map is already linear for t <= 7r/15).  One pass
+    over the regions serves ``evaluate`` and ``jacobian``; each stage gives
+    its value and Jacobian together.
     """
 
     fan: EdgeFan
@@ -184,20 +202,10 @@ class EdgeSmoother:
     # Every piece maps e3 to (0, 0, lam), so the horizontal image of the
     # wedge does not depend on x3: it is evaluated over the plane x3 = 0.
 
-    def _G(self, t, theta):
-        """Horizontal image components of the wedge."""
-        t = np.asarray(t, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        t, theta = np.broadcast_arrays(t, theta)
-        pts = np.stack([t * np.cos(theta), t * np.sin(theta),
-                        np.zeros_like(t)], axis=-1)
-        vals = wedge_map(self.fan, self.blends, pts.reshape(-1, 3))
-        return vals.reshape(t.shape + (3,))[..., :2]
-
     def _setup_planar(self):
         r = self.radius
         thg = np.linspace(-np.pi, np.pi, 2049)
-        G0, dG0 = self._circle(thg)
+        G0, dG0 = self._circle(thg, True)
         raw = np.unwrap(np.arctan2(G0[:, 1], G0[:, 0]))
         if abs((raw[-1] - raw[0]) - 2 * np.pi) > 1e-6:
             raise ConstructionError(
@@ -209,10 +217,11 @@ class EdgeSmoother:
         psi[-1] = psi[0]
         self._psi_ref = CubicSpline(thg, psi, bc_type="periodic")
         # squeeze stretch rho: images of all relevant circles stay outside
-        tg = np.linspace(r / 4.0, r, 13)
-        T, TH = np.meshgrid(tg, np.linspace(-np.pi, np.pi, 1024),
-                            indexing="ij")
-        vals = np.linalg.norm(self._G(T, TH), axis=-1)
+        T, TH = np.meshgrid(np.linspace(r / 4.0, r, 13),
+                            np.linspace(-np.pi, np.pi, 1024), indexing="ij")
+        T = T.ravel()
+        G = _wedge(self.fan, self.blends, _foot(T, TH.ravel()), False)[0]
+        vals = np.linalg.norm(G[:, :2], axis=-1)
         # stretch ratio: t*rho <= 0.9 |G(t,theta)| pointwise on the annulus
         self.rho = 0.9 * float(np.min(vals / T))
         if self.rho <= 0:
@@ -223,16 +232,15 @@ class EdgeSmoother:
             raise ConstructionError(
                 "squeeze circle map is not orientation preserving")
 
-    def _circle(self, theta):
+    def _circle(self, theta, jac):
         """The squeeze circle t0 = 3r/5: the wedge's horizontal image G0
-        there and its derivative dG0/dtheta, each (N, 2)."""
-        t0 = 0.6 * self.radius
-        c, s, z = t0 * np.cos(theta), t0 * np.sin(theta), np.zeros_like(theta)
-        p0 = np.stack([c, s, z], axis=-1)
-        G0 = wedge_map(self.fan, self.blends, p0)[:, :2]
-        Jw = wedge_jacobian(self.fan, self.blends, p0)
-        dG0 = np.einsum("nij,nj->ni", Jw, np.stack([-s, c, z], axis=-1))
-        return G0, dG0[:, :2]
+        there and, when ``jac``, its derivative dG0/dtheta, each (N, 2)."""
+        p0 = _foot(_SQUEEZE / _FIFTHS * self.radius, theta)
+        G0, Jw = _wedge(self.fan, self.blends, p0, jac)
+        if not jac:
+            return G0[:, :2], None
+        tangent = np.stack([-p0[:, 1], p0[:, 0], np.zeros(len(p0))], axis=-1)
+        return G0[:, :2], np.einsum("nij,nj->ni", Jw, tangent)[:, :2]
 
     def _H(self, theta, G0):
         """Exact lift of the squeeze circle map at ``theta``, G0 its image
@@ -248,136 +256,119 @@ class EdgeSmoother:
         """The extended map at frame points ``x`` (N,3); for t >= r this is
         the wedge map."""
         single = np.asarray(x, dtype=float).ndim == 1
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = self.radius
-        t = np.hypot(x[:, 0], x[:, 1])
-        theta = np.arctan2(x[:, 1], x[:, 0])
-        lam = self.lam
-        out = np.empty_like(x)
-
-        outer = t >= r
-        if np.any(outer):
-            out[outer] = wedge_map(self.fan, self.blends, x[outer])
-
-        p1 = (~outer) & (t >= 0.8 * r)
-        if np.any(p1):
-            w3 = wedge_map(self.fan, self.blends, x[p1])
-            h3 = w3[:, 2] - lam * x[p1, 2]
-            e1 = eta((5.0 * t[p1] - 4.0 * r) / r)
-            out[p1, :2] = w3[:, :2]
-            out[p1, 2] = lam * x[p1, 2] + e1 * h3
-
-        p2 = (t < 0.8 * r) & (t >= 0.6 * r)
-        if np.any(p2):
-            G = self._G(t[p2], theta[p2])
-            G0 = self._G(0.6 * r, theta[p2])
-            u = G0 / np.linalg.norm(G0, axis=-1, keepdims=True)
-            e2 = eta((5.0 * t[p2] - 3.0 * r) / r)
-            out[p2, :2] = e2[:, None] * G \
-                + ((1.0 - e2) * t[p2] * self.rho)[:, None] * u
-            out[p2, 2] = lam * x[p2, 2]
-
-        p3 = (t < 0.6 * r) & (t >= 0.4 * r)
-        if np.any(p3):
-            tau = (5.0 * t[p3] - 2.0 * r) / r
-            H = self._H(theta[p3], self._G(0.6 * r, theta[p3]))
-            L = theta[p3] + time_profile(tau) * (H - theta[p3])
-            out[p3, 0] = t[p3] * self.rho * np.cos(L)
-            out[p3, 1] = t[p3] * self.rho * np.sin(L)
-            out[p3, 2] = lam * x[p3, 2]
-
-        core = t < 0.4 * r
-        if np.any(core):
-            out[core, 0] = self.rho * x[core, 0]
-            out[core, 1] = self.rho * x[core, 1]
-            out[core, 2] = lam * x[core, 2]
+        out = self._pass(x, False)[0]
         return out[0] if single else out
 
     def __call__(self, x):
         return self.evaluate(x)
 
-    # -- analytic derivative
-
     def jacobian(self, x):
         single = np.asarray(x, dtype=float).ndim == 1
+        J = self._pass(x, True)[1]
+        return J[0] if single else J
+
+    def _pass(self, x, jac):
+        """Value and, when ``jac``, Jacobian at frame points ``x``, each
+        region by its stage."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = self.radius
-        lam = self.lam
-        rho = self.rho
         t = np.hypot(x[:, 0], x[:, 1])
         theta = np.arctan2(x[:, 1], x[:, 0])
-        c, s = np.cos(theta), np.sin(theta)
-        out = np.empty((len(x), 3, 3))
+        stages = ((0, self._core), (_UNTWIST, self._untwist),
+                  (_SQUEEZE, self._squeeze), (_FLATTEN, self._flatten),
+                  (_OUTER, self._outer))
+        return radial_stages(stages, _FIFTHS, self.radius, t, (x, t, theta),
+                             jac)
 
-        outer = t >= r
-        if np.any(outer):
-            out[outer] = wedge_jacobian(self.fan, self.blends, x[outer])
+    # -- the stages, from the wedge inward; s is the band coordinate
 
-        p1 = (~outer) & (t >= 0.8 * r)
-        if np.any(p1):
-            Jw = wedge_jacobian(self.fan, self.blends, x[p1])
-            w3 = wedge_map(self.fan, self.blends, x[p1])
-            h3 = w3[:, 2] - lam * x[p1, 2]
-            e1 = eta((5.0 * t[p1] - 4.0 * r) / r)
-            de1 = (5.0 / r) * eta_prime((5.0 * t[p1] - 4.0 * r) / r)
-            J = Jw.copy()
-            J[:, 2, 0] = e1 * Jw[:, 2, 0] + de1 * c[p1] * h3
-            J[:, 2, 1] = e1 * Jw[:, 2, 1] + de1 * s[p1] * h3
-            J[:, 2, 2] = lam
-            out[p1] = J
+    def _outer(self, x, t, theta, s, jac):
+        return _wedge(self.fan, self.blends, x, jac)
 
-        p2 = (t < 0.8 * r) & (t >= 0.6 * r)
-        if np.any(p2):
-            pts = x[p2].copy()
-            pts[:, 2] = 0.0
-            Jw = wedge_jacobian(self.fan, self.blends, pts)
-            G = self._G(t[p2], theta[p2])
-            G0, dG0 = self._circle(theta[p2])
-            nrm = np.linalg.norm(G0, axis=-1, keepdims=True)
-            u = G0 / nrm
-            du = (dG0 - u * np.sum(u * dG0, axis=-1, keepdims=True)) / nrm
-            e2 = eta((5.0 * t[p2] - 3.0 * r) / r)
-            de2 = (5.0 / r) * eta_prime((5.0 * t[p2] - 3.0 * r) / r)
-            dt = np.stack([c[p2], s[p2]], axis=-1)          # grad t
-            dth = np.stack([-s[p2] / t[p2], c[p2] / t[p2]], axis=-1)
-            J = np.zeros((int(p2.sum()), 3, 3))
-            # e2 * G term: e2 * DG + de2 (G - t rho u) dt^T handled jointly
-            J[:, :2, :2] = e2[:, None, None] * Jw[:, :2, :2] \
-                + de2[:, None, None] * (G - t[p2, None] * rho * u)[:, :, None] * dt[:, None, :] \
-                + ((1.0 - e2) * rho)[:, None, None] * (
-                    u[:, :, None] * dt[:, None, :]
-                    + t[p2, None, None] * du[:, :, None] * dth[:, None, :])
-            J[:, 2, 2] = lam
-            out[p2] = J
+    def _flatten(self, x, t, theta, s, jac):
+        """The wedge with its axial image component h3 = w3 - lam x3 faded
+        out: lam x3 + eta(s) h3."""
+        lam = self.lam
+        out, J = _wedge(self.fan, self.blends, x, jac)
+        h3 = out[:, 2] - lam * x[:, 2]
+        e = eta(s)
+        out[:, 2] = lam * x[:, 2] + e * h3
+        if not jac:
+            return out, None
+        de = (_FIFTHS / self.radius) * eta_prime(s)
+        J[:, 2, 0] = e * J[:, 2, 0] + de * np.cos(theta) * h3
+        J[:, 2, 1] = e * J[:, 2, 1] + de * np.sin(theta) * h3
+        J[:, 2, 2] = lam
+        return out, J
 
-        p3 = (t < 0.6 * r) & (t >= 0.4 * r)
-        if np.any(p3):
-            tau = (5.0 * t[p3] - 2.0 * r) / r
-            sv = time_profile(tau)
-            dsv = time_profile_prime(tau) * (5.0 / r)
-            G0, dG0 = self._circle(theta[p3])
-            H = self._H(theta[p3], G0)
-            Hp = (G0[:, 0] * dG0[:, 1] - G0[:, 1] * dG0[:, 0]) \
-                / np.sum(G0 ** 2, axis=-1)
-            psi = H - theta[p3]
-            L = theta[p3] + sv * psi
-            Lth = 1.0 + sv * (Hp - 1.0)
-            cl, sl = np.cos(L), np.sin(L)
-            dt = np.stack([c[p3], s[p3]], axis=-1)
-            dth = np.stack([-s[p3] / t[p3], c[p3] / t[p3]], axis=-1)
-            dL = Lth[:, None] * dth + (dsv * psi)[:, None] * dt
-            e_r = np.stack([cl, sl], axis=-1)
-            e_t = np.stack([-sl, cl], axis=-1)
-            J = np.zeros((int(p3.sum()), 3, 3))
-            J[:, :2, :2] = rho * e_r[:, :, None] * dt[:, None, :] \
-                + (t[p3] * rho)[:, None, None] * e_t[:, :, None] * dL[:, None, :]
-            J[:, 2, 2] = lam
-            out[p3] = J
+    def _squeeze(self, x, t, theta, s, jac):
+        """The horizontal image G squeezed radially onto the squeeze
+        circle's image directions u: eta(s) G + (1 - eta(s)) t rho u."""
+        rho = self.rho
+        G, Jw = _wedge(self.fan, self.blends, _foot(t, theta), jac)
+        G = G[:, :2]
+        G0, dG0 = self._circle(theta, jac)
+        nrm = np.linalg.norm(G0, axis=-1, keepdims=True)
+        u = G0 / nrm
+        e = eta(s)
+        out = np.empty_like(x)
+        out[:, :2] = e[:, None] * G + ((1.0 - e) * t * rho)[:, None] * u
+        out[:, 2] = self.lam * x[:, 2]
+        if not jac:
+            return out, None
+        du = (dG0 - u * np.sum(u * dG0, axis=-1, keepdims=True)) / nrm
+        de = (_FIFTHS / self.radius) * eta_prime(s)
+        c, sn = np.cos(theta), np.sin(theta)
+        dt = np.stack([c, sn], axis=-1)          # grad t
+        dth = np.stack([-sn / t, c / t], axis=-1)
+        J = np.zeros((len(x), 3, 3))
+        # e G term: e DG + de (G - t rho u) dt^T handled jointly
+        J[:, :2, :2] = e[:, None, None] * Jw[:, :2, :2] \
+            + de[:, None, None] * (G - t[:, None] * rho * u)[:, :, None] * dt[:, None, :] \
+            + ((1.0 - e) * rho)[:, None, None] * (
+                u[:, :, None] * dt[:, None, :]
+                + t[:, None, None] * du[:, :, None] * dth[:, None, :])
+        J[:, 2, 2] = self.lam
+        return out, J
 
-        core = t < 0.4 * r
-        if np.any(core):
-            out[core] = np.diag([rho, rho, lam])
-        return out[0] if single else out
+    def _untwist(self, x, t, theta, s, jac):
+        """Radius t rho at the angle L = theta + time_profile(s) (H - theta),
+        H the lift of the squeeze circle map."""
+        rho = self.rho
+        G0, dG0 = self._circle(theta, jac)
+        psi = self._H(theta, G0) - theta
+        sv = time_profile(s)
+        L = theta + sv * psi
+        cl, sl = np.cos(L), np.sin(L)
+        out = np.stack([t * rho * cl, t * rho * sl, self.lam * x[:, 2]],
+                       axis=-1)
+        if not jac:
+            return out, None
+        dsv = time_profile_prime(s) * (_FIFTHS / self.radius)
+        Hp = (G0[:, 0] * dG0[:, 1] - G0[:, 1] * dG0[:, 0]) \
+            / np.sum(G0 ** 2, axis=-1)
+        Lth = 1.0 + sv * (Hp - 1.0)
+        c, sn = np.cos(theta), np.sin(theta)
+        dt = np.stack([c, sn], axis=-1)
+        dth = np.stack([-sn / t, c / t], axis=-1)
+        dL = Lth[:, None] * dth + (dsv * psi)[:, None] * dt
+        e_r = np.stack([cl, sl], axis=-1)
+        e_t = np.stack([-sl, cl], axis=-1)
+        J = np.zeros((len(x), 3, 3))
+        J[:, :2, :2] = rho * e_r[:, :, None] * dt[:, None, :] \
+            + (t * rho)[:, None, None] * e_t[:, :, None] * dL[:, None, :]
+        J[:, 2, 2] = self.lam
+        return out, J
+
+    def _core(self, x, t, theta, s, jac):
+        diag = np.array([self.rho, self.rho, self.lam])
+        return x * diag, (np.broadcast_to(np.diag(diag), (len(x), 3, 3))
+                          if jac else None)
+
+
+def _foot(t, theta):
+    """The points of polar coordinates (t, theta) in the plane x3 = 0."""
+    c, s = t * np.cos(theta), t * np.sin(theta)
+    return np.stack([c, s, np.zeros_like(c)], axis=-1)
 
 
 def _principal(theta):

@@ -444,13 +444,16 @@ class SmoothedMap:
 
     def _ball_nodes(self, vp):
         """Gauss nodes per radial shell (5) and in the polar angle (8), 16
-        equispaced azimuths."""
+        equispaced azimuths at half steps.  No node then lies on the planes
+        x = 0, y = 0, z = 0 or x = +-y through the vertex, which the faces
+        of grid-aligned meshes follow: on a face Df jumps, and the cell a
+        node takes would depend on the cell order."""
         R = vp.R
         rb = np.array([1e-9, 0.5, 0.75, 1.0]) * R
         rn, rw = _panel_gauss(rb, 5)
         mu, mw = np.polynomial.legendre.leggauss(8)
         phi = np.arccos(mu)
-        psi = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        psi = (np.arange(16) + 0.5) * (2 * np.pi / 16)
         RR, PH, PS = np.meshgrid(rn, phi, psi, indexing="ij")
         W = rw[:, None, None] * mw[None, :, None] * (2 * np.pi / 16) * RR ** 2
         pts = np.stack([RR * np.sin(PH) * np.cos(PS),

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geo
-from .blend import eta, eta_prime, time_profile, time_profile_prime
+from .blend import (eta, eta_prime, radial_stages, time_profile,
+                    time_profile_prime)
 from .errors import CertificationError, ConstructionError, NoIsotopyFound
 
 
@@ -152,16 +153,25 @@ class SphereIsotopy:
 # the vertex smoother
 
 
+# The ball's shells from the centre out, each from its inner radius in
+# quarters of the ball radius R: the linear core, the untwist shell, the
+# flattening shell, whose inner sphere carries the sphere map mu, and hat_g.
+_QUARTERS = 4
+_UNTWIST, _FLATTEN, _OUTER = 2, 3, 4
+
+
 class VertexSmoother:
     """Assembled vertex-ball map: hat_g outside B(0,R), star flattening on
     B(0,R) \\ B(0,3R/4), isotopy untwist on B(0,3R/4) \\ B(0,R/2), and the
-    linear map rho*x on B(0,R/2)."""
+    linear map rho*x on B(0,R/2).  One pass over the shells serves
+    ``evaluate`` and ``jacobian``; each stage gives its value and Jacobian
+    together."""
 
     def __init__(self, hat_g, hat_g_jac, R):
         self.hat_g = hat_g
         self.hat_g_jac = hat_g_jac
         self.R = float(R)
-        rr = 0.75 * self.R
+        rr = _FLATTEN / _QUARTERS * self.R
         self.mu = SphereMap(lambda x: self.hat_g(np.atleast_2d(x) * rr),
                             lambda x: self.hat_g_jac(np.atleast_2d(x) * rr) * rr)
         rng = np.random.default_rng(5)
@@ -171,7 +181,7 @@ class VertexSmoother:
             raise ConstructionError("hat_g vanishes on the flattening sphere")
         self.rho = 0.45 * float(np.min(norms)) / rr
         # radial monotonicity of hat_g on the flattening shell
-        shell = sph * rng.uniform(0.75 * self.R, self.R, 4096)[:, None]
+        shell = sph * rng.uniform(rr, self.R, 4096)[:, None]
         gv = self.hat_g(shell)
         Jv = self.hat_g_jac(shell)
         rad = np.einsum("nij,nj->ni", Jv, _unit(shell))
@@ -185,26 +195,7 @@ class VertexSmoother:
 
     def evaluate(self, x):
         single = np.asarray(x, dtype=float).ndim == 1
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        R, rho = self.R, self.rho
-        nx = np.linalg.norm(x, axis=-1)
-        out = np.empty_like(x)
-
-        outer = nx >= R
-        if np.any(outer):
-            out[outer] = self.hat_g(x[outer])
-
-        flat = (nx < R) & (nx >= 0.75 * R)
-        if np.any(flat):
-            out[flat] = star_flatten(self, x[flat])
-
-        mid = (nx < 0.75 * R) & (nx >= 0.5 * R)
-        if np.any(mid):
-            out[mid] = vertlem_extend(self, x[mid])
-
-        inner = nx < 0.5 * R
-        if np.any(inner):
-            out[inner] = rho * x[inner]
+        out = self._pass(x, False)[0]
         return out[0] if single else out
 
     def __call__(self, x):
@@ -212,82 +203,64 @@ class VertexSmoother:
 
     def jacobian(self, x):
         single = np.asarray(x, dtype=float).ndim == 1
+        J = self._pass(x, True)[1]
+        return J[0] if single else J
+
+    def _pass(self, x, jac):
+        """Value and, when ``jac``, Jacobian at points ``x`` relative to the
+        vertex, each shell by its stage."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        R, rho = self.R, self.rho
         nx = np.linalg.norm(x, axis=-1)
-        out = np.empty((len(x), 3, 3))
+        stages = ((0, self._core), (_UNTWIST, self._untwist),
+                  (_FLATTEN, self._flatten), (_OUTER, self._outer))
+        return radial_stages(stages, _QUARTERS, self.R, nx, (x, nx), jac)
 
-        outer = nx >= R
-        if np.any(outer):
-            out[outer] = self.hat_g_jac(x[outer])
+    # -- the stages, from hat_g inward; s is the band coordinate
 
-        flat = (nx < R) & (nx >= 0.75 * R)
-        if np.any(flat):
-            out[flat] = _star_flatten_jac(self, x[flat])
+    def _outer(self, x, nx, s, jac):
+        return self.hat_g(x), (self.hat_g_jac(x) if jac else None)
 
-        mid = (nx < 0.75 * R) & (nx >= 0.5 * R)
-        if np.any(mid):
-            out[mid] = _vertlem_jac(self, x[mid])
+    def _flatten(self, x, nx, s, jac):
+        """Convex combination eta(s) g + (1 - eta(s)) rho |x| mu of g =
+        hat_g and its radial projection to spheres, mu = g / |g|."""
+        rho = self.rho
+        e = eta(s)
+        g = self.hat_g(x)
+        ng = np.linalg.norm(g, axis=-1, keepdims=True)
+        mu = g / ng
+        out = e[:, None] * g + ((1.0 - e) * rho * nx)[:, None] * mu
+        if not jac:
+            return out, None
+        xhat = x / nx[:, None]
+        de = eta_prime(s) * (_QUARTERS / self.R)
+        J = self.hat_g_jac(x)
+        P = np.eye(3) - mu[:, :, None] * mu[:, None, :]
+        Dmu = np.einsum("nij,njk->nik", P, J) / ng[:, :, None]
+        grad_e = de[:, None] * xhat
+        D = e[:, None, None] * J + g[:, :, None] * grad_e[:, None, :]
+        D += ((1.0 - e) * rho * nx)[:, None, None] * Dmu
+        D += ((1.0 - e) * rho)[:, None, None] * mu[:, :, None] * xhat[:, None, :]
+        D -= (rho * nx)[:, None, None] * mu[:, :, None] * grad_e[:, None, :]
+        return out, D
 
-        inner = nx < 0.5 * R
-        if np.any(inner):
-            out[inner] = rho * np.eye(3)
-        return out[0] if single else out
+    def _untwist(self, x, nx, s, jac):
+        """The isotopy fill rho |x| Psi(x/|x|, eta(s))."""
+        rho = self.rho
+        xhat = x / nx[:, None]
+        tau = eta(s)
+        if not jac:
+            return (rho * nx)[:, None] * self.isotopy(xhat, tau), None
+        dtau = eta_prime(s) * (_QUARTERS / self.R)
+        Psi, dPsi_dx, dPsi_dt = self.isotopy.derivative(xhat, tau)
+        Dxhat = (np.eye(3) - xhat[:, :, None] * xhat[:, None, :]) \
+            / nx[:, None, None]
+        total = np.einsum("nij,njk->nik", dPsi_dx, Dxhat) \
+            + dPsi_dt[:, :, None] * (dtau[:, None] * xhat)[:, None, :]
+        return (rho * nx)[:, None] * Psi, \
+            rho * Psi[:, :, None] * xhat[:, None, :] \
+            + (rho * nx)[:, None, None] * total
 
-
-def star_flatten(smoother, x):
-    """Convex combination of hat_g and its radial projection to spheres,
-    on the shell 3R/4 <= |x| <= R."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    R, rho = smoother.R, smoother.rho
-    nx = np.linalg.norm(x, axis=-1)
-    e = eta((4.0 * nx - 3.0 * R) / R)
-    g = smoother.hat_g(x)
-    mu = _unit(g)
-    return e[:, None] * g + ((1.0 - e) * rho * nx)[:, None] * mu
-
-
-def _star_flatten_jac(smoother, x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    R, rho = smoother.R, smoother.rho
-    nx = np.linalg.norm(x, axis=-1)
-    xhat = x / nx[:, None]
-    e = eta((4.0 * nx - 3.0 * R) / R)
-    de = eta_prime((4.0 * nx - 3.0 * R) / R) * (4.0 / R)
-    g = smoother.hat_g(x)
-    J = smoother.hat_g_jac(x)
-    ng = np.linalg.norm(g, axis=-1, keepdims=True)
-    mu = g / ng
-    P = np.eye(3) - mu[:, :, None] * mu[:, None, :]
-    Dmu = np.einsum("nij,njk->nik", P, J) / ng[:, :, None]
-    grad_e = de[:, None] * xhat
-    out = e[:, None, None] * J + g[:, :, None] * grad_e[:, None, :]
-    out += ((1.0 - e) * rho * nx)[:, None, None] * Dmu
-    out += ((1.0 - e) * rho)[:, None, None] * mu[:, :, None] * xhat[:, None, :]
-    out -= (rho * nx)[:, None, None] * mu[:, :, None] * grad_e[:, None, :]
-    return out
-
-
-def vertlem_extend(smoother, x):
-    """Isotopy fill on the shell R/2 <= |x| <= 3R/4."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    R, rho = smoother.R, smoother.rho
-    nx = np.linalg.norm(x, axis=-1)
-    xhat = x / nx[:, None]
-    tau = eta((4.0 * nx - 2.0 * R) / R)
-    return (rho * nx)[:, None] * smoother.isotopy(xhat, tau)
-
-
-def _vertlem_jac(smoother, x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    R, rho = smoother.R, smoother.rho
-    nx = np.linalg.norm(x, axis=-1)
-    xhat = x / nx[:, None]
-    tau = eta((4.0 * nx - 2.0 * R) / R)
-    dtau = eta_prime((4.0 * nx - 2.0 * R) / R) * (4.0 / R)
-    Psi, dPsi_dx, dPsi_dt = smoother.isotopy.derivative(xhat, tau)
-    Dxhat = (np.eye(3) - xhat[:, :, None] * xhat[:, None, :]) / nx[:, None, None]
-    total = np.einsum("nij,njk->nik", dPsi_dx, Dxhat) \
-        + dPsi_dt[:, :, None] * (dtau[:, None] * xhat)[:, None, :]
-    return rho * Psi[:, :, None] * xhat[:, None, :] \
-        + (rho * nx)[:, None, None] * total
+    def _core(self, x, nx, s, jac):
+        return self.rho * x, (np.broadcast_to(self.rho * np.eye(3),
+                                              (len(x), 3, 3))
+                              if jac else None)

@@ -14,6 +14,7 @@ import pytest
 
 import plsmooth.cli
 import plsmooth.pipeline
+from plsmooth.builders import perturbed_kuhn_map, subdivided_tet_map
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,3 +53,29 @@ def test_cli_calls_assemble_as_module_global():
     # the benchmark swaps plsmooth.cli.assemble to keep the assembled map
     assert plsmooth.cli.assemble is plsmooth.pipeline.assemble
     assert "assemble" in plsmooth.cli.cmd_smooth.__code__.co_names
+
+
+@pytest.mark.parametrize("build,owners", [
+    (perturbed_kuhn_map, ("FacePatch", "EdgePatch")),
+    (subdivided_tet_map, ("VertexPatch",))], ids=["kuhn", "ball"])
+def test_patch_evaluation_reaches_the_hooked_methods(build, owners,
+                                                      monkeypatch):
+    # the tracer's per-layer spans and query hits see patch work only
+    # through these methods; one evaluate and one derivative call of the
+    # assembled map must reach each of them
+    pl = build()
+    g = plsmooth.pipeline.assemble(pl, plsmooth.pipeline.choose_params(pl))
+    calls = []
+    for owner in owners:
+        cls = getattr(plsmooth.pipeline, owner)
+        for attr in ("evaluate", "jacobian"):
+            def counted(self, x, _real=vars(cls)[attr],
+                        _name=f"{owner}.{attr}"):
+                calls.append(_name)
+                return _real(self, x)
+            monkeypatch.setattr(cls, attr, counted)
+    pts = g.sample_patches(n_per_patch=50, rng=0)
+    g.evaluate(pts)
+    g.derivative(pts)
+    assert set(calls) == {f"{o}.{a}" for o in owners
+                          for a in ("evaluate", "jacobian")}

@@ -9,8 +9,12 @@ import pytest
 
 from plsmooth.builders import (kuhn_grid, kuhn_identity, perturbed_kuhn_map,
                                subdivided_tet, two_tet_map)
+import plsmooth.cli
 from plsmooth.cli import main
-from plsmooth.errors import ContinuityError, NonInjectiveError
+from plsmooth.errors import (CertificationError, ConstructionError,
+                             ContinuityError, DomainError, InvalidInputError,
+                             NonInjectiveError, ParameterError, ParseError,
+                             PLSmoothError)
 from plsmooth.mesh import (PLMap, SimplicialComplex, pl_map_from_vertex_images,
                            save_document, validate_pl_homeo)
 
@@ -142,6 +146,33 @@ def test_complex_without_pieces_exits_2(tmp_path):
     doc = tmp_path / "mesh_only.json"
     save_document(subdivided_tet(), doc)
     assert main(["validate", str(doc)]) == 2
+
+
+# the exit code of each error family, as the module docstring of
+# plsmooth.cli documents it
+EXIT_CODES = {ParseError: 1, InvalidInputError: 2, DomainError: 2,
+              CertificationError: 3, ConstructionError: 3, ParameterError: 3}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_subclasses(PLSmoothError)),
+                                         key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_library_error_has_its_exit_code(error, kuhn_doc, monkeypatch,
+                                               capsys):
+    # a subclass of no family above would escape main as a traceback
+    family, = (c for c in error.__mro__ if c in EXIT_CODES)
+
+    def fail(plmap):
+        raise error("raised by the test")
+    monkeypatch.setattr(plsmooth.cli, "choose_params", fail)
+    assert main(["smooth", kuhn_doc]) == EXIT_CODES[family]
+    assert "raised by the test" in capsys.readouterr().err
 
 
 def test_smooth_summary(kuhn_doc, tmp_path):

@@ -298,16 +298,34 @@ def test_untwist_ring_angular_derivative(build):
     assert np.ptp(dL) > 1e-3          # the ring does untwist
 
 
+def _count_wedge_passes(monkeypatch):
+    """A counter of wedge passes: each pass looks up the sector pieces of
+    its points once."""
+    calls = []
+    real = plsmooth.edge._sector_pieces
+
+    def counted(fan, x):
+        calls.append(len(x))
+        return real(fan, x)
+    monkeypatch.setattr(plsmooth.edge, "_sector_pieces", counted)
+    return calls
+
+
 def test_untwist_jacobian_evaluates_the_circle_once(monkeypatch):
-    # H, H' and the squeeze directions all come from one evaluation of the
-    # wedge and its Jacobian on the squeeze circle
+    # H, H' and the squeeze directions all come from one wedge pass, value
+    # and Jacobian together, on the squeeze circle
     sm = EdgeSmoother(make_fan(), [0.002] * 3, 0.2)
-    calls = {"wedge_map": 0, "wedge_jacobian": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(plsmooth.edge, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(plsmooth.edge, name, counted)
+    calls = _count_wedge_passes(monkeypatch)
     x, _ = _ring(sm, 0.4, 0.6)
     sm.jacobian(x)
-    assert calls == {"wedge_map": 1, "wedge_jacobian": 1}
+    assert len(calls) == 1
+
+
+def test_outer_bands_jacobian_makes_three_wedge_passes(monkeypatch):
+    # the flattening band takes one wedge pass at its points, the squeeze
+    # band one at its points and one on the squeeze circle
+    sm = EdgeSmoother(make_fan(), [0.002] * 3, 0.2)
+    calls = _count_wedge_passes(monkeypatch)
+    x, _ = _ring(sm, 0.6, 1.0)
+    sm.jacobian(x)
+    assert len(calls) <= 3

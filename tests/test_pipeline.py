@@ -12,7 +12,8 @@ from plsmooth import geometry as geo
 from plsmooth.builders import (kuhn_identity, perturbed_kuhn_map,
                                subdivided_tet_map, two_tet_map)
 from plsmooth.errors import ConstructionError, ParameterError
-from plsmooth.mesh import FacePair, face_pairs, pl_map_from_vertex_images
+from plsmooth.mesh import (FacePair, PLMap, SimplicialComplex, face_pairs,
+                           pl_map_from_vertex_images)
 from plsmooth.pipeline import (SWEEP_COLUMNS, FacePatch, SmoothingParams,
                                assemble, choose_params, format_table,
                                lambda_sweep)
@@ -512,6 +513,19 @@ def test_lambda_sweep_smoke(kuhn_setup):
         assert row["w1p_f"] <= bound * row["vol_E"] ** 0.5 + 1e-12
     assert rows[1]["vol_E"] < rows[0]["vol_E"]
     assert rows[1]["w1p_f"] <= rows[0]["w1p_f"] * 1.05
+
+
+def test_sweep_does_not_depend_on_the_cell_order():
+    # no ball quadrature node may lie on a face plane through the vertex,
+    # where the cell it takes, and so Df there, follows the cell order
+    pl = subdivided_tet_map()
+    cx = pl.complex
+    rev = PLMap(SimplicialComplex(cx.points, cx.cells[::-1]),
+                pl.matrices[::-1], pl.offsets[::-1])
+    row, = lambda_sweep(pl, choose_params(pl), lambdas=(1.0,))
+    row_rev, = lambda_sweep(rev, choose_params(rev), lambdas=(1.0,))
+    for col in SWEEP_COLUMNS:
+        assert row_rev[col] == pytest.approx(row[col], rel=1e-12), col
 
 
 def test_format_table(kuhn_setup):
