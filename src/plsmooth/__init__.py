@@ -8,13 +8,12 @@ g -> f in W^{1,p} and rearrangement-invariant norms as the smoothing
 scale lambda goes to 0.
 """
 
-from .blend import (FaceBlend, eta, eta_prime, face_blend,
-                    face_blend_jacobian, face_floor, time_profile)
+from .blend import (FaceBlend, blend_pass, eta, eta_prime, face_floor,
+                    time_profile)
 from .builders import (kuhn_cube, kuhn_identity, perturbed_kuhn_map,
                        single_tet, subdivided_tet, subdivided_tet_map,
                        two_tet, two_tet_map)
-from .edge import (EdgeSmoother, fan_map, ray_blends, synthetic_fan,
-                   wedge_jacobian, wedge_map)
+from .edge import EdgeSmoother, ray_blends, synthetic_fan, wedge
 from .errors import (CertificationError, ConstructionError, ContinuityError,
                      DegenerateSimplexError, DomainError, IntersectionError,
                      InvalidInputError, NoIsotopyFound, NonInjectiveError,

@@ -112,29 +112,11 @@ class FaceBlend:
             raise DomainError("width must be positive")
         self.width = float(self.width)
 
-    def local(self, x):
-        return (np.atleast_2d(x) - self.frame_origin) @ self.frame_R.T
-
-
-def face_blend(blend, x):
-    """Evaluate the blended map at points ``x`` (N,3) or a single point."""
-    single = np.asarray(x, dtype=float).ndim == 1
-    out = blend_pass(blend, np.atleast_2d(np.asarray(x, dtype=float)),
-                     False)[0]
-    return out[0] if single else out
-
-
-def face_blend_jacobian(blend, x):
-    """Analytic Jacobian of the blended map, shape (N,3,3)."""
-    single = np.asarray(x, dtype=float).ndim == 1
-    J = blend_pass(blend, np.atleast_2d(np.asarray(x, dtype=float)), True)[1]
-    return J[0] if single else J
-
 
 def blend_pass(blend, x, jac):
     """The blended map at points ``x`` (N,3) and, when ``jac``, its analytic
     Jacobian (N,3,3), else None: one pass over the strip coordinate."""
-    y = blend.local(x)
+    y = (x - blend.frame_origin) @ blend.frame_R.T
     w = blend.width
     u = y[:, 0] / w
     e = eta(u)

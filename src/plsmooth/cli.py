@@ -22,7 +22,8 @@ from .errors import (CertificationError, ConstructionError, DomainError,
                      InvalidInputError, ParameterError, ParseError)
 from .mesh import PLMap, load_complex, validate_pl_homeo
 from .norms import parse_norm, rozumny_check
-from .pipeline import (assemble, choose_params, format_table, lambda_sweep)
+from .pipeline import (SWEEP_DEFAULTS, assemble, choose_params, format_table,
+                       lambda_sweep)
 
 _VALIDATION_ERRORS = (InvalidInputError, DomainError)
 _CERTIFICATION_ERRORS = (CertificationError, ConstructionError, ParameterError)
@@ -137,10 +138,10 @@ def build_parser():
 
     sw = sub.add_parser("sweep", parents=[common],
                         help="lambda sweep of convergence quantities")
-    sw.add_argument("--p", type=float, default=2.0)
-    sw.add_argument("--q", type=float, default=2.0)
+    sw.add_argument("--p", type=float, default=SWEEP_DEFAULTS["p"])
+    sw.add_argument("--q", type=float, default=SWEEP_DEFAULTS["q"])
     sw.add_argument("--lambdas", type=float, nargs="+",
-                    default=[1.0, 0.5, 0.25, 0.125, 0.0625])
+                    default=SWEEP_DEFAULTS["lambdas"])
     sw.add_argument("--epsilon", type=float, default=1e-2)
     sw.add_argument("--norm", action="append",
                     help="norm spec, e.g. lp:2 or lorentz:2:1 (repeatable)")

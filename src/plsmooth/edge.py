@@ -114,34 +114,12 @@ def _ray_slabs(blends, x):
             yield blend, mask
 
 
-def fan_map(fan, x):
-    """The exact piecewise linear map in frame coordinates."""
-    single = np.asarray(x, dtype=float).ndim == 1
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.einsum("nij,nj->ni", _sector_pieces(fan, x), x)
-    return out[0] if single else out
-
-
-def wedge_map(fan, blends, x):
-    """fan_map with each ray's slab replaced by its face blend, ``blends``
-    from ray_blends (valid for x1^2+x2^2 >= (r/4)^2 if the width condition
-    holds there)."""
-    single = np.asarray(x, dtype=float).ndim == 1
-    out = _wedge(fan, blends, np.atleast_2d(np.asarray(x, dtype=float)),
-                 False)[0]
-    return out[0] if single else out
-
-
-def wedge_jacobian(fan, blends, x):
-    single = np.asarray(x, dtype=float).ndim == 1
-    J = _wedge(fan, blends, np.atleast_2d(np.asarray(x, dtype=float)),
-               True)[1]
-    return J[0] if single else J
-
-
-def _wedge(fan, blends, x, jac):
-    """The wedge map at points ``x`` (N,3) and, when ``jac``, its Jacobian
-    (N,3,3), else None, from one ray-slab pass."""
+def wedge(fan, blends, x, jac):
+    """The wedge map at frame points ``x`` (N,3) and, when ``jac``, its
+    Jacobian (N,3,3), else None, from one ray-slab pass: the exact piecewise
+    linear map with each ray's slab replaced by its blend from ``blends``
+    (ray_blends; valid for x1^2+x2^2 >= (r/4)^2 if the width condition
+    holds there).  With no blends it is the exact map."""
     A = _sector_pieces(fan, x)
     out = np.einsum("nij,nj->ni", A, x)
     for blend, mask in _ray_slabs(blends, x):
@@ -171,8 +149,8 @@ class EdgeSmoother:
     [4r/5, r], squeeze on [3r/5, 4r/5], untwist on [2r/5, 3r/5], and the
     linear map diag(rho, rho, lam) inside (the untwist time profile is flat
     near its ends, so the map is already linear for t <= 7r/15).  One pass
-    over the regions serves ``evaluate`` and ``jacobian``; each stage gives
-    its value and Jacobian together.
+    over the regions, ``apply``, gives the value and the Jacobian; each
+    stage gives both together.
     """
 
     fan: EdgeFan
@@ -220,7 +198,7 @@ class EdgeSmoother:
         T, TH = np.meshgrid(np.linspace(r / 4.0, r, 13),
                             np.linspace(-np.pi, np.pi, 1024), indexing="ij")
         T = T.ravel()
-        G = _wedge(self.fan, self.blends, _foot(T, TH.ravel()), False)[0]
+        G = wedge(self.fan, self.blends, _foot(T, TH.ravel()), False)[0]
         vals = np.linalg.norm(G[:, :2], axis=-1)
         # stretch ratio: t*rho <= 0.9 |G(t,theta)| pointwise on the annulus
         self.rho = 0.9 * float(np.min(vals / T))
@@ -236,7 +214,7 @@ class EdgeSmoother:
         """The squeeze circle t0 = 3r/5: the wedge's horizontal image G0
         there and, when ``jac``, its derivative dG0/dtheta, each (N, 2)."""
         p0 = _foot(_SQUEEZE / _FIFTHS * self.radius, theta)
-        G0, Jw = _wedge(self.fan, self.blends, p0, jac)
+        G0, Jw = wedge(self.fan, self.blends, p0, jac)
         if not jac:
             return G0[:, :2], None
         tangent = np.stack([-p0[:, 1], p0[:, 0], np.zeros(len(p0))], axis=-1)
@@ -252,25 +230,10 @@ class EdgeSmoother:
 
     # -- evaluation
 
-    def evaluate(self, x):
-        """The extended map at frame points ``x`` (N,3); for t >= r this is
-        the wedge map."""
-        single = np.asarray(x, dtype=float).ndim == 1
-        out = self._pass(x, False)[0]
-        return out[0] if single else out
-
-    def __call__(self, x):
-        return self.evaluate(x)
-
-    def jacobian(self, x):
-        single = np.asarray(x, dtype=float).ndim == 1
-        J = self._pass(x, True)[1]
-        return J[0] if single else J
-
-    def _pass(self, x, jac):
-        """Value and, when ``jac``, Jacobian at frame points ``x``, each
-        region by its stage."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def apply(self, x, jac):
+        """The extended map at frame points ``x`` (N,3) and, when ``jac``,
+        its Jacobian (N,3,3), else None, each region by its stage; for
+        t >= r this is the wedge map."""
         t = np.hypot(x[:, 0], x[:, 1])
         theta = np.arctan2(x[:, 1], x[:, 0])
         stages = ((0, self._core), (_UNTWIST, self._untwist),
@@ -282,13 +245,13 @@ class EdgeSmoother:
     # -- the stages, from the wedge inward; s is the band coordinate
 
     def _outer(self, x, t, theta, s, jac):
-        return _wedge(self.fan, self.blends, x, jac)
+        return wedge(self.fan, self.blends, x, jac)
 
     def _flatten(self, x, t, theta, s, jac):
         """The wedge with its axial image component h3 = w3 - lam x3 faded
         out: lam x3 + eta(s) h3."""
         lam = self.lam
-        out, J = _wedge(self.fan, self.blends, x, jac)
+        out, J = wedge(self.fan, self.blends, x, jac)
         h3 = out[:, 2] - lam * x[:, 2]
         e = eta(s)
         out[:, 2] = lam * x[:, 2] + e * h3
@@ -304,7 +267,7 @@ class EdgeSmoother:
         """The horizontal image G squeezed radially onto the squeeze
         circle's image directions u: eta(s) G + (1 - eta(s)) t rho u."""
         rho = self.rho
-        G, Jw = _wedge(self.fan, self.blends, _foot(t, theta), jac)
+        G, Jw = wedge(self.fan, self.blends, _foot(t, theta), jac)
         G = G[:, :2]
         G0, dG0 = self._circle(theta, jac)
         nrm = np.linalg.norm(G0, axis=-1, keepdims=True)

@@ -167,9 +167,10 @@ class SimplicialComplex:
             P = self._scaled_cells()
             vol, _ = geo.convex_interior_overlap(P[a], P[b], tol=tol * s)
             if vol > (tol * s) ** 3:
+                cell = float(np.abs(np.linalg.det(D[[a, b]])).min()) / 6.0
                 raise IntersectionError(
                     f"cells {a} and {b} overlap with interior volume "
-                    f"{vol * (1 / s) ** 3:.3e}")
+                    f"{vol / cell:.3e} times the smaller cell's")
             shared = np.intersect1d(self.cells[a], self.cells[b]).tolist()
             raise IntersectionError(
                 f"cells {a} and {b} intersect in a set that is not a "

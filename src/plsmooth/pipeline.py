@@ -15,8 +15,9 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import root as sp_root
 
+from . import edge, vertex
 from . import geometry as geo
-from .blend import FaceBlend, face_blend, face_blend_jacobian, face_floor
+from .blend import FaceBlend, blend_pass, face_floor
 from .edge import EdgeSmoother
 from .errors import ConstructionError, ParameterError
 from .mesh import (edge_fans, face_pairs, opposite_faces, pieces_agree,
@@ -196,7 +197,6 @@ class FacePatch:
         self._Ainv = np.linalg.inv(A)
 
     def mask(self, x):
-        x = np.atleast_2d(x)
         s = (x - self._o) @ self.n
         m = (s > 0.0) & (s < self.width)
         if not np.any(m):
@@ -210,10 +210,10 @@ class FacePatch:
         return mm
 
     def evaluate(self, x):
-        return face_blend(self.blend, x)
+        return blend_pass(self.blend, x, False)[0]
 
     def jacobian(self, x):
-        return face_blend_jacobian(self.blend, x)
+        return blend_pass(self.blend, x, True)[1]
 
 
 class EdgePatch:
@@ -230,15 +230,19 @@ class EdgePatch:
 
     def evaluate(self, x):
         y = self.fan.to_frame(x)
-        return self.fan.image_to_world(self.smoother.evaluate(y))
+        return self.fan.image_to_world(self.smoother.apply(y, False)[0])
 
     def jacobian(self, x):
         y = self.fan.to_frame(x)
-        return self.fan.S.T @ self.smoother.jacobian(y) @ self.fan.Q
+        return self.fan.S.T @ self.smoother.apply(y, True)[1] @ self.fan.Q
 
 
 class VertexPatch:
-    def __init__(self, star, radius, stage1, plmap):
+    """The ball of ``radius`` about a star's vertex.  Its smoother's hat_g
+    is ``owner``'s map without vertex balls (faces blended, edges
+    extended), relative to the vertex and its image."""
+
+    def __init__(self, star, radius, owner, plmap):
         self.V = star.V
         self.R = float(radius)
         self.star = star
@@ -246,40 +250,26 @@ class VertexPatch:
         self.fV = (plmap.matrices[ci] @ self.V) + plmap.offsets[ci]
         V, fV = self.V, self.fV
 
-        def hat_g(xrel):
-            return stage1.evaluate(np.atleast_2d(xrel) + V) - fV
+        def hat(xrel, jac):
+            x = xrel + V
+            return (owner._dispatch(x, use_vertex=False, jac=False) - fV,
+                    owner._dispatch(x, use_vertex=False, jac=True)
+                    if jac else None)
 
-        def hat_g_jac(xrel):
-            return stage1.derivative(np.atleast_2d(xrel) + V)
-
-        self.smoother = VertexSmoother(hat_g, hat_g_jac, self.R)
+        self.smoother = VertexSmoother(hat, self.R)
 
     def mask(self, x):
-        return np.linalg.norm(np.atleast_2d(x) - self.V, axis=-1) < self.R
+        return np.linalg.norm(x - self.V, axis=-1) < self.R
 
     def evaluate(self, x):
-        return self.fV + self.smoother.evaluate(np.atleast_2d(x) - self.V)
+        return self.fV + self.smoother.apply(x - self.V, False)[0]
 
     def jacobian(self, x):
-        return self.smoother.jacobian(np.atleast_2d(x) - self.V)
+        return self.smoother.apply(x - self.V, True)[1]
 
 
 # ---------------------------------------------------------------------------
 # the assembled map
-
-
-class _Stage1:
-    """Dispatch over edge/face patches and bulk only (no vertex balls);
-    used to feed hat_g to the vertex smoothers."""
-
-    def __init__(self, owner):
-        self.owner = owner
-
-    def evaluate(self, x):
-        return self.owner._dispatch(x, use_vertex=False, jac=False)
-
-    def derivative(self, x):
-        return self.owner._dispatch(x, use_vertex=False, jac=True)
 
 
 class SmoothedMap:
@@ -290,9 +280,7 @@ class SmoothedMap:
         self.face_patches = face_patches
         self.edge_patches = edge_patches
         self.scale = plmap.complex.coordinate_scale()
-        self.stage1 = _Stage1(self)
-        self.vertex_patches = [build(self.stage1)
-                               for build in vertex_patch_builders]
+        self.vertex_patches = [build(self) for build in vertex_patch_builders]
         self._dq = None
 
     # -- dispatch
@@ -303,8 +291,7 @@ class SmoothedMap:
         return self.plmap.locate_inside(x)
 
     def _dispatch(self, x, use_vertex=True, jac=False, extend=False):
-        single = np.asarray(x, dtype=float).ndim == 1
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         out = np.empty((len(x), 3, 3)) if jac else np.empty_like(x)
         todo = np.ones(len(x), dtype=bool)
         patch_sets = []
@@ -327,13 +314,10 @@ class SmoothedMap:
                 out[todo] = self.plmap.matrices[ci]
             else:
                 out[todo] = self.plmap.apply(x[todo], ci)
-        return out[0] if single else out
+        return out
 
     def evaluate(self, x, extend=False):
         return self._dispatch(x, jac=False, extend=extend)
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def derivative(self, x, extend=False):
         return self._dispatch(x, jac=True, extend=extend)
@@ -347,8 +331,7 @@ class SmoothedMap:
         """Damped Newton from the PL inverse, to a residual of 1e-13 times
         the coordinate scale in at most 60 steps, then Powell's hybrid
         method for the points still above it."""
-        single = np.asarray(y, dtype=float).ndim == 1
-        y = np.atleast_2d(np.asarray(y, dtype=float))
+        y = np.asarray(y, dtype=float)
         x, _ = self.plmap.inverse_pl(y, tol=1e-7, extend=True)
         tol = 1e-13 * self.scale
         res = self.evaluate(x, extend=True) - y
@@ -377,10 +360,9 @@ class SmoothedMap:
         # (the untwist stage has badly conditioned Jacobians)
         for k in np.where(rn > tol)[0]:
             sol = sp_root(
-                lambda xs: self.evaluate(xs, extend=True) - y[k],
+                lambda xs: self.evaluate(xs[None], extend=True)[0] - y[k],
                 x[k],
-                jac=lambda xs: self.derivative(np.atleast_2d(xs),
-                                               extend=True)[0],
+                jac=lambda xs: self.derivative(xs[None], extend=True)[0],
                 method="hybr", tol=1e-14)
             if np.linalg.norm(sol.fun) < rn[k]:
                 x[k] = sol.x
@@ -389,7 +371,7 @@ class SmoothedMap:
             k = int(np.argmax(rn))
             raise ConstructionError(
                 f"inverse Newton stagnated at residual {rn[k]:.3e} for {y[k]}")
-        return x[0] if single else x
+        return x
 
     # -- difference-set geometry
 
@@ -431,7 +413,12 @@ class SmoothedMap:
         """Gauss nodes per radial band (5), angular sector (14) and along
         the edge (16)."""
         r, L, fan = ep.r, ep.L, ep.fan
-        tb = np.array([1e-9, 0.4, 7.0 / 15.0, 8.0 / 15.0, 0.6, 0.8, 1.0]) * r
+        # the cylinder's regions, the untwist ring split where its time
+        # profile turns
+        k, n = edge._UNTWIST, edge._FIFTHS
+        tb = np.array([1e-9, k / n, (k + 1 / 3) / n, (k + 2 / 3) / n,
+                       edge._SQUEEZE / n, edge._FLATTEN / n,
+                       edge._OUTER / n]) * r
         tn, tw = _panel_gauss(tb, 5)
         ang = np.append(fan.angles, fan.angles[0] + 2 * np.pi)
         thn, thw = _panel_gauss(ang, 14)
@@ -449,7 +436,9 @@ class SmoothedMap:
         of grid-aligned meshes follow: on a face Df jumps, and the cell a
         node takes would depend on the cell order."""
         R = vp.R
-        rb = np.array([1e-9, 0.5, 0.75, 1.0]) * R
+        n = vertex._QUARTERS
+        rb = np.array([1e-9, vertex._UNTWIST / n, vertex._FLATTEN / n,
+                       vertex._OUTER / n]) * R
         rn, rw = _panel_gauss(rb, 5)
         mu, mw = np.polynomial.legendre.leggauss(8)
         phi = np.arccos(mu)
@@ -639,7 +628,7 @@ def assemble(plmap, params):
     for v, R in params.R.items():
         st = stars[v]
         builders.append(
-            lambda stage1, st=st, R=R: VertexPatch(st, R, stage1, plmap))
+            lambda owner, st=st, R=R: VertexPatch(st, R, owner, plmap))
     return SmoothedMap(plmap, params, face_patches, edge_patches, builders)
 
 
@@ -651,8 +640,14 @@ SWEEP_COLUMNS = ("lambda", "vol_E", "linf_f", "w1p_f", "linf_inv",
                  "w1q_inv", "sup_Dg", "sup_Dginv")
 
 
-def lambda_sweep(plmap, params, lambdas=(1.0, 0.5, 0.25, 0.125, 0.0625),
-                 p=2.0, q=2.0, rng=0):
+# the sweep's default lambda grid and exponents p and q, which the CLI's
+# options share
+SWEEP_DEFAULTS = {"lambdas": (1.0, 0.5, 0.25, 0.125, 0.0625), "p": 2.0,
+                  "q": 2.0}
+
+
+def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
+                 p=SWEEP_DEFAULTS["p"], q=SWEEP_DEFAULTS["q"], rng=0):
     from .norms import linf_difference
     rows = []
     piece_norms = geo.spectral_norm(plmap.matrices)

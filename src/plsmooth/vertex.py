@@ -30,23 +30,21 @@ def _unit(x):
 class SphereMap:
     """A map of the unit sphere obtained by normalizing an ambient map.
 
-    ``ambient`` maps (N,3) to (N,3) nonzero vectors; ``ambient_jac`` returns
-    the (N,3,3) derivative of the ambient map with respect to its argument.
+    ``ambient(x, jac)`` maps points ``x`` (N,3) to (N,3) nonzero vectors
+    and, when ``jac``, gives their (N,3,3) derivative with respect to x,
+    else None.
     """
 
-    def __init__(self, ambient, ambient_jac):
+    def __init__(self, ambient):
         self.ambient = ambient
-        self.ambient_jac = ambient_jac
 
     def __call__(self, x):
-        return _unit(self.ambient(np.asarray(x, dtype=float)))
+        return _unit(self.ambient(x, False)[0])
 
     def ambient_derivative(self, x):
         """The sphere map at x and its derivative, in ambient coordinates,
-        from one ``ambient`` and one ``ambient_jac`` call."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        G = self.ambient(x)
-        J = self.ambient_jac(x)
+        from one ``ambient`` call."""
+        G, J = self.ambient(x, True)
         n = np.linalg.norm(G, axis=-1, keepdims=True)
         mu = G / n
         P = np.eye(3) - mu[:, :, None] * mu[:, None, :]
@@ -54,7 +52,6 @@ class SphereMap:
 
     def tangent_det(self, x):
         """Jacobian determinant of the surface map in oriented tangent frames."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         mu, D = self.ambient_derivative(x)
         u2, u3 = geo.orthonormal_tangents(x)
         v2, v3 = geo.orthonormal_tangents(mu)
@@ -64,8 +61,8 @@ class SphereMap:
 
 def linear_sphere_map(M):
     M = np.asarray(M, dtype=float)
-    return SphereMap(lambda x: np.atleast_2d(x) @ M.T,
-                     lambda x: np.broadcast_to(M, (len(np.atleast_2d(x)), 3, 3)))
+    return SphereMap(lambda x, jac: (
+        x @ M.T, np.broadcast_to(M, (len(x), 3, 3)) if jac else None))
 
 
 def integral_degree(mu, n_polar=32, n_azimuth=64):
@@ -122,19 +119,14 @@ class SphereIsotopy:
         if degree(mu) != 1:
             raise NoIsotopyFound("sphere map does not have degree 1")
 
-    def __call__(self, x, t):
-        single = np.asarray(x, dtype=float).ndim == 1
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        sv = np.asarray(time_profile(t), dtype=float)
-        sv = np.broadcast_to(sv, (len(x),))[:, None]
-        out = _unit((1.0 - sv) * x + sv * self.mu(x))
-        return out[0] if single else out
-
-    def derivative(self, x, t):
-        """Psi and its d/dx and d/dt at unit vectors x, ambient
-        representation, from one ``mu.ambient_derivative`` call."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def __call__(self, x, t, jac):
+        """Psi at unit vectors ``x`` (N,3) and time ``t`` and, when ``jac``,
+        its d/dx and d/dt, ambient representation, else None and None: one
+        ``mu`` or, with ``jac``, one ``mu.ambient_derivative`` call."""
         sv = np.broadcast_to(np.asarray(time_profile(t), dtype=float), (len(x),))
+        if not jac:
+            return _unit((1.0 - sv)[:, None] * x
+                         + sv[:, None] * self.mu(x)), None, None
         spv = np.broadcast_to(np.asarray(time_profile_prime(t), dtype=float),
                               (len(x),))
         mv, Dmu = self.mu.ambient_derivative(x)
@@ -163,27 +155,30 @@ _UNTWIST, _FLATTEN, _OUTER = 2, 3, 4
 class VertexSmoother:
     """Assembled vertex-ball map: hat_g outside B(0,R), star flattening on
     B(0,R) \\ B(0,3R/4), isotopy untwist on B(0,3R/4) \\ B(0,R/2), and the
-    linear map rho*x on B(0,R/2).  One pass over the shells serves
-    ``evaluate`` and ``jacobian``; each stage gives its value and Jacobian
-    together."""
+    linear map rho*x on B(0,R/2).  ``hat(x, jac)`` gives hat_g at points
+    ``x`` (N,3) relative to the vertex and, when ``jac``, its Jacobian,
+    else None.  One pass over the shells, ``apply``, gives the value and the
+    Jacobian; each stage gives both together."""
 
-    def __init__(self, hat_g, hat_g_jac, R):
-        self.hat_g = hat_g
-        self.hat_g_jac = hat_g_jac
+    def __init__(self, hat, R):
+        self.hat = hat
         self.R = float(R)
         rr = _FLATTEN / _QUARTERS * self.R
-        self.mu = SphereMap(lambda x: self.hat_g(np.atleast_2d(x) * rr),
-                            lambda x: self.hat_g_jac(np.atleast_2d(x) * rr) * rr)
+
+        def ambient(x, jac):
+            G, J = self.hat(x * rr, jac)
+            return G, (J * rr if jac else None)
+
+        self.mu = SphereMap(ambient)
         rng = np.random.default_rng(5)
         sph = _unit(rng.normal(size=(4096, 3)))
-        norms = np.linalg.norm(self.hat_g(sph * rr), axis=-1)
+        norms = np.linalg.norm(self.hat(sph * rr, False)[0], axis=-1)
         if float(np.min(norms)) <= 0:
             raise ConstructionError("hat_g vanishes on the flattening sphere")
         self.rho = 0.45 * float(np.min(norms)) / rr
         # radial monotonicity of hat_g on the flattening shell
         shell = sph * rng.uniform(rr, self.R, 4096)[:, None]
-        gv = self.hat_g(shell)
-        Jv = self.hat_g_jac(shell)
+        gv, Jv = self.hat(shell, True)
         rad = np.einsum("nij,nj->ni", Jv, _unit(shell))
         dots = np.sum(rad * _unit(gv), axis=-1)
         if float(np.min(dots)) <= 0:
@@ -193,23 +188,10 @@ class VertexSmoother:
 
     # -- evaluation
 
-    def evaluate(self, x):
-        single = np.asarray(x, dtype=float).ndim == 1
-        out = self._pass(x, False)[0]
-        return out[0] if single else out
-
-    def __call__(self, x):
-        return self.evaluate(x)
-
-    def jacobian(self, x):
-        single = np.asarray(x, dtype=float).ndim == 1
-        J = self._pass(x, True)[1]
-        return J[0] if single else J
-
-    def _pass(self, x, jac):
-        """Value and, when ``jac``, Jacobian at points ``x`` relative to the
-        vertex, each shell by its stage."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def apply(self, x, jac):
+        """The ball map at points ``x`` (N,3) relative to the vertex and,
+        when ``jac``, its Jacobian (N,3,3), else None, each shell by its
+        stage."""
         nx = np.linalg.norm(x, axis=-1)
         stages = ((0, self._core), (_UNTWIST, self._untwist),
                   (_FLATTEN, self._flatten), (_OUTER, self._outer))
@@ -218,14 +200,14 @@ class VertexSmoother:
     # -- the stages, from hat_g inward; s is the band coordinate
 
     def _outer(self, x, nx, s, jac):
-        return self.hat_g(x), (self.hat_g_jac(x) if jac else None)
+        return self.hat(x, jac)
 
     def _flatten(self, x, nx, s, jac):
         """Convex combination eta(s) g + (1 - eta(s)) rho |x| mu of g =
         hat_g and its radial projection to spheres, mu = g / |g|."""
         rho = self.rho
         e = eta(s)
-        g = self.hat_g(x)
+        g, J = self.hat(x, jac)
         ng = np.linalg.norm(g, axis=-1, keepdims=True)
         mu = g / ng
         out = e[:, None] * g + ((1.0 - e) * rho * nx)[:, None] * mu
@@ -233,7 +215,6 @@ class VertexSmoother:
             return out, None
         xhat = x / nx[:, None]
         de = eta_prime(s) * (_QUARTERS / self.R)
-        J = self.hat_g_jac(x)
         P = np.eye(3) - mu[:, :, None] * mu[:, None, :]
         Dmu = np.einsum("nij,njk->nik", P, J) / ng[:, :, None]
         grad_e = de[:, None] * xhat
@@ -248,10 +229,10 @@ class VertexSmoother:
         rho = self.rho
         xhat = x / nx[:, None]
         tau = eta(s)
+        Psi, dPsi_dx, dPsi_dt = self.isotopy(xhat, tau, jac)
         if not jac:
-            return (rho * nx)[:, None] * self.isotopy(xhat, tau), None
+            return (rho * nx)[:, None] * Psi, None
         dtau = eta_prime(s) * (_QUARTERS / self.R)
-        Psi, dPsi_dx, dPsi_dt = self.isotopy.derivative(xhat, tau)
         Dxhat = (np.eye(3) - xhat[:, :, None] * xhat[:, None, :]) \
             / nx[:, None, None]
         total = np.einsum("nij,njk->nik", dPsi_dx, Dxhat) \

@@ -10,12 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from plsmooth.blend import (FaceBlend, face_blend, face_blend_jacobian,
-                            face_floor)
+from plsmooth.blend import FaceBlend, blend_pass, face_floor
 from plsmooth.builders import (perturbed_kuhn_map, subdivided_tet,
                                two_tet)
-from plsmooth.edge import (EdgeSmoother, ray_blends, synthetic_fan,
-                           wedge_jacobian, wedge_map)
+from plsmooth.edge import EdgeSmoother, ray_blends, synthetic_fan, wedge
 from plsmooth.errors import NonInjectiveError, OrientationError
 from plsmooth.mesh import PLMap, pl_map_from_vertex_images, validate_pl_homeo
 from plsmooth.norms import RINorm, rozumny_check
@@ -65,22 +63,23 @@ def test_criterion_1_face_blend():
     x = rng.uniform(-1.0, 1.0, size=(100_000, 3))
     off = (x[:, 0] <= 0.0) | (x[:, 0] >= fb.width)
     lo, hi = x[off & (x[:, 0] <= 0)], x[off & (x[:, 0] >= fb.width)]
-    ok &= np.array_equal(face_blend(fb, lo), lo @ fb.M_neg.T)
-    ok &= np.array_equal(face_blend(fb, hi), hi @ fb.M_pos.T)
+    ok &= np.array_equal(blend_pass(fb, lo, False)[0], lo @ fb.M_neg.T)
+    ok &= np.array_equal(blend_pass(fb, hi, False)[0], hi @ fb.M_pos.T)
     # determinant floor inside the strip
     xin = x.copy()
     xin[:, 0] = rng.uniform(0.0, fb.width, len(x))
     floor = face_floor(fb)
-    dets = np.linalg.det(face_blend_jacobian(fb, xin[:20000]))
+    dets = np.linalg.det(blend_pass(fb, xin[:20000], True)[1])
     ok &= np.min(dets) >= floor - 1e-12
     # finite-difference Jacobian check
     pts = xin[:200]
-    J = face_blend_jacobian(fb, pts)
+    J = blend_pass(fb, pts, True)[1]
     h = 1e-7
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        fd = (face_blend(fb, pts + e) - face_blend(fb, pts - e)) / (2 * h)
+        fd = (blend_pass(fb, pts + e, False)[0]
+              - blend_pass(fb, pts - e, False)[0]) / (2 * h)
         ok &= np.max(np.abs(fd - J[:, :, j])) < 1e-5
     ok &= (time.time() - t0) < 10.0
     _report(ok, "criterion 1: face blend suite (exactness, floor, FD)")
@@ -98,17 +97,16 @@ def test_criterion_2_edge_smoother():
     th = rng.uniform(-np.pi, np.pi, 4000)
     z = rng.uniform(0.2, 1.8, 4000)
     bd = np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
-    ok &= np.max(np.abs(sm.evaluate(bd)
-                        - wedge_map(fan, ray_blends(fan, sm.widths), bd))) \
-        < 1e-10 * scale
+    wedge_bd = wedge(fan, ray_blends(fan, sm.widths), bd, False)[0]
+    ok &= np.max(np.abs(sm.apply(bd, False)[0] - wedge_bd)) < 1e-10 * scale
     # axis translation equivariance and post-flattening horizontal planes
     t = rng.uniform(1e-4, r - 1e-6, 4000)
     pts = np.stack([t * np.cos(th), t * np.sin(th), z], axis=-1)
     c = 0.37
-    shift = sm.evaluate(pts + [0, 0, c]) - sm.evaluate(pts)
+    shift = sm.apply(pts + [0, 0, c], False)[0] - sm.apply(pts, False)[0]
     ok &= np.max(np.abs(shift - np.array([0, 0, fan.lam * c]))) < 1e-10
     inner = t <= 0.8 * r
-    ok &= np.max(np.abs(sm.evaluate(pts[inner])[:, 2]
+    ok &= np.max(np.abs(sm.apply(pts[inner], False)[0][:, 2]
                         - fan.lam * z[inner])) < 1e-10
     # positive Jacobian on a 64^3 cylindrical grid
     tg = np.linspace(1e-3, r * 0.9999, 64)
@@ -117,7 +115,7 @@ def test_criterion_2_edge_smoother():
     T, TH, Z = np.meshgrid(tg, thg, zg, indexing="ij")
     grid = np.stack([T * np.cos(TH), T * np.sin(TH), Z],
                     axis=-1).reshape(-1, 3)
-    ok &= np.min(np.linalg.det(sm.jacobian(grid))) > 0
+    ok &= np.min(np.linalg.det(sm.apply(grid, True)[1])) > 0
     # sup |Dg| within 5 percent across lambda in {1, 1/2, 1/4}
     sup = []
     probe = pts[::8]
@@ -125,7 +123,7 @@ def test_criterion_2_edge_smoother():
         sm_l = EdgeSmoother(fan, [0.002 * lam] * 3, r * lam)
         sc = probe.copy()
         sc[:, :2] *= lam
-        sup.append(np.max(np.linalg.norm(sm_l.jacobian(sc), ord=2,
+        sup.append(np.max(np.linalg.norm(sm_l.apply(sc, True)[1], ord=2,
                                          axis=(1, 2))))
     ok &= (max(sup) - min(sup)) / max(sup) < 0.05
     ok &= (time.time() - t0) < 60.0
@@ -148,20 +146,22 @@ def test_criterion_3_untwist_ring(kuhn_sweep):
         th = rng.uniform(-np.pi, np.pi, 4000)
         x = np.stack([t * np.cos(th), t * np.sin(th),
                       rng.uniform(0.0, fan.length, 4000)], axis=-1)
-        F = sm.evaluate(x)[:, :2]
+        F, J = sm.apply(x, True)
+        F = F[:, :2]
         # the lift is theta for t <= 7r/15 (the image is rho x) ...
         core = t <= 7.0 / 15.0 * r
         ok &= np.max(np.abs(F[core] - sm.rho * x[core, :2])) <= 1e-14 * r
         # ... and H for t >= 8r/15 (the image points along G(3r/5, theta))
         p0 = 0.6 * r * np.stack([np.cos(th), np.sin(th), 0 * th], axis=-1)
-        G0 = wedge_map(fan, blends, p0)[:, :2]
+        G0, J0 = wedge(fan, blends, p0, True)
+        G0 = G0[:, :2]
         u = G0 / np.linalg.norm(G0, axis=-1, keepdims=True)
         outer = t >= 8.0 / 15.0 * r
         Fu = F / np.linalg.norm(F, axis=-1, keepdims=True)
         ok &= np.max(np.abs(Fu[outer] - u[outer])) <= 1e-12
         # between them dL/dtheta stays between 1 and H'
-        dL = _angle_rate(F, sm.jacobian(x), x)
-        Hp = _angle_rate(G0, wedge_jacobian(fan, blends, p0), p0)
+        dL = _angle_rate(F, J, x)
+        Hp = _angle_rate(G0, J0, p0)
         slack = 1e-9 * np.maximum(1.0, Hp)
         ok &= np.min(Hp) > 0
         ok &= np.all((dL >= np.minimum(1.0, Hp) - slack)
@@ -185,15 +185,15 @@ def test_criterion_4_vertex_smoother():
     from plsmooth.vertex import VertexSmoother
     A = np.eye(3) + 0.15 * rng.normal(size=(3, 3))
     vs = VertexSmoother(
-        lambda x: np.atleast_2d(x) @ A.T,
-        lambda x: np.broadcast_to(A, (len(np.atleast_2d(x)), 3, 3)).copy(),
+        lambda x, jac: (x @ A.T, np.broadcast_to(A, (len(x), 3, 3)).copy()
+                        if jac else None),
         1.0)
     u = rng.normal(size=(2000, 3))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     outer = u * rng.uniform(1.0, 2.0, 2000)[:, None]
-    ok &= np.array_equal(vs.evaluate(outer), outer @ A.T)
+    ok &= np.array_equal(vs.apply(outer, False)[0], outer @ A.T)
     core = u * rng.uniform(0.0, 0.499, 2000)[:, None]
-    ok &= np.allclose(vs.evaluate(core), vs.rho * core, atol=1e-14)
+    ok &= np.allclose(vs.apply(core, False)[0], vs.rho * core, atol=1e-14)
     ok &= (time.time() - t0) < 60.0
     _report(ok, "criterion 4: vertex smoother suite (degrees, shell, core)")
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from plsmooth.blend import (FaceBlend, eta, eta_prime, face_blend,
-                            face_blend_jacobian, face_floor, time_profile,
-                            time_profile_prime)
+from plsmooth.blend import (FaceBlend, blend_pass, eta, eta_prime,
+                            face_floor, time_profile, time_profile_prime)
 from plsmooth.errors import DomainError
 
 
@@ -68,9 +67,9 @@ def _pair(d=np.array([1.0, 0.0, 0.0]), w=0.01):
 def test_face_blend_exact_off_strip():
     fb = _pair()
     x = np.array([[-0.5, 0.2, 0.1], [0.0, 1.0, -1.0]])
-    assert np.array_equal(face_blend(fb, x), x @ fb.M_neg.T)
+    assert np.array_equal(blend_pass(fb, x, False)[0], x @ fb.M_neg.T)
     x = np.array([[0.011, 0.2, 0.1], [2.0, -1.0, 0.5]])
-    assert np.array_equal(face_blend(fb, x), x @ fb.M_pos.T)
+    assert np.array_equal(blend_pass(fb, x, False)[0], x @ fb.M_pos.T)
 
 
 def test_face_blend_midpoint_value():
@@ -78,7 +77,8 @@ def test_face_blend_midpoint_value():
     x = np.array([0.005, 0.3, -0.2])
     # at the strip midpoint the blend weight is exactly 1/2
     expect = 0.5 * fb.M_neg @ x + 0.5 * fb.M_pos @ x
-    assert np.allclose(face_blend(fb, x), expect, atol=1e-14)
+    assert np.allclose(blend_pass(fb, x[None], False)[0][0], expect,
+                       atol=1e-14)
 
 
 def test_face_blend_quarter_point():
@@ -86,7 +86,8 @@ def test_face_blend_quarter_point():
     x = np.array([0.75, 0.0, 0.0])
     e = eta(0.75)
     expect = (1 - e) * fb.M_neg @ x + e * fb.M_pos @ x
-    assert np.allclose(face_blend(fb, x), expect, atol=1e-14)
+    assert np.allclose(blend_pass(fb, x[None], False)[0][0], expect,
+                       atol=1e-14)
 
 
 def test_sigma_floor_axis_stretch():
@@ -103,7 +104,7 @@ def test_jacobian_det_above_floor():
     floor = face_floor(fb)
     x = rng.uniform(-1, 1, size=(4000, 3))
     x[:, 0] = rng.uniform(0, fb.width, 4000)
-    dets = np.linalg.det(face_blend_jacobian(fb, x))
+    dets = np.linalg.det(blend_pass(fb, x, True)[1])
     assert np.min(dets) >= floor - 1e-12
 
 
@@ -115,13 +116,12 @@ def test_jacobian_matches_fd(seed):
     fb = _pair(d=d, w=0.05)
     x = rng.uniform(-0.2, 0.2, 3)
     x[0] = rng.uniform(0.001, 0.049)
-    J = face_blend_jacobian(fb, x[None])[0]
+    J = blend_pass(fb, x[None], True)[1][0]
     h = 1e-7
-    Jfd = np.zeros((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        Jfd[:, j] = (face_blend(fb, x + e) - face_blend(fb, x - e)) / (2 * h)
+    # central differences along each axis, the 6 points in one batch
+    steps = np.vstack([h * np.eye(3), -h * np.eye(3)])
+    out = blend_pass(fb, x + steps, False)[0]
+    Jfd = (out[:3] - out[3:]).T / (2 * h)
     assert np.abs(J - Jfd).max() < 1e-5 * max(1.0, np.abs(J).max())
 
 
@@ -130,7 +130,7 @@ def test_first_coordinate_derivative_positive():
     fb = _pair(d=np.array([0.8, 0.1, 0.1]), w=0.01)
     x = np.random.default_rng(2).uniform(-0.5, 0.5, size=(2000, 3))
     x[:, 0] = np.random.default_rng(3).uniform(0, fb.width, 2000)
-    J = face_blend_jacobian(fb, x)
+    J = blend_pass(fb, x, True)[1]
     assert np.min(J[:, 0, 0]) >= fb.M_neg[0, 0] - 1e-12
 
 
@@ -153,5 +153,5 @@ def test_frame_equivariance():
                     M_pos=fb.M_pos @ R, c_pos=np.zeros(3),
                     width=0.05)
     x = rng.uniform(-0.2, 0.2, size=(200, 3))
-    assert np.allclose(face_blend(fb, x), face_blend(fb2, x @ R),
-                       atol=1e-12)
+    assert np.allclose(blend_pass(fb, x, False)[0],
+                       blend_pass(fb2, x @ R, False)[0], atol=1e-12)

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from plsmooth.blend import face_blend
+from plsmooth.blend import blend_pass
 import plsmooth.edge
-from plsmooth.edge import (EdgeSmoother, fan_map, ray_blends, synthetic_fan,
-                           wedge_jacobian, wedge_map)
+from plsmooth.edge import EdgeSmoother, ray_blends, synthetic_fan, wedge
 from plsmooth.errors import (InvalidInputError, ParameterError)
 
 
@@ -46,8 +45,8 @@ def test_wedge_exact_off_strips():
     dist = np.min(np.abs((th[:, None] - fan.angles[None, :] + np.pi) % (2 * np.pi)
                          - np.pi), axis=1) * t
     keep = dist > 0.05
-    out = wedge_map(fan, ray_blends(fan, w), pts[keep])
-    oracle = fan_map(fan, pts[keep])
+    out = wedge(fan, ray_blends(fan, w), pts[keep], False)[0]
+    oracle = wedge(fan, [], pts[keep], False)[0]
     assert np.array_equal(out, oracle)
 
 
@@ -63,10 +62,10 @@ def test_two_ray_wedge_equals_face_blend():
     w = 0.02
     pts = np.random.default_rng(2).uniform(-0.5, 0.5, size=(3000, 3))
     pts[:, 2] = np.random.default_rng(3).uniform(0, 1, 3000)
-    out = wedge_map(fan, ray_blends(fan, [w, w]), pts)
+    out = wedge(fan, ray_blends(fan, [w, w]), pts, False)[0]
     blends = ray_blends(fan, [w, w])
-    ref = face_blend(blends[0], pts)
-    ref2 = face_blend(blends[1], pts)
+    ref = blend_pass(blends[0], pts, False)[0]
+    ref2 = blend_pass(blends[1], pts, False)[0]
     # every point is handled by one of the two (identical) half blends
     ok = np.isclose(out, ref, atol=1e-12).all(axis=-1) | \
         np.isclose(out, ref2, atol=1e-12).all(axis=-1)
@@ -93,8 +92,8 @@ def test_smoother_matches_wedge_at_radius():
     th = rng.uniform(-np.pi, np.pi, 3000)
     z = rng.uniform(0.2, 1.8, 3000)
     pts = np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
-    out = sm.evaluate(pts)
-    ref = wedge_map(fan, ray_blends(fan, sm.widths), pts)
+    out = sm.apply(pts, False)[0]
+    ref = wedge(fan, ray_blends(fan, sm.widths), pts, False)[0]
     assert np.max(np.abs(out - ref)) < 1e-10 * 2.0
 
 
@@ -109,13 +108,13 @@ def test_smoother_plane_preservation():
     # axis translation equivariance: g(x + c e3) = g(x) + lam c e3
     c = 0.37
     blends = ray_blends(fan, sm.widths)
-    wout = wedge_map(fan, blends, pts)
-    shifted = wedge_map(fan, blends, pts + np.array([0, 0, c]))
+    wout = wedge(fan, blends, pts, False)[0]
+    shifted = wedge(fan, blends, pts + np.array([0, 0, c]), False)[0]
     assert np.max(np.abs(shifted - wout - np.array([0, 0, fan.lam * c]))) \
         < 1e-10
     # after the flattening band (t <= 4r/5) so does the smoothed cylinder
     inner = t <= 0.8 * 0.2
-    out = sm.evaluate(pts[inner])
+    out = sm.apply(pts[inner], False)[0]
     assert np.max(np.abs(out[:, 2] - fan.lam * z[inner])) < 1e-10
 
 
@@ -127,7 +126,7 @@ def test_smoother_core_linear():
     th = rng.uniform(-np.pi, np.pi, 500)
     z = rng.uniform(0.3, 1.7, 500)
     pts = np.stack([t * np.cos(th), t * np.sin(th), z], axis=-1)
-    out = sm.evaluate(pts)
+    out = sm.apply(pts, False)[0]
     expect = pts * np.array([sm.rho, sm.rho, fan.lam])
     assert np.allclose(out, expect, atol=1e-12)
 
@@ -145,7 +144,8 @@ def test_smoother_region_continuity():
                       axis=-1)
         hi = np.stack([(tb + eps) * np.cos(th), (tb + eps) * np.sin(th), z],
                       axis=-1)
-        jump = np.linalg.norm(sm.evaluate(hi) - sm.evaluate(lo), axis=-1)
+        jump = np.linalg.norm(sm.apply(hi, False)[0] - sm.apply(lo, False)[0],
+                              axis=-1)
         assert np.max(jump) < 1e-7
 
 
@@ -157,15 +157,13 @@ def test_smoother_jacobian_fd():
     th = rng.uniform(-np.pi, np.pi, 60)
     z = rng.uniform(0.3, 1.7, 60)
     pts = np.stack([t * np.cos(th), t * np.sin(th), z], axis=-1)
-    J = sm.jacobian(pts)
+    J = sm.apply(pts, True)[1]
     h = 1e-8
+    # central differences along each axis, the 6 points in one batch
+    steps = np.vstack([h * np.eye(3), -h * np.eye(3)])
     for k, x in enumerate(pts):
-        Jfd = np.zeros((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            Jfd[:, j] = (sm.evaluate(x[None] + e)[0]
-                         - sm.evaluate(x[None] - e)[0]) / (2 * h)
+        out = sm.apply(x + steps, False)[0]
+        Jfd = (out[:3] - out[3:]).T / (2 * h)
         assert np.abs(J[k] - Jfd).max() < 1e-5 * max(1.0, np.abs(J[k]).max())
 
 
@@ -177,7 +175,7 @@ def test_smoother_positive_jacobian():
     z = np.linspace(0.25, 1.75, 8)
     T, TH, Z = np.meshgrid(t, th, z, indexing="ij")
     pts = np.stack([T * np.cos(TH), T * np.sin(TH), Z], axis=-1).reshape(-1, 3)
-    dets = np.linalg.det(sm.jacobian(pts))
+    dets = np.linalg.det(sm.apply(pts, True)[1])
     assert np.min(dets) > 0
 
 
@@ -194,8 +192,8 @@ def test_smoother_scale_invariance():
     pts = np.stack([t * np.cos(th), t * np.sin(th), z], axis=-1)
     scaled = pts.copy()
     scaled[:, :2] *= s
-    assert np.allclose(sm2.evaluate(scaled)[:, :2],
-                       s * sm1.evaluate(pts)[:, :2], atol=1e-12)
+    assert np.allclose(sm2.apply(scaled, False)[0][:, :2],
+                       s * sm1.apply(pts, False)[0][:, :2], atol=1e-12)
     assert sm2.rho == pytest.approx(sm1.rho, rel=1e-9)
 
 
@@ -232,7 +230,8 @@ def test_smoother_horizontal_image_ignores_x3(build):
     flat = pts.copy()
     flat[:, 2] = 0.0
     scale = max(r, L)
-    err = np.abs(sm.evaluate(pts)[:, :2] - sm.evaluate(flat)[:, :2])
+    err = np.abs(sm.apply(pts, False)[0][:, :2]
+                 - sm.apply(flat, False)[0][:, :2])
     assert np.max(err) <= 1e-14 * scale
 
 
@@ -255,13 +254,13 @@ def _angle_rate(F, J, x):
 
 def _squeeze_circle(sm, th):
     """The wedge's horizontal image G0 on the circle t = 3r/5 and the
-    derivative H' of its angle, from the public wedge kernels."""
+    derivative H' of its angle, from one wedge pass."""
     t0 = 0.6 * sm.radius
     blends = ray_blends(sm.fan, sm.widths)
     p0 = np.stack([t0 * np.cos(th), t0 * np.sin(th), np.zeros_like(th)],
                   axis=-1)
-    G0 = wedge_map(sm.fan, blends, p0)[:, :2]
-    return G0, _angle_rate(G0, wedge_jacobian(sm.fan, blends, p0), p0)
+    G0, J0 = wedge(sm.fan, blends, p0, True)
+    return G0[:, :2], _angle_rate(G0[:, :2], J0, p0)
 
 
 @SMOOTHERS
@@ -271,10 +270,10 @@ def test_untwist_ring_lift(build):
     sm = build()
     r = sm.radius
     x, _ = _ring(sm, 0.4, 7.0 / 15.0)
-    out = sm.evaluate(x)
+    out = sm.apply(x, False)[0]
     assert np.max(np.abs(out[:, :2] - sm.rho * x[:, :2])) <= 1e-14 * r
     x, th = _ring(sm, 8.0 / 15.0, 0.6)
-    out = sm.evaluate(x)[:, :2]
+    out = sm.apply(x, False)[0][:, :2]
     rad = np.linalg.norm(out, axis=-1)
     G0, _ = _squeeze_circle(sm, th)
     u = G0 / np.linalg.norm(G0, axis=-1, keepdims=True)
@@ -289,7 +288,8 @@ def test_untwist_ring_angular_derivative(build):
     # dL/dtheta lies between 1 and H' > 0
     sm = build()
     x, th = _ring(sm, 0.4, 0.6)
-    dL = _angle_rate(sm.evaluate(x)[:, :2], sm.jacobian(x), x)
+    F, J = sm.apply(x, True)
+    dL = _angle_rate(F[:, :2], J, x)
     _, Hp = _squeeze_circle(sm, th)
     assert np.min(Hp) > 0
     slack = 1e-9 * np.maximum(1.0, Hp)
@@ -317,7 +317,7 @@ def test_untwist_jacobian_evaluates_the_circle_once(monkeypatch):
     sm = EdgeSmoother(make_fan(), [0.002] * 3, 0.2)
     calls = _count_wedge_passes(monkeypatch)
     x, _ = _ring(sm, 0.4, 0.6)
-    sm.jacobian(x)
+    sm.apply(x, True)
     assert len(calls) == 1
 
 
@@ -327,5 +327,5 @@ def test_outer_bands_jacobian_makes_three_wedge_passes(monkeypatch):
     sm = EdgeSmoother(make_fan(), [0.002] * 3, 0.2)
     calls = _count_wedge_passes(monkeypatch)
     x, _ = _ring(sm, 0.6, 1.0)
-    sm.jacobian(x)
+    sm.apply(x, True)
     assert len(calls) <= 3

@@ -97,6 +97,7 @@ def test_locate_extend_matches_least_violated_cell(mesh):
 
 
 @pytest.mark.parametrize("scale", [1e-120, 1e-60, 1e60, 1e120])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_locate_is_scale_free(scale):
     # points well inside each cell of kuhn_cube, and the same points with the
     # cube scaled far from unit size
@@ -220,6 +221,7 @@ def test_validate_rejects_fold_with_witness():
 
 
 @pytest.mark.parametrize("scale", [1e-120, 1e-60, 1.0, 1e60, 1e120])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_pl_homeo_is_scale_free(scale):
     cx = kuhn_cube()
     eye = np.broadcast_to(np.eye(3), (7, 3, 3))
@@ -523,6 +525,7 @@ def test_small_grid_far_from_origin_validates(shift):
 
 
 @pytest.mark.parametrize("scale", [1e-120, 1e-60, 1e60, 1e120])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_is_scale_free(scale):
     # cubed edge lengths and unit facet normals of the raw coordinates over-
     # or underflow at these scales; validation works on unit-scaled ones
@@ -532,11 +535,14 @@ def test_validate_is_scale_free(scale):
 
 
 @pytest.mark.parametrize("scale", [1e-120, 1.0, 1e120])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overlap_rejected_at_any_scale(scale):
     cx = kuhn_cube()
     pts = np.vstack([cx.points, [0.3, 0.3, 0.3]])
     cells = np.vstack([cx.cells, [0, 1, 2, 8]])
-    with pytest.raises(IntersectionError):
+    # the overlap is reported relative to the cells, a finite number
+    with pytest.raises(IntersectionError,
+                       match=r"interior volume \d\.\d{3}e[-+]\d+ times"):
         SimplicialComplex(pts * scale, cells)
 
 

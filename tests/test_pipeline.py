@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from plsmooth import geometry as geo
+from plsmooth import pipeline
 from plsmooth.builders import (kuhn_identity, perturbed_kuhn_map,
                                subdivided_tet_map, two_tet_map)
 from plsmooth.errors import ConstructionError, ParameterError
@@ -478,6 +479,34 @@ def test_inverse_roundtrip_with_vertex_ball(subdiv_setup):
     y = g.evaluate(pts, extend=True)
     xb = g.inverse(y)
     assert np.max(np.linalg.norm(xb - pts, axis=-1)) < 1e-11 * g.scale
+
+
+@pytest.mark.parametrize("build", [perturbed_kuhn_map, subdivided_tet_map])
+def test_inverse_falls_back_to_powell(build, monkeypatch):
+    # with -Dg in the batched Newton steps every step climbs the residual,
+    # so the points in the patches reach Powell's hybrid method, whose
+    # one-point Jacobian calls get the true Dg
+    pl = build()
+    g = assemble(pl, choose_params(pl))
+    true = g.derivative
+
+    def flipped(x, extend=False):
+        J = true(x, extend=extend)
+        return J if len(x) == 1 else -J
+
+    calls = []
+    real = pipeline.sp_root
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(g, "derivative", flipped)
+    monkeypatch.setattr(pipeline, "sp_root", counted)
+    x = g.sample_patches(n_per_patch=1, rng=31)
+    xb = g.inverse(g.evaluate(x, extend=True))
+    assert len(calls) >= 1
+    assert np.max(np.linalg.norm(xb - x, axis=-1)) < 1e-11 * g.scale
 
 
 @pytest.mark.parametrize("depth", [5e-11, 2e-10, 1e-9])

@@ -52,10 +52,10 @@ def test_sphere_isotopy_near_identity():
     u = rng.normal(size=(500, 3))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     # endpoints: identity at s=0 and mu at s=1
-    assert np.allclose(iso(u, 0.0), u, atol=1e-12)
-    assert np.allclose(iso(u, 1.0), mu(u), atol=1e-12)
+    assert np.allclose(iso(u, 0.0, False)[0], u, atol=1e-12)
+    assert np.allclose(iso(u, 1.0, False)[0], mu(u), atol=1e-12)
     for s in np.linspace(0, 1, 7):
-        vals = iso(u, s)
+        vals, _, _ = iso(u, s, False)
         assert np.allclose(np.linalg.norm(vals, axis=-1), 1.0, atol=1e-12)
 
 
@@ -64,14 +64,15 @@ def test_sphere_isotopy_rejects_antipodal():
         SphereIsotopy(linear_sphere_map(-np.eye(3)))
 
 
+def _linear_hat(A):
+    def hat(x, jac):
+        return x @ A.T, (np.broadcast_to(A, (len(x), 3, 3)).copy()
+                         if jac else None)
+    return hat
+
+
 def _linear_vertex_smoother(A, R=1.0):
-    def hat_g(x):
-        return np.atleast_2d(x) @ A.T
-
-    def hat_g_jac(x):
-        return np.broadcast_to(A, (len(np.atleast_2d(x)), 3, 3)).copy()
-
-    return VertexSmoother(hat_g, hat_g_jac, R)
+    return VertexSmoother(_linear_hat(A), R)
 
 
 def test_vertex_smoother_outer_shell_exact():
@@ -81,7 +82,7 @@ def test_vertex_smoother_outer_shell_exact():
     u = rng.normal(size=(300, 3))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     x = u * rng.uniform(1.0, 2.0, 300)[:, None]
-    assert np.array_equal(vs.evaluate(x), x @ A.T)
+    assert np.array_equal(vs.apply(x, False)[0], x @ A.T)
 
 
 def test_vertex_smoother_inner_ball_linear():
@@ -91,7 +92,7 @@ def test_vertex_smoother_inner_ball_linear():
     u = rng.normal(size=(300, 3))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     x = u * rng.uniform(0.0, 0.499, 300)[:, None]
-    assert np.allclose(vs.evaluate(x), vs.rho * x, atol=1e-14)
+    assert np.allclose(vs.apply(x, False)[0], vs.rho * x, atol=1e-14)
 
 
 def test_vertex_smoother_continuity():
@@ -102,8 +103,8 @@ def test_vertex_smoother_continuity():
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     eps = 1e-9
     for rad in (1.0, 0.75, 0.5):
-        lo = vs.evaluate((rad - eps) * u)
-        hi = vs.evaluate((rad + eps) * u)
+        lo = vs.apply((rad - eps) * u, False)[0]
+        hi = vs.apply((rad + eps) * u, False)[0]
         assert np.max(np.linalg.norm(hi - lo, axis=-1)) < 1e-6
 
 
@@ -114,15 +115,13 @@ def test_vertex_smoother_jacobian_fd():
     u = rng.normal(size=(40, 3))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     x = u * rng.uniform(0.45, 1.1, 40)[:, None]
-    J = vs.jacobian(x)
+    J = vs.apply(x, True)[1]
     h = 1e-7
+    # central differences along each axis, the 6 points in one batch
+    steps = np.vstack([h * np.eye(3), -h * np.eye(3)])
     for k, xk in enumerate(x):
-        Jfd = np.zeros((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            Jfd[:, j] = (vs.evaluate(xk[None] + e)[0]
-                         - vs.evaluate(xk[None] - e)[0]) / (2 * h)
+        out = vs.apply(xk + steps, False)[0]
+        Jfd = (out[:3] - out[3:]).T / (2 * h)
         assert np.abs(J[k] - Jfd).max() < 1e-5 * max(1.0, np.abs(J[k]).max())
 
 
@@ -133,7 +132,7 @@ def test_vertex_smoother_positive_jacobian():
     u = rng.normal(size=(4000, 3))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     x = u * rng.uniform(0.01, 1.2, 4000)[:, None]
-    dets = np.linalg.det(vs.jacobian(x))
+    dets = np.linalg.det(vs.apply(x, True)[1])
     assert np.min(dets) > 0
 
 
@@ -184,21 +183,19 @@ def _ref_tangent_det(mu, x):
 
 def _squaring_sphere_map():
     """Normalised (x^2 - y^2, 2xy, z): degree 2, critical at the poles."""
-    def ambient(x):
-        x = np.atleast_2d(x)
-        return np.stack([x[:, 0] ** 2 - x[:, 1] ** 2, 2 * x[:, 0] * x[:, 1],
-                         x[:, 2]], axis=-1)
-
-    def ambient_jac(x):
-        x = np.atleast_2d(x)
+    def ambient(x, jac):
+        G = np.stack([x[:, 0] ** 2 - x[:, 1] ** 2, 2 * x[:, 0] * x[:, 1],
+                      x[:, 2]], axis=-1)
+        if not jac:
+            return G, None
         J = np.zeros((len(x), 3, 3))
         J[:, 0, 0] = J[:, 1, 1] = 2 * x[:, 0]
         J[:, 0, 1] = -2 * x[:, 1]
         J[:, 1, 0] = 2 * x[:, 1]
         J[:, 2, 2] = 1.0
-        return J
+        return G, J
 
-    return SphereMap(ambient, ambient_jac)
+    return SphereMap(ambient)
 
 
 def _random_unit(rng, n):
@@ -248,7 +245,7 @@ def test_degree_sphere_call_count():
     rng = np.random.default_rng(0)
     A = np.eye(3) + 0.4 * rng.normal(size=(3, 3))
     for sm, want in ((linear_sphere_map(A), 1), (_squaring_sphere_map(), 2)):
-        counting = _CountingSphereMap(sm.ambient, sm.ambient_jac)
+        counting = _CountingSphereMap(sm.ambient)
         assert degree(counting) == want
         assert counting.calls <= 3
 
@@ -274,22 +271,19 @@ def test_vertex_ball_build_sphere_call_count(monkeypatch):
 
 
 def test_untwist_jacobian_evaluates_hat_g_once():
-    # one hat_g and one hat_g_jac call give Psi, mu and its derivative on
-    # the untwist shell; evaluating them apart took 3 hat_g calls
+    # one hat(x, True) call gives Psi, mu and its derivative on the untwist
+    # shell; evaluating them apart took 3 hat_g calls
     rng = np.random.default_rng(12)
     A = np.eye(3) + 0.15 * rng.normal(size=(3, 3))
-    calls = {"hat_g": 0, "hat_g_jac": 0}
+    calls = []
+    linear = _linear_hat(A)
 
-    def hat_g(x):
-        calls["hat_g"] += 1
-        return np.atleast_2d(x) @ A.T
+    def hat(x, jac):
+        calls.append(jac)
+        return linear(x, jac)
 
-    def hat_g_jac(x):
-        calls["hat_g_jac"] += 1
-        return np.broadcast_to(A, (len(np.atleast_2d(x)), 3, 3)).copy()
-
-    vs = VertexSmoother(hat_g, hat_g_jac, 1.0)
+    vs = VertexSmoother(hat, 1.0)
     x = _random_unit(rng, 50) * rng.uniform(0.5, 0.74, 50)[:, None]
-    calls.update(hat_g=0, hat_g_jac=0)
-    vs.jacobian(x)
-    assert calls == {"hat_g": 1, "hat_g_jac": 1}
+    calls.clear()
+    vs.apply(x, True)
+    assert calls == [True]
