@@ -1,11 +1,13 @@
 """Low-level geometric primitives shared by the mesh and smoothing modules.
 
 Everything here is plain numpy: frames, closed-form 3x3 kernels (``det3``,
-``inv3``, ``spectral_norm``) batched over stacks of matrices, simplex
-measures, the interior-overlap test of two tetrahedra (the one LP, used by
-validation; an intersection too thin for qhull counts as empty), the edge
-and tetrahedron index tables of a tetrahedron and of a frustum of one, and
-tetrahedral and Gauss quadrature.  The distances that
+``inv3``, ``spectral_norm``) batched over stacks of matrices and worked on
+their entries as flat arrays, and ``max_spectral_norm``, which evaluates the
+norm only where a Gershgorin bound on M^T M can reach the largest column
+norm; simplex measures, the interior-overlap test of two tetrahedra (the
+one LP, used by validation; an intersection too thin for qhull counts as
+empty), the edge and tetrahedron index tables of a tetrahedron and of a
+frustum of one, and tetrahedral and Gauss quadrature.  The distances that
 parameter selection needs are exact and batched over stacks of points,
 segments and triangles: ``dist_point_simplex`` (points to triangles),
 ``dist_segment_triangle`` and ``dist_triangle_triangle``.  The difference-set
@@ -129,40 +131,123 @@ def inv3(M):
     return _matrices(np.ldexp(adj / _det(a), -e), M.shape)
 
 
+def _cross(u, v):
+    """Cross products of the vectors with components ``u`` and ``v``, each a
+    tuple of three arrays."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _gram(m):
+    """The distinct entries (A00, A11, A22, A01, A02, A12) of A = M^T M for
+    the matrices of entries ``m`` (9, ...), row by row: entry (j, k) is
+    column j dot column k."""
+    return [(m[j] * m[k] + m[3 + j] * m[3 + k]) + m[6 + j] * m[6 + k]
+            for j, k in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+
+
+def _double_top(A, low):
+    """Largest eigenvalue of the symmetric matrices of distinct entries
+    ``A`` (as ``_gram`` gives them) whose two largest nearly coincide, from
+    their smallest ``low``: the largest eigenvalue of the 2x2 block of A
+    orthogonal to the null vector v of A - low I, the longest cross product
+    of two of its rows (e1 when all vanish)."""
+    a00, a11, a22, a01, a02, a12 = A
+    rows = ((a00 - low, a01, a02), (a01, a11 - low, a12),
+            (a02, a12, a22 - low))
+    zero = np.zeros_like(low)
+    v, vv = (zero + 1.0, zero, zero), zero
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        w = _cross(rows[i], rows[j])
+        ww = _dot3(w, w)
+        longer = ww > vv
+        v = tuple(np.where(longer, wk, vk) for vk, wk in zip(v, w))
+        vv = np.where(longer, ww, vv)
+    n = np.sqrt(np.where(vv > 0, vv, 1.0))
+    v = tuple(vk / n for vk in v)
+    # t2 = v x e1, or v x e2 where v is near e1 (orthonormal_tangents' rule)
+    near = np.abs(v[0]) >= 0.9
+    t2 = (np.where(near, -v[2], 0.0), np.where(near, 0.0, v[2]),
+          np.where(near, v[0], -v[1]))
+    n = np.sqrt(_dot3(t2, t2))
+    t2 = tuple(tk / n for tk in t2)
+    t3 = _cross(v, t2)
+
+    def times_A(u):
+        return (a00 * u[0] + a01 * u[1] + a02 * u[2],
+                a01 * u[0] + a11 * u[1] + a12 * u[2],
+                a02 * u[0] + a12 * u[1] + a22 * u[2])
+
+    At3 = times_A(t3)
+    a, b, c = _dot3(t2, times_A(t2)), _dot3(t2, At3), _dot3(t3, At3)
+    return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+
+
 @_chunked
 def spectral_norm(M):
     """Largest singular value of each matrix in the stack ``M`` (N,3,3): the
     root of the largest eigenvalue of M^T M, by the trigonometric solution of
-    its characteristic cubic.  Where the two largest eigenvalues nearly
-    coincide that root is ill-conditioned; there the largest eigenvalue of
-    the 2x2 block orthogonal to the eigenvector of the smallest gives it."""
+    its characteristic cubic (Smith, CACM 4, 1961), on the six distinct
+    entries of M^T M as flat arrays.  Where the two largest eigenvalues
+    nearly coincide that root is ill-conditioned; there the largest
+    eigenvalue of the 2x2 block orthogonal to the eigenvector of the
+    smallest gives it."""
     # exact power-of-two scaling keeps M^T M clear of underflow and overflow
     m, e = _scaled_entries(M)
-    # M^T M, entries row by row: entry (j, k) is column j dot column k
-    c = m.reshape(3, 3, -1)
-    A = np.stack([np.sum(c[:, j] * c[:, k], axis=0)
-                  for j in range(3) for k in range(3)])
-    q = (A[0] + A[4] + A[8]) / 3.0
-    B = A - q * np.eye(3).reshape(9, 1)
-    p = np.sqrt(np.sum(B * B, axis=0) / 6.0)
-    r = _det(B / np.where(p > 0, p, 1.0)) / 2.0
+    A = _gram(m)
+    a00, a11, a22, a01, a02, a12 = A
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    o01, o02, o12 = a01 * a01, a02 * a02, a12 * a12
+    # the squares of B = A - q I's nine entries, summed row by row
+    p = np.sqrt((b00 * b00 + o01 + o02 + o01 + b11 * b11 + o12 + o02 + o12
+                 + b22 * b22) / 6.0)
+    s = np.where(p > 0, p, 1.0)
+    b00, b11, b22, b01, b02, b12 = b00 / s, b11 / s, b22 / s, \
+        a01 / s, a02 / s, a12 / s
+    # det(B / p) / 2 by cofactors along the first row
+    r = (b00 * (b11 * b22 - b12 * b12) + b01 * (b12 * b02 - b01 * b22)
+         + b02 * (b01 * b12 - b11 * b02)) / 2.0
     phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
     top = q + 2.0 * p * np.cos(phi)
     # cos(arccos(r) / 3) amplifies an error in r by at most 1/4 for r >= -1/2
     close = r < -0.5
     if np.any(close):
-        A = _matrices(A[:, close], (-1, 3, 3))
-        low = (q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0))[close]
-        C = A - low[:, None, None] * np.eye(3)
-        # its null vector: the longest cross product of two rows of C
-        v = np.cross(C[:, [0, 0, 1]], C[:, [1, 2, 2]])
-        v = v[np.arange(len(v)), np.argmax(np.sum(v * v, axis=2), axis=1)]
-        v[~np.any(v, axis=1)] = (1.0, 0.0, 0.0)
-        t2, t3 = orthonormal_tangents(normalize(v))
-        a, b, c = (np.einsum("ni,nij,nj->n", s, A, t)
-                   for s, t in ((t2, t2), (t2, t3), (t3, t3)))
-        top[close] = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+        low = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+        top[close] = _double_top([a[close] for a in A], low[close])
     return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e)
+
+
+@_chunked
+def _norm_bounds(M):
+    """Lower and upper bounds (..., 2) on the spectral norm of each matrix
+    in ``M`` (..., 3, 3): its longest column, and the root of the Gershgorin
+    bound on the largest eigenvalue of M^T M, its largest absolute row
+    sum."""
+    m, e = _scaled_entries(M)
+    a00, a11, a22, a01, a02, a12 = _gram(m)
+    o01, o02, o12 = np.abs(a01), np.abs(a02), np.abs(a12)
+    low = np.maximum(np.maximum(a00, a11), a22)
+    high = np.maximum(np.maximum(a00 + o01 + o02, o01 + a11 + o12),
+                      o02 + o12 + a22)
+    return np.ldexp(np.sqrt(np.stack([low, high], axis=-1)), e[..., None])
+
+
+def max_spectral_norm(M, floor):
+    """max(floor, max(spectral_norm(M))) for a stack ``M`` (N,3,3), empty
+    too.  The norm is evaluated only for the matrices whose upper bound
+    reaches, within 1e-12 relative, the best lower bound (the longest column
+    of any matrix, or ``floor``): a superset of the maximizers, on which the
+    same kernel gives the same maximum."""
+    M = np.asarray(M, dtype=float).reshape(-1, 3, 3)
+    bounds = _norm_bounds(M)
+    best = np.max(bounds[:, 0], initial=floor)
+    cand = bounds[:, 1] >= best * (1.0 - 1e-12)
+    return float(np.max(spectral_norm(M[cand]), initial=floor))
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,7 @@ class FacePatch:
         return blend_pass(self.blend, x, False)[0]
 
     def jacobian(self, x):
-        return blend_pass(self.blend, x, True)[1]
+        return blend_pass(self.blend, x, True)
 
 
 class EdgePatch:
@@ -234,7 +234,8 @@ class EdgePatch:
 
     def jacobian(self, x):
         y = self.fan.to_frame(x)
-        return self.fan.S.T @ self.smoother.apply(y, True)[1] @ self.fan.Q
+        z, J = self.smoother.apply(y, True)
+        return self.fan.image_to_world(z), self.fan.S.T @ J @ self.fan.Q
 
 
 class VertexPatch:
@@ -251,10 +252,8 @@ class VertexPatch:
         V, fV = self.V, self.fV
 
         def hat(xrel, jac):
-            x = xrel + V
-            return (owner._dispatch(x, use_vertex=False, jac=False) - fV,
-                    owner._dispatch(x, use_vertex=False, jac=True)
-                    if jac else None)
+            y, J = owner._dispatch(xrel + V, jac=jac, use_vertex=False)
+            return y - fV, J
 
         self.smoother = VertexSmoother(hat, self.R)
 
@@ -265,7 +264,8 @@ class VertexPatch:
         return self.fV + self.smoother.apply(x - self.V, False)[0]
 
     def jacobian(self, x):
-        return self.smoother.apply(x - self.V, True)[1]
+        z, J = self.smoother.apply(x - self.V, True)
+        return self.fV + z, J
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +290,15 @@ class SmoothedMap:
             return self.plmap.complex.locate(x, extend=True)
         return self.plmap.locate_inside(x)
 
-    def _dispatch(self, x, use_vertex=True, jac=False, extend=False):
+    def _dispatch(self, x, value=True, jac=False, use_vertex=True,
+                  extend=False):
+        """g at points ``x`` (N,3) when ``value`` and Dg when ``jac``, each
+        else None, from one pass over the patches by precedence and one
+        bulk ``locate``.  A patch's ``jacobian`` gives its value and
+        Jacobian from one pass, bit-equal in value to its ``evaluate``."""
         x = np.asarray(x, dtype=float)
-        out = np.empty((len(x), 3, 3)) if jac else np.empty_like(x)
+        out = np.empty_like(x) if value else None
+        J = np.empty((len(x), 3, 3)) if jac else None
         todo = np.ones(len(x), dtype=bool)
         patch_sets = []
         if use_vertex:
@@ -305,22 +311,28 @@ class SmoothedMap:
                     break
                 m = np.zeros(len(x), dtype=bool)
                 m[todo] = p.mask(x[todo])
-                if np.any(m):
-                    out[m] = p.jacobian(x[m]) if jac else p.evaluate(x[m])
-                    todo &= ~m
+                if not np.any(m):
+                    continue
+                if jac:
+                    ym, J[m] = p.jacobian(x[m])
+                    if value:
+                        out[m] = ym
+                else:
+                    out[m] = p.evaluate(x[m])
+                todo &= ~m
         if np.any(todo):
             ci = self._bulk_cells(x[todo], extend)
-            if jac:
-                out[todo] = self.plmap.matrices[ci]
-            else:
+            if value:
                 out[todo] = self.plmap.apply(x[todo], ci)
-        return out
+            if jac:
+                J[todo] = self.plmap.matrices[ci]
+        return out, J
 
     def evaluate(self, x, extend=False):
-        return self._dispatch(x, jac=False, extend=extend)
+        return self._dispatch(x, extend=extend)[0]
 
     def derivative(self, x, extend=False):
-        return self._dispatch(x, jac=True, extend=extend)
+        return self._dispatch(x, value=False, jac=True, extend=extend)[1]
 
     def contains(self, x):
         return self.plmap.complex.contains(x)
@@ -330,18 +342,19 @@ class SmoothedMap:
     def inverse(self, y):
         """Damped Newton from the PL inverse, to a residual of 1e-13 times
         the coordinate scale in at most 60 steps, then Powell's hybrid
-        method for the points still above it."""
+        method for the points still above it.  Each accepted iterate's
+        residual and Jacobian come from one dispatch."""
         y = np.asarray(y, dtype=float)
         x, _ = self.plmap.inverse_pl(y, tol=1e-7, extend=True)
         tol = 1e-13 * self.scale
-        res = self.evaluate(x, extend=True) - y
+        gx, J = self._dispatch(x, jac=True, extend=True)
+        res = gx - y
         rn = np.linalg.norm(res, axis=-1)
         for _ in range(60):
             act = rn > tol
             if not np.any(act):
                 break
-            J = self.derivative(x[act], extend=True)
-            step = np.linalg.solve(J, res[act][..., None])[..., 0]
+            step = np.linalg.solve(J[act], res[act][..., None])[..., 0]
             alpha = np.ones(int(act.sum()))
             xa = x[act]
             ra = rn[act]
@@ -354,7 +367,8 @@ class SmoothedMap:
                     break
                 alpha[worse] *= 0.5
             x[act] = xa - alpha[:, None] * step
-            res[act] = self.evaluate(x[act], extend=True) - y[act]
+            gx, J[act] = self._dispatch(x[act], jac=True, extend=True)
+            res[act] = gx - y[act]
             rn[act] = np.linalg.norm(res[act], axis=-1)
         # Powell hybrid fallback for points where the damped Newton cycles
         # (the untwist stage has badly conditioned Jacobians)
@@ -650,20 +664,20 @@ def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
                  p=SWEEP_DEFAULTS["p"], q=SWEEP_DEFAULTS["q"], rng=0):
     from .norms import linf_difference
     rows = []
-    piece_norms = geo.spectral_norm(plmap.matrices)
+    piece_norm = float(np.max(geo.spectral_norm(plmap.matrices)))
     piece_invs = plmap.inverse_pieces()[1]
-    piece_inv_norms = geo.spectral_norm(piece_invs)
+    piece_inv_norm = float(np.max(geo.spectral_norm(piece_invs)))
     for lam in lambdas:
         g = assemble(plmap, params.scaled(lam))
         vol = g.volume_difference_set()
         pts, wts = g.difference_quadrature()
         act = wts > 0
         pa, wa = pts[act], wts[act]
-        # one pass over the nodes: f, Df, g and Dg each evaluated once
+        # one pass over the nodes: f and Df by one locate, g and Dg by one
+        # dispatch
         cf = plmap.locate_inside(pa)
         Df = plmap.matrices[cf]
-        y = g.evaluate(pa)
-        Dg = g.derivative(pa)
+        y, Dg = g._dispatch(pa, jac=True)
         diff = geo.spectral_norm(Dg - Df)
         w1p = float(np.sum(wa * diff ** p) ** (1.0 / p))
         linf = linf_difference(
@@ -677,10 +691,8 @@ def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
         diff_inv = geo.spectral_norm(Dgi - Dfi)
         w1q_inv = float(np.sum(wa * diff_inv ** q * Jg) ** (1.0 / q))
         linf_inv = float(np.max(np.linalg.norm(pa - xb, axis=-1)))
-        sup_dg = float(max(np.max(geo.spectral_norm(Dg)),
-                           np.max(piece_norms)))
-        sup_dgi = float(max(np.max(geo.spectral_norm(Dgi)),
-                            np.max(piece_inv_norms)))
+        sup_dg = geo.max_spectral_norm(Dg, piece_norm)
+        sup_dgi = geo.max_spectral_norm(Dgi, piece_inv_norm)
         rows.append(dict(zip(SWEEP_COLUMNS,
                              (float(lam), vol, linf, w1p, linf_inv,
                               w1q_inv, sup_dg, sup_dgi))))

@@ -281,7 +281,8 @@ def _with_singular_values(s, seed):
     return R1 @ (s[:, :, None] * R2)
 
 
-def test_spectral_norm_matches_svd():
+def _norm_cases():
+    """Stacks of 3x3 matrices for the spectral-norm kernels, by name."""
     rng = np.random.default_rng(5)
     s = rng.uniform(0.1, 3.0, size=(500, 3))
     top_pair, low_pair, rank2 = s.copy(), s.copy(), s.copy()
@@ -289,7 +290,13 @@ def test_spectral_norm_matches_svd():
     low_pair[:, 1] = low_pair[:, 2] = np.min(s, axis=1)
     rank2[:, 2] = 0.0
     u, w = rng.normal(size=(2, 500, 3))
-    cases = {
+    # over 2 NORM_CHUNKs, Gaussian and top-two-equal matrices interleaved,
+    # so both branches of the kernel run in every chunk
+    mix = rng.uniform(0.1, 3.0, size=(6000, 3))
+    mix[:, 1] = mix[:, 0] = np.max(mix, axis=1)
+    mixed = np.concatenate([rng.normal(size=(6000, 3, 3)),
+                            _with_singular_values(mix, 4)])
+    return {
         "gaussian": rng.normal(size=(2000, 3, 3)),
         "identity": np.eye(3)[None],
         "zero": np.zeros((3, 3, 3)),
@@ -306,12 +313,71 @@ def test_spectral_norm_matches_svd():
             for d in product(range(-4, 5), repeat=3)]),
         "tiny": 1e-200 * rng.normal(size=(50, 3, 3)),
         "huge": 1e200 * rng.normal(size=(50, 3, 3)),
+        "shuffled mix": mixed[rng.permutation(len(mixed))],
     }
+
+
+def test_spectral_norm_matches_svd():
+    cases = _norm_cases()
+    assert len(cases["shuffled mix"]) > 2 * geo.NORM_CHUNK
     for name, M in cases.items():
         ref = np.linalg.norm(M, ord=2, axis=(1, 2))
         np.testing.assert_allclose(geo.spectral_norm(M), ref, rtol=1e-12,
                                    atol=0, err_msg=name)
     assert geo.spectral_norm([np.diag([2.0, -5.0, 1.0])]) == pytest.approx([5.0])
+
+
+def test_max_spectral_norm_equals_the_kernels_maximum():
+    # the Gershgorin pre-selection must keep every maximizer: the result is
+    # the kernel's maximum bit for bit, with the floor above or below it
+    rng = np.random.default_rng(8)
+    cases = _norm_cases()
+    cases["diagonal"] = np.array([np.diag(d) for d in
+                                  rng.choice([-3.0, 1.0, 3.0], (200, 3))])
+    cases["identities"] = np.broadcast_to(np.eye(3), (100, 3, 3))
+    # the norm is the longest column in exact arithmetic, and each rounded
+    # bound and norm lands an ulp or so either side of 3
+    Q, _ = np.linalg.qr(rng.normal(size=(2000, 3, 3)))
+    cases["orthogonal columns"] = Q * np.array([3.0, 1.0, 3.0])
+    for name in sorted(set(cases) - {"tiny", "huge"}):
+        M = cases[name]
+        for scale in (1e-200, 1e200):
+            cases[f"{name} x {scale:g}"] = scale * M
+    for name, M in cases.items():
+        top = float(np.max(geo.spectral_norm(M)))
+        for floor in (0.0, 0.5 * top, top, np.nextafter(top, np.inf),
+                      2.0 * top):
+            assert geo.max_spectral_norm(M, floor) == max(floor, top), \
+                (name, floor)
+    for floor in (0.0, 1.5):
+        assert geo.max_spectral_norm(np.zeros((0, 3, 3)), floor) == floor
+
+
+def test_max_spectral_norm_margin_keeps_a_norm_above_its_bound():
+    # the rounded norm of a matrix can exceed its own rounded Gershgorin
+    # bound by ulps, and another matrix's longest column can round between
+    # the two; the margin keeps the first, the larger, as a candidate
+    rng = np.random.default_rng(8)
+    Q, _ = np.linalg.qr(rng.normal(size=(2000, 3, 3)))
+    M = Q * np.array([3.0, 1.0, 3.0])
+    bounds, norms = geo._norm_bounds(M), geo.spectral_norm(M)
+    i = int(np.argmax(norms - bounds[:, 1]))
+    j = np.flatnonzero((bounds[:, 0] > bounds[i, 1]) & (norms < norms[i]))
+    assert len(j) > 0
+    assert geo.max_spectral_norm(M[[i, j[0]]], 0.0) == norms[i]
+
+
+def test_max_spectral_norm_skips_dominated_matrices(monkeypatch):
+    # a matrix whose Gershgorin bound lies below another's longest column
+    # cannot hold the maximum, and the norm is not evaluated for it
+    M = np.concatenate([np.eye(3)[None] * 4.0,
+                        np.random.default_rng(9).uniform(-1, 1, (50, 3, 3))])
+    seen = []
+    real = geo.spectral_norm
+    monkeypatch.setattr(geo, "spectral_norm",
+                        lambda A: seen.append(len(A)) or real(A))
+    assert geo.max_spectral_norm(M, 0.0) == 4.0
+    assert seen == [1]
 
 
 def _kernel_cases():

@@ -200,6 +200,62 @@ def test_dispatch_precedence(subdiv_setup):
     assert np.array_equal(g.evaluate(pts), vp.evaluate(pts))
 
 
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+def test_patch_jacobian_value_equals_evaluate(setup, request):
+    # the dispatch takes g and Dg from one jacobian call per patch, so its
+    # value must be evaluate's, bit for bit, for every patch kind
+    _, _, g = request.getfixturevalue(setup)
+    pts = g.sample_patches(n_per_patch=300, rng=11)
+    kinds = set()
+    for p in g.face_patches + g.edge_patches + g.vertex_patches:
+        x = pts[p.mask(pts)]
+        assert len(x) > 0
+        y, J = p.jacobian(x)
+        assert J.shape == (len(x), 3, 3)
+        assert np.array_equal(y, p.evaluate(x))
+        kinds.add(type(p).__name__)
+    assert kinds >= {"FacePatch", "EdgePatch"}
+    if setup == "subdiv_setup":
+        assert "VertexPatch" in kinds
+
+
+def _record_dispatches(monkeypatch):
+    """Record (value, jac, use_vertex) of every SmoothedMap._dispatch."""
+    calls = []
+    real = pipeline.SmoothedMap._dispatch
+
+    def recorded(self, x, value=True, jac=False, use_vertex=True, **kw):
+        calls.append((value, jac, use_vertex))
+        return real(self, x, value=value, jac=jac, use_vertex=use_vertex,
+                    **kw)
+    monkeypatch.setattr(pipeline.SmoothedMap, "_dispatch", recorded)
+    return calls
+
+
+def test_ball_jacobian_dispatches_once(subdiv_setup, monkeypatch):
+    # hat(x, True) on the flattening shell gives hat_g and its Jacobian
+    # from one dispatch over the edge and face patches
+    _, _, g = subdiv_setup
+    vp = g.vertex_patches[0]
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=(300, 3))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    x = vp.R * rng.uniform(0.8, 0.95, 300)[:, None] * u
+    calls = _record_dispatches(monkeypatch)
+    _, J = vp.smoother.apply(x, True)
+    assert calls == [(True, True, False)]
+    assert J.shape == (300, 3, 3)
+
+
+def test_sweep_dispatches_once_per_lambda_for_g_and_dg(kuhn_setup,
+                                                        monkeypatch):
+    pl, params, _ = kuhn_setup
+    calls = _record_dispatches(monkeypatch)
+    lambda_sweep(pl, params, lambdas=(1.0, 0.5, 0.25))
+    assert [c for c in calls if c[1]] == [(True, True, True)] * 3
+    assert all(c[0] for c in calls)
+
+
 def test_positive_jacobians_on_patch_samples(subdiv_setup):
     _, _, g = subdiv_setup
     pts = g.sample_patches(n_per_patch=400, rng=7)
@@ -488,11 +544,11 @@ def test_inverse_falls_back_to_powell(build, monkeypatch):
     # one-point Jacobian calls get the true Dg
     pl = build()
     g = assemble(pl, choose_params(pl))
-    true = g.derivative
+    true = g._dispatch
 
-    def flipped(x, extend=False):
-        J = true(x, extend=extend)
-        return J if len(x) == 1 else -J
+    def flipped(x, value=True, jac=False, **kwargs):
+        y, J = true(x, value=value, jac=jac, **kwargs)
+        return y, (J if J is None or len(x) == 1 else -J)
 
     calls = []
     real = pipeline.sp_root
@@ -501,7 +557,7 @@ def test_inverse_falls_back_to_powell(build, monkeypatch):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(g, "derivative", flipped)
+    monkeypatch.setattr(g, "_dispatch", flipped)
     monkeypatch.setattr(pipeline, "sp_root", counted)
     x = g.sample_patches(n_per_patch=1, rng=31)
     xb = g.inverse(g.evaluate(x, extend=True))
