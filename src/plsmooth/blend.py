@@ -10,7 +10,7 @@ by ``radial_stages``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -96,7 +96,9 @@ class FaceBlend:
 
     frame_origin/frame_R define local coordinates y = R (x - origin); the
     piece (M_neg, c_neg) applies on y1 <= 0 and (M_pos, c_pos) on
-    y1 >= width.
+    y1 >= width.  The pieces agree on the plane, so they differ by the rank
+    one jump a y1, a = (M_pos - M_neg) n for the frame normal n =
+    frame_R[0], kept as ``jump``.
     """
 
     frame_origin: np.ndarray
@@ -106,35 +108,42 @@ class FaceBlend:
     M_pos: np.ndarray
     c_pos: np.ndarray
     width: float
+    jump: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.width > 0:
             raise DomainError("width must be positive")
         self.width = float(self.width)
+        self.jump = (self.M_pos - self.M_neg) @ self.frame_R[0]
 
 
 def blend_pass(blend, x, jac):
     """The blended map at points ``x`` (N,3) and, when ``jac``, its analytic
     Jacobian (N,3,3), else None: one pass over the strip coordinate."""
-    y = (x - blend.frame_origin) @ blend.frame_R.T
+    # the normal coordinate y1 entry by entry, which rounds alike in any
+    # batch, unlike a matrix product: 1/w amplifies its rounding in u
+    d = x - blend.frame_origin
+    n = blend.frame_R[0]
+    y1 = d[:, 0] * n[0] + d[:, 1] * n[1] + d[:, 2] * n[2]
     w = blend.width
-    u = y[:, 0] / w
+    u = y1 / w
     e = eta(u)
     neg = x @ blend.M_neg.T + blend.c_neg
     pos = x @ blend.M_pos.T + blend.c_pos
     out = (1.0 - e)[:, None] * neg + e[:, None] * pos
     # exact equality with f off the strip
-    off_neg = y[:, 0] <= 0.0
-    off_pos = y[:, 0] >= w
+    off_neg = y1 <= 0.0
+    off_pos = y1 >= w
     out[off_neg] = neg[off_neg]
     out[off_pos] = pos[off_pos]
     if not jac:
         return out, None
-    # grad of u = y1/w in world coordinates
-    gradu = (1.0 / w) * blend.frame_R[0]
+    # the ramp term eta'(u) (pos - neg) grad(u)^T, with pos - neg = a u w
+    # and grad(u) = n / w, is eta'(u) u a n^T: it carries none of the
+    # rounding of pos and neg, which 1/w would amplify in a thin slab
     J = (1.0 - e)[:, None, None] * blend.M_neg[None] + e[:, None, None] * blend.M_pos[None]
-    J = J + eta_prime(u)[:, None, None] * (pos - neg)[:, :, None] \
-        * gradu[None, None, :]
+    J = J + (eta_prime(u) * u)[:, None, None] \
+        * np.outer(blend.jump, n)[None]
     J[off_neg] = blend.M_neg
     J[off_pos] = blend.M_pos
     return out, J

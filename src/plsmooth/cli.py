@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 I/O or parse failure, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -115,7 +116,10 @@ def cmd_sweep(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parsing does not change
+    it, and a repeated option's list is new at every parse."""
     ap = argparse.ArgumentParser(
         prog="plsmooth",
         description="Smoothing of piecewise affine homeomorphisms of "

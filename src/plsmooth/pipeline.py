@@ -391,9 +391,23 @@ class SmoothedMap:
 
     def difference_quadrature(self):
         """Fixed quadrature nodes and weights covering {g != f}; nodes
-        handed to other patches by precedence carry zero weight."""
-        if self._dq is not None:
-            return self._dq
+        handed to other patches by precedence carry zero weight.
+
+        Built once and kept, with two per-node records for lambda_sweep:
+        the node's column and the cell that the domain test located (-1
+        where none).  A column is one cylinder's nodes at one (t, theta).
+        Every piece of an edge fan maps the edge direction e to one image
+        vector f'e, so on its cylinder g(x + z e) = g(x) + z f'e and
+        Dg(x + z e) = Dg(x), as f within a fan cell: g - f, Dg and Df are
+        shared along a column.  Slab and ball nodes, and cylinder nodes
+        that an earlier cylinder claims (their g is that cylinder's), have
+        column -1."""
+        if self._dq is None:
+            self._dq = self._quadrature()
+        return self._dq[:2]
+
+    def _quadrature(self):
+        """(pts, wts, column, cell) of difference_quadrature."""
         pts_all, wts_all = [], []
         for fp in self.face_patches:
             for tet in fp.frustum[geo.FRUSTUM_TETS]:
@@ -407,25 +421,36 @@ class SmoothedMap:
             wts[_union_mask(self.vertex_patches + self.edge_patches,
                             pts)] = 0.0
             pts_all, wts_all = [pts], [wts]
-        for ep in self.edge_patches:
-            p, wq = self._cylinder_nodes(ep)
+        cols_all = [np.full(len(w), -1) for w in wts_all]
+        cells_all = [np.full(len(w), -1) for w in wts_all]
+        n_cols = 0
+        for k, ep in enumerate(self.edge_patches):
+            p, wq, col = self._cylinder_nodes(ep)
+            cell = self.plmap.complex.locate(p)
             keep = ~_union_mask(self.vertex_patches, p)
-            wq = np.where(keep & self.contains(p), wq, 0.0)
+            wq = np.where(keep & (cell >= 0), wq, 0.0)
+            claimed = _union_mask(self.edge_patches[:k], p)
+            cols_all.append(np.where(claimed, -1, col + n_cols))
+            n_cols += int(col.max()) + 1
             pts_all.append(p)
             wts_all.append(wq)
+            cells_all.append(cell)
         for vp in self.vertex_patches:
             p, wq = self._ball_nodes(vp)
             pts_all.append(p)
             wts_all.append(wq)
+            cols_all.append(np.full(len(wq), -1))
+            cells_all.append(np.full(len(wq), -1))
         if not pts_all:
-            self._dq = (np.zeros((0, 3)), np.zeros(0))
-        else:
-            self._dq = (np.vstack(pts_all), np.concatenate(wts_all))
-        return self._dq
+            return (np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int),
+                    np.zeros(0, dtype=int))
+        return (np.vstack(pts_all), np.concatenate(wts_all),
+                np.concatenate(cols_all), np.concatenate(cells_all))
 
     def _cylinder_nodes(self, ep):
         """Gauss nodes per radial band (5), angular sector (14) and along
-        the edge (16)."""
+        the edge (16), with the column of each node: the nodes of one
+        (t, theta) take one column number, counted from 0."""
         r, L, fan = ep.r, ep.L, ep.fan
         # the cylinder's regions, the untwist ring split where its time
         # profile turns
@@ -441,7 +466,8 @@ class SmoothedMap:
         W = tw[:, None, None] * thw[None, :, None] * zw[None, None, :] * T
         y = np.stack([T * np.cos(TH), T * np.sin(TH), Z], axis=-1).reshape(-1, 3)
         world = y @ fan.Q + fan.V0
-        return world, W.ravel()
+        return world, W.ravel(), np.repeat(np.arange(len(tn) * len(thn)),
+                                           len(zn))
 
     def _ball_nodes(self, vp):
         """Gauss nodes per radial shell (5) and in the polar angle (8), 16
@@ -662,6 +688,16 @@ SWEEP_DEFAULTS = {"lambdas": (1.0, 0.5, 0.25, 0.125, 0.0625), "p": 2.0,
 
 def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
                  p=SWEEP_DEFAULTS["p"], q=SWEEP_DEFAULTS["q"], rng=0):
+    """One row of SWEEP_COLUMNS per lambda, from the active nodes of the
+    difference quadrature.
+
+    One dispatch per lambda gives g and Dg at the nodes off any column and
+    at one representative x_r per column.  At the column's other nodes Dg
+    is x_r's and g(x) = g(x_r) + Df (x - x_r) (difference_quadrature), so
+    det Dg, Dg^-1 and the norms are taken once per column.  The cells of f
+    and of the inverse stay per node, and a norm against Df or Df^-1 is
+    taken again where a node's cell differs from x_r's, as where g moves a
+    node near the boundary out of the image mesh."""
     from .norms import linf_difference
     rows = []
     piece_norm = float(np.max(geo.spectral_norm(plmap.matrices)))
@@ -671,24 +707,29 @@ def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
         g = assemble(plmap, params.scaled(lam))
         vol = g.volume_difference_set()
         pts, wts = g.difference_quadrature()
+        col, cell = g._dq[2:]
         act = wts > 0
-        pa, wa = pts[act], wts[act]
-        # one pass over the nodes: f and Df by one locate, g and Dg by one
-        # dispatch
-        cf = plmap.locate_inside(pa)
+        pa, wa, col, cf = pts[act], wts[act], col[act], cell[act]
+        # f and Df by one locate per node
+        off = cf < 0
+        cf[off] = plmap.locate_inside(pa[off])
         Df = plmap.matrices[cf]
-        y, Dg = g._dispatch(pa, jac=True)
-        diff = geo.spectral_norm(Dg - Df)
-        w1p = float(np.sum(wa * diff ** p) ** (1.0 / p))
+        # g and Dg by one dispatch: ``rep`` the representative of each
+        # node, itself off the columns, the first node of its column on one
+        key = np.where(col < 0, -1 - np.arange(len(col)), col)
+        _, rep, src = np.unique(key, return_index=True, return_inverse=True)
+        yr, Dg = g._dispatch(pa[rep], jac=True)
+        y = yr[src] + np.einsum("nij,nj->ni", Df, pa - pa[rep][src])
+        w1p = float(np.sum(wa * _column_norms(Dg, Df, cf, rep, src) ** p)
+                    ** (1.0 / p))
         linf = linf_difference(
             plmap, g, pa, np.linalg.norm(y - plmap.apply(pa, cf), axis=-1),
             rng=rng)
         # inverse quantities via the change of variables y = g(x)
-        Jg = geo.det3(Dg)
+        Jg = geo.det3(Dg)[src]
         Dgi = geo.inv3(Dg)
         xb, ci = plmap.inverse_pl(y, tol=1e-7, extend=True)
-        Dfi = piece_invs[ci]
-        diff_inv = geo.spectral_norm(Dgi - Dfi)
+        diff_inv = _column_norms(Dgi, piece_invs[ci], ci, rep, src)
         w1q_inv = float(np.sum(wa * diff_inv ** q * Jg) ** (1.0 / q))
         linf_inv = float(np.max(np.linalg.norm(pa - xb, axis=-1)))
         sup_dg = geo.max_spectral_norm(Dg, piece_norm)
@@ -697,6 +738,18 @@ def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
                              (float(lam), vol, linf, w1p, linf_inv,
                               w1q_inv, sup_dg, sup_dgi))))
     return rows
+
+
+def _column_norms(G, F, cell, rep, src):
+    """The spectral norm of G[src[k]] - F[k] at each node k, G given at the
+    representative nodes ``rep`` and F a function of the node's ``cell``:
+    one norm per representative, and one more at each node whose cell
+    differs from its representative's."""
+    out = geo.spectral_norm(G - F[rep])[src]
+    moved = cell != cell[rep][src]
+    if np.any(moved):
+        out[moved] = geo.spectral_norm(G[src[moved]] - F[moved])
+    return out
 
 
 def format_table(rows):

@@ -255,6 +255,18 @@ def test_config_values_convert_like_flags(kuhn_doc, tmp_path, capsys):
     assert "config key 'lam'" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_parses_afresh(kuhn_doc, monkeypatch):
+    # main reuses one parser; a repeated option's list must not carry over
+    # from one call to the next
+    seen = []
+    monkeypatch.setattr(plsmooth.cli, "cmd_sweep",
+                        lambda args: seen.append(args.norm) or 0)
+    for spec in ("lp:2", "lorentz:2:1"):
+        assert main(["sweep", kuhn_doc, "--norm", spec]) == 0
+    assert seen == [["lp:2"], ["lorentz:2:1"]]
+    assert plsmooth.cli.build_parser() is plsmooth.cli.build_parser()
+
+
 def test_repeatable_outputs(kuhn_doc, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -256,6 +256,23 @@ def test_sweep_dispatches_once_per_lambda_for_g_and_dg(kuhn_setup,
     assert all(c[0] for c in calls)
 
 
+def test_thin_slab_derivative_does_not_depend_on_the_batch(kuhn_setup):
+    # in a slab of width 8e-6 the ramp coordinate u = y1 / w amplifies the
+    # rounding of y1 and of the pieces' values; a batched and a one-point
+    # call must still give the same Jacobian
+    pl, params, _ = kuhn_setup
+    thin = SmoothingParams(R=params.R, r=params.r,
+                           w={f: 8e-6 for f in params.w})
+    g = assemble(pl, thin)
+    x = g.sample_patches(n_per_patch=100, rng=3)[:100 * len(g.face_patches)]
+    x = x[~pipeline._union_mask(g.edge_patches, x)]
+    J = g.derivative(x)
+    J1 = np.array([g.derivative(p[None])[0] for p in x])
+    assert len(x) > 300
+    assert np.all(np.abs(J - J1).max(axis=(1, 2))
+                  <= 1e-13 * np.abs(J1).max(axis=(1, 2)))
+
+
 def test_positive_jacobians_on_patch_samples(subdiv_setup):
     _, _, g = subdiv_setup
     pts = g.sample_patches(n_per_patch=400, rng=7)
@@ -621,6 +638,106 @@ def test_format_table(kuhn_setup):
     assert lines[0] == ",".join(SWEEP_COLUMNS)
     assert len(lines) == 2
     assert float(lines[1].split(",")[0]) == 1.0
+
+
+def _per_node_sweep(plmap, params, lambdas, p=2.0, q=2.0, rng=0):
+    """lambda_sweep with g, Dg and every norm taken at each node: the
+    reference for the sweep that shares them along cylinder columns."""
+    from plsmooth.norms import linf_difference
+    rows = []
+    piece_norm = float(np.max(geo.spectral_norm(plmap.matrices)))
+    piece_invs = plmap.inverse_pieces()[1]
+    piece_inv_norm = float(np.max(geo.spectral_norm(piece_invs)))
+    for lam in lambdas:
+        g = assemble(plmap, params.scaled(lam))
+        vol = g.volume_difference_set()
+        pts, wts = g.difference_quadrature()
+        act = wts > 0
+        pa, wa = pts[act], wts[act]
+        cf = plmap.locate_inside(pa)
+        Df = plmap.matrices[cf]
+        y, Dg = g._dispatch(pa, jac=True)
+        diff = geo.spectral_norm(Dg - Df)
+        w1p = float(np.sum(wa * diff ** p) ** (1.0 / p))
+        linf = linf_difference(
+            plmap, g, pa, np.linalg.norm(y - plmap.apply(pa, cf), axis=-1),
+            rng=rng)
+        Jg = geo.det3(Dg)
+        Dgi = geo.inv3(Dg)
+        xb, ci = plmap.inverse_pl(y, tol=1e-7, extend=True)
+        diff_inv = geo.spectral_norm(Dgi - piece_invs[ci])
+        w1q_inv = float(np.sum(wa * diff_inv ** q * Jg) ** (1.0 / q))
+        linf_inv = float(np.max(np.linalg.norm(pa - xb, axis=-1)))
+        sup_dg = geo.max_spectral_norm(Dg, piece_norm)
+        sup_dgi = geo.max_spectral_norm(Dgi, piece_inv_norm)
+        rows.append(dict(zip(SWEEP_COLUMNS,
+                             (float(lam), vol, linf, w1p, linf_inv,
+                              w1q_inv, sup_dg, sup_dgi))))
+    return rows
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+def test_column_sweep_matches_the_per_node_sweep(setup, request):
+    # linf_f refines around the node of largest |g - f|, and along a column
+    # rounding alone picks that node among equals
+    pl, params, _ = request.getfixturevalue(setup)
+    lambdas = (1.0, 0.25)
+    rows = lambda_sweep(pl, params, lambdas=lambdas)
+    ref = _per_node_sweep(pl, params, lambdas)
+    for row, row_ref in zip(rows, ref):
+        for col in SWEEP_COLUMNS:
+            if col != "linf_f":
+                assert row[col] == pytest.approx(row_ref[col], rel=1e-12), col
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+@pytest.mark.parametrize("lam", [1.0, 0.25])
+def test_cylinder_column_is_a_translation(setup, lam, request):
+    # at every active node of a column, g is its representative's value
+    # moved by Df along the edge, and Dg is its representative's; Dg is
+    # checked to what rounding of the node's position allows, as its
+    # variation grows like 1/r in the untwist ring
+    pl, params, _ = request.getfixturevalue(setup)
+    g = assemble(pl, params.scaled(lam))
+    pts, wts = g.difference_quadrature()
+    col, cell = g._dq[2:]
+    act = (wts > 0) & (col >= 0)
+    x, col, cell = pts[act], col[act], cell[act]
+    y, J = g._dispatch(x, jac=True)
+    _, rep, src = np.unique(col, return_index=True, return_inverse=True)
+    assert len(rep) < len(x)
+    assert np.array_equal(cell, cell[rep][src])
+    moved = y[rep][src] + np.einsum("nij,nj->ni", pl.matrices[cell],
+                                    x - x[rep][src])
+    assert np.max(np.linalg.norm(moved - y, axis=-1)) <= 1e-12 * g.scale
+    r = min(ep.r for ep in g.edge_patches)
+    tol = max(1e-12, 200 * np.finfo(float).eps * g.scale / r)
+    Jr = J[rep][src]
+    assert np.all(geo.spectral_norm(J - Jr) <= tol * geo.spectral_norm(Jr))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_cylinder_columns_belong_to_their_own_cylinder(subdiv_setup,
+                                                       reverse):
+    # a column's nodes are dispatched to its own cylinder: a node that an
+    # earlier cylinder holds takes no column.  Cylinder (0, 4) reaches into
+    # the other three near vertex 4, so in reverse order they claim 1,056
+    # of its nodes.
+    pl, params, _ = subdiv_setup
+    g = assemble(pl, params)
+    if reverse:
+        g.edge_patches = g.edge_patches[::-1]
+    pts, wts = g.difference_quadrature()
+    col, _ = g._dq[2:]
+    counts = [len(g._cylinder_nodes(ep)[2]) for ep in g.edge_patches]
+    n_cols = [int(g._cylinder_nodes(ep)[2].max()) + 1
+              for ep in g.edge_patches]
+    has = col >= 0
+    own = np.searchsorted(np.cumsum(n_cols), col[has], side="right")
+    holds = np.array([ep.mask(pts[has]) for ep in g.edge_patches])
+    assert np.array_equal(np.argmax(holds, axis=0), own)
+    claimed = np.count_nonzero(~has) - (len(pts) - sum(counts))
+    assert claimed == (1056 if reverse else 0)
 
 
 def test_two_tet_slab_only_volume_exact():
