@@ -555,46 +555,34 @@ def tet_rule(n=3):
         x1, w1 = roots_jacobi(n, 2, 0)
         x2, w2 = roots_jacobi(n, 1, 0)
         x3, w3 = np.polynomial.legendre.leggauss(n)
-        x1, w1 = 0.5 * (x1 + 1), w1 / 8.0
-        x2, w2 = 0.5 * (x2 + 1), w2 / 4.0
-        x3, w3 = 0.5 * (x3 + 1), w3 / 2.0
-        pts, wts = [], []
-        for a, wa in zip(x1, w1):
-            for b, wb in zip(x2, w2):
-                for c, wc in zip(x3, w3):
-                    x = a
-                    y = b * (1 - a)
-                    z = c * (1 - a) * (1 - b)
-                    pts.append((x, y, z))
-                    wts.append(wa * wb * wc)
-        _TET_RULE[n] = (np.array(pts), np.array(wts))
+        a, b, c = np.meshgrid(0.5 * (x1 + 1), 0.5 * (x2 + 1), 0.5 * (x3 + 1),
+                              indexing="ij")
+        wa, wb, wc = np.meshgrid(w1 / 8.0, w2 / 4.0, w3 / 2.0, indexing="ij")
+        pts = np.stack([a, b * (1 - a), c * (1 - a) * (1 - b)], axis=-1)
+        _TET_RULE[n] = (pts.reshape(-1, 3), (wa * wb * wc).ravel())
     return _TET_RULE[n]
 
 
 def map_tet_rule(p, n=3):
-    """Quadrature nodes/weights for an arbitrary tetrahedron (4,3)."""
+    """Quadrature nodes (..., n^3, 3) and weights (..., n^3) for a stack of
+    tetrahedra (..., 4, 3)."""
     ref, w = tet_rule(n)
     p = np.asarray(p, dtype=float)
-    T = p[1:] - p[0]
-    nodes = p[0] + ref @ T
-    vol = abs(np.linalg.det(T))
-    return nodes, w * vol
+    T = p[..., 1:, :] - p[..., :1, :]
+    nodes = p[..., :1, :] + ref @ T
+    vol = np.abs(np.linalg.det(T))
+    return nodes, w * vol[..., None]
+
+
+# the 8 children of a tetrahedron split at its edge midpoints, as indices
+# into its 4 vertices followed by the midpoints of TET_EDGES
+_CHILDREN = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3],
+                      [4, 5, 6, 8], [4, 5, 7, 8], [5, 6, 8, 9], [5, 7, 8, 9]])
 
 
 def subdivide_tet(p):
-    """Split a tetrahedron into 8 via edge midpoints."""
+    """Split a stack of tetrahedra (..., 4, 3) into 8 each via edge
+    midpoints: (..., 8, 4, 3)."""
     p = np.asarray(p, dtype=float)
-    m = {(i, j): 0.5 * (p[i] + p[j]) for i in range(4) for j in range(i + 1, 4)}
-    v0, v1, v2, v3 = p
-    m01, m02, m03 = m[(0, 1)], m[(0, 2)], m[(0, 3)]
-    m12, m13, m23 = m[(1, 2)], m[(1, 3)], m[(2, 3)]
-    return [
-        np.array([v0, m01, m02, m03]),
-        np.array([m01, v1, m12, m13]),
-        np.array([m02, m12, v2, m23]),
-        np.array([m03, m13, m23, v3]),
-        np.array([m01, m02, m03, m13]),
-        np.array([m01, m02, m12, m13]),
-        np.array([m02, m03, m13, m23]),
-        np.array([m02, m12, m13, m23]),
-    ]
+    mid = 0.5 * (p[..., TET_EDGES[:, 0], :] + p[..., TET_EDGES[:, 1], :])
+    return np.concatenate([p, mid], axis=-2)[..., _CHILDREN, :]

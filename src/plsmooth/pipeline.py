@@ -240,22 +240,21 @@ class EdgePatch:
 
 class VertexPatch:
     """The ball of ``radius`` about a star's vertex.  Its smoother's hat_g
-    is ``owner``'s map without vertex balls (faces blended, edges
-    extended), relative to the vertex and its image."""
+    is ``base``, the assembled map without vertex balls (faces blended,
+    edges extended), relative to the vertex and its image."""
 
-    def __init__(self, star, radius, owner, plmap):
+    def __init__(self, star, radius, base, plmap):
         self.V = star.V
         self.R = float(radius)
         self.star = star
         ci = star.cells[0]
         self.fV = (plmap.matrices[ci] @ self.V) + plmap.offsets[ci]
-        V, fV = self.V, self.fV
+        self.base = base
+        self.smoother = VertexSmoother(self._hat, self.R)
 
-        def hat(xrel, jac):
-            y, J = owner._dispatch(xrel + V, jac=jac, use_vertex=False)
-            return y - fV, J
-
-        self.smoother = VertexSmoother(hat, self.R)
+    def _hat(self, xrel, jac):
+        y, J = self.base._dispatch(xrel + self.V, jac=jac)
+        return y - self.fV, J
 
     def mask(self, x):
         return np.linalg.norm(x - self.V, axis=-1) < self.R
@@ -273,15 +272,23 @@ class VertexPatch:
 
 
 class SmoothedMap:
+    """g: f with a patch about each nontrivial vertex, edge and face; where
+    patches overlap, the lower-dimensional one holds the point."""
+
     def __init__(self, plmap, params, face_patches, edge_patches,
-                 vertex_patch_builders):
+                 vertex_patches):
         self.plmap = plmap
         self.params = params
         self.face_patches = face_patches
         self.edge_patches = edge_patches
+        self.vertex_patches = vertex_patches
         self.scale = plmap.complex.coordinate_scale()
-        self.vertex_patches = [build(self) for build in vertex_patch_builders]
         self._dq = None
+
+    @property
+    def patches(self):
+        """Every patch in precedence order: vertex, edge, then face."""
+        return self.vertex_patches + self.edge_patches + self.face_patches
 
     # -- dispatch
 
@@ -290,36 +297,37 @@ class SmoothedMap:
             return self.plmap.complex.locate(x, extend=True)
         return self.plmap.locate_inside(x)
 
-    def _dispatch(self, x, value=True, jac=False, use_vertex=True,
-                  extend=False):
+    def _owners(self, x):
+        """The index in ``patches`` of the first patch whose mask holds each
+        point of ``x`` (N,3), or -1 for the bulk: the one place that applies
+        patch masks, each to the points that no earlier patch holds."""
+        owner = np.full(len(x), -1)
+        todo = np.arange(len(x))
+        for k, p in enumerate(self.patches):
+            m = p.mask(x[todo])
+            owner[todo[m]] = k
+            todo = todo[~m]
+        return owner
+
+    def _dispatch(self, x, value=True, jac=False, extend=False):
         """g at points ``x`` (N,3) when ``value`` and Dg when ``jac``, each
-        else None, from one pass over the patches by precedence and one
-        bulk ``locate``.  A patch's ``jacobian`` gives its value and
-        Jacobian from one pass, bit-equal in value to its ``evaluate``."""
+        else None: ``_owners``, one call per patch on its points and one bulk
+        ``locate``.  A patch's ``jacobian`` gives its value and Jacobian from
+        one pass, bit-equal in value to its ``evaluate``."""
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x) if value else None
         J = np.empty((len(x), 3, 3)) if jac else None
-        todo = np.ones(len(x), dtype=bool)
-        patch_sets = []
-        if use_vertex:
-            patch_sets.append(self.vertex_patches)
-        patch_sets.append(self.edge_patches)
-        patch_sets.append(self.face_patches)
-        for patches in patch_sets:
-            for p in patches:
-                if not np.any(todo):
-                    break
-                m = np.zeros(len(x), dtype=bool)
-                m[todo] = p.mask(x[todo])
-                if not np.any(m):
-                    continue
-                if jac:
-                    ym, J[m] = p.jacobian(x[m])
-                    if value:
-                        out[m] = ym
-                else:
-                    out[m] = p.evaluate(x[m])
-                todo &= ~m
+        owner = self._owners(x)
+        patches = self.patches
+        for k in np.unique(owner[owner >= 0]):
+            m = owner == k
+            if jac:
+                ym, J[m] = patches[k].jacobian(x[m])
+                if value:
+                    out[m] = ym
+            else:
+                out[m] = patches[k].evaluate(x[m])
+        todo = owner < 0
         if np.any(todo):
             ci = self._bulk_cells(x[todo], extend)
             if value:
@@ -390,8 +398,9 @@ class SmoothedMap:
     # -- difference-set geometry
 
     def difference_quadrature(self):
-        """Fixed quadrature nodes and weights covering {g != f}; nodes
-        handed to other patches by precedence carry zero weight.
+        """Fixed quadrature nodes and weights covering {g != f}, per patch;
+        a node keeps its weight only where ``_owners`` gives it to the patch
+        that made it, and a cylinder node only within the domain.
 
         Built once and kept, with two per-node records for lambda_sweep:
         the node's column and the cell that the domain test located (-1
@@ -400,52 +409,39 @@ class SmoothedMap:
         vector f'e, so on its cylinder g(x + z e) = g(x) + z f'e and
         Dg(x + z e) = Dg(x), as f within a fan cell: g - f, Dg and Df are
         shared along a column.  Slab and ball nodes, and cylinder nodes
-        that an earlier cylinder claims (their g is that cylinder's), have
-        column -1."""
+        that another patch holds (their g is that patch's), have column
+        -1."""
         if self._dq is None:
             self._dq = self._quadrature()
         return self._dq[:2]
 
     def _quadrature(self):
-        """(pts, wts, column, cell) of difference_quadrature."""
-        pts_all, wts_all = [], []
-        for fp in self.face_patches:
-            for tet in fp.frustum[geo.FRUSTUM_TETS]:
-                for child in geo.subdivide_tet(tet):
-                    p, wq = geo.map_tet_rule(child, 3)
-                    pts_all.append(p)
-                    wts_all.append(wq)
-        if pts_all:
-            pts = np.vstack(pts_all)
-            wts = np.concatenate(wts_all)
-            wts[_union_mask(self.vertex_patches + self.edge_patches,
-                            pts)] = 0.0
-            pts_all, wts_all = [pts], [wts]
-        cols_all = [np.full(len(w), -1) for w in wts_all]
-        cells_all = [np.full(len(w), -1) for w in wts_all]
-        n_cols = 0
-        for k, ep in enumerate(self.edge_patches):
-            p, wq, col = self._cylinder_nodes(ep)
-            cell = self.plmap.complex.locate(p)
-            keep = ~_union_mask(self.vertex_patches, p)
-            wq = np.where(keep & (cell >= 0), wq, 0.0)
-            claimed = _union_mask(self.edge_patches[:k], p)
-            cols_all.append(np.where(claimed, -1, col + n_cols))
-            n_cols += int(col.max()) + 1
-            pts_all.append(p)
-            wts_all.append(wq)
-            cells_all.append(cell)
-        for vp in self.vertex_patches:
-            p, wq = self._ball_nodes(vp)
-            pts_all.append(p)
-            wts_all.append(wq)
-            cols_all.append(np.full(len(wq), -1))
-            cells_all.append(np.full(len(wq), -1))
-        if not pts_all:
-            return (np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int),
-                    np.zeros(0, dtype=int))
-        return (np.vstack(pts_all), np.concatenate(wts_all),
-                np.concatenate(cols_all), np.concatenate(cells_all))
+        """(pts, wts, column, cell) of difference_quadrature: the slabs'
+        nodes (by face, frustum tetrahedron, child and node), then the
+        cylinders', then the balls'."""
+        nv, ne = len(self.vertex_patches), len(self.edge_patches)
+        cyls = [self._cylinder_nodes(ep) for ep in self.edge_patches]
+        groups = ([geo.map_tet_rule(geo.subdivide_tet(
+                       fp.frustum[geo.FRUSTUM_TETS]).reshape(-1, 4, 3), 3)
+                   for fp in self.face_patches]
+                  + [c[:2] for c in cyls]
+                  + [self._ball_nodes(vp) for vp in self.vertex_patches])
+        if not groups:
+            return np.zeros((0, 3)), np.zeros(0), *np.full((2, 0), -1)
+        pts = np.vstack([p.reshape(-1, 3) for p, _ in groups])
+        wts = np.concatenate([w.ravel() for _, w in groups])
+        # the index in ``patches`` of the patch that made each node
+        made = np.repeat(np.r_[nv + ne:len(groups), nv:nv + ne, :nv],
+                         [w.size for _, w in groups])
+        own = self._owners(pts) == made
+        col, cell = np.full((2, len(pts)), -1)
+        for k, (p, _, c) in enumerate(cyls):
+            part = made == nv + k
+            col[part] = c + col.max() + 1
+            cell[part] = self.plmap.complex.locate(p)
+        wts[~own | ((cell < 0) & (col >= 0))] = 0.0
+        col[~own] = -1
+        return pts, wts, col, cell
 
     def _cylinder_nodes(self, ep):
         """Gauss nodes per radial band (5), angular sector (14) and along
@@ -491,14 +487,14 @@ class SmoothedMap:
         return pts + vp.V, W.ravel()
 
     def volume_difference_set(self):
-        """Measure of E_lambda = {g != f}: each slab less its overlaps with
-        the cylinders and balls, each cylinder within the domain less its end
-        balls, and the balls.  Slab volumes are exact (the frustum's closed
-        form); overlaps are integrated over plane sections, each an exact
-        polygon/disk area: across the edge for slab/cylinder (less the part
-        in an end ball, which slab/ball holds) and cylinder/domain (N_GAUSS
-        nodes on each of N_PANELS panels), across the face for slab/ball.
-        Cylinder/ball is a closed form, the two being concentric."""
+        """Measure of E_lambda = {g != f}, by the precedence of ``_owners``:
+        each slab less its overlaps with the cylinders and balls, each
+        cylinder within the domain less its end balls, and the balls.  Slab
+        volumes are exact (the frustum's closed form); overlaps are plane
+        sections, each an exact polygon/disk area: across the edge for
+        slab/cylinder (less its part in an end ball, which slab/ball holds)
+        and cylinder/domain (N_GAUSS nodes on each of N_PANELS panels),
+        across the face for slab/ball; cylinder/ball is concentric."""
         total = 0.0
         for fp in self.face_patches:
             v_slab = fp.volume
@@ -612,14 +608,6 @@ N_GAUSS = 12
 N_PANELS = 8
 
 
-def _union_mask(patches, pts):
-    """Points of ``pts`` inside any of ``patches``."""
-    m = np.zeros(len(pts), dtype=bool)
-    for p in patches:
-        m |= p.mask(pts)
-    return m
-
-
 def _panel_gauss(breaks, n):
     nodes, wts = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
@@ -664,12 +652,11 @@ def assemble(plmap, params):
         for rf in fan.ray_faces:
             widths.append(params.w.get(rf, min(fallback, radius / 50.0)))
         edge_patches.append(EdgePatch(fan, widths, radius))
-    builders = []
-    for v, R in params.R.items():
-        st = stars[v]
-        builders.append(
-            lambda owner, st=st, R=R: VertexPatch(st, R, owner, plmap))
-    return SmoothedMap(plmap, params, face_patches, edge_patches, builders)
+    # the balls' hat_g is g without balls
+    base = SmoothedMap(plmap, params, face_patches, edge_patches, [])
+    return SmoothedMap(plmap, params, face_patches, edge_patches,
+                       [VertexPatch(stars[v], R, base, plmap)
+                        for v, R in params.R.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -220,21 +220,21 @@ def test_patch_jacobian_value_equals_evaluate(setup, request):
 
 
 def _record_dispatches(monkeypatch):
-    """Record (value, jac, use_vertex) of every SmoothedMap._dispatch."""
+    """Record (map, value, jac) of every SmoothedMap._dispatch."""
     calls = []
     real = pipeline.SmoothedMap._dispatch
 
-    def recorded(self, x, value=True, jac=False, use_vertex=True, **kw):
-        calls.append((value, jac, use_vertex))
-        return real(self, x, value=value, jac=jac, use_vertex=use_vertex,
-                    **kw)
+    def recorded(self, x, value=True, jac=False, **kw):
+        calls.append((self, value, jac))
+        return real(self, x, value=value, jac=jac, **kw)
     monkeypatch.setattr(pipeline.SmoothedMap, "_dispatch", recorded)
     return calls
 
 
 def test_ball_jacobian_dispatches_once(subdiv_setup, monkeypatch):
     # hat(x, True) on the flattening shell gives hat_g and its Jacobian
-    # from one dispatch over the edge and face patches
+    # from one dispatch, on the map without vertex balls: the same edge
+    # and face patches
     _, _, g = subdiv_setup
     vp = g.vertex_patches[0]
     rng = np.random.default_rng(12)
@@ -243,7 +243,11 @@ def test_ball_jacobian_dispatches_once(subdiv_setup, monkeypatch):
     x = vp.R * rng.uniform(0.8, 0.95, 300)[:, None] * u
     calls = _record_dispatches(monkeypatch)
     _, J = vp.smoother.apply(x, True)
-    assert calls == [(True, True, False)]
+    assert [c[1:] for c in calls] == [(True, True)]
+    base = calls[0][0]
+    assert base is not g and base.vertex_patches == []
+    assert base.edge_patches == g.edge_patches
+    assert base.face_patches == g.face_patches
     assert J.shape == (300, 3, 3)
 
 
@@ -252,8 +256,11 @@ def test_sweep_dispatches_once_per_lambda_for_g_and_dg(kuhn_setup,
     pl, params, _ = kuhn_setup
     calls = _record_dispatches(monkeypatch)
     lambda_sweep(pl, params, lambdas=(1.0, 0.5, 0.25))
-    assert [c for c in calls if c[1]] == [(True, True, True)] * 3
-    assert all(c[0] for c in calls)
+    jac = [c for c in calls if c[2]]
+    assert [c[1:] for c in jac] == [(True, True)] * 3
+    # one assembled map per lambda, each with its own patches
+    assert len({id(c[0]) for c in jac}) == 3
+    assert all(c[1] for c in calls)
 
 
 def test_thin_slab_derivative_does_not_depend_on_the_batch(kuhn_setup):
@@ -265,7 +272,8 @@ def test_thin_slab_derivative_does_not_depend_on_the_batch(kuhn_setup):
                            w={f: 8e-6 for f in params.w})
     g = assemble(pl, thin)
     x = g.sample_patches(n_per_patch=100, rng=3)[:100 * len(g.face_patches)]
-    x = x[~pipeline._union_mask(g.edge_patches, x)]
+    # the points that a slab holds, not a cylinder
+    x = x[g._owners(x) >= len(g.vertex_patches) + len(g.edge_patches)]
     J = g.derivative(x)
     J1 = np.array([g.derivative(p[None])[0] for p in x])
     assert len(x) > 300
@@ -716,28 +724,70 @@ def test_cylinder_column_is_a_translation(setup, lam, request):
     assert np.all(geo.spectral_norm(J - Jr) <= tol * geo.spectral_norm(Jr))
 
 
+def _made(g):
+    """The index in ``g.patches`` of the patch that made each node of the
+    difference quadrature: slab, then cylinder, then ball nodes."""
+    nv, ne = len(g.vertex_patches), len(g.edge_patches)
+    sizes = ([24 * 27] * len(g.face_patches)
+             + [len(g._cylinder_nodes(ep)[1]) for ep in g.edge_patches]
+             + [len(g._ball_nodes(vp)[1]) for vp in g.vertex_patches])
+    return np.repeat(np.r_[nv + ne:len(g.patches), nv:nv + ne, :nv], sizes)
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_cylinder_columns_belong_to_their_own_cylinder(subdiv_setup,
                                                        reverse):
-    # a column's nodes are dispatched to its own cylinder: a node that an
-    # earlier cylinder holds takes no column.  Cylinder (0, 4) reaches into
-    # the other three near vertex 4, so in reverse order they claim 1,056
-    # of its nodes.
+    # a column's nodes are those that _owners gives to its own cylinder.
+    # The ball at vertex 4 holds the near ends of all four cylinders, so
+    # 10,080 cylinder nodes take no column in either order; the reversed
+    # list must reach the owner pass too, or every cylinder node would
+    # lose its column and its weight
     pl, params, _ = subdiv_setup
     g = assemble(pl, params)
     if reverse:
         g.edge_patches = g.edge_patches[::-1]
     pts, wts = g.difference_quadrature()
     col, _ = g._dq[2:]
-    counts = [len(g._cylinder_nodes(ep)[2]) for ep in g.edge_patches]
     n_cols = [int(g._cylinder_nodes(ep)[2].max()) + 1
               for ep in g.edge_patches]
     has = col >= 0
     own = np.searchsorted(np.cumsum(n_cols), col[has], side="right")
-    holds = np.array([ep.mask(pts[has]) for ep in g.edge_patches])
-    assert np.array_equal(np.argmax(holds, axis=0), own)
-    claimed = np.count_nonzero(~has) - (len(pts) - sum(counts))
-    assert claimed == (1056 if reverse else 0)
+    assert np.array_equal(g._owners(pts[has]),
+                          len(g.vertex_patches) + own)
+    made = _made(g)
+    is_cyl = (made >= len(g.vertex_patches)) & (made < len(g.vertex_patches)
+                                                + len(g.edge_patches))
+    assert np.count_nonzero(is_cyl & ~has) == 10080
+    assert np.count_nonzero(wts[has] > 0) == 68604
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+@pytest.mark.parametrize("lam", [1.0, 0.25])
+def test_weighted_nodes_belong_to_the_patch_that_made_them(setup, lam,
+                                                           request):
+    # the quadrature and the dispatch share one precedence rule: every node
+    # of positive weight is held by its own patch, and every patch keeps
+    # some of its nodes
+    pl, params, _ = request.getfixturevalue(setup)
+    g = assemble(pl, params.scaled(lam))
+    pts, wts = g.difference_quadrature()
+    made = _made(g)
+    assert len(made) == len(pts)
+    act = wts > 0
+    assert np.array_equal(g._owners(pts[act]), made[act])
+    assert set(made[act]) == set(range(len(g.patches)))
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+def test_active_column_nodes_share_one_owner(setup, request):
+    _, _, g = request.getfixturevalue(setup)
+    pts, wts = g.difference_quadrature()
+    col, _ = g._dq[2:]
+    act = (wts > 0) & (col >= 0)
+    owner = g._owners(pts[act])
+    _, rep, src = np.unique(col[act], return_index=True, return_inverse=True)
+    assert len(rep) < np.count_nonzero(act)
+    assert np.array_equal(owner, owner[rep][src])
 
 
 def test_two_tet_slab_only_volume_exact():
