@@ -153,23 +153,22 @@ def build_parser():
 
 
 def _apply_config(ap, argv):
-    """Parse once to find --config, merge its values as defaults, reparse.
-    A key names an option of the parser or of the chosen subcommand."""
-    args, _ = ap.parse_known_args(argv)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
+    """Parse ``argv`` once, then give each option that it does not name the
+    value of --config, if any.  A key names an option of the parser or of
+    the chosen subcommand."""
+    ns = ap.parse_args(argv)
+    if ns.config:
+        with open(ns.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ParseError("config must be a JSON object")
-        ns = ap.parse_args(argv)
         options = _options(ap, ns.command)
         given = _explicit_flags(argv)
         for key, val in cfg.items():
             attr = key.replace("-", "_")
             if attr in options and attr not in given:
                 setattr(ns, attr, _config_value(options[attr], key, val))
-        return ns
-    return ap.parse_args(argv)
+    return ns
 
 
 def _options(ap, command):

@@ -36,6 +36,12 @@ def normalize(v):
     return v / n
 
 
+def rows_times(x, M):
+    """x @ M for rows x (N,3), summed entry by entry, which rounds alike in
+    any batch, unlike a matrix product."""
+    return x[:, :1] * M[0] + x[:, 1:2] * M[1] + x[:, 2:] * M[2]
+
+
 def orthonormal_tangents(n):
     """Two unit vectors completing ``n`` to a right-handed orthonormal basis.
 

@@ -439,11 +439,13 @@ class EdgeFan:
     def m(self):
         return len(self.angles)
 
+    # both entry by entry, which rounds alike in any batch: the untwist
+    # ring amplifies a position's rounding by about 60 / r in Dg
     def to_frame(self, x):
-        return (np.atleast_2d(x) - self.V0) @ self.Q.T
+        return geo.rows_times(np.atleast_2d(x) - self.V0, self.Q.T)
 
     def image_to_world(self, z):
-        return np.atleast_2d(z) @ self.S + self.b_img
+        return geo.rows_times(np.atleast_2d(z), self.S) + self.b_img
 
     def sector_of(self, theta):
         """Sector index i with angles[i] <= theta < angles[i+1] (cyclic)."""

@@ -135,7 +135,9 @@ def linf_difference(f, g, pts, diff, rng=None):
         return 0.0
     rng = np.random.default_rng(rng if rng is not None else 0)
     best = float(np.max(diff))
-    center = pts[int(np.argmax(diff))]
+    # the first node within 1e-12 of the largest: rounding alone cannot
+    # pick it among equal nodes, as along a cylinder column
+    center = pts[int(np.argmax(diff >= best * (1.0 - 1e-12)))]
     radius = 0.1 * float(np.max(np.ptp(pts, axis=0)) or 1.0)
     for _ in range(3):
         trial = center + rng.normal(scale=radius, size=(400, 3))

@@ -439,6 +439,7 @@ class SmoothedMap:
             part = made == nv + k
             col[part] = c + col.max() + 1
             cell[part] = self.plmap.complex.locate(p)
+        # a cylinder node (col >= 0) also needs its domain test
         wts[~own | ((cell < 0) & (col >= 0))] = 0.0
         col[~own] = -1
         return pts, wts, col, cell

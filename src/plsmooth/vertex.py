@@ -18,11 +18,6 @@ from .blend import (eta, eta_prime, radial_stages, time_profile,
 from .errors import CertificationError, ConstructionError, NoIsotopyFound
 
 
-def _unit(x):
-    x = np.asarray(x, dtype=float)
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # sphere maps and degree
 
@@ -39,7 +34,7 @@ class SphereMap:
         self.ambient = ambient
 
     def __call__(self, x):
-        return _unit(self.ambient(x, False)[0])
+        return geo.normalize(self.ambient(x, False)[0])
 
     def ambient_derivative(self, x):
         """The sphere map at x and its derivative, in ambient coordinates,
@@ -111,7 +106,7 @@ class SphereIsotopy:
     def __init__(self, mu):
         self.mu = mu
         rng = np.random.default_rng(3)
-        pts = _unit(rng.normal(size=(2000, 3)))
+        pts = geo.normalize(rng.normal(size=(2000, 3)))
         if float(np.min(np.linalg.norm(pts + mu(pts), axis=-1))) / 2 < 1e-3:
             raise NoIsotopyFound(
                 "linear interpolant to the sphere map vanishes; "
@@ -125,8 +120,8 @@ class SphereIsotopy:
         ``mu`` or, with ``jac``, one ``mu.ambient_derivative`` call."""
         sv = np.broadcast_to(np.asarray(time_profile(t), dtype=float), (len(x),))
         if not jac:
-            return _unit((1.0 - sv)[:, None] * x
-                         + sv[:, None] * self.mu(x)), None, None
+            return geo.normalize((1.0 - sv)[:, None] * x
+                                 + sv[:, None] * self.mu(x)), None, None
         spv = np.broadcast_to(np.asarray(time_profile_prime(t), dtype=float),
                               (len(x),))
         mv, Dmu = self.mu.ambient_derivative(x)
@@ -171,7 +166,7 @@ class VertexSmoother:
 
         self.mu = SphereMap(ambient)
         rng = np.random.default_rng(5)
-        sph = _unit(rng.normal(size=(4096, 3)))
+        sph = geo.normalize(rng.normal(size=(4096, 3)))
         norms = np.linalg.norm(self.hat(sph * rr, False)[0], axis=-1)
         if float(np.min(norms)) <= 0:
             raise ConstructionError("hat_g vanishes on the flattening sphere")
@@ -179,8 +174,8 @@ class VertexSmoother:
         # radial monotonicity of hat_g on the flattening shell
         shell = sph * rng.uniform(rr, self.R, 4096)[:, None]
         gv, Jv = self.hat(shell, True)
-        rad = np.einsum("nij,nj->ni", Jv, _unit(shell))
-        dots = np.sum(rad * _unit(gv), axis=-1)
+        rad = np.einsum("nij,nj->ni", Jv, geo.normalize(shell))
+        dots = np.sum(rad * geo.normalize(gv), axis=-1)
         if float(np.min(dots)) <= 0:
             raise ConstructionError(
                 "radial monotonicity of hat_g fails on the flattening shell")

@@ -122,3 +122,24 @@ def test_step_function_total_measure():
     f = rearrangement(np.array([2.0, 1.0]), np.array([0.3, 0.7]))
     assert f.breaks[-1] == pytest.approx(1.0)
     assert f(1.5) == 0.0
+
+
+def test_linf_difference_centre_does_not_follow_rounding_among_ties():
+    # equal largest differences, as along a cylinder column, moved by a few
+    # ulps: the refinement starts from the first of them either way
+    from plsmooth.builders import perturbed_kuhn_map
+    from plsmooth.norms import linf_difference
+    from plsmooth.pipeline import assemble, choose_params
+    pl = perturbed_kuhn_map()
+    g = assemble(pl, choose_params(pl))
+    pts, wts = g.difference_quadrature()
+    pts = pts[wts > 0][::50]
+    rng = np.random.default_rng(4)
+    tied = rng.choice(len(pts), 8, replace=False)
+    diff = np.zeros(len(pts))
+    diff[tied] = 1e-15
+    ref = linf_difference(pl, g, pts, diff, rng=0)
+    for _ in range(4):
+        moved = diff.copy()
+        moved[tied] *= 1.0 + np.finfo(float).eps * rng.integers(0, 5, 8)
+        assert linf_difference(pl, g, pts, moved, rng=0) == ref

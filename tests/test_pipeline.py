@@ -281,6 +281,23 @@ def test_thin_slab_derivative_does_not_depend_on_the_batch(kuhn_setup):
                   <= 1e-13 * np.abs(J1).max(axis=(1, 2)))
 
 
+def test_edge_cylinder_derivative_does_not_depend_on_the_batch(
+        subdiv_setup):
+    # the untwist ring amplifies the rounding of a point's frame
+    # coordinates by about 60 / r in Dg; a batched and a one-point call
+    # must still give the same Jacobian
+    _, _, g = subdiv_setup
+    nv, ne = len(g.vertex_patches), len(g.edge_patches)
+    x = g.sample_patches(n_per_patch=100, rng=3)
+    own = g._owners(x)
+    x = x[(own >= nv) & (own < nv + ne)]
+    J = g.derivative(x)
+    J1 = np.array([g.derivative(p[None])[0] for p in x])
+    assert len(x) > 300
+    assert np.all(np.abs(J - J1).max(axis=(1, 2))
+                  <= 1e-13 * np.abs(J1).max(axis=(1, 2)))
+
+
 def test_positive_jacobians_on_patch_samples(subdiv_setup):
     _, _, g = subdiv_setup
     pts = g.sample_patches(n_per_patch=400, rng=7)
