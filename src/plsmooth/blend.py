@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from . import geometry as geo
 from .errors import DomainError, InvalidInputError
 
 
@@ -149,49 +150,22 @@ def blend_pass(blend, x, jac):
     return out, J
 
 
-def normal_stretches(M_neg, M_pos, n, t2, t3):
-    """The image-face unit normal nu, along M_neg t2 x M_neg t3, and the
-    normal stretches nu.(M_neg n) and nu.(M_pos n), signed so that M_neg's
-    is >= 0.
-
-    A blend's slab lies on the side of the larger stretch: face_floor's
-    bound needs det Dg to grow across the strip.
-    """
-    nu = np.cross(M_neg @ t2, M_neg @ t3)
-    nun = np.linalg.norm(nu)
-    if nun < 1e-300:
-        raise InvalidInputError("degenerate image face (J2 = 0)")
-    nu = nu / nun
-    s_neg = float(nu @ (M_neg @ n))
-    s_pos = float(nu @ (M_pos @ n))
-    if s_neg < 0:
-        nu, s_neg, s_pos = -nu, -s_neg, -s_pos
-    return nu, s_neg, s_pos
-
-
 def face_floor(blend):
-    """Certified Jacobian floor a1*J2/2 of the blend, a1 the smaller normal
-    stretch and J2 the tangential 2x2 determinant, both taken in the fully
-    normalized frame.
+    """Certified Jacobian floor of the blend: half the smaller |det| of its
+    two pieces.
 
     Inside the strip Dg = M_neg + c (M_pos - M_neg) with c = eta(u) +
     u eta'(u) >= 0, and the difference is rank one, so det Dg is affine in
-    c.  With the normal toward the larger normal stretch, which face_pairs
-    and ray_blends choose from normal_stretches, det Dg >= det M_neg =
-    a1*J2; the floor keeps 2x headroom.
+    c.  With the slab on the side of the larger |det|, where face_pairs and
+    ray_blends put it, |det Dg| >= min |det|; the floor keeps 2x headroom.
+    The pieces share the image face's area factor J2 = |M t2 x M t3|, (n,
+    t2, t3) an orthonormal frame of the face, so |det M| = |s| J2 for the
+    normal stretch s = nu.(M n), nu the image face's unit normal: the larger
+    |det| is the larger stretch, and the floor is the smaller one times
+    J2 / 2.
     """
-    n, t2, t3 = blend.frame_R
-    nu, s_neg, s_pos = normal_stretches(blend.M_neg, blend.M_pos, n, t2, t3)
-    if s_neg <= 0 or s_pos <= 0:
-        raise InvalidInputError("pieces do not cross the face plane consistently")
-    # tangential 2x2 determinant in orthonormal tangent bases
-    v2 = blend.M_neg @ t2
-    v3 = blend.M_neg @ t3
-    t2i = v2 - (nu @ v2) * nu
-    t3i = v3 - (nu @ v3) * nu
-    b2 = t2i / np.linalg.norm(t2i)
-    b3 = np.cross(nu, b2)
-    J2 = abs(float((b2 @ t2i) * (b3 @ t3i) - (b3 @ t2i) * (b2 @ t3i)))
-    if J2 <= 0:
-        raise InvalidInputError("degenerate image face (J2 = 0)")
-    return 0.5 * min(s_neg, s_pos) * J2
+    d = geo.det3(np.stack([blend.M_neg, blend.M_pos]))
+    if d[0] == 0 or np.sign(d[0]) != np.sign(d[1]):
+        raise InvalidInputError(
+            "pieces do not cross the face plane consistently")
+    return 0.5 * float(np.min(np.abs(d)))

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from . import geometry as geo
 from .blend import (FaceBlend, blend_pass, eta, eta_prime, face_floor,
-                    normal_stretches, radial_stages, time_profile,
-                    time_profile_prime)
+                    radial_stages, time_profile, time_profile_prime)
 from .errors import (ConstructionError, InvalidInputError, ParameterError)
 from .mesh import EdgeFan, min_gap_and_trivial, pieces_agree
 
@@ -71,11 +70,12 @@ def synthetic_fan(angles, matrices, length=1.0):
 
 
 def ray_blends(fan, widths):
-    """One FaceBlend per ray, oriented toward the larger normal stretch.
-    Each blend passes face_floor, which rejects a degenerate or
+    """One FaceBlend per ray, oriented toward the piece with the larger
+    |det|.  Each blend passes face_floor, which rejects a degenerate or
     inconsistent ray."""
     m = fan.m
     widths = np.broadcast_to(np.asarray(widths, dtype=float), (m,))
+    dets = np.abs(geo.det3(fan.pieces))
     out = []
     zero = np.zeros(3)
     for i in range(m):
@@ -84,8 +84,7 @@ def ray_blends(fan, widths):
         n = np.array([-np.sin(a), np.cos(a), 0.0])
         A_lo = fan.pieces[(i - 1) % m]
         A_hi = fan.pieces[i]
-        _, s_lo, s_hi = normal_stretches(A_lo, A_hi, n, d, _E3)
-        if not pieces_agree(A_lo, A_hi) and s_hi < s_lo:
+        if not pieces_agree(A_lo, A_hi) and dets[i] < dets[i - 1]:
             n = -n
             M_neg, M_pos = A_hi, A_lo
         else:
@@ -193,7 +192,7 @@ class EdgeSmoother:
         # untwist stage never performs a spurious full turn
         psi -= 2 * np.pi * np.round(np.mean(psi) / (2 * np.pi))
         psi[-1] = psi[0]
-        self._psi_ref = CubicSpline(thg, psi, bc_type="periodic")
+        self._psi_ref = thg, psi
         # squeeze stretch rho: images of all relevant circles stay outside
         T, TH = np.meshgrid(np.linspace(r / 4.0, r, 13),
                             np.linspace(-np.pi, np.pi, 1024), indexing="ij")
@@ -222,9 +221,9 @@ class EdgeSmoother:
 
     def _H(self, theta, G0):
         """Exact lift of the squeeze circle map at ``theta``, G0 its image
-        there (the spline only picks the 2pi branch)."""
+        there (the interpolated reference only picks the 2pi branch)."""
         raw = np.arctan2(G0[:, 1], G0[:, 0])
-        ref = theta + self._psi_ref(_principal(theta))
+        ref = theta + np.interp(_principal(theta), *self._psi_ref)
         k = np.round((ref - raw) / (2 * np.pi))
         return raw + 2 * np.pi * k
 

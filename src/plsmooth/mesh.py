@@ -16,7 +16,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import geometry as geo
-from .blend import normal_stretches
 from .errors import (ContinuityError, DegenerateSimplexError, DomainError,
                      IntersectionError, NonInjectiveError, OrientationError,
                      ParseError)
@@ -377,7 +376,7 @@ def validate_pl_homeo(plmap):
             f"(residual {resid:.3e})")
 
     # injectivity of the image cells, the LP on unit-scaled coordinates
-    img = plmap.image_complex()
+    img = plmap.inverse_pieces()[0]
     gtol = 1e-10 * scale
     pairs = img._candidate_pairs(gtol)
     s = img._unit_scale()
@@ -474,8 +473,9 @@ def pieces_agree(A, B):
 
 def face_pairs(plmap):
     """One FacePair per interior face, with the oriented frame convention:
-    the normal points toward the piece with the larger normal stretch."""
+    the normal points toward the piece with the larger |det| (face_floor)."""
     cx = plmap.complex
+    dets = np.abs(geo.det3(plmap.matrices))
     out = []
     for f in cx.faces:
         cs = cx.face_cells[f]
@@ -492,9 +492,8 @@ def face_pairs(plmap):
         Ma, ca_off = plmap.piece(ca)
         Mb, cb_off = plmap.piece(cb)
         trivial = pieces_agree(Ma, Mb)
-        # orient n toward the larger normal stretch
-        _, sa, sb = normal_stretches(Ma, Mb, n, p[1] - p[0], p[2] - p[0])
-        if not trivial and sb < sa:
+        # orient n toward the larger |det|
+        if not trivial and dets[cb] < dets[ca]:
             n = -n
             ca, cb = cb, ca
             Ma, Mb = Mb, Ma

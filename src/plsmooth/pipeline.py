@@ -130,6 +130,16 @@ def choose_params(plmap):
         if pr.trivial:
             continue
         f = pr.face
+        # the slab's side face through a boundary edge, which no cylinder
+        # covers, must be a boundary face: g would jump across it
+        apex, = set(cx.cells[pr.cell_pos].tolist()) - set(f)
+        for e2 in combinations(f, 2):
+            side = tuple(sorted((*e2, apex)))
+            if e2 in cx.boundary_edges and side not in cx.boundary_faces:
+                raise ConstructionError(
+                    f"face {f}: its slab meets boundary edge {e2} on the "
+                    f"interior face {side}; slabs that reach the boundary "
+                    f"beside an interior face are not smoothed")
         cand = []
         for e2 in combinations(sorted(f), 2):
             if e2 in r:
@@ -154,12 +164,12 @@ def choose_params(plmap):
 
 
 class FacePatch:
-    """The slab {0 < s < width} over a face, s the distance from the face
-    toward ``cell_pos``.  Within that cell the slab is a frustum: its base
-    is the face, its top the face moved the fraction t = width / h toward
-    the cell's apex, h the apex height, and its volume |cell| t (3 - 3t +
-    t^2), the cell less the tetrahedron (1 - t)^3 |cell| at the apex,
-    without the cancellation of that difference."""
+    """The slab over a face toward ``cell_pos``: the points of that cell at
+    distance 0 < s < width from the face.  It is a frustum: its base is the
+    face, its top the face moved the fraction t = width / h toward the
+    cell's apex, h the apex height, and its volume |cell| t (3 - 3t + t^2),
+    the cell less the tetrahedron (1 - t)^3 |cell| at the apex, without the
+    cancellation of that difference."""
 
     def __init__(self, pair, width, tri, apex):
         self.pair = pair
@@ -171,10 +181,9 @@ class FacePatch:
                                width=width)
         self.floor = face_floor(self.blend)
         self.tri = np.asarray(tri, dtype=float)
-        n, t2, t3 = pair.frame.R
-        self.n = n
-        o = pair.frame.origin
-        h = float(n @ (apex - o))
+        self.n = pair.frame.R[0]
+        self._o = pair.frame.origin
+        h = float(self.n @ (apex - self._o))
         t = self.width / h
         if t >= 1.0:
             raise ParameterError(
@@ -188,26 +197,22 @@ class FacePatch:
         # the volumes of the FRUSTUM_TETS
         self.tet_volumes = cell * t * (1.0 - t) ** np.arange(3)
         self.volume = cell * t * (3.0 - 3.0 * t + t * t)
-        T2 = np.vstack([t2, t3]).T
-        self.tri2 = (self.tri - o) @ T2
-        self._T2 = T2
-        self._o = o
-        A = np.column_stack([self.tri2[1] - self.tri2[0],
-                             self.tri2[2] - self.tri2[0]])
-        self._Ainv = np.linalg.inv(A)
+        # the cell's first vertex and inverse edge matrix, as locate keeps
+        self._edge_inv = geo.inv3(np.vstack([self.tri[1:], apex])
+                                  - self.tri[0])
 
     def mask(self, x):
+        """0 < s < width, and within 1e-12 of ``cell_pos`` by the smallest
+        barycentric coordinate (the arithmetic of locate)."""
         s = (x - self._o) @ self.n
         m = (s > 0.0) & (s < self.width)
         if not np.any(m):
             return m
-        p2 = (x[m] - self._o) @ self._T2
-        lam = (p2 - self.tri2[0]) @ self._Ainv.T
-        inside = (lam[:, 0] >= -1e-12) & (lam[:, 1] >= -1e-12) & \
-                 (lam.sum(axis=1) <= 1.0 + 1e-12)
-        mm = m.copy()
-        mm[np.where(m)[0][~inside]] = False
-        return mm
+        l1, l2, l3 = ((x[m] - self.tri[0]) @ self._edge_inv).T
+        low = np.minimum(np.minimum(1.0 - (l1 + l2 + l3), l1),
+                         np.minimum(l2, l3))
+        m[np.flatnonzero(m)[low < -1e-12]] = False
+        return m
 
     def evaluate(self, x):
         return blend_pass(self.blend, x, False)[0]

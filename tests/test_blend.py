@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.spatial.transform import Rotation
 
+from plsmooth import geometry as geo
 from plsmooth.blend import (FaceBlend, blend_pass, eta, eta_prime,
                             face_floor, time_profile, time_profile_prime)
-from plsmooth.errors import DomainError
+from plsmooth.errors import DomainError, InvalidInputError
 
 
 def test_eta_endpoints_and_midpoint():
@@ -96,6 +98,60 @@ def test_sigma_floor_axis_stretch():
     fb = _pair(d=np.array([1.0, 0.0, 0.0]))
     floor = face_floor(fb)
     assert floor == pytest.approx(0.5)
+
+
+def _normal_stretches(M_neg, M_pos, n, t2, t3):
+    """The image-face unit normal nu, along M_neg t2 x M_neg t3, and the
+    normal stretches nu.(M_neg n) and nu.(M_pos n), signed so that M_neg's
+    is >= 0: the slab-side rule and floor that face_floor's determinants
+    replace."""
+    nu = np.cross(M_neg @ t2, M_neg @ t3)
+    nu = nu / np.linalg.norm(nu)
+    s_neg = float(nu @ (M_neg @ n))
+    s_pos = float(nu @ (M_pos @ n))
+    if s_neg < 0:
+        nu, s_neg, s_pos = -nu, -s_neg, -s_pos
+    return nu, s_neg, s_pos
+
+
+def _kinked_pair(rng, k):
+    """Pieces M_neg and M_pos = M_neg (I + v n^T), which agree on the plane
+    n.x = 0 of a random frame (n, t2, t3), with det M_pos = k det M_neg."""
+    n = geo.normalize(rng.normal(size=3))
+    t2, t3 = geo.orthonormal_tangents(n)
+    # condition number at most e^2, either orientation
+    M_neg = Rotation.random(random_state=rng).as_matrix() \
+        @ np.diag(np.exp(rng.uniform(-1, 1, 3)) * rng.choice([-1, 1])) \
+        @ Rotation.random(random_state=rng).as_matrix()
+    v = (k - 1.0) * n + rng.uniform(-1, 1) * t2 + rng.uniform(-1, 1) * t3
+    M_pos = M_neg @ (np.eye(3) + np.outer(v, n))
+    blend = FaceBlend(frame_origin=np.zeros(3), frame_R=np.vstack([n, t2, t3]),
+                      M_neg=M_neg, c_neg=np.zeros(3), M_pos=M_pos,
+                      c_pos=np.zeros(3), width=0.01)
+    return blend, n, t2, t3
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_floor_is_half_the_smaller_det_and_stretch(seed):
+    # the pieces share the image face's area factor J2, so |det M| = s J2:
+    # the larger |det| is the larger normal stretch, and the floor is
+    # a1 J2 / 2
+    rng = np.random.default_rng(seed)
+    k = np.exp(rng.choice([-1, 1]) * rng.uniform(0.01, 2.0))
+    blend, n, t2, t3 = _kinked_pair(rng, k)
+    _, s_neg, s_pos = _normal_stretches(blend.M_neg, blend.M_pos, n, t2, t3)
+    d = np.abs(geo.det3(np.stack([blend.M_neg, blend.M_pos])))
+    assert (d[1] > d[0]) == (s_pos > s_neg)
+    J2 = np.linalg.norm(np.cross(blend.M_neg @ t2, blend.M_neg @ t3))
+    assert face_floor(blend) == pytest.approx(0.5 * min(s_neg, s_pos) * J2,
+                                              rel=1e-14, abs=0)
+
+
+def test_floor_rejects_pieces_of_opposite_orientation():
+    blend = _kinked_pair(np.random.default_rng(3), -0.5)[0]
+    with pytest.raises(InvalidInputError, match="consistently"):
+        face_floor(blend)
 
 
 def test_jacobian_det_above_floor():

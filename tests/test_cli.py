@@ -131,6 +131,22 @@ def test_edge_reaching_the_boundary_exits_3(tmp_path, capsys):
                      err), err
 
 
+def test_slab_beside_an_interior_face_at_a_boundary_edge_exits_3(
+        three_cell_map, tmp_path, capsys):
+    # no cylinder covers the boundary edge (0, 1), so g would jump across
+    # the slab's side face (0, 1, 3)
+    doc = tmp_path / "three_cell.json"
+    save_document(three_cell_map, doc)
+    assert main(["validate", str(doc)]) == 0
+    capsys.readouterr()
+    for command in ("smooth", "sweep"):
+        assert main([command, str(doc)]) == 3, command
+        err = capsys.readouterr().err
+        for name in ("face (0, 1, 2)", "boundary edge (0, 1)",
+                     "interior face (0, 1, 3)"):
+            assert name in err, (command, err)
+
+
 def test_missing_file_exits_1(capsys):
     assert main(["validate", "/no/such/file.json"]) == 1
     assert "error" in capsys.readouterr().err

@@ -488,6 +488,57 @@ def test_width_at_or_above_apex_height_rejected(factor):
         assemble(pl, params)
 
 
+def _three_cell_slab(plmap):
+    """The three-cell map's slab, which choose_params rejects, by hand."""
+    return assemble(plmap, SmoothingParams(R={}, r={}, w={(0, 1, 2): 0.1}))
+
+
+def _around_slab(fp, n, rng):
+    """2n points at heights -w/2 < s < 3w/2 over the slab's face: n over
+    the face grown by half about its centroid, n within 3w of its edges."""
+    tri, w = fp.tri, fp.width
+    c = tri.mean(axis=0)
+    wide = c + 1.5 * (rng.dirichlet(np.ones(3), size=n) @ tri - c)
+    k = rng.integers(3, size=n)
+    near = tri[k] + rng.uniform(0, 1, (n, 1)) * (tri[(k + 1) % 3] - tri[k]) \
+        + rng.uniform(-3 * w, 3 * w, (n, 3))
+    x = np.vstack([wide, near])
+    s = rng.uniform(-0.5 * w, 1.5 * w, 2 * n)
+    return x + (s - (x - fp.pair.frame.origin) @ fp.n)[:, None] * fp.n
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup",
+                                   "three_cell_map"])
+def test_face_patch_mask_is_its_frustum(setup, request):
+    # the slab that the volume, the quadrature and the samples use: the
+    # points of cell_pos, by barycentric coordinates, at 0 < s < w
+    if setup == "three_cell_map":
+        g = _three_cell_slab(request.getfixturevalue(setup))
+    else:
+        g = request.getfixturevalue(setup)[2]
+    cx = g.plmap.complex
+    rng = np.random.default_rng(7)
+    for fp in g.face_patches:
+        x = _around_slab(fp, 2000, rng)
+        s = (x - fp.pair.frame.origin) @ fp.n
+        bary = geo.barycentric(cx.cell_points(fp.pair.cell_pos), x)
+        ref = (s > 0.0) & (s < fp.width) & np.all(bary >= -1e-12, axis=1)
+        assert 0 < np.count_nonzero(ref) < len(x)
+        assert np.array_equal(fp.mask(x), ref)
+
+
+def test_three_cell_slab_volume_is_the_measure_it_owns(three_cell_map):
+    # a seeded Monte Carlo measure of the points of the domain that the
+    # slab holds, in a box about the slab
+    g = _three_cell_slab(three_cell_map)
+    rng = np.random.default_rng(11)
+    lo, hi = np.array([0.0, -0.05, 0.0]), np.array([1.0, 1.0, 0.1])
+    x = rng.uniform(lo, hi, size=(10 ** 6, 3))
+    held = g.contains(x) & (g._owners(x) >= 0)
+    assert np.mean(held) * np.prod(hi - lo) == pytest.approx(
+        g.volume_difference_set(), rel=5e-3)
+
+
 def test_gauss_legendre_reuses_reference_rule(monkeypatch):
     x0, w0 = geo.gauss_legendre(12)
     calls = []
