@@ -87,10 +87,6 @@ def cmd_smooth(args):
 
 
 def cmd_sweep(args):
-    for opt in ("p", "q"):
-        val = getattr(args, opt)
-        if not 1.0 <= val < np.inf:
-            raise ParseError(f"--{opt} must lie in [1, inf), got {val}")
     plmap = _load_map(args.input)
     params = choose_params(plmap)  # validates the map first
     lambdas = tuple(args.lambdas)
@@ -152,6 +148,28 @@ def build_parser():
     return ap
 
 
+# the range of each numeric option, by destination: a test that NaN fails,
+# and its text for the message
+_RANGES = {
+    "lam": (lambda v: 0.0 < v <= 1.0, "(0, 1]"),
+    "lambdas": (lambda v: 0.0 < v <= 1.0, "(0, 1]"),
+    "p": (lambda v: 1.0 <= v < np.inf, "[1, inf)"),
+    "q": (lambda v: 1.0 <= v < np.inf, "[1, inf)"),
+    "epsilon": (lambda v: v > 0.0, "(0, inf]"),
+    "seed": (lambda v: v >= 0, "[0, inf)"),
+}
+
+
+def _check_ranges(args):
+    """ParseError for the first numeric option, or item of one, outside its
+    range, before any work is done."""
+    for opt, (ok, text) in _RANGES.items():
+        val = getattr(args, opt, None)
+        for v in val if isinstance(val, (list, tuple)) else [val]:
+            if v is not None and not ok(v):
+                raise ParseError(f"--{opt} must lie in {text}, got {v}")
+
+
 def _apply_config(ap, argv):
     """Parse ``argv`` once, then give each option that it does not name the
     value of --config, if any.  A key names an option of the parser or of
@@ -211,6 +229,7 @@ def main(argv=None):
     ap = build_parser()
     try:
         args = _apply_config(ap, argv)
+        _check_ranges(args)
         handler = {"validate": cmd_validate, "smooth": cmd_smooth,
                    "sweep": cmd_sweep}[args.command]
         return handler(args)

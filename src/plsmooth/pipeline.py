@@ -452,7 +452,8 @@ class SmoothedMap:
     def _cylinder_nodes(self, ep):
         """Gauss nodes per radial band (5), angular sector (14) and along
         the edge (16), with the column of each node: the nodes of one
-        (t, theta) take one column number, counted from 0."""
+        (t, theta) take one column number, counted from 0.  Nodes inside a
+        vertex ball, by its mask, are left out."""
         r, L, fan = ep.r, ep.L, ep.fan
         # the cylinder's regions, the untwist ring split where its time
         # profile turns
@@ -468,8 +469,12 @@ class SmoothedMap:
         W = tw[:, None, None] * thw[None, :, None] * zw[None, None, :] * T
         y = np.stack([T * np.cos(TH), T * np.sin(TH), Z], axis=-1).reshape(-1, 3)
         world = y @ fan.Q + fan.V0
-        return world, W.ravel(), np.repeat(np.arange(len(tn) * len(thn)),
-                                           len(zn))
+        col = np.repeat(np.arange(len(tn) * len(thn)), len(zn))
+        # a node in a ball is the ball's, so it would weigh 0 here
+        out = np.zeros(len(world), dtype=bool)
+        for vp in self.vertex_patches:
+            out |= vp.mask(world)
+        return world[~out], W.ravel()[~out], col[~out]
 
     def _ball_nodes(self, vp):
         """Gauss nodes per radial shell (5) and in the polar angle (8), 16

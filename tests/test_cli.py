@@ -256,6 +256,33 @@ def test_sweep_rejects_exponents_outside_one_to_inf(kuhn_doc, capsys, opt,
     assert f"{opt} must lie in [1, inf)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,opt,vals", [
+    ("smooth", "--lam", ["0"]), ("smooth", "--lam", ["1.5"]),
+    ("smooth", "--lam", ["nan"]), ("sweep", "--lambdas", ["1", "2"]),
+    ("sweep", "--lambdas", ["0.5", "nan"]), ("sweep", "--epsilon", ["nan"]),
+    ("sweep", "--epsilon", ["-1"]), ("sweep", "--epsilon", ["0"]),
+    ("smooth", "--seed", ["-1"]), ("sweep", "--seed", ["-1"]),
+    ("validate", "--seed", ["-1"])])
+def test_option_out_of_range_exits_1_before_any_work(kuhn_doc, capsys,
+                                                     monkeypatch, command,
+                                                     opt, vals):
+    def fail(*args):
+        raise AssertionError("reached")
+    monkeypatch.setattr(plsmooth.cli, "_load_map", fail)
+    monkeypatch.setattr(plsmooth.cli, "choose_params", fail)
+    assert main([command, kuhn_doc, opt, *vals]) == 1
+    assert f"{opt} must lie in" in capsys.readouterr().err
+
+
+def test_option_range_applies_to_config_values(kuhn_doc, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": 0, "lambdas": [1.0, 0.0]}))
+    assert main(["--config", str(cfg), "smooth", kuhn_doc]) == 1
+    assert "--lam must lie in (0, 1], got 0.0" in capsys.readouterr().err
+    assert main(["--config", str(cfg), "sweep", kuhn_doc]) == 1
+    assert "--lambdas must lie in (0, 1], got 0.0" in capsys.readouterr().err
+
+
 def test_config_values_convert_like_flags(kuhn_doc, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "a.json"

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 import plsmooth as ps
@@ -19,9 +19,10 @@ from plsmooth.errors import (ContinuityError, DegenerateSimplexError,
                              InvalidInputError, NonInjectiveError,
                              OrientationError, ParseError)
 from plsmooth.geometry import barycentric, tet_volume
-from plsmooth.mesh import (PLMap, SimplicialComplex, edge_fans, face_pairs,
-                           load_complex, pl_map_from_vertex_images,
-                           save_document, validate_pl_homeo, vertex_stars)
+from plsmooth.mesh import (PLMap, SimplicialComplex, _edge_plane_separated,
+                           edge_fans, face_pairs, load_complex,
+                           pl_map_from_vertex_images, save_document,
+                           validate_pl_homeo, vertex_stars)
 
 
 def test_kuhn_cube_combinatorics():
@@ -559,3 +560,95 @@ def test_perturbed_grids_validate_or_raise_typed_error(a):
                 grid.points + rng.uniform(-a, a, grid.points.shape), grid.cells)
         except InvalidInputError:
             pass
+
+
+def _double_cover():
+    """The Kuhn cube wrapped twice around its diagonal: every point keeps
+    its height along (1, 1, 1) and its distance from it, and its angle
+    about it doubles.  Each cell's dihedral angle at the diagonal goes from
+    pi/3 to 2pi/3, whose sine is the same, so every det is +1, and cells k
+    and k + 3 fill one wedge."""
+    cx = kuhn_cube()
+    d = np.ones(3) / np.sqrt(3.0)
+    u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    w = np.cross(d, u)
+    h, x, y = cx.points @ d, cx.points @ u, cx.points @ w
+    z = (x + 1j * y) ** 2 / np.maximum(np.abs(x + 1j * y), 1e-300)
+    images = np.outer(h, d) + np.outer(z.real, u) + np.outer(z.imag, w)
+    return pl_map_from_vertex_images(cx, images)
+
+
+def test_double_cover_around_a_shared_edge_is_rejected():
+    # the overlapping pairs share the diagonal, so the plane test through
+    # the shared edge must leave them to the LP
+    pl = _double_cover()
+    assert np.allclose(np.linalg.det(pl.matrices), 1.0)
+    with pytest.raises(NonInjectiveError, match="overlap near"):
+        validate_pl_homeo(pl)
+
+
+def _grid_affine():
+    """The map of the benchmark's grid_affine input at seed 0: one
+    near-identity affine map on a 2 x 1 x 1 Kuhn grid."""
+    cx = kuhn_grid(2, 1, 1)
+    rng = np.random.default_rng([0, 0])
+    A = np.eye(3) + rng.uniform(-0.05, 0.05, size=(3, 3))
+    b = rng.uniform(-0.1, 0.1, size=3)
+    return PLMap(cx, np.broadcast_to(A, (cx.n_cells, 3, 3)),
+                 np.broadcast_to(b, (cx.n_cells, 3)))
+
+
+@pytest.mark.parametrize("build,calls", [(perturbed_kuhn_map, 0),
+                                         (subdivided_tet_map, 0),
+                                         (_grid_affine, 15)],
+                         ids=["perturbed_kuhn", "subdivided_tet",
+                              "grid_affine"])
+def test_overlap_lp_runs_only_on_pairs_sharing_at_most_a_vertex(
+        build, calls, monkeypatch):
+    # every image pair that shares an edge is cleared by a plane through
+    # it; grid_affine keeps its 14 pairs that share one vertex and its one
+    # disjoint pair
+    seen = []
+    lp = geo.convex_interior_overlap
+    monkeypatch.setattr(geo, "convex_interior_overlap",
+                        lambda *a, **k: seen.append(1) or lp(*a, **k))
+    assert validate_pl_homeo(build()).injective
+    assert len(seen) == calls
+
+
+_small = st.integers(-3, 3)
+_lattice = st.tuples(_small, _small, _small)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=st.lists(_lattice, min_size=6, max_size=6), face=st.booleans(),
+       plane=st.none() | st.tuples(_small, _small),
+       nudge=st.sampled_from([0.0, 1e-13, -1e-13, 4e-14, 1e-9]),
+       exp=st.sampled_from([-300, 0, 300]))
+@example(pts=[(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 0),
+              (1, 1, 0)], face=True, plane=None, nudge=0.0, exp=0)
+@example(pts=[(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (-1, 0, 0),
+              (0, -1, 0)], face=False, plane=(0, -1), nudge=-1e-13, exp=300)
+def test_edge_plane_clearing_agrees_with_the_lp(pts, face, plane, nudge,
+                                                exp):
+    # two cells through the edge (p, q): a = (p, q, a1, a2) and b = (p, q,
+    # a1, b2) across a shared face or (p, q, b1, b2) across the edge alone.
+    # b2 may fold past the shared face, lie exactly on the plane (p, q, a2)
+    # (``plane``: b2 = p + i (q - p) + j (a2 - p)) or within ``nudge`` of
+    # it; a pair the plane test clears has no overlap for the LP either
+    P = np.array(pts, dtype=float)
+    p, q, a2 = P[0], P[1], P[3]
+    if plane is not None:
+        P[5] = p + plane[0] * (q - p) + plane[1] * (a2 - p)
+    n = np.cross(q - p, a2 - p)
+    if np.any(n):
+        P[5] += nudge * n / np.linalg.norm(n)
+    cells = [[0, 1, 2, 3], [0, 1, 2, 5] if face else [0, 1, 4, 5]]
+    cx = SimplicialComplex(P * 2.0 ** exp, cells, validate=False)
+    D = cx._edge_vectors() * cx._unit_scale()
+    assume(np.all(np.abs(np.linalg.det(D)) > 1e-6))
+    s = cx._unit_scale()
+    tol = 1e-10 * cx.coordinate_scale() * s
+    X = cx._scaled_cells()
+    if _edge_plane_separated(cx.cells, X, np.array([[0, 1]]), 1e-2 * tol)[0]:
+        assert geo.convex_interior_overlap(X[0], X[1], tol=tol) == (0.0, None)
