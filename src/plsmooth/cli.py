@@ -162,7 +162,10 @@ _RANGES = {
 
 def _check_ranges(args):
     """ParseError for the first numeric option, or item of one, outside its
-    range, before any work is done."""
+    range, before any work is done.  ``validate`` reads none of them, so
+    its --seed, common to every command, goes unchecked."""
+    if args.command == "validate":
+        return
     for opt, (ok, text) in _RANGES.items():
         val = getattr(args, opt, None)
         for v in val if isinstance(val, (list, tuple)) else [val]:

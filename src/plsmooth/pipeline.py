@@ -409,7 +409,8 @@ class SmoothedMap:
 
         Built once and kept, with two per-node records for lambda_sweep:
         the node's column and the cell that the domain test located (-1
-        where none).  A column is one cylinder's nodes at one (t, theta).
+        where none, or where no test ran: at a node that another patch
+        holds it would weigh 0 anyway).  A column is one cylinder's nodes at one (t, theta).
         Every piece of an edge fan maps the edge direction e to one image
         vector f'e, so on its cylinder g(x + z e) = g(x) + z f'e and
         Dg(x + z e) = Dg(x), as f within a fan cell: g - f, Dg and Df are
@@ -440,10 +441,12 @@ class SmoothedMap:
                          [w.size for _, w in groups])
         own = self._owners(pts) == made
         col, cell = np.full((2, len(pts)), -1)
-        for k, (p, _, c) in enumerate(cyls):
+        for k, (_, _, c) in enumerate(cyls):
             part = made == nv + k
             col[part] = c + col.max() + 1
-            cell[part] = self.plmap.complex.locate(p)
+            # a node that another patch holds weighs 0: no domain test
+            m = part & own
+            cell[m] = self.plmap.complex.locate(pts[m])
         # a cylinder node (col >= 0) also needs its domain test
         wts[~own | ((cell < 0) & (col >= 0))] = 0.0
         col[~own] = -1
@@ -452,8 +455,7 @@ class SmoothedMap:
     def _cylinder_nodes(self, ep):
         """Gauss nodes per radial band (5), angular sector (14) and along
         the edge (16), with the column of each node: the nodes of one
-        (t, theta) take one column number, counted from 0.  Nodes inside a
-        vertex ball, by its mask, are left out."""
+        (t, theta) take one column number, counted from 0."""
         r, L, fan = ep.r, ep.L, ep.fan
         # the cylinder's regions, the untwist ring split where its time
         # profile turns
@@ -469,12 +471,8 @@ class SmoothedMap:
         W = tw[:, None, None] * thw[None, :, None] * zw[None, None, :] * T
         y = np.stack([T * np.cos(TH), T * np.sin(TH), Z], axis=-1).reshape(-1, 3)
         world = y @ fan.Q + fan.V0
-        col = np.repeat(np.arange(len(tn) * len(thn)), len(zn))
-        # a node in a ball is the ball's, so it would weigh 0 here
-        out = np.zeros(len(world), dtype=bool)
-        for vp in self.vertex_patches:
-            out |= vp.mask(world)
-        return world[~out], W.ravel()[~out], col[~out]
+        return world, W.ravel(), np.repeat(np.arange(len(tn) * len(thn)),
+                                           len(zn))
 
     def _ball_nodes(self, vp):
         """Gauss nodes per radial shell (5) and in the polar angle (8), 16

@@ -261,8 +261,7 @@ def test_sweep_rejects_exponents_outside_one_to_inf(kuhn_doc, capsys, opt,
     ("smooth", "--lam", ["nan"]), ("sweep", "--lambdas", ["1", "2"]),
     ("sweep", "--lambdas", ["0.5", "nan"]), ("sweep", "--epsilon", ["nan"]),
     ("sweep", "--epsilon", ["-1"]), ("sweep", "--epsilon", ["0"]),
-    ("smooth", "--seed", ["-1"]), ("sweep", "--seed", ["-1"]),
-    ("validate", "--seed", ["-1"])])
+    ("smooth", "--seed", ["-1"]), ("sweep", "--seed", ["-1"])])
 def test_option_out_of_range_exits_1_before_any_work(kuhn_doc, capsys,
                                                      monkeypatch, command,
                                                      opt, vals):
@@ -272,6 +271,13 @@ def test_option_out_of_range_exits_1_before_any_work(kuhn_doc, capsys,
     monkeypatch.setattr(plsmooth.cli, "choose_params", fail)
     assert main([command, kuhn_doc, opt, *vals]) == 1
     assert f"{opt} must lie in" in capsys.readouterr().err
+
+
+def test_validate_ignores_the_seed_it_does_not_read(kuhn_doc, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    assert main(["validate", kuhn_doc, "--seed", "-1"]) == 0
+    assert main(["--config", str(cfg), "validate", kuhn_doc]) == 0
 
 
 def test_option_range_applies_to_config_values(kuhn_doc, tmp_path, capsys):
