@@ -161,9 +161,9 @@ _RANGES = {
 
 
 def _check_ranges(args):
-    """ParseError for the first numeric option, or item of one, outside its
-    range, before any work is done.  ``validate`` reads none of them, so
-    its --seed, common to every command, goes unchecked."""
+    """ParseError for the first numeric option (or item) out of range, or
+    --norm spec that does not parse, before any work is done.  ``validate``
+    reads none of them, so its --seed, common to all, goes unchecked."""
     if args.command == "validate":
         return
     for opt, (ok, text) in _RANGES.items():
@@ -171,6 +171,8 @@ def _check_ranges(args):
         for v in val if isinstance(val, (list, tuple)) else [val]:
             if v is not None and not ok(v):
                 raise ParseError(f"--{opt} must lie in {text}, got {v}")
+    for spec in getattr(args, "norm", None) or ():
+        parse_norm(spec)
 
 
 def _apply_config(ap, argv):

@@ -13,7 +13,8 @@ segments and triangles: ``dist_point_simplex`` (points to triangles),
 ``dist_segment_triangle`` and ``dist_triangle_triangle``.  The difference-set
 volume computation uses two batched kernels: ``plane_sections`` cuts a stack
 of convex polytopes by one plane each, and ``polygon_disk_areas`` gives the
-exact area of each resulting polygon within a disk.
+exact area of each resulting polygon within a disk.  The difference
+quadrature cuts lines by cells with ``line_cell_intervals``.
 """
 
 from __future__ import annotations
@@ -472,6 +473,24 @@ def plane_sections(V, edges, n, c, origin, axes):
     order = order[:, :counts.max(initial=0)]
     poly = np.take_along_axis(y, order[..., None], axis=1)
     return poly, np.where(counts >= 3, counts, 0)
+
+
+def line_cell_intervals(p, d, p0, edge_inv, tol=1e-13):
+    """The interval [lo, hi] of z on which p + z d lies in the tetrahedron
+    of first vertex ``p0`` and inverse edge matrix ``edge_inv`` (as locate
+    keeps them), lo > hi where it misses, batched over leading axes.  Each
+    barycentric coordinate a + z b bounds z on one side where b != 0; it may
+    reach -``tol``, so a line along a face keeps the cell."""
+    a = np.einsum("...j,...jk->...k", p - p0, edge_inv)
+    b = np.einsum("...j,...jk->...k", d, edge_inv)
+    a = np.concatenate([1.0 - a.sum(axis=-1, keepdims=True), a], axis=-1)
+    b = np.concatenate([-b.sum(axis=-1, keepdims=True), b], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = -(a + tol) / b
+    free = a >= -tol
+    lo = np.where(b > 0, z, np.where((b < 0) | free, -np.inf, np.inf))
+    hi = np.where(b < 0, z, np.where((b > 0) | free, np.inf, -np.inf))
+    return lo.max(axis=-1), hi.min(axis=-1)
 
 
 # ---------------------------------------------------------------------------

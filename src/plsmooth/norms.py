@@ -56,12 +56,13 @@ class RINorm:
             raise InvalidInputError(f"unsupported norm kind {kind!r}")
         self.kind = kind
         if kind == "lp":
-            if p is None or p < 1:
-                raise InvalidInputError("Lp needs p >= 1")
+            if p is None or not 1 <= p < np.inf:
+                raise InvalidInputError("Lp needs a finite p >= 1")
             self.p, self.q = float(p), float(p)
         elif kind == "lorentz":
-            if p is None or q is None or p < 1 or q < 1:
-                raise InvalidInputError("Lorentz needs p, q >= 1")
+            if p is None or q is None or not (1 <= p < np.inf
+                                              and 1 <= q < np.inf):
+                raise InvalidInputError("Lorentz needs finite p, q >= 1")
             self.p, self.q = float(p), float(q)
         else:
             self.p = self.q = np.inf
@@ -98,7 +99,8 @@ class RINorm:
 
 
 def parse_norm(spec):
-    """Parse 'lp:2', 'lorentz:2:1', or 'linf'."""
+    """Parse 'lp:2', 'lorentz:2:1', or 'linf'; a ParseError names a spec
+    that does not parse or whose exponents RINorm rejects."""
     parts = str(spec).split(":")
     kind = parts[0].lower()
     try:
@@ -108,7 +110,7 @@ def parse_norm(spec):
             return RINorm("lp", p=float(parts[1]))
         if kind == "lorentz":
             return RINorm("lorentz", p=float(parts[1]), q=float(parts[2]))
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, InvalidInputError) as exc:
         raise ParseError(f"cannot parse norm spec {spec!r}: {exc}") from None
     raise ParseError(f"unknown norm kind in spec {spec!r}")
 
@@ -136,7 +138,7 @@ def linf_difference(f, g, pts, diff, rng=None):
     rng = np.random.default_rng(rng if rng is not None else 0)
     best = float(np.max(diff))
     # the first node within 1e-12 of the largest: rounding alone cannot
-    # pick it among equal nodes, as along a cylinder column
+    # pick it among nodes of equal difference, as at mirror-image nodes
     center = pts[int(np.argmax(diff >= best * (1.0 - 1e-12)))]
     radius = 0.1 * float(np.max(np.ptp(pts, axis=0)) or 1.0)
     for _ in range(3):

@@ -405,74 +405,105 @@ class SmoothedMap:
     def difference_quadrature(self):
         """Fixed quadrature nodes and weights covering {g != f}, per patch;
         a node keeps its weight only where ``_owners`` gives it to the patch
-        that made it, and a cylinder node only within the domain.
-
-        Built once and kept, with two per-node records for lambda_sweep:
-        the node's column and the cell that the domain test located (-1
-        where none, or where no test ran: at a node that another patch
-        holds it would weigh 0 anyway).  A column is one cylinder's nodes at one (t, theta).
-        Every piece of an edge fan maps the edge direction e to one image
-        vector f'e, so on its cylinder g(x + z e) = g(x) + z f'e and
-        Dg(x + z e) = Dg(x), as f within a fan cell: g - f, Dg and Df are
-        shared along a column.  Slab and ball nodes, and cylinder nodes
-        that another patch holds (their g is that patch's), have column
-        -1."""
+        that made it.  Built once and kept (``_quadrature``), with the cell
+        of f at each cylinder node for lambda_sweep."""
         if self._dq is None:
             self._dq = self._quadrature()
         return self._dq[:2]
 
     def _quadrature(self):
-        """(pts, wts, column, cell) of difference_quadrature: the slabs'
-        nodes (by face, frustum tetrahedron, child and node), then the
-        cylinders', then the balls'."""
+        """(pts, wts, cell) of difference_quadrature: the slabs' nodes (by
+        face, frustum tetrahedron, child and node), then the cylinders', then
+        the balls'; ``cell`` is -1 off the cylinders."""
         nv, ne = len(self.vertex_patches), len(self.edge_patches)
-        cyls = [self._cylinder_nodes(ep) for ep in self.edge_patches]
         groups = ([geo.map_tet_rule(geo.subdivide_tet(
                        fp.frustum[geo.FRUSTUM_TETS]).reshape(-1, 4, 3), 3)
                    for fp in self.face_patches]
-                  + [c[:2] for c in cyls]
+                  + [self._cylinder_nodes(ep) for ep in self.edge_patches]
                   + [self._ball_nodes(vp) for vp in self.vertex_patches])
         if not groups:
-            return np.zeros((0, 3)), np.zeros(0), *np.full((2, 0), -1)
-        pts = np.vstack([p.reshape(-1, 3) for p, _ in groups])
-        wts = np.concatenate([w.ravel() for _, w in groups])
+            return np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int)
+        pts = np.vstack([g[0].reshape(-1, 3) for g in groups])
+        wts = np.concatenate([g[1].ravel() for g in groups])
+        cell = np.concatenate([g[2] if len(g) > 2 else np.full(g[1].size, -1)
+                               for g in groups])
         # the index in ``patches`` of the patch that made each node
         made = np.repeat(np.r_[nv + ne:len(groups), nv:nv + ne, :nv],
-                         [w.size for _, w in groups])
-        own = self._owners(pts) == made
-        col, cell = np.full((2, len(pts)), -1)
-        for k, (_, _, c) in enumerate(cyls):
-            part = made == nv + k
-            col[part] = c + col.max() + 1
-            # a node that another patch holds weighs 0: no domain test
-            m = part & own
-            cell[m] = self.plmap.complex.locate(pts[m])
-        # a cylinder node (col >= 0) also needs its domain test
-        wts[~own | ((cell < 0) & (col >= 0))] = 0.0
-        col[~own] = -1
-        return pts, wts, col, cell
+                         [g[1].size for g in groups])
+        wts[self._owners(pts) != made] = 0.0
+        return pts, wts, cell
 
     def _cylinder_nodes(self, ep):
-        """Gauss nodes per radial band (5), angular sector (14) and along
-        the edge (16), with the column of each node: the nodes of one
-        (t, theta) take one column number, counted from 0."""
-        r, L, fan = ep.r, ep.L, ep.fan
+        """(pts, wts, cell): one node per piece of each (t, theta) column,
+        the columns at Gauss nodes per radial band (5) and angular sector
+        (14), and the cell of f that holds each node.
+
+        A column p + z e, 0 <= z <= L, is cut where it enters or leaves a
+        cell (``geo.line_cell_intervals``), crosses a ball's sphere or
+        another cylinder's side (a quadratic in z) or that cylinder's end
+        planes.  So every mask of ``_owners`` and every cell boundary is a
+        cut, and on a piece between two cuts one patch and one cell hold
+        every point.  Every piece of an edge fan maps e to one image vector
+        f'e, so on the cylinder g(x + z e) = g(x) + z f'e and Dg(x + z e) =
+        Dg(x): Dg and Df are constant on a piece, and its midpoint, weighted
+        by its (t, theta) weight times its length, integrates them exactly
+        along the edge.  Pieces in no cell are
+        dropped, and those under 1e-10 L, which the cells' tolerance makes
+        at their shared faces; a node takes the first cell by index whose
+        interval holds it, the exact-first rule of ``locate``."""
+        L, e = ep.L, ep.fan.direction
+        p, area = self._columns(ep)
+        # the cells, balls and cylinders whose bounding boxes meet its own
+        box = _cylinder_box(ep)
+        near = lambda lo, hi: np.all((lo <= box[1]) & (hi >= box[0]), -1)
+        cx = self.plmap.complex
+        P = cx.points[cx.cells]
+        cells = np.flatnonzero(near(P.min(axis=1), P.max(axis=1)))
+        lo, hi = geo.line_cell_intervals(p[:, None], e, cx._p0[cells],
+                                         cx._edge_inv[cells])
+        hit = lo <= hi
+        cuts = [np.where(hit, lo, L), np.where(hit, hi, L), np.full(len(p), L)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for vp in self.vertex_patches:
+                if near(vp.V - vp.R, vp.V + vp.R):
+                    y = p - vp.V
+                    cuts += _roots(1.0, y @ e, np.sum(y * y, axis=-1)
+                                   - vp.R ** 2)
+            for other in self.edge_patches:
+                if other is ep or not near(*_cylinder_box(other)):
+                    continue
+                y, f = other.fan.to_frame(p), other.fan.Q @ e
+                cuts += _roots(f[:2] @ f[:2], y[:, :2] @ f[:2],
+                               np.sum(y[:, :2] ** 2, axis=-1) - other.r ** 2)
+                cuts += [-y[:, 2] / f[2], (other.L - y[:, 2]) / f[2]]
+        z = np.column_stack(cuts)
+        z = np.sort(np.where(z > 0.0, np.minimum(z, L), L), axis=1)
+        z = np.column_stack([np.zeros(len(p)),
+                             z[:, :1 + np.max(np.sum(z < L, axis=1))]])
+        mid = 0.5 * (z[:, :-1] + z[:, 1:])
+        cell = np.full(mid.shape, -1)
+        for j in range(len(cells) - 1, -1, -1):
+            cell[(lo[:, j, None] <= mid) & (mid <= hi[:, j, None])] = cells[j]
+        col, piece = np.nonzero((cell >= 0) & (np.diff(z) > 1e-10 * L))
+        return (p[col] + mid[col, piece, None] * e,
+                area[col] * np.diff(z)[col, piece], cell[col, piece])
+
+    def _columns(self, ep):
+        """The cylinder's (t, theta) columns: their points at z = 0 in the
+        world and their area weights t dt dtheta."""
+        fan = ep.fan
         # the cylinder's regions, the untwist ring split where its time
         # profile turns
         k, n = edge._UNTWIST, edge._FIFTHS
         tb = np.array([1e-9, k / n, (k + 1 / 3) / n, (k + 2 / 3) / n,
                        edge._SQUEEZE / n, edge._FLATTEN / n,
-                       edge._OUTER / n]) * r
+                       edge._OUTER / n]) * ep.r
         tn, tw = _panel_gauss(tb, 5)
         ang = np.append(fan.angles, fan.angles[0] + 2 * np.pi)
         thn, thw = _panel_gauss(ang, 14)
-        zn, zw = geo.gauss_legendre(16, 0.0, L)
-        T, TH, Z = np.meshgrid(tn, thn, zn, indexing="ij")
-        W = tw[:, None, None] * thw[None, :, None] * zw[None, None, :] * T
-        y = np.stack([T * np.cos(TH), T * np.sin(TH), Z], axis=-1).reshape(-1, 3)
-        world = y @ fan.Q + fan.V0
-        return world, W.ravel(), np.repeat(np.arange(len(tn) * len(thn)),
-                                           len(zn))
+        T, TH = (a.ravel() for a in np.meshgrid(tn, thn, indexing="ij"))
+        p = np.stack([T * np.cos(TH), T * np.sin(TH), 0.0 * T], axis=-1)
+        return p @ fan.Q + fan.V0, np.outer(tw, thw).ravel() * T
 
     def _ball_nodes(self, vp):
         """Gauss nodes per radial shell (5) and in the polar angle (8), 16
@@ -628,6 +659,18 @@ def _panel_gauss(breaks, n):
     return np.concatenate(nodes), np.concatenate(wts)
 
 
+def _cylinder_box(ep):
+    """The corners of a cylinder's axis-aligned bounding box."""
+    ends = ep.fan.V0 + np.outer([0.0, ep.L], ep.fan.direction)
+    return ends.min(axis=0) - ep.r, ends.max(axis=0) + ep.r
+
+
+def _roots(a, b, c):
+    """Both roots of a z^2 + 2 b z + c, NaN where they are not real."""
+    s = np.sqrt(b * b - a * c)
+    return (-b - s) / a, (-b + s) / a
+
+
 def _concentric_cyl_ball(r, R):
     """Volume of {t < r} ∩ {|x| < R} on one side of the vertex plane."""
     if r >= R:
@@ -685,15 +728,9 @@ SWEEP_DEFAULTS = {"lambdas": (1.0, 0.5, 0.25, 0.125, 0.0625), "p": 2.0,
 def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
                  p=SWEEP_DEFAULTS["p"], q=SWEEP_DEFAULTS["q"], rng=0):
     """One row of SWEEP_COLUMNS per lambda, from the active nodes of the
-    difference quadrature.
-
-    One dispatch per lambda gives g and Dg at the nodes off any column and
-    at one representative x_r per column.  At the column's other nodes Dg
-    is x_r's and g(x) = g(x_r) + Df (x - x_r) (difference_quadrature), so
-    det Dg, Dg^-1 and the norms are taken once per column.  The cells of f
-    and of the inverse stay per node, and a norm against Df or Df^-1 is
-    taken again where a node's cell differs from x_r's, as where g moves a
-    node near the boundary out of the image mesh."""
+    difference quadrature: g and Dg at every node from one dispatch, f and
+    Df from the cell that a cylinder node carries or, at the other nodes,
+    from one locate, and the cell of the inverse from ``inverse_pl``."""
     from .norms import linf_difference
     rows = []
     piece_norm = float(np.max(geo.spectral_norm(plmap.matrices)))
@@ -703,30 +740,22 @@ def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
         g = assemble(plmap, params.scaled(lam))
         vol = g.volume_difference_set()
         pts, wts = g.difference_quadrature()
-        col, cell = g._dq[2:]
         act = wts > 0
-        pa, wa, col, cf = pts[act], wts[act], col[act], cell[act]
-        # f and Df by one locate per node
+        pa, wa, cf = pts[act], wts[act], g._dq[2][act]
         off = cf < 0
         cf[off] = plmap.locate_inside(pa[off])
-        Df = plmap.matrices[cf]
-        # g and Dg by one dispatch: ``rep`` the representative of each
-        # node, itself off the columns, the first node of its column on one
-        key = np.where(col < 0, -1 - np.arange(len(col)), col)
-        _, rep, src = np.unique(key, return_index=True, return_inverse=True)
-        yr, Dg = g._dispatch(pa[rep], jac=True)
-        y = yr[src] + np.einsum("nij,nj->ni", Df, pa - pa[rep][src])
-        w1p = float(np.sum(wa * _column_norms(Dg, Df, cf, rep, src) ** p)
-                    ** (1.0 / p))
+        y, Dg = g._dispatch(pa, jac=True)
+        w1p = float(np.sum(wa * geo.spectral_norm(Dg - plmap.matrices[cf])
+                           ** p) ** (1.0 / p))
         linf = linf_difference(
             plmap, g, pa, np.linalg.norm(y - plmap.apply(pa, cf), axis=-1),
             rng=rng)
         # inverse quantities via the change of variables y = g(x)
-        Jg = geo.det3(Dg)[src]
         Dgi = geo.inv3(Dg)
         xb, ci = plmap.inverse_pl(y, tol=1e-7, extend=True)
-        diff_inv = _column_norms(Dgi, piece_invs[ci], ci, rep, src)
-        w1q_inv = float(np.sum(wa * diff_inv ** q * Jg) ** (1.0 / q))
+        diff_inv = geo.spectral_norm(Dgi - piece_invs[ci])
+        w1q_inv = float(np.sum(wa * diff_inv ** q * geo.det3(Dg))
+                        ** (1.0 / q))
         linf_inv = float(np.max(np.linalg.norm(pa - xb, axis=-1)))
         sup_dg = geo.max_spectral_norm(Dg, piece_norm)
         sup_dgi = geo.max_spectral_norm(Dgi, piece_inv_norm)
@@ -734,18 +763,6 @@ def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
                              (float(lam), vol, linf, w1p, linf_inv,
                               w1q_inv, sup_dg, sup_dgi))))
     return rows
-
-
-def _column_norms(G, F, cell, rep, src):
-    """The spectral norm of G[src[k]] - F[k] at each node k, G given at the
-    representative nodes ``rep`` and F a function of the node's ``cell``:
-    one norm per representative, and one more at each node whose cell
-    differs from its representative's."""
-    out = geo.spectral_norm(G - F[rep])[src]
-    moved = cell != cell[rep][src]
-    if np.any(moved):
-        out[moved] = geo.spectral_norm(G[src[moved]] - F[moved])
-    return out
 
 
 def format_table(rows):

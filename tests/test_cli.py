@@ -234,6 +234,19 @@ def test_bad_norm_spec_exits_1(kuhn_doc, capsys):
                  "--norm", "frobnicate:2"]) == 1
 
 
+@pytest.mark.parametrize("spec", ["lp:nan", "lp:0.5", "lp:inf", "lorentz:2",
+                                  "lorentz:2:nan", "bogus"])
+def test_bad_norm_spec_exits_1_before_the_sweep(spec, kuhn_doc, monkeypatch,
+                                                capsys):
+    # every --norm spec is parsed with the numeric options, so a bad one,
+    # even after a good one, stops the command before any work
+    def fail(plmap):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(plsmooth.cli, "choose_params", fail)
+    assert main(["sweep", kuhn_doc, "--norm", "lp:2", "--norm", spec]) == 1
+    assert repr(spec) in capsys.readouterr().err
+
+
 def test_config_defaults_and_explicit_override(kuhn_doc, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lam": 0.25, "seed": 42}))

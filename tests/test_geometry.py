@@ -4,10 +4,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 from plsmooth import geometry as geo
+from plsmooth.mesh import SimplicialComplex
 
 REF_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -102,6 +103,39 @@ def test_dist_segment_triangle_brackets_samples(seed, scale, kind):
     assert np.allclose(geo.dist_point_simplex(pts, tri),
                        [_ref_dist_point_triangle(x, tri) for x in pts],
                        rtol=1e-12, atol=tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["free", "vertex", "face"]))
+def test_line_cell_interval_brackets_the_cell(seed, kind):
+    # points strictly inside the interval lie in the cell to 1e-12 in their
+    # smallest barycentric coordinate, and points a margin beyond its ends
+    # are not in it, not even by locate's exact containment (tol 0); lines
+    # through a vertex or along a face are the rounding-prone cases
+    rng = np.random.default_rng(seed)
+    tet = rng.normal(size=(4, 3))
+    assume(abs(geo.tet_volume(tet)) > 1e-3)
+    cx = SimplicialComplex(tet, [[0, 1, 2, 3]])
+    d = geo.normalize(rng.normal(size=3))
+    if kind == "free":
+        p = rng.dirichlet(np.ones(4)) @ tet + 0.5 * rng.normal(size=3)
+    elif kind == "vertex":
+        p = tet[rng.integers(4)]
+    else:
+        p = rng.dirichlet(np.ones(3)) @ tet[:3]
+        n = geo.normalize(np.cross(tet[1] - tet[0], tet[2] - tet[0]))
+        d = geo.normalize(d - (d @ n) * n)
+    lo, hi = geo.line_cell_intervals(p, d, cx._p0[0], cx._edge_inv[0])
+    assert np.isfinite(lo) and np.isfinite(hi)
+    if lo < hi:
+        z = lo + (hi - lo) * np.linspace(0.0, 1.0, 33)[1:-1]
+        assert geo.barycentric(tet, p + z[:, None] * d).min() >= -1e-12
+    margin = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
+    z = np.concatenate([[lo - margin, hi + margin],
+                        np.linspace(-4.0, 4.0, 81)])
+    z = z[(z < lo - margin) | (z > hi + margin)]
+    assert np.all(cx.locate(p + z[:, None] * d, tol=0.0) == -1)
 
 
 TRI = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])

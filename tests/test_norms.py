@@ -103,6 +103,18 @@ def test_rejects_sub_one_exponents():
         RINorm("lorentz", p=2.0, q=0.2)
 
 
+@pytest.mark.parametrize("v", [np.nan, np.inf])
+def test_rejects_non_finite_exponents(v):
+    # L^inf is spelled "linf", not "lp:inf"
+    for p, q in ((v, 2.0), (2.0, v)):
+        with pytest.raises(InvalidInputError):
+            RINorm("lorentz", p=p, q=q)
+    with pytest.raises(InvalidInputError):
+        RINorm("lp", p=v)
+    with pytest.raises(ParseError, match=f"lp:{v}"):
+        parse_norm(f"lp:{v}")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_rearrangement_invariance(seed):

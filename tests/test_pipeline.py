@@ -717,8 +717,8 @@ def test_format_table(kuhn_setup):
 
 
 def _per_node_sweep(plmap, params, lambdas, p=2.0, q=2.0, rng=0):
-    """lambda_sweep with g, Dg and every norm taken at each node: the
-    reference for the sweep that shares them along cylinder columns."""
+    """lambda_sweep with the cell of f located at every node: the reference
+    for the sweep that takes it from the cylinder nodes' records."""
     from plsmooth.norms import linf_difference
     rows = []
     piece_norm = float(np.max(geo.spectral_norm(plmap.matrices)))
@@ -754,42 +754,15 @@ def _per_node_sweep(plmap, params, lambdas, p=2.0, q=2.0, rng=0):
 
 @pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
 def test_column_sweep_matches_the_per_node_sweep(setup, request):
-    # linf_f refines around the node of largest |g - f|, and along a column
-    # rounding alone picks that node among equals
+    # a cylinder node's recorded cell is the one locate gives it, so every
+    # column agrees, linf_f too
     pl, params, _ = request.getfixturevalue(setup)
     lambdas = (1.0, 0.25)
     rows = lambda_sweep(pl, params, lambdas=lambdas)
     ref = _per_node_sweep(pl, params, lambdas)
     for row, row_ref in zip(rows, ref):
         for col in SWEEP_COLUMNS:
-            if col != "linf_f":
-                assert row[col] == pytest.approx(row_ref[col], rel=1e-12), col
-
-
-@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
-@pytest.mark.parametrize("lam", [1.0, 0.25])
-def test_cylinder_column_is_a_translation(setup, lam, request):
-    # at every active node of a column, g is its representative's value
-    # moved by Df along the edge, and Dg is its representative's; Dg is
-    # checked to what rounding of the node's position allows, as its
-    # variation grows like 1/r in the untwist ring
-    pl, params, _ = request.getfixturevalue(setup)
-    g = assemble(pl, params.scaled(lam))
-    pts, wts = g.difference_quadrature()
-    col, cell = g._dq[2:]
-    act = (wts > 0) & (col >= 0)
-    x, col, cell = pts[act], col[act], cell[act]
-    y, J = g._dispatch(x, jac=True)
-    _, rep, src = np.unique(col, return_index=True, return_inverse=True)
-    assert len(rep) < len(x)
-    assert np.array_equal(cell, cell[rep][src])
-    moved = y[rep][src] + np.einsum("nij,nj->ni", pl.matrices[cell],
-                                    x - x[rep][src])
-    assert np.max(np.linalg.norm(moved - y, axis=-1)) <= 1e-12 * g.scale
-    r = min(ep.r for ep in g.edge_patches)
-    tol = max(1e-12, 200 * np.finfo(float).eps * g.scale / r)
-    Jr = J[rep][src]
-    assert np.all(geo.spectral_norm(J - Jr) <= tol * geo.spectral_norm(Jr))
+            assert row[col] == pytest.approx(row_ref[col], rel=1e-12), col
 
 
 def _made(g):
@@ -800,33 +773,6 @@ def _made(g):
              + [len(g._cylinder_nodes(ep)[1]) for ep in g.edge_patches]
              + [len(g._ball_nodes(vp)[1]) for vp in g.vertex_patches])
     return np.repeat(np.r_[nv + ne:len(g.patches), nv:nv + ne, :nv], sizes)
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_cylinder_columns_belong_to_their_own_cylinder(subdiv_setup,
-                                                       reverse):
-    # a column's nodes are those that _owners gives to its own cylinder.
-    # The ball at vertex 4 holds the near ends of all four cylinders, so
-    # 10,080 cylinder nodes take no column in either order; the reversed
-    # list must reach the owner pass too, or every cylinder node would
-    # lose its column and its weight
-    pl, params, _ = subdiv_setup
-    g = assemble(pl, params)
-    if reverse:
-        g.edge_patches = g.edge_patches[::-1]
-    pts, wts = g.difference_quadrature()
-    col, _ = g._dq[2:]
-    n_cols = [int(g._cylinder_nodes(ep)[2].max()) + 1
-              for ep in g.edge_patches]
-    has = col >= 0
-    own = np.searchsorted(np.cumsum(n_cols), col[has], side="right")
-    assert np.array_equal(g._owners(pts[has]),
-                          len(g.vertex_patches) + own)
-    made = _made(g)
-    is_cyl = (made >= len(g.vertex_patches)) & (made < len(g.vertex_patches)
-                                                + len(g.edge_patches))
-    assert np.count_nonzero(is_cyl & ~has) == 10080
-    assert np.count_nonzero(wts[has] > 0) == 68604
 
 
 @pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
@@ -846,16 +792,138 @@ def test_weighted_nodes_belong_to_the_patch_that_made_them(setup, lam,
     assert set(made[act]) == set(range(len(g.patches)))
 
 
-@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
-def test_active_column_nodes_share_one_owner(setup, request):
-    _, _, g = request.getfixturevalue(setup)
+def _cylinder_pieces(g):
+    """The positive-weight cylinder nodes of the difference quadrature, with
+    their edge patch, the cell each carries and the half-length of its
+    piece: its weight over its (t, theta) column's area weight, the column
+    found by the node's position across the edge."""
     pts, wts = g.difference_quadrature()
-    col, _ = g._dq[2:]
-    act = (wts > 0) & (col >= 0)
-    owner = g._owners(pts[act])
-    _, rep, src = np.unique(col[act], return_index=True, return_inverse=True)
-    assert len(rep) < np.count_nonzero(act)
-    assert np.array_equal(owner, owner[rep][src])
+    cell = g._dq[2]
+    made = _made(g)
+    out = []
+    for k, ep in enumerate(g.edge_patches):
+        m = (made == len(g.vertex_patches) + k) & (wts > 0)
+        base, area = g._columns(ep)
+        dist, col = scipy.spatial.cKDTree(
+            ep.fan.to_frame(base)[:, :2]).query(ep.fan.to_frame(pts[m])[:, :2])
+        assert np.max(dist) < 1e-12 * g.scale
+        out.append((ep, pts[m], cell[m], 0.5 * wts[m] / area[col]))
+    return out
+
+
+@pytest.mark.parametrize("build", [perturbed_kuhn_map, subdivided_tet_map])
+@pytest.mark.parametrize("lam", [1.0, 0.25, 0.0625])
+def test_cylinder_weights_match_the_sectioned_volume(build, lam,
+                                                     monkeypatch):
+    # each cylinder's owned weight is its volume within the domain, less
+    # its concentric parts in the end balls: sectioning on 512 panels
+    # agrees to 1e-6, where the 16-node masked rule missed by up to 2e-3
+    monkeypatch.setattr(pipeline, "N_PANELS", 512)
+    pl = build()
+    g = assemble(pl, choose_params(pl).scaled(lam))
+    for k, ep in enumerate(g.edge_patches):
+        pts, wts, _ = g._cylinder_nodes(ep)
+        own = g._owners(pts) == len(g.vertex_patches) + k
+        exact = g._cyl_domain_volume(ep) - sum(
+            pipeline._concentric_cyl_ball(ep.r, vp.R)
+            for vp in g.vertex_patches if vp.star.vertex in ep.fan.edge)
+        assert wts[own].sum() == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+@pytest.mark.parametrize("lam", [1.0, 0.25])
+def test_cylinder_nodes_carry_the_located_cell(setup, lam, request):
+    # the cell a cylinder node carries is the one locate gives it, and only
+    # cylinder nodes carry one
+    pl, params, _ = request.getfixturevalue(setup)
+    g = assemble(pl, params.scaled(lam))
+    pts, wts = g.difference_quadrature()
+    cell = g._dq[2]
+    nv = len(g.vertex_patches)
+    made = _made(g)
+    is_cyl = (made >= nv) & (made < nv + len(g.edge_patches))
+    assert np.all(cell[is_cyl] >= 0) and np.all(cell[~is_cyl] == -1)
+    act = is_cyl & (wts > 0)
+    assert np.array_equal(cell[act], pl.complex.locate(pts[act]))
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+@pytest.mark.parametrize("lam", [1.0, 0.25])
+def test_cylinder_piece_is_a_translation(setup, lam, request):
+    # along a piece g is its node's value moved by Df along the edge, and
+    # Dg is its node's; Dg is checked to what rounding of the position
+    # allows, as its variation grows like 1/r in the untwist ring
+    pl, params, _ = request.getfixturevalue(setup)
+    g = assemble(pl, params.scaled(lam))
+    for ep, x, cell, half in _cylinder_pieces(g):
+        y, J = g._dispatch(x, jac=True)
+        tol = max(1e-12, 200 * np.finfo(float).eps * g.scale / ep.r)
+        for s in (-0.99, -0.5, 0.5, 0.99):
+            dz = s * half
+            ys, Js = g._dispatch(x + dz[:, None] * ep.fan.direction, jac=True)
+            moved = y + dz[:, None] * (pl.matrices[cell] @ ep.fan.direction)
+            assert np.max(np.linalg.norm(ys - moved, axis=-1)) \
+                <= 1e-12 * g.scale
+            assert np.all(geo.spectral_norm(Js - J)
+                          <= tol * geo.spectral_norm(J))
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+def test_cylinder_piece_images_stay_in_one_image_cell(setup, request):
+    # the sweep takes Df^-1 of its node's image cell for the whole piece:
+    # the images of 63 interior points of each piece take that cell too
+    pl, _, g = request.getfixturevalue(setup)
+    s = np.arange(1, 64) / 32.0 - 1.0
+    for ep, x, _, half in _cylinder_pieces(g):
+        ci = pl.inverse_pl(g.evaluate(x), tol=1e-7, extend=True)[1]
+        xs = x[:, None] + (s * half[:, None])[..., None] * ep.fan.direction
+        cs = pl.inverse_pl(g.evaluate(xs.reshape(-1, 3)), tol=1e-7,
+                           extend=True)[1]
+        assert np.count_nonzero(cs.reshape(len(x), -1) != ci[:, None]) == 0
+
+
+def _masked_axial_quadrature(g, nz):
+    """The rule that one node per piece replaced, at ``nz`` Gauss nodes
+    along the edge: each node of a (t, theta) column weighs its share of
+    the column where ``_owners`` gives it to its cylinder and ``locate``
+    finds it in the domain.  The slab and ball nodes are g's own."""
+    pts, wts = g.difference_quadrature()
+    off = g._dq[2] < 0
+    groups = [(pts[off], wts[off])]
+    for k, ep in enumerate(g.edge_patches):
+        base, area = g._columns(ep)
+        zn, zw = geo.gauss_legendre(nz, 0.0, ep.L)
+        x = (base[:, None] + zn[:, None] * ep.fan.direction).reshape(-1, 3)
+        w = np.outer(area, zw).ravel()
+        w[(g._owners(x) != len(g.vertex_patches) + k)
+          | (g.plmap.complex.locate(x) < 0)] = 0.0
+        groups.append((x, w))
+    return (np.vstack([x for x, _ in groups]),
+            np.concatenate([w for _, w in groups]))
+
+
+def test_cylinder_pieces_match_a_fine_axial_rule(kuhn_setup):
+    # w1p_f and w1q_inv against the masked rule at 512 nodes along the
+    # edge, node by node and in chunks: that rule misses by about one node
+    # weight where a column leaves the domain, the piece rule not at all
+    pl, params, _ = kuhn_setup
+    row, = lambda_sweep(pl, params, lambdas=(0.25,))
+    g = assemble(pl, params.scaled(0.25))
+    pts, wts = _masked_axial_quadrature(g, 512)
+    act = wts > 0
+    pts, wts = pts[act], wts[act]
+    invs = pl.inverse_pieces()[1]
+    w1p = w1q = 0.0
+    for i in range(0, len(pts), 100_000):
+        x, w = pts[i:i + 100_000], wts[i:i + 100_000]
+        y, Dg = g._dispatch(x, jac=True)
+        Df = pl.matrices[pl.locate_inside(x)]
+        w1p += np.sum(w * geo.spectral_norm(Dg - Df) ** 2)
+        ci = pl.inverse_pl(y, tol=1e-7, extend=True)[1]
+        w1q += np.sum(w * geo.spectral_norm(geo.inv3(Dg) - invs[ci]) ** 2
+                      * geo.det3(Dg))
+    assert row["w1p_f"] == pytest.approx(np.sqrt(w1p), rel=5e-4)
+    assert row["w1q_inv"] == pytest.approx(np.sqrt(w1q), rel=5e-4)
 
 
 def test_two_tet_slab_only_volume_exact():
