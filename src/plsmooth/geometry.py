@@ -481,15 +481,13 @@ def line_cell_intervals(p, d, p0, edge_inv, tol=1e-13):
     keeps them), lo > hi where it misses, batched over leading axes.  Each
     barycentric coordinate a + z b bounds z on one side where b != 0; it may
     reach -``tol``, so a line along a face keeps the cell."""
-    a = np.einsum("...j,...jk->...k", p - p0, edge_inv)
-    b = np.einsum("...j,...jk->...k", d, edge_inv)
-    a = np.concatenate([1.0 - a.sum(axis=-1, keepdims=True), a], axis=-1)
-    b = np.concatenate([-b.sum(axis=-1, keepdims=True), b], axis=-1)
+    E = np.concatenate([-edge_inv.sum(axis=-1, keepdims=True), edge_inv], -1)
+    a = np.einsum("...j,...jk->...k", p - p0, E) + [1.0, 0.0, 0.0, 0.0]
+    b = np.einsum("...j,...jk->...k", d, E)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = -(a + tol) / b
-    free = a >= -tol
-    lo = np.where(b > 0, z, np.where((b < 0) | free, -np.inf, np.inf))
-    hi = np.where(b < 0, z, np.where((b > 0) | free, np.inf, -np.inf))
+    lo = np.where(b > 0, z, np.where((b < 0) | (a >= -tol), -np.inf, np.inf))
+    hi = np.where(b < 0, z, np.where((b > 0) | (a >= -tol), np.inf, -np.inf))
     return lo.max(axis=-1), hi.min(axis=-1)
 
 

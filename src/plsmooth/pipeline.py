@@ -447,9 +447,9 @@ class SmoothedMap:
         f'e, so on the cylinder g(x + z e) = g(x) + z f'e and Dg(x + z e) =
         Dg(x): Dg and Df are constant on a piece, and its midpoint, weighted
         by its (t, theta) weight times its length, integrates them exactly
-        along the edge.  Pieces in no cell are
-        dropped, and those under 1e-10 L, which the cells' tolerance makes
-        at their shared faces; a node takes the first cell by index whose
+        along the edge.  Pieces in no cell, under 1e-10 L (which the cells'
+        tolerance makes at shared faces) or that ``_owners`` gives another
+        patch are dropped; a node takes the first cell by index whose
         interval holds it, the exact-first rule of ``locate``."""
         L, e = ep.L, ep.fan.direction
         p, area = self._columns(ep)
@@ -485,8 +485,10 @@ class SmoothedMap:
         for j in range(len(cells) - 1, -1, -1):
             cell[(lo[:, j, None] <= mid) & (mid <= hi[:, j, None])] = cells[j]
         col, piece = np.nonzero((cell >= 0) & (np.diff(z) > 1e-10 * L))
-        return (p[col] + mid[col, piece, None] * e,
-                area[col] * np.diff(z)[col, piece], cell[col, piece])
+        pts = p[col] + mid[col, piece, None] * e
+        own = np.flatnonzero(self._owners(pts) == self.patches.index(ep))
+        col, piece = col[own], piece[own]
+        return pts[own], area[col] * np.diff(z)[col, piece], cell[col, piece]
 
     def _columns(self, ep):
         """The cylinder's (t, theta) columns: their points at z = 0 in the
