@@ -830,6 +830,20 @@ def test_cylinder_weights_match_the_sectioned_volume(build, lam,
         assert wts[own].sum() == pytest.approx(exact, rel=1e-6)
 
 
+def test_cylinder_nodes_follow_a_reordered_edge_list(subdiv_setup):
+    # a cylinder keeps the pieces that _owners gives it at its place in the
+    # patches as they are listed now: reversing the edge list, which the
+    # ball's overlap of all four cylinders makes visible, keeps every
+    # cylinder's weight
+    pl, params, _ = subdiv_setup
+    g = assemble(pl, params)
+    before = [g._cylinder_nodes(ep)[1].sum() for ep in g.edge_patches]
+    g.edge_patches = g.edge_patches[::-1]
+    after = [g._cylinder_nodes(ep)[1].sum() for ep in g.edge_patches[::-1]]
+    assert min(after) > 0
+    assert after == pytest.approx(before, rel=1e-12)
+
+
 @pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
 @pytest.mark.parametrize("lam", [1.0, 0.25])
 def test_cylinder_nodes_carry_the_located_cell(setup, lam, request):
