@@ -6,15 +6,15 @@ their entries as flat arrays, and ``max_spectral_norm``, which evaluates the
 norm only where a Gershgorin bound on M^T M can reach the largest column
 norm; simplex measures, the interior-overlap test of two tetrahedra (the
 one LP, used by validation; an intersection too thin for qhull counts as
-empty), the edge and tetrahedron index tables of a tetrahedron and of a
-frustum of one, and tetrahedral and Gauss quadrature.  The distances that
+empty), the edges of a tetrahedron and the tetrahedra that fill a frustum
+of one, and Gauss-Legendre quadrature.  The distances that
 parameter selection needs are exact and batched over stacks of points,
 segments and triangles: ``dist_point_simplex`` (points to triangles),
-``dist_segment_triangle`` and ``dist_triangle_triangle``.  The difference-set
-volume computation uses two batched kernels: ``plane_sections`` cuts a stack
-of convex polytopes by one plane each, and ``polygon_disk_areas`` gives the
-exact area of each resulting polygon within a disk.  The difference
-quadrature cuts lines by cells with ``line_cell_intervals``.
+``dist_segment_triangle`` and ``dist_triangle_triangle``.  The difference set
+is measured by three batched kernels: ``plane_sections`` cuts convex
+polytopes by a plane each, ``clip_polygons`` convex polygons by a half-plane
+each, and ``polygon_disk_areas`` gives each polygon's exact area within a
+disk; its quadrature cuts lines by cells with ``line_cell_intervals``.
 """
 
 from __future__ import annotations
@@ -434,13 +434,7 @@ TET_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 
 # A frustum of a tetrahedron: vertices 0-2 are a base triangle, positively
 # oriented toward the apex, and vertex 3 + i is vertex i moved toward the
-# apex.  Its 9 edges, and 3 positive tetrahedra that fill it.  The vertex
-# order within a tetrahedron sets where tet_rule's collapsed coordinates put
-# their nodes: with this order the sweep's W^{1,p} columns on the kuhn_sweep
-# workload are within 8e-5 of a refined rule, against 1.4e-4 for the order
-# (0, 1, 2, 3); on the test fixtures both are within 8e-4.
-FRUSTUM_EDGES = np.array([[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5],
-                          [0, 3], [1, 4], [2, 5]])
+# apex.  These 3 positive tetrahedra fill it.
 FRUSTUM_TETS = np.array([[1, 2, 0, 3], [2, 3, 1, 4], [3, 4, 2, 5]])
 
 
@@ -473,6 +467,33 @@ def plane_sections(V, edges, n, c, origin, axes):
     order = order[:, :counts.max(initial=0)]
     poly = np.take_along_axis(y, order[..., None], axis=1)
     return poly, np.where(counts >= 3, counts, 0)
+
+
+def clip_polygons(P, counts, a, b):
+    """The part of each convex polygon P[k, :counts[k]] (B,K,2) in the
+    half-plane {y: a[k].y <= b[k]}; ``a`` (B,2) and ``b`` (B,) may also be
+    one value for all.  Vertex i, where it lies in the closed half-plane,
+    then the crossing point of edge (i, i + 1), where its ends lie strictly
+    on opposite sides, are the clipped polygon's vertices, in the input's
+    order.  Returns them padded to (B,K',2), and each polygon's vertex
+    count, 0 for fewer than 3 points."""
+    P = np.asarray(P, dtype=float)
+    counts = np.asarray(counts)[:, None]
+    k = np.arange(P.shape[1])
+    valid = k < counts
+    d = (np.sum(P * np.asarray(a, dtype=float)[..., None, :], axis=-1)
+         - np.asarray(b, dtype=float)[..., None])
+    row, nxt = np.arange(len(P))[:, None], np.where(k + 1 < counts, k + 1, 0)
+    dn = d[row, nxt]
+    cross = valid & (d * dn < 0)
+    t = np.where(cross, d / np.where(cross, d - dn, 1.0), 0.0)[..., None]
+    shape = (len(P), 2 * len(k))
+    pts = np.stack([P, P + t * (P[row, nxt] - P)], 2).reshape(shape + (2,))
+    keep = np.stack([valid & (d <= 0), cross], axis=2).reshape(shape)
+    counts = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")
+    return (pts[row, order[:, :counts.max(initial=0)]],
+            np.where(counts >= 3, counts, 0))
 
 
 def line_cell_intervals(p, d, p0, edge_inv, tol=1e-13):
@@ -562,50 +583,3 @@ def gauss_legendre(n, a=0.0, b=1.0):
         _GAUSS_LEGENDRE[n] = np.polynomial.legendre.leggauss(n)
     x, w = _GAUSS_LEGENDRE[n]
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
-_TET_RULE = {}
-
-
-def tet_rule(n=3):
-    """Conical-product Gauss rule on the reference tetrahedron; exact for
-    polynomials of degree <= 2n-1, all weights positive.
-
-    Returns (points (n^3,3), weights summing to 1/6).
-    """
-    if n not in _TET_RULE:
-        from scipy.special import roots_jacobi
-        x1, w1 = roots_jacobi(n, 2, 0)
-        x2, w2 = roots_jacobi(n, 1, 0)
-        x3, w3 = np.polynomial.legendre.leggauss(n)
-        a, b, c = np.meshgrid(0.5 * (x1 + 1), 0.5 * (x2 + 1), 0.5 * (x3 + 1),
-                              indexing="ij")
-        wa, wb, wc = np.meshgrid(w1 / 8.0, w2 / 4.0, w3 / 2.0, indexing="ij")
-        pts = np.stack([a, b * (1 - a), c * (1 - a) * (1 - b)], axis=-1)
-        _TET_RULE[n] = (pts.reshape(-1, 3), (wa * wb * wc).ravel())
-    return _TET_RULE[n]
-
-
-def map_tet_rule(p, n=3):
-    """Quadrature nodes (..., n^3, 3) and weights (..., n^3) for a stack of
-    tetrahedra (..., 4, 3)."""
-    ref, w = tet_rule(n)
-    p = np.asarray(p, dtype=float)
-    T = p[..., 1:, :] - p[..., :1, :]
-    nodes = p[..., :1, :] + ref @ T
-    vol = np.abs(np.linalg.det(T))
-    return nodes, w * vol[..., None]
-
-
-# the 8 children of a tetrahedron split at its edge midpoints, as indices
-# into its 4 vertices followed by the midpoints of TET_EDGES
-_CHILDREN = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3],
-                      [4, 5, 6, 8], [4, 5, 7, 8], [5, 6, 8, 9], [5, 7, 8, 9]])
-
-
-def subdivide_tet(p):
-    """Split a stack of tetrahedra (..., 4, 3) into 8 each via edge
-    midpoints: (..., 8, 4, 3)."""
-    p = np.asarray(p, dtype=float)
-    mid = 0.5 * (p[..., TET_EDGES[:, 0], :] + p[..., TET_EDGES[:, 1], :])
-    return np.concatenate([p, mid], axis=-2)[..., _CHILDREN, :]

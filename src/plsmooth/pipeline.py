@@ -289,6 +289,7 @@ class SmoothedMap:
         self.vertex_patches = vertex_patches
         self.scale = plmap.complex.coordinate_scale()
         self._dq = None
+        self._slabs = None
 
     @property
     def patches(self):
@@ -406,19 +407,18 @@ class SmoothedMap:
         """Fixed quadrature nodes and weights covering {g != f}, per patch;
         a node keeps its weight only where ``_owners`` gives it to the patch
         that made it.  Built once and kept (``_quadrature``), with the cell
-        of f at each cylinder node for lambda_sweep."""
+        of f at each slab and cylinder node for lambda_sweep."""
         if self._dq is None:
             self._dq = self._quadrature()
         return self._dq[:2]
 
     def _quadrature(self):
         """(pts, wts, cell) of difference_quadrature: the slabs' nodes (by
-        face, frustum tetrahedron, child and node), then the cylinders', then
-        the balls'; ``cell`` is -1 off the cylinders."""
+        face and height, ``_slab_nodes``), then the cylinders', then the
+        balls'; ``cell`` is -1 at the ball nodes."""
         nv, ne = len(self.vertex_patches), len(self.edge_patches)
-        groups = ([geo.map_tet_rule(geo.subdivide_tet(
-                       fp.frustum[geo.FRUSTUM_TETS]).reshape(-1, 4, 3), 3)
-                   for fp in self.face_patches]
+        groups = ([(p, w, np.full(len(w), fp.pair.cell_pos)) for fp, p, w
+                   in zip(self.face_patches, *self._slab_nodes())]
                   + [self._cylinder_nodes(ep) for ep in self.edge_patches]
                   + [self._ball_nodes(vp) for vp in self.vertex_patches])
         if not groups:
@@ -432,6 +432,74 @@ class SmoothedMap:
                          [g[1].size for g in groups])
         wts[self._owners(pts) != made] = 0.0
         return pts, wts, cell
+
+    def _slab_nodes(self):
+        """(pts (F, m, 3), wts (F, m)), built once and kept: one node per
+        height s of each slab, on 4 Gauss panels of 8 on [0, w] (one 8-node
+        panel leaves 4e-3 relative error on the integral of |c - 1|^2 over
+        the ramp, four 2e-7).  In ``cell_pos`` a slab's g - f, Dg and Df
+        depend on s alone and ``inverse_pl`` puts its image in image cell
+        ``cell_pos``, so a node, T(s)'s centroid, stands for the section
+        that the slab owns by the precedence of ``_owners``: the cell's
+        triangle T(s), less the disks of radius sqrt(R^2 - s^2) of the balls
+        at the face's vertices and the strips |sigma| < sqrt(r^2 - s^2),
+        0 <= z <= L of the cylinders on its edges, plus each strip's part in
+        those disks.  Every term of every slab and height goes through one
+        clip pass (a strip's four sides) and one disk pass."""
+        if self._slabs is not None:
+            return self._slabs
+        u, wu = _panel_gauss(np.linspace(0.0, 1.0, 5), 8)
+        faces, m, pos = self.face_patches, len(u), self.plmap.complex.points
+        # T(s), the frustum's base moved the fraction s / w toward its top
+        fr = np.array([fp.frustum for fp in faces]).reshape(-1, 1, 6, 3)
+        T = fr[:, :, :3] + u[:, None, None] * (fr[:, :, 3:] - fr[:, :, :3])
+        # the terms of the owned area: T(s) within a strip or not, and within
+        # a disk or not, each of sign -1 per patch
+        terms = [(k, ep, vp) for k, fp in enumerate(faces)
+                 for ep in [None] + [ep for ep in self.edge_patches
+                                     if set(ep.fan.edge) <= set(fp.pair.face)]
+                 for vp in [None] + [vp for vp in self.vertex_patches
+                                     if vp.star.vertex in fp.pair.face]]
+        k = np.array([t[0] for t in terms], dtype=int)
+        o = np.array([fp.pair.frame.origin for fp in faces]).reshape(-1, 3)
+        ax = np.array([fp.pair.frame.R[1:] for fp in faces]).reshape(-1, 2, 3)
+        w = np.array([fp.width for fp in faces]).reshape(-1, 1)
+        s = w[k] * u
+        plane = lambda i, x: np.einsum("nij,nj->ni", ax[k[i]],
+                                       np.reshape(x, (-1, 3)) - o[k[i]])
+        y = np.einsum("fij,fmvj->fmvi", ax, T - o[:, None, None])[k]
+        # a disk that holds T(s), or the ball's
+        ctr = y.mean(axis=2)
+        r = 2.0 * np.max(np.linalg.norm(y - ctr[:, :, None], axis=-1), -1)
+        ib = [i for i, t in enumerate(terms) if t[2]]
+        ctr[ib] = plane(ib, [terms[i][2].V for i in ib])[:, None]
+        r[ib] = np.sqrt(np.maximum(np.reshape(
+            [terms[i][2].R for i in ib], (-1, 1)) ** 2 - s[ib] ** 2, 0.0))
+        # a strip's sides sigma = +-hw and ends z = 0, L about its edge
+        # from a0 to a1; the other terms' sides hold the plane, 0.y <= 1
+        ic = [i for i, t in enumerate(terms) if t[1]]
+        a0, a1 = (plane(ic, [pos[terms[i][1].fan.edge[j]] for i in ic])
+                  for j in (0, 1))
+        L = np.linalg.norm(a1 - a0, axis=-1)[:, None]
+        e = (a1 - a0) / L
+        v = np.stack([-e[:, 1], e[:, 0]], axis=-1)
+        va, ea = np.sum(v * a0, -1)[:, None], np.sum(e * a0, -1)[:, None]
+        hw = np.sqrt(np.maximum(np.reshape(
+            [terms[i][1].r for i in ic], (-1, 1)) ** 2 - s[ic] ** 2, 0.0))
+        A, B = np.zeros((len(k), 4, 2)), np.ones((len(k), 4, m))
+        A[ic] = np.stack([v, -v, -e, e], axis=1)
+        B[ic] = np.stack(np.broadcast_arrays(va + hw, hw - va, -ea, ea + L), 1)
+        poly, n = y.reshape(-1, 3, 2), np.full(len(k) * m, 3)
+        for j in range(4):
+            poly, n = geo.clip_polygons(poly, n, np.repeat(A[:, j], m, axis=0),
+                                        B[:, j].ravel())
+        sign = [(-1.0) ** ((ep is not None) + (vp is not None))
+                for _, ep, vp in terms]
+        area = np.zeros((len(faces), m))
+        np.add.at(area, k, np.reshape(sign, (-1, 1)) * geo.polygon_disk_areas(
+            poly, n, ctr.reshape(-1, 2), r.ravel()).reshape(-1, m))
+        self._slabs = T.mean(axis=2), w * wu * np.maximum(area, 0.0)
+        return self._slabs
 
     def _cylinder_nodes(self, ep):
         """(pts, wts, cell): one node per piece of each (t, theta) column,
@@ -447,10 +515,12 @@ class SmoothedMap:
         f'e, so on the cylinder g(x + z e) = g(x) + z f'e and Dg(x + z e) =
         Dg(x): Dg and Df are constant on a piece, and its midpoint, weighted
         by its (t, theta) weight times its length, integrates them exactly
-        along the edge.  Pieces in no cell, under 1e-10 L (which the cells'
-        tolerance makes at shared faces) or that ``_owners`` gives another
-        patch are dropped; a node takes the first cell by index whose
-        interval holds it, the exact-first rule of ``locate``."""
+        along the edge.  Pieces under 1e-10 L (which the cells' tolerance
+        makes at shared faces) or between a ball's two sphere roots, which
+        the ball holds, are dropped before the cells are found; then pieces
+        in no cell or that ``_owners`` gives another patch.  A node takes
+        the first cell by index whose interval holds it, the exact-first
+        rule of ``locate``."""
         L, e = ep.L, ep.fan.direction
         p, area = self._columns(ep)
         # the cells, balls and cylinders whose bounding boxes meet its own
@@ -464,11 +534,11 @@ class SmoothedMap:
         hit = lo <= hi
         cuts = [np.where(hit, lo, L), np.where(hit, hi, L), np.full(len(p), L)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            for vp in self.vertex_patches:
-                if near(vp.V - vp.R, vp.V + vp.R):
-                    y = p - vp.V
-                    cuts += _roots(1.0, y @ e, np.sum(y * y, axis=-1)
-                                   - vp.R ** 2)
+            spheres = [_roots(1.0, (p - vp.V) @ e,
+                              np.sum((p - vp.V) ** 2, axis=-1) - vp.R ** 2)
+                       for vp in self.vertex_patches
+                       if near(vp.V - vp.R, vp.V + vp.R)]
+            cuts += [z for roots in spheres for z in roots]
             for other in self.edge_patches:
                 if other is ep or not near(*_cylinder_box(other)):
                     continue
@@ -481,14 +551,19 @@ class SmoothedMap:
         z = np.column_stack([np.zeros(len(p)),
                              z[:, :1 + np.max(np.sum(z < L, axis=1))]])
         mid = 0.5 * (z[:, :-1] + z[:, 1:])
-        cell = np.full(mid.shape, -1)
+        keep = np.diff(z) > 1e-10 * L
+        for z1, z2 in spheres:
+            keep &= ~((z1[:, None] < mid) & (mid < z2[:, None]))
+        col, piece = np.nonzero(keep)
+        mid = mid[col, piece]
+        cell = np.full(len(col), -1)
         for j in range(len(cells) - 1, -1, -1):
-            cell[(lo[:, j, None] <= mid) & (mid <= hi[:, j, None])] = cells[j]
-        col, piece = np.nonzero((cell >= 0) & (np.diff(z) > 1e-10 * L))
-        pts = p[col] + mid[col, piece, None] * e
+            cell[(lo[col, j] <= mid) & (mid <= hi[col, j])] = cells[j]
+        col, piece, mid, cell = (a[cell >= 0] for a in (col, piece, mid, cell))
+        pts = p[col] + mid[:, None] * e
         own = np.flatnonzero(self._owners(pts) == self.patches.index(ep))
         col, piece = col[own], piece[own]
-        return pts[own], area[col] * np.diff(z)[col, piece], cell[col, piece]
+        return pts[own], area[col] * np.diff(z)[col, piece], cell[own]
 
     def _columns(self, ep):
         """The cylinder's (t, theta) columns: their points at z = 0 in the
@@ -530,69 +605,18 @@ class SmoothedMap:
 
     def volume_difference_set(self):
         """Measure of E_lambda = {g != f}, by the precedence of ``_owners``:
-        each slab less its overlaps with the cylinders and balls, each
-        cylinder within the domain less its end balls, and the balls.  Slab
-        volumes are exact (the frustum's closed form); overlaps are plane
-        sections, each an exact polygon/disk area: across the edge for
-        slab/cylinder (less its part in an end ball, which slab/ball holds)
-        and cylinder/domain (N_GAUSS nodes on each of N_PANELS panels),
-        across the face for slab/ball; cylinder/ball is concentric."""
-        total = 0.0
-        for fp in self.face_patches:
-            v_slab = fp.volume
-            for ep in self.edge_patches:
-                if set(ep.fan.edge) <= set(fp.pair.face):
-                    v_slab -= self._slab_cyl_overlap(fp, ep)
-            for vp in self.vertex_patches:
-                if vp.star.vertex in fp.pair.face:
-                    v_slab -= self._slab_ball_overlap(fp, vp)
-            total += max(v_slab, 0.0)
+        each slab's owned sections, the sum of its nodes' weights in the
+        difference quadrature (``_slab_nodes``); each cylinder within the
+        domain less its end balls, sectioned across the edge (N_GAUSS nodes
+        on each of N_PANELS panels) less the concentric cylinder/ball
+        volumes; and the balls."""
+        total = float(np.sum(self._slab_nodes()[1].sum(axis=1)))
         for ep in self.edge_patches:
-            v_cyl = self._cyl_domain_volume(ep)
-            for vid in ep.fan.edge:
-                for vp in self.vertex_patches:
-                    if vp.star.vertex == vid:
-                        v_cyl -= _concentric_cyl_ball(ep.r, vp.R)
-            total += max(v_cyl, 0.0)
-        for vp in self.vertex_patches:
-            total += 4.0 / 3.0 * np.pi * vp.R ** 3
-        return float(total)
-
-    def _slab_cyl_overlap(self, fp, ep):
-        """|slab ∩ cylinder| less its part in the balls at the edge's ends.
-
-        In a section across the edge at distance u from an end, the ball at
-        that end is a disk of radius sqrt(R^2 - u^2) about the cylinder's
-        axis; its part of the cylinder's disk is integrated with negative
-        weights on panels of its own, split where that radius reaches r."""
-        fan = ep.fan
-        z, wz = _panel_gauss(np.linspace(0.0, ep.L, N_PANELS + 1), N_GAUSS)
-        z, wz, radii = [z], [wz], [np.full(len(z), ep.r)]
-        for vp in self.vertex_patches:
-            if vp.star.vertex not in fan.edge:
-                continue
-            top = min(vp.R, ep.L)
-            kink = min(np.sqrt(max(vp.R ** 2 - ep.r ** 2, 0.0)), top)
-            u, wu = _panel_gauss(np.array([0.0, kink, top]), N_GAUSS)
-            radii.append(np.minimum(ep.r, np.sqrt(np.maximum(
-                vp.R ** 2 - u ** 2, 0.0))))
-            z.append(u if vp.star.vertex == fan.edge[0] else ep.L - u)
-            wz.append(-wu)
-        z, wz = np.concatenate(z), np.concatenate(wz)
-        poly, k = geo.plane_sections(fp.frustum, geo.FRUSTUM_EDGES,
-                                     fan.direction,
-                                     fan.direction @ fan.V0 + z, fan.V0,
-                                     fan.Q[:2])
-        return float(wz @ geo.polygon_disk_areas(poly, k, (0.0, 0.0),
-                                                 np.concatenate(radii)))
-
-    def _slab_ball_overlap(self, fp, vp):
-        n, o, axes = fp.n, fp.pair.frame.origin, fp.pair.frame.R[1:]
-        s, ws = geo.gauss_legendre(N_GAUSS, 0.0, fp.width)
-        poly, k = geo.plane_sections(fp.frustum, geo.FRUSTUM_EDGES, n,
-                                     n @ o + s, o, axes)
-        return float(ws @ geo.polygon_disk_areas(poly, k, axes @ (vp.V - o),
-            np.sqrt(np.maximum(vp.R ** 2 - s ** 2, 0.0))))
+            total += max(self._cyl_domain_volume(ep) - sum(
+                _concentric_cyl_ball(ep.r, vp.R) for vp in self.vertex_patches
+                if vp.star.vertex in ep.fan.edge), 0.0)
+        return total + sum(4.0 / 3.0 * np.pi * vp.R ** 3
+                           for vp in self.vertex_patches)
 
     def _cyl_domain_volume(self, ep):
         """|cylinder ∩ domain|, sectioning the cells that span each plane."""
@@ -645,7 +669,7 @@ class SmoothedMap:
         return np.vstack(groups)
 
 
-# sectioned overlap integrals of volume_difference_set
+# the cylinders' sections across the edge in volume_difference_set
 N_GAUSS = 12
 N_PANELS = 8
 

@@ -270,24 +270,6 @@ def test_gauss_legendre_degree():
     assert np.sum(w) == pytest.approx(1.0)
 
 
-def test_tet_rule_monomials():
-    # exact moments over the corner tet: a! b! c! / (a+b+c+3)!
-    from math import factorial
-    pts, wts = geo.map_tet_rule(REF_TET, 4)
-    for (a, b, c) in [(1, 0, 0), (2, 1, 0), (1, 1, 1), (3, 0, 0)]:
-        val = np.sum(wts * pts[:, 0] ** a * pts[:, 1] ** b * pts[:, 2] ** c)
-        exact = (factorial(a) * factorial(b) * factorial(c)
-                 / factorial(a + b + c + 3))
-        assert val == pytest.approx(exact, rel=1e-12)
-
-
-def test_subdivide_tet_partition():
-    children = geo.subdivide_tet(REF_TET)
-    assert len(children) == 8
-    vols = [abs(geo.tet_volume(c)) for c in children]
-    assert np.allclose(vols, 1.0 / 48.0)
-
-
 def test_rotation_to_e3():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -648,6 +630,12 @@ def test_tet_sections_match_reference(seed, frac):
     _check_sections(tets, geo.TET_EDGES, n, c, ref, rng)
 
 
+# the 9 edges of a frustum of a tetrahedron, its vertices ordered as in
+# geo.FRUSTUM_TETS: the base 0-2, the top 3-5 and the sides i, 3 + i
+FRUSTUM_EDGES = np.array([[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5],
+                          [0, 3], [1, 4], [2, 5]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), width=st.floats(1e-6, 0.2),
        across=st.booleans())
@@ -669,7 +657,7 @@ def test_slab_sections_match_reference(seed, width, across):
     c = h.min() + np.linspace(-0.05, 1.05, 12) * np.ptp(h)
     ref = [_ref_polytope_plane_section(verts, n, ci) for ci in c]
     _check_sections(np.broadcast_to(verts, (len(c),) + verts.shape),
-                    geo.FRUSTUM_EDGES, n, c, ref, rng)
+                    FRUSTUM_EDGES, n, c, ref, rng)
 
 
 def test_polygon_disk_areas_vertex_at_centre():
