@@ -444,14 +444,15 @@ class SmoothedMap:
         triangle T(s), less the disks of radius sqrt(R^2 - s^2) of the balls
         at the face's vertices and the strips |sigma| < sqrt(r^2 - s^2),
         0 <= z <= L of the cylinders on its edges, plus each strip's part in
-        those disks.  Every term of every slab and height goes through one
-        clip pass (a strip's four sides) and one disk pass."""
+        those disks; one clip pass and one disk pass take every term."""
         if self._slabs is not None:
             return self._slabs
         u, wu = _panel_gauss(np.linspace(0.0, 1.0, 5), 8)
         faces, m, pos = self.face_patches, len(u), self.plmap.complex.points
+        if not faces:
+            return np.zeros((0, m, 3)), np.zeros((0, m))
         # T(s), the frustum's base moved the fraction s / w toward its top
-        fr = np.array([fp.frustum for fp in faces]).reshape(-1, 1, 6, 3)
+        fr = np.array([fp.frustum for fp in faces])[:, None]
         T = fr[:, :, :3] + u[:, None, None] * (fr[:, :, 3:] - fr[:, :, :3])
         # the terms of the owned area: T(s) within a strip or not, and within
         # a disk or not, each of sign -1 per patch
@@ -461,9 +462,9 @@ class SmoothedMap:
                  for vp in [None] + [vp for vp in self.vertex_patches
                                      if vp.star.vertex in fp.pair.face]]
         k = np.array([t[0] for t in terms], dtype=int)
-        o = np.array([fp.pair.frame.origin for fp in faces]).reshape(-1, 3)
-        ax = np.array([fp.pair.frame.R[1:] for fp in faces]).reshape(-1, 2, 3)
-        w = np.array([fp.width for fp in faces]).reshape(-1, 1)
+        o = np.array([fp.pair.frame.origin for fp in faces])
+        ax = np.array([fp.pair.frame.R[1:] for fp in faces])
+        w = np.array([fp.width for fp in faces])[:, None]
         s = w[k] * u
         plane = lambda i, x: np.einsum("nij,nj->ni", ax[k[i]],
                                        np.reshape(x, (-1, 3)) - o[k[i]])
