@@ -501,15 +501,20 @@ def line_cell_intervals(p, d, p0, edge_inv, tol=1e-13):
     of first vertex ``p0`` and inverse edge matrix ``edge_inv`` (as locate
     keeps them), lo > hi where it misses, batched over leading axes.  Each
     barycentric coordinate a + z b bounds z on one side where b != 0; it may
-    reach -``tol``, so a line along a face keeps the cell."""
-    E = np.concatenate([-edge_inv.sum(axis=-1, keepdims=True), edge_inv], -1)
-    a = np.einsum("...j,...jk->...k", p - p0, E) + [1.0, 0.0, 0.0, 0.0]
-    b = np.einsum("...j,...jk->...k", d, E)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = -(a + tol) / b
-    lo = np.where(b > 0, z, np.where((b < 0) | (a >= -tol), -np.inf, np.inf))
-    hi = np.where(b < 0, z, np.where((b > 0) | (a >= -tol), np.inf, -np.inf))
-    return lo.max(axis=-1), hi.min(axis=-1)
+    reach -``tol``, so a line along a face keeps the cell.  One coordinate
+    at a time, by entrywise products and pairwise max and min."""
+    q, lo, hi = p - p0, -np.inf, np.inf
+    for k, E in enumerate([-edge_inv.sum(axis=-1)]
+                          + [edge_inv[..., j] for j in range(3)]):
+        a, b = (u[..., 0] * E[..., 0] + u[..., 1] * E[..., 1]
+                + u[..., 2] * E[..., 2] for u in (q, d))
+        a = a + (k == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = -(a + tol) / b
+        far = (a >= -tol) | (b != 0)
+        lo = np.maximum(lo, np.where(b > 0, z, np.where(far, -np.inf, np.inf)))
+        hi = np.minimum(hi, np.where(b < 0, z, np.where(far, np.inf, -np.inf)))
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,13 @@ class PLMap:
             self._inverse = self.image_complex(), geo.inv3(self.matrices)
         return self._inverse
 
+    def local_pictures(self):
+        """The face pairs, edge fans and vertex stars of the map, built on
+        the first call and kept."""
+        if not hasattr(self, "_pictures"):
+            self._pictures = face_pairs(self), edge_fans(self), vertex_stars(self)
+        return self._pictures
+
     def to_dict(self):
         d = self.complex.to_dict()
         d["pieces"] = [{"matrix": self.matrices[i].tolist(),

@@ -3,12 +3,13 @@
 choose_params picks per-vertex ball radii R_k, per-edge cylinder radii r_i,
 and per-face slab widths w_j so that every local construction is certified
 with margin; assemble builds the global smoothed map from vertex, edge, and
-face patches over the untouched affine bulk; lambda_sweep scales all
-parameters by lambda and tabulates the convergence quantities.
+face patches over the untouched affine bulk; lambda_sweep rescales that
+certified map to each lambda and tabulates the convergence quantities.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,8 +21,8 @@ from . import geometry as geo
 from .blend import FaceBlend, blend_pass, face_floor
 from .edge import EdgeSmoother
 from .errors import ConstructionError, ParameterError
-from .mesh import (edge_fans, face_pairs, opposite_faces, pieces_agree,
-                   validate_pl_homeo, vertex_stars)
+from .mesh import opposite_faces, pieces_agree, validate_pl_homeo
+from .norms import linf_difference
 from .vertex import VertexSmoother
 
 
@@ -62,9 +63,7 @@ def choose_params(plmap):
             "the map reverses orientation; the construction needs a "
             "sense-preserving map")
     cx = plmap.complex
-    pairs = face_pairs(plmap)
-    fans = edge_fans(plmap)
-    stars = vertex_stars(plmap)
+    pairs, fans, stars = plmap.local_pictures()
 
     R = {}
     for st in stars:
@@ -169,9 +168,10 @@ class FacePatch:
     face, its top the face moved the fraction t = width / h toward the
     cell's apex, h the apex height, and its volume |cell| t (3 - 3t + t^2),
     the cell less the tetrahedron (1 - t)^3 |cell| at the apex, without the
-    cancellation of that difference."""
+    cancellation of that difference.  Its blend is a cone in s: it depends
+    on s / width, and its ``floor`` on the pieces alone."""
 
-    def __init__(self, pair, width, tri, apex):
+    def __init__(self, pair, width, tri, apex, floor=None):
         self.pair = pair
         self.width = float(width)
         self.blend = FaceBlend(frame_origin=pair.frame.origin,
@@ -179,8 +179,8 @@ class FacePatch:
                                M_neg=pair.M_neg, c_neg=pair.c_neg,
                                M_pos=pair.M_pos, c_pos=pair.c_pos,
                                width=width)
-        self.floor = face_floor(self.blend)
-        self.tri = np.asarray(tri, dtype=float)
+        self.floor = face_floor(self.blend) if floor is None else floor
+        self.tri, self.apex = np.asarray(tri, dtype=float), apex
         self.n = pair.frame.R[0]
         self._o = pair.frame.origin
         h = float(self.n @ (apex - self._o))
@@ -227,6 +227,13 @@ class EdgePatch:
         self.r = float(radius)
         self.L = fan.length
         self.smoother = EdgeSmoother(fan, widths, radius)
+        # sup |g - f| / r, shared with the scaled copies (_cylinder_sup)
+        self.sup_over_r = []
+
+    def scaled(self, s):
+        out = copy.copy(self)
+        out.r, out.smoother = self.r * s, self.smoother.scaled(s)
+        return out
 
     def mask(self, x):
         y = self.fan.to_frame(x)
@@ -256,6 +263,12 @@ class VertexPatch:
         self.fV = (plmap.matrices[ci] @ self.V) + plmap.offsets[ci]
         self.base = base
         self.smoother = VertexSmoother(self._hat, self.R)
+
+    def scaled(self, s, base):
+        out = copy.copy(self)
+        out.R, out.base = self.R * s, base
+        out.smoother = VertexSmoother(out._hat, out.R, self.smoother.rho)
+        return out
 
     def _hat(self, xrel, jac):
         y, J = self.base._dispatch(xrel + self.V, jac=jac)
@@ -290,6 +303,19 @@ class SmoothedMap:
         self.scale = plmap.complex.coordinate_scale()
         self._dq = None
         self._slabs = None
+
+    def scaled(self, lam):
+        """g at ``lam`` from this map's certified patches, every radius and
+        width scaled.  Each local picture is a cone (a slab in its normal
+        coordinate, a cylinder across its edge, a ball about its vertex), so
+        each certificate is the one ``assemble`` would make again."""
+        s, params = lam / self.params.lam, self.params.scaled(lam)
+        faces = [FacePatch(fp.pair, fp.width * s, fp.tri, fp.apex, fp.floor)
+                 for fp in self.face_patches]
+        edges = [ep.scaled(s) for ep in self.edge_patches]
+        base = SmoothedMap(self.plmap, params, faces, edges, [])
+        return SmoothedMap(self.plmap, params, faces, edges,
+                           [vp.scaled(s, base) for vp in self.vertex_patches])
 
     @property
     def patches(self):
@@ -404,34 +430,37 @@ class SmoothedMap:
     # -- difference-set geometry
 
     def difference_quadrature(self):
-        """Fixed quadrature nodes and weights covering {g != f}, per patch;
-        a node keeps its weight only where ``_owners`` gives it to the patch
-        that made it.  Built once and kept (``_quadrature``), with the cell
-        of f at each slab and cylinder node for lambda_sweep."""
+        """Fixed quadrature nodes and weights covering {g != f}, per patch.
+        Built once and kept (``_quadrature``), with the cell of f at each
+        slab and cylinder node and the patch that made each node."""
         if self._dq is None:
             self._dq = self._quadrature()
         return self._dq[:2]
 
     def _quadrature(self):
-        """(pts, wts, cell) of difference_quadrature: the slabs' nodes (by
-        face and height, ``_slab_nodes``), then the cylinders', then the
-        balls'; ``cell`` is -1 at the ball nodes."""
+        """(pts, wts, cell, made): the slabs' nodes (``_slab_nodes``), the
+        cylinders', the balls'; ``cell`` is -1 at the ball nodes; ``made``
+        the index in ``patches`` of the patch that made each node, which
+        ``_owners`` gives it.  A cylinder keeps only the pieces it owns.
+        Balls are disjoint: R is 0.2 of the distance d from the vertex to
+        its link, and each interior vertex lies on or beyond another's link.
+        A slab node, T(s)'s centroid, has barycentric coordinate <= 1/3 on a
+        face vertex v, so it lies 2/3 d_v > R from v; that no cylinder or
+        other slab holds it is tested, not proved."""
         nv, ne = len(self.vertex_patches), len(self.edge_patches)
         groups = ([(p, w, np.full(len(w), fp.pair.cell_pos)) for fp, p, w
                    in zip(self.face_patches, *self._slab_nodes())]
                   + [self._cylinder_nodes(ep) for ep in self.edge_patches]
                   + [self._ball_nodes(vp) for vp in self.vertex_patches])
         if not groups:
-            return np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int)
+            return np.zeros((0, 3)), np.zeros(0), *np.zeros((2, 0), dtype=int)
         pts = np.vstack([g[0].reshape(-1, 3) for g in groups])
         wts = np.concatenate([g[1].ravel() for g in groups])
         cell = np.concatenate([g[2] if len(g) > 2 else np.full(g[1].size, -1)
                                for g in groups])
-        # the index in ``patches`` of the patch that made each node
         made = np.repeat(np.r_[nv + ne:len(groups), nv:nv + ne, :nv],
                          [g[1].size for g in groups])
-        wts[self._owners(pts) != made] = 0.0
-        return pts, wts, cell
+        return pts, wts, cell, made
 
     def _slab_nodes(self):
         """(pts (F, m, 3), wts (F, m)), built once and kept: one node per
@@ -636,6 +665,51 @@ class SmoothedMap:
             poly, k, (0.0, 0.0), ep.r), minlength=len(z))
         return float(wz @ area)
 
+    # -- sup |g - f|
+
+    def linf_f(self, pts, diff, made, rng=None):
+        """sup |g - f| per patch, from the active quadrature nodes ``pts``,
+        |g - f| there and the patch that ``made`` each.  A slab's g - f is
+        -(1 - eta(u)) u w a, u = s / w, a its jump: its sup is w |a| KAPPA.
+        Balls keep ``linf_difference``'s estimate from their nodes."""
+        nv, ne = len(self.vertex_patches), len(self.edge_patches)
+        held = np.bincount(made, minlength=len(self.patches))[nv + ne:] > 0
+        sups = [KAPPA * fp.width * float(np.linalg.norm(fp.blend.jump))
+                for fp, h in zip(self.face_patches, held) if h]
+        for k, ep in enumerate(self.edge_patches):
+            m = np.flatnonzero(made == nv + k)
+            if len(m):
+                sups.append(self._cylinder_sup(ep, pts[m[np.argmax(diff[m])]]))
+        ball = made < nv
+        return max(sups + [float(np.max(diff, initial=0.0)), linf_difference(
+            self.plmap, self, pts[ball], diff[ball], rng=rng)])
+
+    def _cylinder_sup(self, ep, x0):
+        """sup |g - f| on a cylinder, where it does not change along the
+        edge: the best of 17 x 17 (t, theta) grids, t <= r, at the height of
+        ``x0``, about the best point so far (from ``x0``) and a quarter as
+        wide each round; g by ``ep.evaluate``, f by the sector's piece.  A
+        cone: its scaled copies share ``ep.sup_over_r``."""
+        if not ep.sup_over_r:
+            fan, (y1, y2, z) = ep.fan, ep.fan.to_frame(x0)[0]
+            c = np.array([np.hypot(y1, y2), np.arctan2(y2, y1)])
+            h, best = np.array([ep.r / 5.0, np.pi / 7.0]), 0.0
+            for _ in range(8):
+                t, th = np.reshape(np.meshgrid(*(c[:, None] + h[:, None]
+                                                 * np.linspace(-1, 1, 17)),
+                                               indexing="ij"), (2, -1))
+                t = np.clip(t, 0.0, ep.r)
+                x = (edge._foot(t, th) + [0.0, 0.0, z]) @ fan.Q + fan.V0
+                d = np.linalg.norm(ep.evaluate(x) - self.plmap.apply(
+                    x, np.array(fan.sector_cells)[fan.sector_of(
+                        edge._principal(th))]), axis=-1)
+                k = int(np.argmax(d))
+                if d[k] > best:
+                    best, c = float(d[k]), np.array([t[k], th[k]])
+                h = h / 4.0
+            ep.sup_over_r.append(best / ep.r)
+        return ep.sup_over_r[0] * ep.r
+
     # -- stratified sampling for audits
 
     def sample_patches(self, n_per_patch=500, rng=None):
@@ -670,6 +744,8 @@ class SmoothedMap:
         return np.vstack(groups)
 
 
+# the largest u (1 - eta(u)) on [0, 1], found by a 1-D search
+KAPPA = 0.2792802402223965
 # the cylinders' sections across the edge in volume_difference_set
 N_GAUSS = 12
 N_PANELS = 8
@@ -713,9 +789,10 @@ def _concentric_cyl_ball(r, R):
 
 def assemble(plmap, params):
     cx = plmap.complex
-    pairs = {pr.face: pr for pr in face_pairs(plmap)}
-    fans = {fan.edge: fan for fan in edge_fans(plmap)}
-    stars = {st.vertex: st for st in vertex_stars(plmap)}
+    pairs, fans, stars = plmap.local_pictures()
+    pairs = {pr.face: pr for pr in pairs}
+    fans = {fan.edge: fan for fan in fans}
+    stars = {st.vertex: st for st in stars}
 
     face_patches = []
     for f, width in params.w.items():
@@ -726,8 +803,8 @@ def assemble(plmap, params):
     edge_patches = []
     for e, radius in params.r.items():
         fan = fans[e]
-        widths = []
         fallback = min(params.w.values()) if params.w else radius / 50.0
+        widths = []
         for rf in fan.ray_faces:
             widths.append(params.w.get(rf, min(fallback, radius / 50.0)))
         edge_patches.append(EdgePatch(fan, widths, radius))
@@ -755,16 +832,17 @@ SWEEP_DEFAULTS = {"lambdas": (1.0, 0.5, 0.25, 0.125, 0.0625), "p": 2.0,
 def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
                  p=SWEEP_DEFAULTS["p"], q=SWEEP_DEFAULTS["q"], rng=0):
     """One row of SWEEP_COLUMNS per lambda, from the active nodes of the
-    difference quadrature: g and Dg at every node from one dispatch, f and
-    Df from the cell that a cylinder node carries or, at the other nodes,
-    from one locate, and the cell of the inverse from ``inverse_pl``."""
-    from .norms import linf_difference
+    difference quadrature of ``g.scaled(lam)``, g assembled and certified
+    once: g and Dg at every node from one dispatch, f and Df from the cell
+    that a slab or cylinder node carries or, at the ball nodes, from one
+    locate, the cell of the inverse from ``inverse_pl``, and ``linf_f``."""
     rows = []
     piece_norm = float(np.max(geo.spectral_norm(plmap.matrices)))
     piece_invs = plmap.inverse_pieces()[1]
     piece_inv_norm = float(np.max(geo.spectral_norm(piece_invs)))
+    g1 = assemble(plmap, params)
     for lam in lambdas:
-        g = assemble(plmap, params.scaled(lam))
+        g = g1.scaled(lam)
         vol = g.volume_difference_set()
         pts, wts = g.difference_quadrature()
         act = wts > 0
@@ -774,9 +852,8 @@ def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
         y, Dg = g._dispatch(pa, jac=True)
         w1p = float(np.sum(wa * geo.spectral_norm(Dg - plmap.matrices[cf])
                            ** p) ** (1.0 / p))
-        linf = linf_difference(
-            plmap, g, pa, np.linalg.norm(y - plmap.apply(pa, cf), axis=-1),
-            rng=rng)
+        linf = g.linf_f(pa, np.linalg.norm(y - plmap.apply(pa, cf), axis=-1),
+                        g._dq[3][act], rng=rng)
         # inverse quantities via the change of variables y = g(x)
         Dgi = geo.inv3(Dg)
         xb, ci = plmap.inverse_pl(y, tol=1e-7, extend=True)

@@ -103,8 +103,10 @@ class SphereIsotopy:
     1.  For unit x and mu(x) the interpolant is shortest at s = 1/2, where
     its length is |x + mu(x)|/2, so that one value is tested."""
 
-    def __init__(self, mu):
+    def __init__(self, mu, certify=True):
         self.mu = mu
+        if not certify:
+            return
         rng = np.random.default_rng(3)
         pts = geo.normalize(rng.normal(size=(2000, 3)))
         if float(np.min(np.linalg.norm(pts + mu(pts), axis=-1))) / 2 < 1e-3:
@@ -153,9 +155,11 @@ class VertexSmoother:
     linear map rho*x on B(0,R/2).  ``hat(x, jac)`` gives hat_g at points
     ``x`` (N,3) relative to the vertex and, when ``jac``, its Jacobian,
     else None.  One pass over the shells, ``apply``, gives the value and the
-    Jacobian; each stage gives both together."""
+    Jacobian; each stage gives both together.  The ball is a cone about its
+    vertex, so with ``rho`` from another radius it certifies nothing again:
+    hat_g(s x) = s hat_g(x) where each slab and cylinder scales by s."""
 
-    def __init__(self, hat, R):
+    def __init__(self, hat, R, rho=None):
         self.hat = hat
         self.R = float(R)
         rr = _FLATTEN / _QUARTERS * self.R
@@ -165,6 +169,9 @@ class VertexSmoother:
             return G, (J * rr if jac else None)
 
         self.mu = SphereMap(ambient)
+        if rho is not None:
+            self.rho, self.isotopy = rho, SphereIsotopy(self.mu, False)
+            return
         rng = np.random.default_rng(5)
         sph = geo.normalize(rng.normal(size=(4096, 3)))
         norms = np.linalg.norm(self.hat(sph * rr, False)[0], axis=-1)

@@ -105,6 +105,44 @@ def test_dist_segment_triangle_brackets_samples(seed, scale, kind):
                        rtol=1e-12, atol=tol)
 
 
+def _ref_line_cell_intervals(p, d, p0, edge_inv, tol=1e-13):
+    # the einsum formula that line_cell_intervals replaced, kept as its
+    # bitwise reference
+    E = np.concatenate([-edge_inv.sum(axis=-1, keepdims=True), edge_inv], -1)
+    a = np.einsum("...j,...jk->...k", p - p0, E) + [1.0, 0.0, 0.0, 0.0]
+    b = np.einsum("...j,...jk->...k", d, E)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = -(a + tol) / b
+    lo = np.where(b > 0, z, np.where((b < 0) | (a >= -tol), -np.inf, np.inf))
+    hi = np.where(b < 0, z, np.where((b > 0) | (a >= -tol), np.inf, -np.inf))
+    return lo.max(axis=-1), hi.min(axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), cells=st.integers(1, 6))
+def test_line_cell_intervals_match_the_einsum_formula(seed, cells):
+    # batched over lines (N, 1) and cells (C,): free lines, lines through a
+    # vertex, along a face of each cell (d in the face's plane) and along a
+    # coordinate axis, where the edge matrix has exact zeros
+    rng = np.random.default_rng(seed)
+    tets = rng.normal(size=(cells, 4, 3))
+    flat = np.abs(geo.det3(tets[:, 1:] - tets[:, :1])) < 6e-3
+    tets[flat, 1:] = tets[flat, :1] + np.eye(3)
+    p0 = tets[:, 0]
+    edge_inv = geo.inv3(tets[:, 1:] - p0[:, None])
+    k = rng.integers(cells)
+    n = geo.normalize(np.cross(tets[k, 1] - tets[k, 0], tets[k, 2] - tets[k, 0]))
+    d_face = geo.normalize(rng.normal(size=3))
+    d_face = geo.normalize(d_face - (d_face @ n) * n)
+    p = np.concatenate([rng.normal(size=(20, 3)), tets.reshape(-1, 3),
+                        rng.dirichlet(np.ones(3), size=10) @ tets[k, :3]])
+    for d in (geo.normalize(rng.normal(size=3)), d_face, np.eye(3)[k % 3]):
+        lo, hi = geo.line_cell_intervals(p[:, None], d, p0, edge_inv)
+        ref = _ref_line_cell_intervals(p[:, None], d, p0, edge_inv)
+        assert lo.shape == ref[0].shape == (len(p), cells)
+        assert np.array_equal(lo, ref[0]) and np.array_equal(hi, ref[1])
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["free", "vertex", "face"]))

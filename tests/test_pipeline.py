@@ -832,8 +832,8 @@ def test_format_table(kuhn_setup):
 
 def _per_node_sweep(plmap, params, lambdas, p=2.0, q=2.0, rng=0):
     """lambda_sweep with the cell of f located at every node: the reference
-    for the sweep that takes it from the cylinder nodes' records."""
-    from plsmooth.norms import linf_difference
+    for the sweep that takes it from the cylinder nodes' records, with
+    linf_f by the per-patch rule of ``SmoothedMap.linf_f``."""
     rows = []
     piece_norm = float(np.max(geo.spectral_norm(plmap.matrices)))
     piece_invs = plmap.inverse_pieces()[1]
@@ -849,9 +849,8 @@ def _per_node_sweep(plmap, params, lambdas, p=2.0, q=2.0, rng=0):
         y, Dg = g._dispatch(pa, jac=True)
         diff = geo.spectral_norm(Dg - Df)
         w1p = float(np.sum(wa * diff ** p) ** (1.0 / p))
-        linf = linf_difference(
-            plmap, g, pa, np.linalg.norm(y - plmap.apply(pa, cf), axis=-1),
-            rng=rng)
+        linf = g.linf_f(pa, np.linalg.norm(y - plmap.apply(pa, cf), axis=-1),
+                        _made(g)[act], rng=rng)
         Jg = geo.det3(Dg)
         Dgi = geo.inv3(Dg)
         xb, ci = plmap.inverse_pl(y, tol=1e-7, extend=True)
@@ -890,20 +889,196 @@ def _made(g):
 
 
 @pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
-@pytest.mark.parametrize("lam", [1.0, 0.25])
+@pytest.mark.parametrize("lam", [1.0, 0.25, 0.0625])
 def test_weighted_nodes_belong_to_the_patch_that_made_them(setup, lam,
                                                            request):
-    # the quadrature and the dispatch share one precedence rule: every node
-    # of positive weight is held by its own patch, and every patch keeps
-    # some of its nodes
+    # the quadrature and the dispatch share one precedence rule, which the
+    # quadrature no longer applies: _owners, the dispatch's rule, gives
+    # every node, of positive weight or not, to the patch that made it, and
+    # every patch keeps some of its nodes
     pl, params, _ = request.getfixturevalue(setup)
     g = assemble(pl, params.scaled(lam))
     pts, wts = g.difference_quadrature()
     made = _made(g)
     assert len(made) == len(pts)
+    assert np.array_equal(g._dq[3], made)
+    assert np.array_equal(g._owners(pts), made)
+    assert set(made[wts > 0]) == set(range(len(g.patches)))
+
+
+# ---------------------------------------------------------------------------
+# one certification per sweep, and sup |g - f| per patch
+
+
+def _certificates(g):
+    """The patches' certificates: the face floors, each cylinder's rho and
+    psi reference (angles and values), the balls' rho."""
+    out = [fp.floor for fp in g.face_patches]
+    for ep in g.edge_patches:
+        out += [ep.smoother.rho, *ep.smoother._psi_ref]
+    return out + [vp.smoother.rho for vp in g.vertex_patches]
+
+
+@pytest.mark.parametrize("setup,rel", [("kuhn_setup", 0.0),
+                                       ("subdiv_setup", 1e-12)])
+@pytest.mark.parametrize("lam", [0.5, 0.0625])
+def test_scaled_map_has_the_certificates_of_a_fresh_assembly(setup, rel, lam,
+                                                             request):
+    # each local picture is a cone, so the certificates that g.scaled keeps
+    # are those assemble makes again at lam: bit for bit on the Kuhn map;
+    # the ball's rho, sampled through the whole map, to 1e-12
+    pl, params, g = request.getfixturevalue(setup)
+    g.difference_quadrature()
+    gs, fresh = g.scaled(lam), assemble(pl, params.scaled(lam))
+    assert gs._dq is None and gs._slabs is None
+    assert gs.params == fresh.params
+    for a, b in zip(_certificates(gs), _certificates(fresh), strict=True):
+        assert np.allclose(a, b, rtol=rel, atol=0), (a, b)
+    for ps, pf in zip(gs.patches, fresh.patches):
+        for attr in ("width", "frustum", "r", "R"):
+            if hasattr(pf, attr):
+                assert np.array_equal(getattr(ps, attr), getattr(pf, attr))
+        if hasattr(pf, "smoother") and hasattr(pf.smoother, "blends"):
+            assert [b.width for b in ps.smoother.blends] == \
+                [b.width for b in pf.smoother.blends]
+    x = gs.sample_patches(n_per_patch=200, rng=4)
+    ys, Js = gs._dispatch(x, jac=True)
+    yf, Jf = fresh._dispatch(x, jac=True)
+    assert np.allclose(ys, yf, rtol=rel, atol=0)
+    assert np.allclose(Js, Jf, rtol=100 * rel, atol=100 * rel)
+
+
+def test_sweep_certifies_each_patch_once(subdiv_setup, monkeypatch):
+    # the face floors, the ray blends' floors, the squeeze circle's checks
+    # and the ball's certification run once per patch in a sweep of five
+    # lambdas, and the local pictures are built once per map
+    from plsmooth import edge, mesh, vertex
+    pl, params, _ = subdiv_setup
+    pl = PLMap(pl.complex, pl.matrices, pl.offsets)
+    counts = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kw):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    count(pipeline, "face_floor")
+    count(edge, "face_floor")
+    count(edge.EdgeSmoother, "_setup_planar")
+    count(vertex, "degree")
+    for name in ("face_pairs", "edge_fans", "vertex_stars"):
+        count(mesh, name)
+    lambda_sweep(pl, choose_params(pl))
+    swept = dict(counts)
+    g = assemble(pl, params)
+    rays = sum(ep.fan.m for ep in g.edge_patches)
+    assert swept == {"face_floor": len(g.face_patches) + rays,
+                     "_setup_planar": len(g.edge_patches),
+                     "degree": len(g.vertex_patches), "face_pairs": 1,
+                     "edge_fans": 1, "vertex_stars": 1}
+
+
+def test_kappa_is_the_largest_ramp_difference():
+    # KAPPA = max over [0, 1] of u (1 - eta(u)), the largest |g - f| in a
+    # slab over w |a|: a bounded 1-D search and a dense grid agree
+    from plsmooth.blend import eta
+    res = scipy.optimize.minimize_scalar(
+        lambda u: -u * (1.0 - eta(u)), bounds=(0.0, 1.0), method="bounded",
+        options={"xatol": 1e-12})
+    assert pipeline.KAPPA == pytest.approx(-res.fun, rel=1e-15)
+    u = np.linspace(0.0, 1.0, 1_000_001)
+    assert pipeline.KAPPA >= np.max(u * (1.0 - eta(u)))
+    assert pipeline.KAPPA == pytest.approx(0.279280, abs=5e-7)
+
+
+def _slab_only_map():
+    M = np.eye(3)
+    M[:, 2] = [0.1, -0.2, 1.3]
+    return two_tet_map(np.eye(3), M)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.25])
+def test_slab_linf_is_its_closed_form(lam):
+    # on a map with one slab, linf_f is w |a| KAPPA, and no point of a
+    # dense sample of the slab exceeds it
+    pl = _slab_only_map()
+    params = choose_params(pl)
+    assert len(params.w) == 1 and not params.r and not params.R
+    row, = lambda_sweep(pl, params, lambdas=(lam,))
+    fp = assemble(pl, params.scaled(lam)).face_patches[0]
+    closed = fp.width * np.linalg.norm(fp.blend.jump) * pipeline.KAPPA
+    assert row["linf_f"] == pytest.approx(closed, rel=1e-14)
+    # points of the face moved to 20,001 heights across the slab
+    bar = np.random.default_rng(7).dirichlet(np.ones(3), size=20001)
+    x = bar @ fp.tri + np.outer(np.linspace(0.0, fp.width, 20001), fp.n)
+    x = x[fp.mask(x)]
+    assert len(x) > 10000
+    diff = np.linalg.norm(fp.evaluate(x) - pl(x), axis=-1)
+    assert np.max(diff) <= row["linf_f"] * (1 + 1e-12)
+    assert np.max(diff) >= row["linf_f"] * (1 - 1e-6)
+
+
+def _dense_cylinder_max(g, ep, n=401):
+    """max |g - f| on a dense (t, theta) grid of the cylinder's disk at the
+    middle of its edge, g by the patch and f by the piece of each sector."""
+    fan = ep.fan
+    t, th = (a.ravel() for a in np.meshgrid(
+        np.linspace(0.0, ep.r, n), np.linspace(-np.pi, np.pi, 2 * n),
+        indexing="ij"))
+    y = np.stack([t * np.cos(th), t * np.sin(th), np.full_like(t, ep.L / 2)],
+                 axis=-1)
+    x = y @ fan.Q + fan.V0
+    ci = np.asarray(fan.sector_cells)[fan.sector_of(th)]
+    return float(np.max(np.linalg.norm(ep.evaluate(x) - g.plmap.apply(x, ci),
+                                       axis=-1)))
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+@pytest.mark.parametrize("lam", [1.0, 0.125])
+def test_cylinder_linf_bounds_a_dense_grid(setup, lam, request):
+    # each cylinder's sup is at least the largest |g - f| on a dense (t,
+    # theta) grid of its disk, and the sweep's linf_f at least every one
+    pl, params, g = request.getfixturevalue(setup)
+    g = g.scaled(lam)
+    pts, wts = g.difference_quadrature()
     act = wts > 0
-    assert np.array_equal(g._owners(pts[act]), made[act])
-    assert set(made[act]) == set(range(len(g.patches)))
+    diff = np.linalg.norm(g.evaluate(pts[act]) - pl(pts[act]), axis=-1)
+    made = g._dq[3][act]
+    row, = lambda_sweep(pl, params, lambdas=(lam,))
+    for k, ep in enumerate(g.edge_patches):
+        m = np.flatnonzero(made == len(g.vertex_patches) + k)
+        sup = g._cylinder_sup(ep, pts[act][m[np.argmax(diff[m])]])
+        dense = _dense_cylinder_max(g, ep)
+        assert sup >= dense * (1 - 1e-12)
+        assert sup <= dense * (1 + 1e-3)
+        assert row["linf_f"] >= sup * (1 - 1e-12)
+
+
+def test_linf_over_lambda_is_constant(kuhn_setup):
+    # the slabs and the cylinder are cones, so sup |g - f| scales with lambda
+    pl, params, _ = kuhn_setup
+    rows = lambda_sweep(pl, params)
+    ratio = [r["linf_f"] / r["lambda"] for r in rows]
+    assert ratio == pytest.approx([ratio[0]] * len(rows), rel=1e-12)
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+def test_linf_is_at_least_the_random_estimate(setup, request):
+    # the per-patch rule reads no lower than the random refinement of the
+    # largest node, which it replaces on slabs and cylinders
+    from plsmooth.norms import linf_difference
+    pl, params, _ = request.getfixturevalue(setup)
+    lambdas = (1.0, 0.25, 0.0625)
+    rows = lambda_sweep(pl, params, lambdas=lambdas)
+    for row, lam in zip(rows, lambdas):
+        g = assemble(pl, params.scaled(lam))
+        pts, wts = g.difference_quadrature()
+        pa = pts[wts > 0]
+        diff = np.linalg.norm(g.evaluate(pa) - pl(pa), axis=-1)
+        for seed in range(3):
+            assert row["linf_f"] >= linf_difference(pl, g, pa, diff, rng=seed)
 
 
 def _cylinder_pieces(g):
