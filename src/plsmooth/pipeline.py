@@ -671,7 +671,8 @@ class SmoothedMap:
         """sup |g - f| per patch, from the active quadrature nodes ``pts``,
         |g - f| there and the patch that ``made`` each.  A slab's g - f is
         -(1 - eta(u)) u w a, u = s / w, a its jump: its sup is w |a| KAPPA.
-        Balls keep ``linf_difference``'s estimate from their nodes."""
+        A cylinder's is found by ``_cylinder_sup``; the balls keep
+        ``linf_difference``'s estimate from their nodes."""
         nv, ne = len(self.vertex_patches), len(self.edge_patches)
         held = np.bincount(made, minlength=len(self.patches))[nv + ne:] > 0
         sups = [KAPPA * fp.width * float(np.linalg.norm(fp.blend.jump))
