@@ -354,7 +354,8 @@ class PLMap:
         """The face pairs, edge fans and vertex stars of the map, built on
         the first call and kept."""
         if not hasattr(self, "_pictures"):
-            self._pictures = face_pairs(self), edge_fans(self), vertex_stars(self)
+            self._pictures = (face_pairs(self), edge_fans(self),
+                              vertex_stars(self))
         return self._pictures
 
     def to_dict(self):

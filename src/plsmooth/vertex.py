@@ -101,7 +101,8 @@ class SphereIsotopy:
     time profile s = time_profile.  The build certifies it: the linear
     interpolant stays away from 0 at 2000 sampled points, and mu has degree
     1.  For unit x and mu(x) the interpolant is shortest at s = 1/2, where
-    its length is |x + mu(x)|/2, so that one value is tested."""
+    its length is |x + mu(x)|/2, so that one value is tested.  Without
+    ``certify`` mu is one already certified at another scale."""
 
     def __init__(self, mu, certify=True):
         self.mu = mu
@@ -170,7 +171,7 @@ class VertexSmoother:
 
         self.mu = SphereMap(ambient)
         if rho is not None:
-            self.rho, self.isotopy = rho, SphereIsotopy(self.mu, False)
+            self.rho, self.isotopy = rho, SphereIsotopy(self.mu, certify=False)
             return
         rng = np.random.default_rng(5)
         sph = geo.normalize(rng.normal(size=(4096, 3)))

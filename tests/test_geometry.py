@@ -131,7 +131,8 @@ def test_line_cell_intervals_match_the_einsum_formula(seed, cells):
     p0 = tets[:, 0]
     edge_inv = geo.inv3(tets[:, 1:] - p0[:, None])
     k = rng.integers(cells)
-    n = geo.normalize(np.cross(tets[k, 1] - tets[k, 0], tets[k, 2] - tets[k, 0]))
+    n = geo.normalize(np.cross(tets[k, 1] - tets[k, 0],
+                               tets[k, 2] - tets[k, 0]))
     d_face = geo.normalize(rng.normal(size=3))
     d_face = geo.normalize(d_face - (d_face @ n) * n)
     p = np.concatenate([rng.normal(size=(20, 3)), tets.reshape(-1, 3),
