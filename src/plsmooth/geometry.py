@@ -6,15 +6,15 @@ their entries as flat arrays, and ``max_spectral_norm``, which evaluates the
 norm only where a Gershgorin bound on M^T M can reach the largest column
 norm; simplex measures, the interior-overlap test of two tetrahedra (the
 one LP, used by validation; an intersection too thin for qhull counts as
-empty), the edges of a tetrahedron and the tetrahedra that fill a frustum
-of one, and Gauss-Legendre quadrature.  The distances that
-parameter selection needs are exact and batched over stacks of points,
-segments and triangles: ``dist_point_simplex`` (points to triangles),
-``dist_segment_triangle`` and ``dist_triangle_triangle``.  The difference set
-is measured by three batched kernels: ``plane_sections`` cuts convex
-polytopes by a plane each, ``clip_polygons`` convex polygons by a half-plane
-each, and ``polygon_disk_areas`` gives each polygon's exact area within a
-disk; its quadrature cuts lines by cells with ``line_cell_intervals``.
+empty), the tetrahedra that fill a frustum of one, and Gauss-Legendre
+quadrature.  The distances that parameter selection needs are exact and
+batched over stacks of points, segments and triangles:
+``dist_point_simplex`` (points to triangles), ``dist_segment_triangle`` and
+``dist_triangle_triangle``.  The difference quadrature takes its slab
+sections from two batched kernels: ``clip_polygons`` clips convex polygons
+by a half-plane each, and ``polygon_disk_areas`` gives each polygon's exact
+area within a disk; it cuts its cylinder columns by cells with
+``line_cell_intervals``.
 """
 
 from __future__ import annotations
@@ -428,45 +428,10 @@ def convex_interior_overlap(pa, pb, tol=1e-10):
     return float(hull.volume), center
 
 
-# the 6 vertex-index pairs of a tetrahedron's edges
-TET_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
-
-
 # A frustum of a tetrahedron: vertices 0-2 are a base triangle, positively
 # oriented toward the apex, and vertex 3 + i is vertex i moved toward the
 # apex.  These 3 positive tetrahedra fill it.
 FRUSTUM_TETS = np.array([[1, 2, 0, 3], [2, 3, 1, 4], [3, 4, 2, 5]])
-
-
-def plane_sections(V, edges, n, c, origin, axes):
-    """Sections {x: n.x = c[k]} (P planes) of the convex polytopes with
-    vertices V[k] (P,m,3), or of one polytope V (m,3), and edges ``edges``
-    (E,2).  A vertex within 1e-14 of its plane and the crossing point of each
-    edge whose ends lie strictly on opposite sides are the polygon's vertices.
-    Returns the polygons in the frame y = axes @ (x - origin), ``axes``
-    (2,3), ordered by angle about their vertex mean and padded to (P,K,2),
-    and each polygon's vertex count, 0 for a section of fewer than 3 points.
-    """
-    c = np.asarray(c, dtype=float)
-    V = np.broadcast_to(np.asarray(V, dtype=float), c.shape + np.shape(V)[-2:])
-    edges = np.asarray(edges)
-    d = V @ np.asarray(n, dtype=float) - c[:, None]
-    di, dj = d[:, edges[:, 0]], d[:, edges[:, 1]]
-    cross = di * dj < 0
-    t = np.where(cross, di / np.where(cross, di - dj, 1.0), 0.0)[..., None]
-    Vi = V[:, edges[:, 0]]
-    pts = np.concatenate([V, Vi + t * (V[:, edges[:, 1]] - Vi)], axis=1)
-    on_edge = np.zeros(V.shape[1], dtype=bool)
-    on_edge[edges] = True
-    keep = np.concatenate([(np.abs(d) < 1e-14) & on_edge, cross], axis=1)
-    y = (pts - origin) @ np.asarray(axes, dtype=float).T
-    counts = keep.sum(axis=1)
-    ctr = np.einsum("pk,pkj->pj", keep, y) / np.maximum(counts, 1)[:, None]
-    ang = np.arctan2(y[..., 1] - ctr[:, 1:], y[..., 0] - ctr[:, :1])
-    order = np.argsort(np.where(keep, ang, np.inf), axis=1)
-    order = order[:, :counts.max(initial=0)]
-    poly = np.take_along_axis(y, order[..., None], axis=1)
-    return poly, np.where(counts >= 3, counts, 0)
 
 
 def clip_polygons(P, counts, a, b):
@@ -518,15 +483,7 @@ def line_cell_intervals(p, d, p0, edge_inv, tol=1e-13):
 
 
 # ---------------------------------------------------------------------------
-# 2D primitives: polygon area and polygon/disk intersection area
-
-
-def polygon_area(poly):
-    if len(poly) < 3:
-        return 0.0
-    P = np.asarray(poly, dtype=float)
-    x, y = P[:, 0], P[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+# 2D primitives: polygon/disk intersection area
 
 
 def _cross2(u, v):

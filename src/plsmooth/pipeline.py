@@ -441,12 +441,14 @@ class SmoothedMap:
         """(pts, wts, cell, made): the slabs' nodes (``_slab_nodes``), the
         cylinders', the balls'; ``cell`` is -1 at the ball nodes; ``made``
         the index in ``patches`` of the patch that made each node, which
-        ``_owners`` gives it.  A cylinder keeps only the pieces it owns.
-        Balls are disjoint: R is 0.2 of the distance d from the vertex to
-        its link, and each interior vertex lies on or beyond another's link.
-        A slab node, T(s)'s centroid, has barycentric coordinate <= 1/3 on a
-        face vertex v, so it lies 2/3 d_v > R from v; that no cylinder or
-        other slab holds it is tested, not proved."""
+        ``_owners`` gives it.  No mask is applied: each patch's nodes stand
+        for the part of it that it owns.  A cylinder drops the pieces that
+        a ball or an earlier cylinder holds by its own cuts.  Balls are
+        disjoint: R is 0.2 of the distance d from the vertex to its link,
+        and each interior vertex lies on or beyond another's link.  A slab
+        node, T(s)'s centroid, has barycentric coordinate <= 1/3 on a face
+        vertex v, so it lies 2/3 d_v > R from v; that no cylinder or other
+        slab holds it is tested, not proved."""
         nv, ne = len(self.vertex_patches), len(self.edge_patches)
         groups = ([(p, w, np.full(len(w), fp.pair.cell_pos)) for fp, p, w
                    in zip(self.face_patches, *self._slab_nodes())]
@@ -539,16 +541,19 @@ class SmoothedMap:
         A column p + z e, 0 <= z <= L, is cut where it enters or leaves a
         cell (``geo.line_cell_intervals``), crosses a ball's sphere or
         another cylinder's side (a quadratic in z) or that cylinder's end
-        planes.  So every mask of ``_owners`` and every cell boundary is a
-        cut, and on a piece between two cuts one patch and one cell hold
-        every point.  Every piece of an edge fan maps e to one image vector
-        f'e, so on the cylinder g(x + z e) = g(x) + z f'e and Dg(x + z e) =
-        Dg(x): Dg and Df are constant on a piece, and its midpoint, weighted
-        by its (t, theta) weight times its length, integrates them exactly
-        along the edge.  Pieces under 1e-10 L (which the cells' tolerance
-        makes at shared faces) or between a ball's two sphere roots, which
-        the ball holds, are dropped before the cells are found; then pieces
-        in no cell or that ``_owners`` gives another patch.  A node takes
+        planes.  So every boundary of a ball or cylinder mask and every cell
+        boundary is a cut, and on a piece between two cuts one patch and
+        one cell hold every point.  Every piece of an edge fan maps e to one
+        image vector f'e, so on the cylinder g(x + z e) = g(x) + z f'e and
+        Dg(x + z e) = Dg(x): Dg and Df are constant on a piece, and its
+        midpoint, weighted by its (t, theta) weight times its length,
+        integrates them exactly along the edge.  Dropped before the cells
+        are found are the pieces under 1e-10 L (which the cells' tolerance
+        makes at shared faces), those between a ball's two sphere roots,
+        which the ball holds, and those between an earlier cylinder's two
+        side roots and within its two end-plane cuts, which that cylinder
+        holds by the precedence of ``_owners``; then the pieces in no cell.
+        The weights left sum to the volume the cylinder owns.  A node takes
         the first cell by index whose interval holds it, the exact-first
         rule of ``locate``."""
         L, e = ep.L, ep.fan.direction
@@ -563,37 +568,43 @@ class SmoothedMap:
                                          cx._edge_inv[cells])
         hit = lo <= hi
         cuts = [np.where(hit, lo, L), np.where(hit, hi, L), np.full(len(p), L)]
+        # the spans of z that a ball or an earlier cylinder holds: between
+        # two side roots and two end-plane cuts (a ball's are infinite)
+        held, inf = [], np.full(len(p), np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
-            spheres = [_roots(1.0, (p - vp.V) @ e,
-                              np.sum((p - vp.V) ** 2, axis=-1) - vp.R ** 2)
-                       for vp in self.vertex_patches
-                       if near(vp.V - vp.R, vp.V + vp.R)]
-            cuts += [z for roots in spheres for z in roots]
-            for other in self.edge_patches:
-                if other is ep or not near(*_cylinder_box(other)):
+            for vp in self.vertex_patches:
+                if near(vp.V - vp.R, vp.V + vp.R):
+                    held.append((*_roots(1.0, (p - vp.V) @ e, np.sum(
+                        (p - vp.V) ** 2, axis=-1) - vp.R ** 2), -inf, inf))
+            cuts += [z for span in held for z in span[:2]]
+            own = self.edge_patches.index(ep)
+            for k, other in enumerate(self.edge_patches):
+                if k == own or not near(*_cylinder_box(other)):
                     continue
                 y, f = other.fan.to_frame(p), other.fan.Q @ e
-                cuts += _roots(f[:2] @ f[:2], y[:, :2] @ f[:2],
-                               np.sum(y[:, :2] ** 2, axis=-1) - other.r ** 2)
-                cuts += [-y[:, 2] / f[2], (other.L - y[:, 2]) / f[2]]
+                side = _roots(f[:2] @ f[:2], y[:, :2] @ f[:2],
+                              np.sum(y[:, :2] ** 2, axis=-1) - other.r ** 2)
+                ends = (-y[:, 2] / f[2], (other.L - y[:, 2]) / f[2])
+                cuts += [*side, *ends]
+                if k < own:
+                    held.append((*side, np.minimum(*ends), np.maximum(*ends)))
         z = np.column_stack(cuts)
         z = np.sort(np.where(z > 0.0, np.minimum(z, L), L), axis=1)
         z = np.column_stack([np.zeros(len(p)),
                              z[:, :1 + np.max(np.sum(z < L, axis=1))]])
         mid = 0.5 * (z[:, :-1] + z[:, 1:])
         keep = np.diff(z) > 1e-10 * L
-        for z1, z2 in spheres:
-            keep &= ~((z1[:, None] < mid) & (mid < z2[:, None]))
+        for z1, z2, a, b in held:
+            keep &= ~((z1[:, None] < mid) & (mid < z2[:, None])
+                      & (a[:, None] <= mid) & (mid <= b[:, None]))
         col, piece = np.nonzero(keep)
         mid = mid[col, piece]
         cell = np.full(len(col), -1)
         for j in range(len(cells) - 1, -1, -1):
             cell[(lo[col, j] <= mid) & (mid <= hi[col, j])] = cells[j]
         col, piece, mid, cell = (a[cell >= 0] for a in (col, piece, mid, cell))
-        pts = p[col] + mid[:, None] * e
-        own = np.flatnonzero(self._owners(pts) == self.patches.index(ep))
-        col, piece = col[own], piece[own]
-        return pts[own], area[col] * np.diff(z)[col, piece], cell[own]
+        return (p[col] + mid[:, None] * e, area[col] * np.diff(z)[col, piece],
+                cell)
 
     def _columns(self, ep):
         """The cylinder's (t, theta) columns: their points at z = 0 in the
@@ -634,36 +645,11 @@ class SmoothedMap:
         return pts + vp.V, W.ravel()
 
     def volume_difference_set(self):
-        """Measure of E_lambda = {g != f}, by the precedence of ``_owners``:
-        each slab's owned sections, the sum of its nodes' weights in the
-        difference quadrature (``_slab_nodes``); each cylinder within the
-        domain less its end balls, sectioned across the edge (N_GAUSS nodes
-        on each of N_PANELS panels) less the concentric cylinder/ball
-        volumes; and the balls."""
-        total = float(np.sum(self._slab_nodes()[1].sum(axis=1)))
-        for ep in self.edge_patches:
-            total += max(self._cyl_domain_volume(ep) - sum(
-                _concentric_cyl_ball(ep.r, vp.R) for vp in self.vertex_patches
-                if vp.star.vertex in ep.fan.edge), 0.0)
-        return total + sum(4.0 / 3.0 * np.pi * vp.R ** 3
-                           for vp in self.vertex_patches)
-
-    def _cyl_domain_volume(self, ep):
-        """|cylinder ∩ domain|, sectioning the cells that span each plane."""
-        cx = self.plmap.complex
-        fan = ep.fan
-        z, wz = _panel_gauss(np.linspace(0.0, ep.L, N_PANELS + 1), N_GAUSS)
-        c = fan.direction @ fan.V0 + z
-        tets = cx.points[cx.cells]
-        h = tets @ fan.direction
-        plane, cell = np.nonzero((h.min(axis=1) < c[:, None] + 1e-14)
-                                 & (h.max(axis=1) > c[:, None] - 1e-14))
-        poly, k = geo.plane_sections(tets[cell], geo.TET_EDGES,
-                                     fan.direction, c[plane], fan.V0,
-                                     fan.Q[:2])
-        area = np.bincount(plane, geo.polygon_disk_areas(
-            poly, k, (0.0, 0.0), ep.r), minlength=len(z))
-        return float(wz @ area)
+        """Measure of E_lambda = {g != f}: the sum of the difference
+        quadrature's weights.  A slab's weights sum to its owned sections
+        (``_slab_nodes``), a cylinder's to its owned pieces of each column
+        (``_cylinder_nodes``) and a ball's to 4/3 pi R^3 (``_ball_nodes``)."""
+        return float(np.sum(self.difference_quadrature()[1]))
 
     # -- sup |g - f|
 
@@ -747,9 +733,6 @@ class SmoothedMap:
 
 # the largest u (1 - eta(u)) on [0, 1], found by a 1-D search
 KAPPA = 0.2792802402223965
-# the cylinders' sections across the edge in volume_difference_set
-N_GAUSS = 12
-N_PANELS = 8
 
 
 def _panel_gauss(breaks, n):
@@ -773,15 +756,6 @@ def _roots(a, b, c):
     """Both roots of a z^2 + 2 b z + c, NaN where they are not real."""
     s = np.sqrt(b * b - a * c)
     return (-b - s) / a, (-b + s) / a
-
-
-def _concentric_cyl_ball(r, R):
-    """Volume of {t < r} ∩ {|x| < R} on one side of the vertex plane."""
-    if r >= R:
-        return 2.0 / 3.0 * np.pi * R ** 3
-    zs = np.sqrt(R ** 2 - r ** 2)
-    return float(np.pi * r ** 2 * zs
-                 + np.pi * (R ** 2 * (R - zs) - (R ** 3 - zs ** 3) / 3.0))
 
 
 # ---------------------------------------------------------------------------

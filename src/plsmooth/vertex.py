@@ -54,12 +54,6 @@ class SphereMap:
         return T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
 
 
-def linear_sphere_map(M):
-    M = np.asarray(M, dtype=float)
-    return SphereMap(lambda x, jac: (
-        x @ M.T, np.broadcast_to(M, (len(x), 3, 3)) if jac else None))
-
-
 def integral_degree(mu, n_polar=32, n_azimuth=64):
     """Degree as the normalized integral of the surface Jacobian."""
     nodes, wts = np.polynomial.legendre.leggauss(n_polar)

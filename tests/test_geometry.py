@@ -10,6 +10,8 @@ from scipy.spatial import ConvexHull
 from plsmooth import geometry as geo
 from plsmooth.mesh import SimplicialComplex
 
+from oracles import polygon_area, tet_section
+
 REF_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
@@ -244,7 +246,7 @@ def test_dist_triangle_triangle_cases():
 def test_polygon_area_shoelace():
     sq = [np.array([0.0, 0]), np.array([2.0, 0]),
           np.array([2.0, 2]), np.array([0.0, 2])]
-    assert geo.polygon_area(sq) == pytest.approx(4.0)
+    assert polygon_area(sq) == pytest.approx(4.0)
 
 
 def _disk_area(poly, center, r):
@@ -280,27 +282,11 @@ def test_polygon_disk_area_disjoint():
     assert _disk_area(sq, (0, 0), 1.0) == pytest.approx(0.0)
 
 
-def test_polytope_plane_section_cube():
-    verts = np.array([[x, y, z] for x in (0, 1) for y in (0, 1)
-                      for z in (0, 1)], dtype=float)
-    # vertex i has coordinates the bits of i; an edge flips one bit
-    edges = [(i, i | b) for i in range(8) for b in (1, 2, 4) if not i & b]
-    assert len(edges) == 12
-    poly, k = geo.plane_sections(verts[None], edges, np.array([0.0, 0, 1]),
-                                 [0.5], np.zeros(3), np.eye(3)[:2])
-    assert k[0] >= 4
-    # every section vertex lies on the unit square's boundary
-    on = np.min(np.stack([poly[0], 1.0 - poly[0]]), axis=(0, 2))
-    assert np.allclose(on[:k[0]], 0.0)
-    assert geo.polygon_area(poly[0, :k[0]]) == pytest.approx(1.0)
-
-
 def test_tet_plane_section_triangle():
-    poly, k = geo.plane_sections(REF_TET[None], geo.TET_EDGES,
-                                 np.array([0.0, 0, 1]), [0.5], np.zeros(3),
-                                 np.eye(3)[:2])
+    poly = tet_section(REF_TET, np.array([0.0, 0, 1]), 0.5, np.zeros(3),
+                       np.eye(3)[:2])
     # cross section of the corner tet at z = 1/2 is a right triangle
-    assert geo.polygon_area(poly[0, :k[0]]) == pytest.approx(0.125)
+    assert polygon_area(poly) == pytest.approx(0.125)
 
 
 def test_gauss_legendre_degree():
@@ -488,8 +474,8 @@ def test_inv3_matches_lapack():
 
 
 # ---------------------------------------------------------------------------
-# the batched section and polygon/disk kernels against the scalar code they
-# replaced, kept here as the reference
+# the polygon/disk kernel against the scalar code it replaced, and the tests'
+# plane sections against convex hulls, kept here as the references
 
 
 def _ref_polytope_plane_section(vertices, n, c):
@@ -500,7 +486,7 @@ def _ref_polytope_plane_section(vertices, n, c):
     hull = ConvexHull(vertices)
     d = vertices @ n - c
     pts = []
-    seen = set()
+    seen, on = set(), set()
     for s, simplex in enumerate(hull.simplices):
         idx = list(simplex)
         for a in range(3):
@@ -514,31 +500,12 @@ def _ref_polytope_plane_section(vertices, n, c):
                                           rtol=0, atol=1e-6):
                 continue
             seen.add(key)
-            if abs(d[i]) < 1e-14:
+            if abs(d[i]) < 1e-14 and i not in on:
+                on.add(i)
                 pts.append(vertices[i])
             if d[i] * d[j] < 0:
                 t = d[i] / (d[i] - d[j])
                 pts.append(vertices[i] + t * (vertices[j] - vertices[i]))
-    if len(pts) < 3:
-        return []
-    pts = np.array(pts)
-    t2, t3 = geo.orthonormal_tangents(n / np.linalg.norm(n))
-    ctr = pts.mean(axis=0)
-    ang = np.arctan2((pts - ctr) @ t3, (pts - ctr) @ t2)
-    return [pts[i] for i in np.argsort(ang)]
-
-
-def _ref_tet_plane_section(p, n, c):
-    """Ordered polygon (list of 3-vectors) of {x: n.x = c} ∩ tetrahedron."""
-    d = p @ n - c
-    pts = []
-    for i in range(4):
-        if abs(d[i]) < 1e-14:
-            pts.append(p[i])
-        for j in range(i + 1, 4):
-            if d[i] * d[j] < 0:
-                t = d[i] / (d[i] - d[j])
-                pts.append(p[i] + t * (p[j] - p[i]))
     if len(pts) < 3:
         return []
     pts = np.array(pts)
@@ -604,32 +571,6 @@ def _pad(polys):
     return out, np.array([len(p) for p in polys])
 
 
-def _check_sections(V, edges, n, c, ref_polys, rng):
-    """plane_sections of V (P,m,3) against reference 3D polygons: same
-    points, same area, same area within a disk."""
-    axes = np.array(geo.orthonormal_tangents(n / np.linalg.norm(n)))
-    origin = rng.normal(size=3)
-    poly, k = geo.plane_sections(V, edges, n, c, origin, axes)
-    scale = np.max(np.ptp(V, axis=1), axis=1)
-    for i, ref in enumerate(ref_polys):
-        assert (k[i] >= 3) == (len(ref) >= 3)
-        if len(ref) < 3:
-            continue
-        ref2 = (np.array(ref) - origin) @ axes.T
-        got = poly[i, :k[i]]
-        gap = np.linalg.norm(got[:, None] - ref2[None], axis=-1)
-        tol = 1e-12 * (scale[i] + np.linalg.norm(origin))
-        assert np.all(gap.min(axis=1) <= tol)
-        assert np.all(gap.min(axis=0) <= tol)
-        assert abs(geo.polygon_area(got)) == pytest.approx(
-            abs(geo.polygon_area(ref2)), rel=1e-9, abs=1e-14 * scale[i] ** 2)
-        center = ref2.mean(axis=0) + rng.normal(size=2) * scale[i]
-        r = rng.uniform(0.05, 1.0) * scale[i]
-        assert _disk_area(got, center, r) == pytest.approx(
-            _ref_polygon_disk_area(ref2, center, r), rel=1e-9,
-            abs=1e-14 * scale[i] ** 2)
-
-
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(3, 9), seed=st.integers(0, 2 ** 32 - 1),
        aspect=st.floats(1e-3, 1.0), shift=st.floats(-2.0, 2.0),
@@ -659,44 +600,35 @@ def test_polygon_disk_areas_match_reference(m, seed, aspect, shift, r):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(-0.1, 1.1))
 def test_tet_sections_match_reference(seed, frac):
+    # the tests' tet_section against the section of the tetrahedron's hull:
+    # same points, same area, same area within a disk
     rng = np.random.default_rng(seed)
     tets = rng.normal(size=(6, 4, 3))
     tets = tets[np.abs([geo.tet_volume(t) for t in tets]) > 1e-3]
     n = rng.normal(size=3)
     h = tets @ n
     c = h.min(axis=1) + frac * np.ptp(h, axis=1)
-    ref = [_ref_tet_plane_section(t, n, ci) for t, ci in zip(tets, c)]
-    _check_sections(tets, geo.TET_EDGES, n, c, ref, rng)
-
-
-# the 9 edges of a frustum of a tetrahedron, its vertices ordered as in
-# geo.FRUSTUM_TETS: the base 0-2, the top 3-5 and the sides i, 3 + i
-FRUSTUM_EDGES = np.array([[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5],
-                          [0, 3], [1, 4], [2, 5]])
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), width=st.floats(1e-6, 0.2),
-       across=st.booleans())
-def test_slab_sections_match_reference(seed, width, across):
-    # the frustum that a thin slab of width ``width`` over a face cuts from
-    # a tetrahedron, cut across the slab by a random plane or parallel to it
-    rng = np.random.default_rng(seed)
-    tet = rng.normal(size=(4, 3))
-    if abs(geo.tet_volume(tet)) < 1e-2:
-        return
-    tri, apex = tet[:3], tet[3]
-    m = geo.normalize(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
-    t = width / abs(m @ (apex - tri[0]))
-    if t >= 1.0:
-        return
-    verts = np.vstack([tri, tri + t * (apex - tri)])
-    n = m if not across else rng.normal(size=3)
-    h = verts @ n
-    c = h.min() + np.linspace(-0.05, 1.05, 12) * np.ptp(h)
-    ref = [_ref_polytope_plane_section(verts, n, ci) for ci in c]
-    _check_sections(np.broadcast_to(verts, (len(c),) + verts.shape),
-                    FRUSTUM_EDGES, n, c, ref, rng)
+    axes = np.array(geo.orthonormal_tangents(n / np.linalg.norm(n)))
+    origin = rng.normal(size=3)
+    for tet, ci in zip(tets, c):
+        ref = _ref_polytope_plane_section(tet, n, ci)
+        got = tet_section(tet, n, ci, origin, axes)
+        assert (len(got) >= 3) == (len(ref) >= 3)
+        if len(ref) < 3:
+            continue
+        ref2 = (np.array(ref) - origin) @ axes.T
+        gap = np.linalg.norm(got[:, None] - ref2[None], axis=-1)
+        scale = np.max(np.ptp(tet, axis=0))
+        tol = 1e-12 * (scale + np.linalg.norm(origin))
+        assert np.all(gap.min(axis=1) <= tol)
+        assert np.all(gap.min(axis=0) <= tol)
+        assert abs(polygon_area(got)) == pytest.approx(
+            abs(polygon_area(ref2)), rel=1e-9, abs=1e-14 * scale ** 2)
+        center = ref2.mean(axis=0) + rng.normal(size=2) * scale
+        r = rng.uniform(0.05, 1.0) * scale
+        assert _disk_area(got, center, r) == pytest.approx(
+            _ref_polygon_disk_area(ref2, center, r), rel=1e-9,
+            abs=1e-14 * scale ** 2)
 
 
 def test_polygon_disk_areas_vertex_at_centre():
@@ -744,23 +676,19 @@ def test_polygon_disk_areas_special_edges():
 def test_plane_sections_through_tet_vertices():
     up, axes = np.array([0.0, 0, 1]), np.eye(3)[:2]
     # the base plane holds three vertices; the top one only the apex
-    poly, k = geo.plane_sections(np.stack([REF_TET] * 4), geo.TET_EDGES, up,
-                                 [0.0, 1.0, 1.5, -0.5], np.zeros(3), axes)
-    assert list(k) == [3, 0, 0, 0]
-    assert abs(geo.polygon_area(poly[0, :3])) == pytest.approx(0.5)
+    k = [len(tet_section(REF_TET, up, c, np.zeros(3), axes))
+         for c in (0.0, 1.0, 1.5, -0.5)]
+    assert k == [3, 0, 0, 0]
+    poly = tet_section(REF_TET, up, 0.0, np.zeros(3), axes)
+    assert abs(polygon_area(poly)) == pytest.approx(0.5)
     # the plane x = y holds vertices 0 and 3 and cuts edge 1-2
     n = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
     t2, t3 = geo.orthonormal_tangents(n)
-    poly, k = geo.plane_sections(REF_TET[None], geo.TET_EDGES, n, [0.0],
-                                 np.zeros(3), np.stack([t2, t3]))
-    ref = _ref_tet_plane_section(REF_TET, n, 0.0)
-    assert k[0] == len(ref) == 3
+    poly = tet_section(REF_TET, n, 0.0, np.zeros(3), np.stack([t2, t3]))
+    ref = _ref_polytope_plane_section(REF_TET, n, 0.0)
+    assert len(poly) == len(ref) == 3
     ref2 = np.array(ref) @ np.stack([t2, t3]).T
-    assert abs(geo.polygon_area(poly[0, :3])) == pytest.approx(
-        abs(geo.polygon_area(ref2)), rel=1e-12, abs=0)
-    assert abs(geo.polygon_area(ref2)) == pytest.approx(
+    assert abs(polygon_area(poly)) == pytest.approx(
+        abs(polygon_area(ref2)), rel=1e-12, abs=0)
+    assert abs(polygon_area(ref2)) == pytest.approx(
         0.5 * np.sqrt(0.5), rel=1e-12, abs=0)
-    # an empty batch
-    poly, k = geo.plane_sections(np.zeros((0, 4, 3)), geo.TET_EDGES, up,
-                                 np.zeros(0), np.zeros(3), axes)
-    assert poly.shape == (0, 0, 2) and k.shape == (0,)

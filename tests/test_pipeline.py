@@ -15,9 +15,11 @@ from plsmooth.builders import (kuhn_identity, perturbed_kuhn_map,
 from plsmooth.errors import ConstructionError, ParameterError
 from plsmooth.mesh import (FacePair, PLMap, SimplicialComplex, face_pairs,
                            pl_map_from_vertex_images)
-from plsmooth.pipeline import (SWEEP_COLUMNS, FacePatch, SmoothingParams,
-                               assemble, choose_params, format_table,
-                               lambda_sweep)
+from plsmooth.pipeline import (SWEEP_COLUMNS, SWEEP_DEFAULTS, FacePatch,
+                               SmoothingParams, assemble, choose_params,
+                               format_table, lambda_sweep)
+
+from oracles import clip, cylinder_volume, polygon_area
 
 
 @pytest.fixture(scope="module")
@@ -346,20 +348,43 @@ def test_derivative_matches_finite_differences(kuhn_setup):
 
 
 def test_volume_quadrature_consistency(kuhn_setup):
-    # the slabs' terms are their nodes' weights; what is left between |E|
-    # and the weight sum is the cylinder's columns against its sections
+    # |E| is the difference quadrature's weight sum, the one measure of E
     _, _, g = kuhn_setup
     vol = g.volume_difference_set()
     pts, wts = g.difference_quadrature()
     assert vol > 0
-    assert abs(wts.sum() - vol) < 1e-3 * vol
+    assert vol == float(np.sum(wts))
 
 
 def test_volume_quadrature_consistency_with_ball(subdiv_setup):
     _, _, g = subdiv_setup
     vol = g.volume_difference_set()
     pts, wts = g.difference_quadrature()
-    assert abs(wts.sum() - vol) < 1e-3 * vol
+    assert vol == float(np.sum(wts))
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+def test_volume_meets_the_sweep_gate(setup, request):
+    # the benchmark's check of the sweep: over the default lambdas |E|
+    # strictly decreases and |E| / lambda does not increase
+    _, _, g = request.getfixturevalue(setup)
+    lams = SWEEP_DEFAULTS["lambdas"]
+    vol = [g.scaled(lam).volume_difference_set() for lam in lams]
+    for k in range(1, len(lams)):
+        assert vol[k] < vol[k - 1]
+        assert vol[k] / lams[k] <= vol[k - 1] / lams[k - 1]
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.25, 0.0625])
+def test_ball_weights_sum_to_the_ball_volume(subdiv_setup, lam):
+    # a ball's term of |E| is its nodes' weights: Gauss in the radius and
+    # the polar angle and equal azimuth steps integrate r^2 sin(phi) exactly
+    _, _, g = subdiv_setup
+    g = g.scaled(lam)
+    assert g.vertex_patches
+    for vp in g.vertex_patches:
+        assert g._ball_nodes(vp)[1].sum() == pytest.approx(
+            4.0 / 3.0 * np.pi * vp.R ** 3, rel=1e-14, abs=0)
 
 
 def test_quadrature_points_lie_in_difference_set(kuhn_setup):
@@ -539,18 +564,6 @@ def test_gauss_legendre_reuses_reference_rule(monkeypatch):
     assert np.array_equal(x0, x1) and np.array_equal(w0, w1)
 
 
-def _clip(poly, a, b):
-    """Part of the convex polygon ``poly`` (list of 2-vectors) in a.y <= b."""
-    out = []
-    for p, q in zip(poly, poly[1:] + poly[:1]):
-        fp, fq = a @ p - b, a @ q - b
-        if fp <= 0:
-            out.append(p)
-        if fp * fq < 0:
-            out.append(p + fp / (fp - fq) * (q - p))
-    return out
-
-
 def _convex_polygon(rng, m):
     """The hull of m points of a random ellipse on the integer grid, at a
     scale of 2^20, either way round: a half-plane with a small integer
@@ -589,7 +602,7 @@ def test_clip_polygons_match_clip(seed, m):
     got, k = geo.clip_polygons(pad, [len(P) for P in polys], np.array(a),
                                np.array(b))
     for i, (P, n, c) in enumerate(zip(polys, a, b)):
-        ref = _clip(list(P), n, c)
+        ref = clip(list(P), n, c)
         if len(ref) < 3:
             assert k[i] == 0
             continue
@@ -601,8 +614,8 @@ def test_clip_polygons_match_clip(seed, m):
         assert np.all(gap.min(axis=1) <= 1e-12 * scale)
         # in angle order: the same area as the reference's, to the
         # rounding of the shoelace products
-        assert abs(geo.polygon_area(got[i, :k[i]])) == pytest.approx(
-            abs(geo.polygon_area(ref)), rel=1e-12, abs=1e-14 * scale ** 2)
+        assert abs(polygon_area(got[i, :k[i]])) == pytest.approx(
+            abs(polygon_area(ref)), rel=1e-12, abs=1e-14 * scale ** 2)
     assert list(k[3::4]) == [len(P) for P in polys[3::4]]
     assert not np.any(k[2::4])
     got, k = geo.clip_polygons(np.zeros((0, 3, 2)), [], np.zeros((0, 2)), [])
@@ -620,7 +633,7 @@ def _owned_section_area(g, fp, s):
     tri = [big * np.array(c) for c in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
     for h in geo.halfspaces_of_tet(
             g.plmap.complex.cell_points(fp.pair.cell_pos)):
-        tri = _clip(tri, axes @ h[:3], -(h[:3] @ x0 + h[3]))
+        tri = clip(tri, axes @ h[:3], -(h[:3] @ x0 + h[3]))
     disks = [(axes @ (vp.V - o), np.sqrt(vp.R ** 2 - s ** 2))
              for vp in g.vertex_patches if vp.star.vertex in fp.pair.face]
     parts = [(1.0, tri, None)] + [(-1.0, tri, d) for d in disks]
@@ -633,14 +646,14 @@ def _owned_section_area(g, fp, s):
         strip = tri
         for a, b in ((v, v @ a0 + half), (-v, half - v @ a0),
                      (-u, -(u @ a0)), (u, u @ a0 + ep.L)):
-            strip = _clip(strip, a, b)
+            strip = clip(strip, a, b)
         parts += [(-1.0, strip, None)] + [(1.0, strip, d) for d in disks]
     total = 0.0
     for sign, poly, disk in parts:
         if len(poly) < 3:
             continue
         if disk is None:
-            total += sign * abs(geo.polygon_area(poly))
+            total += sign * abs(polygon_area(poly))
         else:
             total += sign * geo.polygon_disk_areas(
                 np.array(poly)[None], [len(poly)], *disk)[0]
@@ -1102,26 +1115,21 @@ def _cylinder_pieces(g):
 
 @pytest.mark.parametrize("build", [perturbed_kuhn_map, subdivided_tet_map])
 @pytest.mark.parametrize("lam", [1.0, 0.25, 0.0625])
-def test_cylinder_weights_match_the_sectioned_volume(build, lam,
-                                                     monkeypatch):
-    # each cylinder's owned weight is its volume within the domain, less
-    # its concentric parts in the end balls: sectioning on 512 panels
-    # agrees to 1e-6, where the 16-node masked rule missed by up to 2e-3
-    monkeypatch.setattr(pipeline, "N_PANELS", 512)
+def test_cylinder_weights_match_the_sectioned_volume(build, lam):
+    # each cylinder's weight is its volume within the domain, less its
+    # concentric parts in the end balls: plain sectioning across the edge
+    # on 512 panels agrees to 1e-6, where the 16-node masked rule missed by
+    # up to 2e-3
     pl = build()
     g = assemble(pl, choose_params(pl).scaled(lam))
-    for k, ep in enumerate(g.edge_patches):
-        pts, wts, _ = g._cylinder_nodes(ep)
-        own = g._owners(pts) == len(g.vertex_patches) + k
-        exact = g._cyl_domain_volume(ep) - sum(
-            pipeline._concentric_cyl_ball(ep.r, vp.R)
-            for vp in g.vertex_patches if vp.star.vertex in ep.fan.edge)
-        assert wts[own].sum() == pytest.approx(exact, rel=1e-6)
+    for ep in g.edge_patches:
+        assert g._cylinder_nodes(ep)[1].sum() == pytest.approx(
+            cylinder_volume(g, ep), rel=1e-6)
 
 
 def test_cylinder_nodes_follow_a_reordered_edge_list(subdiv_setup):
-    # a cylinder keeps the pieces that _owners gives it at its place in the
-    # patches as they are listed now: reversing the edge list, which the
+    # a cylinder drops the pieces of the balls and of the cylinders before
+    # it in the edge list as it is now: reversing the list, which the
     # ball's overlap of all four cylinders makes visible, keeps every
     # cylinder's weight
     pl, params, _ = subdiv_setup
@@ -1134,22 +1142,19 @@ def test_cylinder_nodes_follow_a_reordered_edge_list(subdiv_setup):
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.25])
-def test_owners_gets_no_cylinder_piece_that_a_ball_holds(subdiv_setup, lam,
-                                                         monkeypatch):
-    # the pieces between a ball's two sphere roots are dropped before
-    # _owners runs; without that, most of each cylinder's pieces here lie
-    # in the ball
-    pl, params, _ = subdiv_setup
-    g = assemble(pl, params.scaled(lam))
-    seen = []
-    owners = g._owners
-    monkeypatch.setattr(g, "_owners", lambda x: seen.append(x) or owners(x))
-    for ep in g.edge_patches:
-        assert g._cylinder_nodes(ep)[1].sum() > 0
-    x = np.vstack(seen)
-    assert len(seen) == len(g.edge_patches) and len(x) > 0
-    for vp in g.vertex_patches:
-        assert not np.any(vp.mask(x))
+def test_quadrature_applies_no_mask(kuhn_setup, subdiv_setup, lam,
+                                    monkeypatch):
+    # a cylinder's own cuts drop the pieces that a ball or an earlier
+    # cylinder holds, so neither the quadrature nor |E| calls _owners;
+    # that every node is its maker's is the _owners check above
+    for pl, params, _ in (kuhn_setup, subdiv_setup):
+        g = assemble(pl, params.scaled(lam))
+        seen = []
+        monkeypatch.setattr(g, "_owners", seen.append)
+        assert g.volume_difference_set() > 0
+        assert all(g._cylinder_nodes(ep)[1].sum() > 0
+                   for ep in g.edge_patches)
+        assert seen == []
 
 
 @pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
