@@ -1,7 +1,6 @@
 """Plain, unbatched reference computations that several test modules share:
-shoelace areas, half-plane clipping, plane sections of a tetrahedron, the
-volume a cylinder owns section by section, and the sphere map of a linear
-map."""
+shoelace areas, plane sections of a tetrahedron, the volume a cylinder owns
+section by section, and the sphere map of a linear map."""
 
 import math
 from itertools import combinations
@@ -19,18 +18,6 @@ def polygon_area(poly):
     P = np.asarray(poly, dtype=float)
     x, y = P[:, 0], P[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def clip(poly, a, b):
-    """Part of the convex polygon ``poly`` (list of 2-vectors) in a.y <= b."""
-    out = []
-    for p, q in zip(poly, poly[1:] + poly[:1]):
-        fp, fq = a @ p - b, a @ q - b
-        if fp <= 0:
-            out.append(p)
-        if fp * fq < 0:
-            out.append(p + fp / (fp - fq) * (q - p))
-    return out
 
 
 def tet_section(p, n, c, origin, axes):

@@ -19,7 +19,7 @@ from plsmooth.pipeline import (SWEEP_COLUMNS, SWEEP_DEFAULTS, FacePatch,
                                SmoothingParams, assemble, choose_params,
                                format_table, lambda_sweep)
 
-from oracles import clip, cylinder_volume, polygon_area
+from oracles import cylinder_volume, polygon_area
 
 
 @pytest.fixture(scope="module")
@@ -564,6 +564,18 @@ def test_gauss_legendre_reuses_reference_rule(monkeypatch):
     assert np.array_equal(x0, x1) and np.array_equal(w0, w1)
 
 
+def _clip(poly, a, b):
+    """Part of the convex polygon ``poly`` (list of 2-vectors) in a.y <= b."""
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        fp, fq = a @ p - b, a @ q - b
+        if fp <= 0:
+            out.append(p)
+        if fp * fq < 0:
+            out.append(p + fp / (fp - fq) * (q - p))
+    return out
+
+
 def _convex_polygon(rng, m):
     """The hull of m points of a random ellipse on the integer grid, at a
     scale of 2^20, either way round: a half-plane with a small integer
@@ -602,7 +614,7 @@ def test_clip_polygons_match_clip(seed, m):
     got, k = geo.clip_polygons(pad, [len(P) for P in polys], np.array(a),
                                np.array(b))
     for i, (P, n, c) in enumerate(zip(polys, a, b)):
-        ref = clip(list(P), n, c)
+        ref = _clip(list(P), n, c)
         if len(ref) < 3:
             assert k[i] == 0
             continue
@@ -633,7 +645,7 @@ def _owned_section_area(g, fp, s):
     tri = [big * np.array(c) for c in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
     for h in geo.halfspaces_of_tet(
             g.plmap.complex.cell_points(fp.pair.cell_pos)):
-        tri = clip(tri, axes @ h[:3], -(h[:3] @ x0 + h[3]))
+        tri = _clip(tri, axes @ h[:3], -(h[:3] @ x0 + h[3]))
     disks = [(axes @ (vp.V - o), np.sqrt(vp.R ** 2 - s ** 2))
              for vp in g.vertex_patches if vp.star.vertex in fp.pair.face]
     parts = [(1.0, tri, None)] + [(-1.0, tri, d) for d in disks]
@@ -646,7 +658,7 @@ def _owned_section_area(g, fp, s):
         strip = tri
         for a, b in ((v, v @ a0 + half), (-v, half - v @ a0),
                      (-u, -(u @ a0)), (u, u @ a0 + ep.L)):
-            strip = clip(strip, a, b)
+            strip = _clip(strip, a, b)
         parts += [(-1.0, strip, None)] + [(1.0, strip, d) for d in disks]
     total = 0.0
     for sign, poly, disk in parts:
@@ -901,16 +913,23 @@ def _made(g):
     return np.repeat(np.r_[nv + ne:len(g.patches), nv:nv + ne, :nv], sizes)
 
 
-@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup",
+                                   "subdiv_without_ball"])
 @pytest.mark.parametrize("lam", [1.0, 0.25, 0.0625])
 def test_weighted_nodes_belong_to_the_patch_that_made_them(setup, lam,
                                                            request):
     # the quadrature and the dispatch share one precedence rule, which the
     # quadrature no longer applies: _owners, the dispatch's rule, gives
     # every node, of positive weight or not, to the patch that made it, and
-    # every patch keeps some of its nodes
-    pl, params, _ = request.getfixturevalue(setup)
+    # every patch keeps some of its nodes.  Without its ball the subdivided
+    # map's four cylinders overlap about the vertex, where each keeps only
+    # what the cylinders before it leave
+    pl, params, _ = request.getfixturevalue(setup.replace("_without_ball",
+                                                          "_setup"))
     g = assemble(pl, params.scaled(lam))
+    if setup == "subdiv_without_ball":
+        g = pipeline.SmoothedMap(pl, g.params, g.face_patches,
+                                 g.edge_patches, [])
     pts, wts = g.difference_quadrature()
     made = _made(g)
     assert len(made) == len(pts)
@@ -1139,6 +1158,24 @@ def test_cylinder_nodes_follow_a_reordered_edge_list(subdiv_setup):
     after = [g._cylinder_nodes(ep)[1].sum() for ep in g.edge_patches[::-1]]
     assert min(after) > 0
     assert after == pytest.approx(before, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.0625])
+def test_cylinders_without_a_ball_cede_their_overlap_forward(subdiv_setup,
+                                                            lam):
+    # without its ball the subdivided map's four cylinders overlap about
+    # the vertex: the first in the list keeps all of itself that lies in
+    # the domain, and each later one less than it keeps when listed first
+    pl, params, _ = subdiv_setup
+    g = assemble(pl, params.scaled(lam))
+    g = pipeline.SmoothedMap(pl, g.params, g.face_patches, g.edge_patches,
+                             [])
+    edges = list(g.edge_patches)
+    held = [g._cylinder_nodes(ep)[1].sum() for ep in edges]
+    assert held[0] == pytest.approx(cylinder_volume(g, edges[0]), rel=1e-6)
+    for k in range(1, len(edges)):
+        g.edge_patches = [edges[k]] + edges[:k] + edges[k + 1:]
+        assert held[k] < g._cylinder_nodes(edges[k])[1].sum() * (1 - 1e-6)
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.25])
