@@ -62,7 +62,7 @@ def cmd_validate(args):
 def cmd_smooth(args):
     plmap = _load_map(args.input)
     params = choose_params(plmap)  # validates the map first
-    g = assemble(plmap, params.scaled(args.lam))
+    g = assemble(plmap, params).scaled(args.lam)
     summary = {
         "lambda": args.lam,
         "vertex_radii": {str(k): v for k, v in g.params.R.items()},
@@ -90,8 +90,7 @@ def cmd_sweep(args):
     plmap = _load_map(args.input)
     params = choose_params(plmap)  # validates the map first
     lambdas = tuple(args.lambdas)
-    rows = lambda_sweep(plmap, params, lambdas=lambdas, p=args.p, q=args.q,
-                        rng=args.seed)
+    rows = lambda_sweep(plmap, params, lambdas=lambdas, p=args.p, q=args.q)
     lines = [format_table(rows)]
     if args.norm:
         total = float(plmap.complex.cell_volumes().sum())

@@ -2,13 +2,11 @@
 
 Everything here is plain numpy: frames, closed-form 3x3 kernels (``det3``,
 ``inv3``, ``spectral_norm``) batched over stacks of matrices and worked on
-their entries as flat arrays, and ``max_spectral_norm``, which evaluates the
-norm only where a Gershgorin bound on M^T M can reach the largest column
-norm; simplex measures, the interior-overlap test of two tetrahedra (the
-one LP, used by validation; an intersection too thin for qhull counts as
-empty), the tetrahedra that fill a frustum of one, and Gauss-Legendre
-quadrature.  The distances that parameter selection needs are exact and
-batched over stacks of points, segments and triangles:
+their entries as flat arrays; simplex measures, the interior-overlap test
+of two tetrahedra (the one LP, used by validation; an intersection too thin
+for qhull counts as empty), the tetrahedra that fill a frustum of one, and
+Gauss-Legendre quadrature.  The distances that parameter selection needs
+are exact and batched over stacks of points, segments and triangles:
 ``dist_point_simplex`` (points to triangles), ``dist_segment_triangle`` and
 ``dist_triangle_triangle``.  The difference quadrature takes its slab
 sections from two batched kernels: ``clip_polygons`` clips convex polygons
@@ -227,34 +225,6 @@ def spectral_norm(M):
         low = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
         top[close] = _double_top([a[close] for a in A], low[close])
     return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e)
-
-
-@_chunked
-def _norm_bounds(M):
-    """Lower and upper bounds (..., 2) on the spectral norm of each matrix
-    in ``M`` (..., 3, 3): its longest column, and the root of the Gershgorin
-    bound on the largest eigenvalue of M^T M, its largest absolute row
-    sum."""
-    m, e = _scaled_entries(M)
-    a00, a11, a22, a01, a02, a12 = _gram(m)
-    o01, o02, o12 = np.abs(a01), np.abs(a02), np.abs(a12)
-    low = np.maximum(np.maximum(a00, a11), a22)
-    high = np.maximum(np.maximum(a00 + o01 + o02, o01 + a11 + o12),
-                      o02 + o12 + a22)
-    return np.ldexp(np.sqrt(np.stack([low, high], axis=-1)), e[..., None])
-
-
-def max_spectral_norm(M, floor):
-    """max(floor, max(spectral_norm(M))) for a stack ``M`` (N,3,3), empty
-    too.  The norm is evaluated only for the matrices whose upper bound
-    reaches, within 1e-12 relative, the best lower bound (the longest column
-    of any matrix, or ``floor``): a superset of the maximizers, on which the
-    same kernel gives the same maximum."""
-    M = np.asarray(M, dtype=float).reshape(-1, 3, 3)
-    bounds = _norm_bounds(M)
-    best = np.max(bounds[:, 0], initial=floor)
-    cand = bounds[:, 1] >= best * (1.0 - 1e-12)
-    return float(np.max(spectral_norm(M[cand]), initial=floor))
 
 
 @dataclass(frozen=True)

@@ -129,13 +129,13 @@ def rozumny_check(norm, M, deltas, total_measure=1.0):
 # map difference (driven by the pipeline's difference quadrature)
 
 
-def linf_difference(f, g, pts, diff, rng=None):
+def linf_difference(f, g, pts, diff):
     """sup |g - f|: the largest of the differences ``diff`` = |g - f| at the
-    nodes ``pts`` that cover the difference region, refined by sampling
-    around the running maximum."""
+    nodes ``pts`` that cover the difference region, refined by fixed random
+    trials (``default_rng(0)``) around the running maximum."""
     if len(pts) == 0:
         return 0.0
-    rng = np.random.default_rng(rng if rng is not None else 0)
+    rng = np.random.default_rng(0)
     best = float(np.max(diff))
     # the first node within 1e-12 of the largest: rounding alone cannot
     # pick it among nodes of equal difference, as at mirror-image nodes

@@ -201,6 +201,10 @@ class FacePatch:
         self._edge_inv = geo.inv3(np.vstack([self.tri[1:], apex])
                                   - self.tri[0])
 
+    def scaled(self, s):
+        return FacePatch(self.pair, self.width * s, self.tri, self.apex,
+                         self.floor)
+
     def mask(self, x):
         """0 < s < width, and within 1e-12 of ``cell_pos`` by the smallest
         barycentric coordinate (the arithmetic of locate)."""
@@ -267,7 +271,7 @@ class VertexPatch:
     def scaled(self, s, base):
         out = copy.copy(self)
         out.R, out.base = self.R * s, base
-        out.smoother = VertexSmoother(out._hat, out.R, self.smoother.rho)
+        out.smoother = self.smoother.scaled(s, out._hat)
         return out
 
     def _hat(self, xrel, jac):
@@ -302,16 +306,17 @@ class SmoothedMap:
         self.vertex_patches = vertex_patches
         self.scale = plmap.complex.coordinate_scale()
         self._dq = None
-        self._slabs = None
 
     def scaled(self, lam):
         """g at ``lam`` from this map's certified patches, every radius and
         width scaled.  Each local picture is a cone (a slab in its normal
         coordinate, a cylinder across its edge, a ball about its vertex), so
-        each certificate is the one ``assemble`` would make again."""
+        each certificate is the one ``assemble`` would make again.  At its
+        own lambda it is this map."""
+        if lam == self.params.lam:
+            return self
         s, params = lam / self.params.lam, self.params.scaled(lam)
-        faces = [FacePatch(fp.pair, fp.width * s, fp.tri, fp.apex, fp.floor)
-                 for fp in self.face_patches]
+        faces = [fp.scaled(s) for fp in self.face_patches]
         edges = [ep.scaled(s) for ep in self.edge_patches]
         base = SmoothedMap(self.plmap, params, faces, edges, [])
         return SmoothedMap(self.plmap, params, faces, edges,
@@ -465,19 +470,17 @@ class SmoothedMap:
         return pts, wts, cell, made
 
     def _slab_nodes(self):
-        """(pts (F, m, 3), wts (F, m)), built once and kept: one node per
-        height s of each slab, on 4 Gauss panels of 8 on [0, w] (one 8-node
-        panel leaves 4e-3 relative error on the integral of |c - 1|^2 over
-        the ramp, four 2e-7).  In ``cell_pos`` a slab's g - f, Dg and Df
-        depend on s alone and ``inverse_pl`` puts its image in image cell
-        ``cell_pos``, so a node, T(s)'s centroid, stands for the section
-        that the slab owns by the precedence of ``_owners``: the cell's
-        triangle T(s), less the disks of radius sqrt(R^2 - s^2) of the balls
-        at the face's vertices and the strips |sigma| < sqrt(r^2 - s^2),
-        0 <= z <= L of the cylinders on its edges, plus each strip's part in
-        those disks; one clip pass and one disk pass take every term."""
-        if self._slabs is not None:
-            return self._slabs
+        """(pts (F, m, 3), wts (F, m)): one node per height s of each slab,
+        on 4 Gauss panels of 8 on [0, w] (one 8-node panel leaves 4e-3
+        relative error on the integral of |c - 1|^2 over the ramp, four
+        2e-7).  In ``cell_pos`` a slab's g - f, Dg and Df depend on s alone
+        and ``inverse_pl`` puts its image in image cell ``cell_pos``, so a
+        node, T(s)'s centroid, stands for the section that the slab owns by
+        the precedence of ``_owners``: the cell's triangle T(s), less the
+        disks of radius sqrt(R^2 - s^2) of the balls at the face's vertices
+        and the strips |sigma| < sqrt(r^2 - s^2), 0 <= z <= L of the
+        cylinders on its edges, plus each strip's part in those disks; one
+        clip pass and one disk pass take every term."""
         u, wu = _panel_gauss(np.linspace(0.0, 1.0, 5), 8)
         faces, m, pos = self.face_patches, len(u), self.plmap.complex.points
         if not faces:
@@ -530,8 +533,7 @@ class SmoothedMap:
         area = np.zeros((len(faces), m))
         np.add.at(area, k, np.reshape(sign, (-1, 1)) * geo.polygon_disk_areas(
             poly, n, ctr.reshape(-1, 2), r.ravel()).reshape(-1, m))
-        self._slabs = T.mean(axis=2), w * wu * np.maximum(area, 0.0)
-        return self._slabs
+        return T.mean(axis=2), w * wu * np.maximum(area, 0.0)
 
     def _cylinder_nodes(self, ep):
         """(pts, wts, cell): one node per piece of each (t, theta) column,
@@ -653,7 +655,7 @@ class SmoothedMap:
 
     # -- sup |g - f|
 
-    def linf_f(self, pts, diff, made, rng=None):
+    def linf_f(self, pts, diff, made):
         """sup |g - f| per patch, from the active quadrature nodes ``pts``,
         |g - f| there and the patch that ``made`` each.  A slab's g - f is
         -(1 - eta(u)) u w a, u = s / w, a its jump: its sup is w |a| KAPPA.
@@ -669,7 +671,7 @@ class SmoothedMap:
                 sups.append(self._cylinder_sup(ep, pts[m[np.argmax(diff[m])]]))
         ball = made < nv
         return max(sups + [float(np.max(diff, initial=0.0)), linf_difference(
-            self.plmap, self, pts[ball], diff[ball], rng=rng)])
+            self.plmap, self, pts[ball], diff[ball])])
 
     def _cylinder_sup(self, ep, x0):
         """sup |g - f| on a cylinder, where it does not change along the
@@ -805,7 +807,7 @@ SWEEP_DEFAULTS = {"lambdas": (1.0, 0.5, 0.25, 0.125, 0.0625), "p": 2.0,
 
 
 def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
-                 p=SWEEP_DEFAULTS["p"], q=SWEEP_DEFAULTS["q"], rng=0):
+                 p=SWEEP_DEFAULTS["p"], q=SWEEP_DEFAULTS["q"]):
     """One row of SWEEP_COLUMNS per lambda, from the active nodes of the
     difference quadrature of ``g.scaled(lam)``, g assembled and certified
     once: g and Dg at every node from one dispatch, f and Df from the cell
@@ -828,7 +830,7 @@ def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
         w1p = float(np.sum(wa * geo.spectral_norm(Dg - plmap.matrices[cf])
                            ** p) ** (1.0 / p))
         linf = g.linf_f(pa, np.linalg.norm(y - plmap.apply(pa, cf), axis=-1),
-                        g._dq[3][act], rng=rng)
+                        g._dq[3][act])
         # inverse quantities via the change of variables y = g(x)
         Dgi = geo.inv3(Dg)
         xb, ci = plmap.inverse_pl(y, tol=1e-7, extend=True)
@@ -836,8 +838,9 @@ def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
         w1q_inv = float(np.sum(wa * diff_inv ** q * geo.det3(Dg))
                         ** (1.0 / q))
         linf_inv = float(np.max(np.linalg.norm(pa - xb, axis=-1)))
-        sup_dg = geo.max_spectral_norm(Dg, piece_norm)
-        sup_dgi = geo.max_spectral_norm(Dgi, piece_inv_norm)
+        sup_dg = float(np.max(geo.spectral_norm(Dg), initial=piece_norm))
+        sup_dgi = float(np.max(geo.spectral_norm(Dgi),
+                               initial=piece_inv_norm))
         rows.append(dict(zip(SWEEP_COLUMNS,
                              (float(lam), vol, linf, w1p, linf_inv,
                               w1q_inv, sup_dg, sup_dgi))))

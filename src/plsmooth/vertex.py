@@ -10,6 +10,8 @@ the Gauss integral of its surface Jacobian (``degree``).
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from . import geometry as geo
@@ -95,13 +97,10 @@ class SphereIsotopy:
     time profile s = time_profile.  The build certifies it: the linear
     interpolant stays away from 0 at 2000 sampled points, and mu has degree
     1.  For unit x and mu(x) the interpolant is shortest at s = 1/2, where
-    its length is |x + mu(x)|/2, so that one value is tested.  Without
-    ``certify`` mu is one already certified at another scale."""
+    its length is |x + mu(x)|/2, so that one value is tested."""
 
-    def __init__(self, mu, certify=True):
+    def __init__(self, mu):
         self.mu = mu
-        if not certify:
-            return
         rng = np.random.default_rng(3)
         pts = geo.normalize(rng.normal(size=(2000, 3)))
         if float(np.min(np.linalg.norm(pts + mu(pts), axis=-1))) / 2 < 1e-3:
@@ -151,22 +150,14 @@ class VertexSmoother:
     ``x`` (N,3) relative to the vertex and, when ``jac``, its Jacobian,
     else None.  One pass over the shells, ``apply``, gives the value and the
     Jacobian; each stage gives both together.  The ball is a cone about its
-    vertex, so with ``rho`` from another radius it certifies nothing again:
-    hat_g(s x) = s hat_g(x) where each slab and cylinder scales by s."""
+    vertex: hat_g(s x) = s hat_g(x) where each slab and cylinder scales by
+    s, so ``scaled`` keeps rho and the isotopy check."""
 
-    def __init__(self, hat, R, rho=None):
+    def __init__(self, hat, R):
         self.hat = hat
         self.R = float(R)
         rr = _FLATTEN / _QUARTERS * self.R
-
-        def ambient(x, jac):
-            G, J = self.hat(x * rr, jac)
-            return G, (J * rr if jac else None)
-
-        self.mu = SphereMap(ambient)
-        if rho is not None:
-            self.rho, self.isotopy = rho, SphereIsotopy(self.mu, certify=False)
-            return
+        self.mu = SphereMap(self._ambient)
         rng = np.random.default_rng(5)
         sph = geo.normalize(rng.normal(size=(4096, 3)))
         norms = np.linalg.norm(self.hat(sph * rr, False)[0], axis=-1)
@@ -182,6 +173,22 @@ class VertexSmoother:
             raise ConstructionError(
                 "radial monotonicity of hat_g fails on the flattening shell")
         self.isotopy = SphereIsotopy(self.mu)
+
+    def scaled(self, s, hat):
+        """The smoother of radius s R about ``hat``, hat_g scaled by s."""
+        out = copy.copy(self)
+        out.hat, out.R = hat, self.R * s
+        out.mu = SphereMap(out._ambient)
+        out.isotopy = copy.copy(self.isotopy)
+        out.isotopy.mu = out.mu
+        return out
+
+    def _ambient(self, x, jac):
+        """hat_g on the flattening sphere of radius 3R/4, the ambient map
+        of the sphere map mu."""
+        rr = _FLATTEN / _QUARTERS * self.R
+        G, J = self.hat(x * rr, jac)
+        return G, (J * rr if jac else None)
 
     # -- evaluation
 

@@ -116,3 +116,27 @@ def linear_sphere_map(M):
     M = np.asarray(M, dtype=float)
     return SphereMap(lambda x, jac: (
         x @ M.T, np.broadcast_to(M, (len(x), 3, 3)) if jac else None))
+
+
+def seeded_linf_difference(f, g, pts, diff, seed):
+    """sup |g - f| as ``norms.linf_difference`` took it with a seed: the
+    largest node refined by three rounds of 400 trials from
+    ``default_rng(seed)`` around the running maximum."""
+    if len(pts) == 0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    best = float(np.max(diff))
+    center = pts[int(np.argmax(diff >= best * (1.0 - 1e-12)))]
+    radius = 0.1 * float(np.max(np.ptp(pts, axis=0)) or 1.0)
+    for _ in range(3):
+        trial = center + rng.normal(scale=radius, size=(400, 3))
+        trial = trial[g.contains(trial)]
+        if len(trial) == 0:
+            radius *= 0.5
+            continue
+        d = np.linalg.norm(g.evaluate(trial) - f(trial), axis=-1)
+        k = int(np.argmax(d))
+        if d[k] > best:
+            best, center = float(d[k]), trial[k]
+        radius *= 0.5
+    return best

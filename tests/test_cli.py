@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from plsmooth.builders import (kuhn_grid, kuhn_identity, perturbed_kuhn_map,
-                               subdivided_tet, two_tet_map)
+                               subdivided_tet, subdivided_tet_map, two_tet_map)
 import plsmooth.cli
 from plsmooth.cli import main
 from plsmooth.errors import (CertificationError, ConstructionError,
@@ -17,12 +17,20 @@ from plsmooth.errors import (CertificationError, ConstructionError,
                              PLSmoothError)
 from plsmooth.mesh import (PLMap, SimplicialComplex, pl_map_from_vertex_images,
                            save_document, validate_pl_homeo)
+from plsmooth.pipeline import SmoothedMap, assemble, choose_params
 
 
 @pytest.fixture(scope="module")
 def kuhn_doc(tmp_path_factory):
     path = tmp_path_factory.mktemp("docs") / "kuhn.json"
     save_document(perturbed_kuhn_map(), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def subdiv_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("docs") / "subdiv.json"
+    save_document(subdivided_tet_map(), path)
     return str(path)
 
 
@@ -207,6 +215,35 @@ def test_smooth_summary(kuhn_doc, tmp_path):
     for key in ("edge_radii", "face_widths", "face_floor", "edge_rho"):
         for simplex in summary[key]:
             assert re.fullmatch(r"\(\d+, \d+(, \d+)?\)", simplex), simplex
+
+
+def test_smooth_keeps_the_certificates_of_lambda_one(subdiv_doc, tmp_path):
+    # smooth scales the map certified at lambda = 1, so every certificate
+    # it prints is bit-equal at any lambda, the ball's rho too
+    summaries = []
+    for lam in ("1", "0.0625"):
+        out = tmp_path / f"{lam}.json"
+        assert main(["smooth", subdiv_doc, "--lam", lam,
+                     "--out", str(out)]) == 0
+        summaries.append(json.loads(out.read_text()))
+    for key in ("vertex_rho", "edge_rho", "face_floor"):
+        assert summaries[0][key] and summaries[0][key] == summaries[1][key]
+
+
+def test_smooth_builds_the_scaled_map(subdiv_doc, tmp_path, monkeypatch):
+    # the map smooth --lam 0.5 builds is the certified map's scaled copy:
+    # g and Dg are equal to those of assemble(...).scaled(0.5)
+    built, scaled = [], SmoothedMap.scaled
+    monkeypatch.setattr(SmoothedMap, "scaled", lambda g, lam: built.append(
+        scaled(g, lam)) or built[-1])
+    assert main(["smooth", subdiv_doc, "--lam", "0.5",
+                 "--out", str(tmp_path / "s.json")]) == 0
+    pl = subdivided_tet_map()
+    ref = scaled(assemble(pl, choose_params(pl)), 0.5)
+    x = ref.sample_patches(n_per_patch=200)
+    g, = built
+    for a, b in zip(g._dispatch(x, jac=True), ref._dispatch(x, jac=True)):
+        assert np.array_equal(a, b)
 
 
 def test_sweep_table_and_rozumny(kuhn_doc, tmp_path):

@@ -368,59 +368,6 @@ def test_spectral_norm_matches_svd():
     assert geo.spectral_norm([np.diag([2.0, -5.0, 1.0])]) == pytest.approx([5.0])
 
 
-def test_max_spectral_norm_equals_the_kernels_maximum():
-    # the Gershgorin pre-selection must keep every maximizer: the result is
-    # the kernel's maximum bit for bit, with the floor above or below it
-    rng = np.random.default_rng(8)
-    cases = _norm_cases()
-    cases["diagonal"] = np.array([np.diag(d) for d in
-                                  rng.choice([-3.0, 1.0, 3.0], (200, 3))])
-    cases["identities"] = np.broadcast_to(np.eye(3), (100, 3, 3))
-    # the norm is the longest column in exact arithmetic, and each rounded
-    # bound and norm lands an ulp or so either side of 3
-    Q, _ = np.linalg.qr(rng.normal(size=(2000, 3, 3)))
-    cases["orthogonal columns"] = Q * np.array([3.0, 1.0, 3.0])
-    for name in sorted(set(cases) - {"tiny", "huge"}):
-        M = cases[name]
-        for scale in (1e-200, 1e200):
-            cases[f"{name} x {scale:g}"] = scale * M
-    for name, M in cases.items():
-        top = float(np.max(geo.spectral_norm(M)))
-        for floor in (0.0, 0.5 * top, top, np.nextafter(top, np.inf),
-                      2.0 * top):
-            assert geo.max_spectral_norm(M, floor) == max(floor, top), \
-                (name, floor)
-    for floor in (0.0, 1.5):
-        assert geo.max_spectral_norm(np.zeros((0, 3, 3)), floor) == floor
-
-
-def test_max_spectral_norm_margin_keeps_a_norm_above_its_bound():
-    # the rounded norm of a matrix can exceed its own rounded Gershgorin
-    # bound by ulps, and another matrix's longest column can round between
-    # the two; the margin keeps the first, the larger, as a candidate
-    rng = np.random.default_rng(8)
-    Q, _ = np.linalg.qr(rng.normal(size=(2000, 3, 3)))
-    M = Q * np.array([3.0, 1.0, 3.0])
-    bounds, norms = geo._norm_bounds(M), geo.spectral_norm(M)
-    i = int(np.argmax(norms - bounds[:, 1]))
-    j = np.flatnonzero((bounds[:, 0] > bounds[i, 1]) & (norms < norms[i]))
-    assert len(j) > 0
-    assert geo.max_spectral_norm(M[[i, j[0]]], 0.0) == norms[i]
-
-
-def test_max_spectral_norm_skips_dominated_matrices(monkeypatch):
-    # a matrix whose Gershgorin bound lies below another's longest column
-    # cannot hold the maximum, and the norm is not evaluated for it
-    M = np.concatenate([np.eye(3)[None] * 4.0,
-                        np.random.default_rng(9).uniform(-1, 1, (50, 3, 3))])
-    seen = []
-    real = geo.spectral_norm
-    monkeypatch.setattr(geo, "spectral_norm",
-                        lambda A: seen.append(len(A)) or real(A))
-    assert geo.max_spectral_norm(M, 0.0) == 4.0
-    assert seen == [1]
-
-
 def _kernel_cases():
     """Stacks of 3x3 matrices for det3 and inv3: Gaussian, rank-deficient,
     near-identity, tiny and huge."""
