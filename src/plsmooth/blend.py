@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import geometry as geo
 from .errors import DomainError, InvalidInputError
@@ -32,9 +31,15 @@ def eta(t):
     mid = ~(lo | hi)
     out[lo] = 0.0
     out[hi] = 1.0
-    tm = t[mid]
-    out[mid] = expit(1.0 / (1.0 - tm) - 1.0 / tm)
+    out[mid] = _logistic(t[mid])
     return out if out.ndim else float(out)
+
+
+def _logistic(t):
+    """expit(1/(1-t) - 1/t) for 0 < t < 1.  Near t = 0 the exponential
+    overflows to inf and the step is exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(1.0 / t - 1.0 / (1.0 - t)))
 
 
 def _psi(t):
@@ -47,8 +52,9 @@ def eta_prime(t):
     out = np.zeros_like(t)
     mid = (t > 0.0) & (t < 1.0)
     tm = t[mid]
-    e = expit(1.0 / (1.0 - tm) - 1.0 / tm)
-    out[mid] = e * (1.0 - e) * _psi(tm)
+    e = _logistic(tm)
+    # psi overflows below t = 1e-154, where e, and so eta', is 0 already
+    out[mid] = e * (1.0 - e) * _psi(np.maximum(tm, 1e-150))
     return out if out.ndim else float(out)
 
 

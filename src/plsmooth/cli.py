@@ -161,11 +161,12 @@ _RANGES = {
 
 def _check_ranges(args):
     """ParseError for the first numeric option (or item) out of range, or
-    --norm spec that does not parse, before any work is done.  ``validate``
-    reads none of them, so its --seed, common to all, goes unchecked."""
-    if args.command == "validate":
-        return
+    --norm spec that does not parse, before any work is done.  The --seed
+    common to all commands is checked for ``smooth``, the one that reads
+    it."""
     for opt, (ok, text) in _RANGES.items():
+        if opt == "seed" and args.command != "smooth":
+            continue
         val = getattr(args, opt, None)
         for v in val if isinstance(val, (list, tuple)) else [val]:
             if v is not None and not ok(v):

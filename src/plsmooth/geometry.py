@@ -3,8 +3,9 @@
 Everything here is plain numpy: frames, closed-form 3x3 kernels (``det3``,
 ``inv3``, ``spectral_norm``) batched over stacks of matrices and worked on
 their entries as flat arrays; simplex measures, the interior-overlap test
-of two tetrahedra (the one LP, used by validation; an intersection too thin
-for qhull counts as empty), the tetrahedra that fill a frustum of one, and
+of two tetrahedra (the one LP, used by validation and the one use of scipy,
+which it imports when it runs; an intersection too thin for qhull counts as
+empty), the tetrahedra that fill a frustum of one, and
 Gauss-Legendre quadrature.  The distances that parameter selection needs
 are exact and batched over stacks of points, segments and triangles:
 ``dist_point_simplex`` (points to triangles), ``dist_segment_triangle`` and
@@ -21,8 +22,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 
 # matrices per chunk of the 3x3 kernels: bounds their temporaries
@@ -372,6 +371,7 @@ def halfspaces_of_tet(p):
 def _chebyshev_center(H):
     """Centre and radius of the largest ball in {x: a.x + b <= 0 per row
     (a, b)} of unit normals a; radius 0 when the LP fails."""
+    from scipy.optimize import linprog  # scipy loads only when an LP runs
     c = np.array([0.0, 0.0, 0.0, -1.0])
     A_ub = np.hstack([H[:, :3], np.ones((len(H), 1))])
     res = linprog(c, A_ub=A_ub, b_ub=-H[:, 3],
@@ -387,6 +387,7 @@ def convex_interior_overlap(pa, pb, tol=1e-10):
     or (0.0, None).  Uses the Chebyshev centre LP followed by a hull volume;
     an intersection too thin for qhull to build also gives (0.0, None).
     """
+    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
     H = np.vstack([halfspaces_of_tet(pa), halfspaces_of_tet(pb)])
     center, radius = _chebyshev_center(H)
     if radius <= tol:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geometry as geo
 from .errors import (ContinuityError, DegenerateSimplexError, DomainError,
@@ -194,8 +193,7 @@ class SimplicialComplex:
         P = self.points[self.cells]
         ctr = P.mean(axis=1)
         reach = float(np.linalg.norm(P - ctr[:, None], axis=2).max())
-        pairs = cKDTree(ctr).query_pairs(2.0 * reach + tol, output_type="ndarray")
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        pairs = close_pairs(ctr, 2.0 * reach + tol)
         lo, hi = P.min(axis=1), P.max(axis=1)
         a, b = pairs[:, 0], pairs[:, 1]
         meet = np.all((lo[a] <= hi[b] + tol) & (lo[b] <= hi[a] + tol), axis=1)
@@ -206,6 +204,50 @@ class SimplicialComplex:
     def to_dict(self):
         return {"points": self.points.tolist(),
                 "cells": self.cells.tolist()}
+
+
+# the offsets of a grid cell itself and of its 13 forward neighbours: each
+# pair of neighbouring grid cells is met from exactly one of its two ends
+_FORWARD = np.array([o for o in product((-1, 0, 1), repeat=3)
+                     if o >= (0, 0, 0)])
+
+
+def close_pairs(x, r):
+    """Index pairs (i, j), i < j, in lexicographic order, of the rows of
+    ``x`` (n,3) at most ``r`` apart.  A uniform grid of cell side r buckets
+    the points, and each grid cell meets itself and its 13 forward
+    neighbours, so the work is linear in points of bounded density."""
+    if not np.isfinite(x).all():
+        raise ValueError("points must be finite")
+    lo = x.min(axis=0, initial=np.inf)
+    span = float((x.max(axis=0, initial=-np.inf) - lo).max(initial=0.0))
+    # a coarser grid stays exact; 2^20 cells a side keep the keys in int64
+    side = max(r, span / 2.0 ** 20)
+    # a margin of one grid cell a side keeps every neighbour's key distinct
+    ijk = np.floor((x - lo) / (side if side > 0 else 1.0)).astype(np.int64) + 1
+    dims = ijk.max(axis=0, initial=0) + 2
+    key = (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
+    order = np.argsort(key, kind="stable")
+    cell, start, count = np.unique(key[order], return_index=True,
+                                   return_counts=True)
+    # every occupied grid cell a against each occupied forward neighbour b
+    steps = _FORWARD @ [dims[1] * dims[2], dims[2], 1]
+    want = (cell + steps[:, None]).ravel()
+    at = np.minimum(np.searchsorted(cell, want), len(cell) - 1)
+    hit = np.flatnonzero(cell[at] == want)
+    a, b = hit % len(cell), at[hit]
+    # every member of a against every member of b
+    m = count[a] * count[b]
+    pos = np.repeat(np.arange(len(a)), m)
+    k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    i = start[a][pos] + k // count[b][pos]
+    j = start[b][pos] + k % count[b][pos]
+    keep = (a[pos] != b[pos]) | (i < j)
+    i, j = order[i[keep]], order[j[keep]]
+    d2 = (x[i] - x[j]) ** 2
+    near = d2[:, 0] + d2[:, 1] + d2[:, 2] <= r * r
+    pairs = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)[near]
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 # Cell pairs are checked this many at a time; the (pairs, 56, 3, 3) plane

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import root as sp_root
 
 from . import edge, vertex
 from . import geometry as geo
@@ -24,6 +23,13 @@ from .errors import ConstructionError, ParameterError
 from .mesh import opposite_faces, pieces_agree, validate_pl_homeo
 from .norms import linf_difference
 from .vertex import VertexSmoother
+
+
+def sp_root(*args, **kwargs):
+    """``scipy.optimize.root``, imported at the first call: only the Powell
+    fallback of :meth:`SmoothedMap.inverse` uses scipy here."""
+    from scipy.optimize import root
+    return root(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ class SphereMap:
 
 def integral_degree(mu, n_polar=32, n_azimuth=64):
     """Degree as the normalized integral of the surface Jacobian."""
-    nodes, wts = np.polynomial.legendre.leggauss(n_polar)
+    nodes, wts = geo.gauss_legendre(n_polar, -1.0, 1.0)
     phi = np.arccos(nodes)
     psi = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
     PH, PS = np.meshgrid(phi, psi, indexing="ij")

@@ -1,11 +1,13 @@
 """Plain, unbatched reference computations that several test modules share:
 shoelace areas, plane sections of a tetrahedron, the volume a cylinder owns
-section by section, and the sphere map of a linear map."""
+section by section, the sphere map of a linear map, and a complex's candidate
+cell pairs from a k-d tree."""
 
 import math
 from itertools import combinations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from plsmooth import geometry as geo
 from plsmooth.vertex import SphereMap
@@ -140,3 +142,19 @@ def seeded_linf_difference(f, g, pts, diff, seed):
             best, center = float(d[k]), trial[k]
         radius *= 0.5
     return best
+
+
+def candidate_pairs(cx, tol):
+    """The cell pairs of :meth:`SimplicialComplex._candidate_pairs` from a
+    k-d tree over the centroids in place of its grid: pairs within twice the
+    largest centroid-to-vertex reach plus ``tol``, in lexicographic order,
+    whose bounding boxes meet within ``tol``."""
+    P = cx.points[cx.cells]
+    ctr = P.mean(axis=1)
+    reach = float(np.linalg.norm(P - ctr[:, None], axis=2).max())
+    pairs = cKDTree(ctr).query_pairs(2.0 * reach + tol, output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    lo, hi = P.min(axis=1), P.max(axis=1)
+    a, b = pairs[:, 0], pairs[:, 1]
+    meet = np.all((lo[a] <= hi[b] + tol) & (lo[b] <= hi[a] + tol), axis=1)
+    return pairs[meet]

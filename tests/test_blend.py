@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import expit
 from scipy.spatial.transform import Rotation
 
 from plsmooth import geometry as geo
@@ -18,6 +19,32 @@ def test_eta_endpoints_and_midpoint():
     assert eta(0.5) == pytest.approx(0.5, abs=1e-15)
     assert eta(-3.0) == 0.0
     assert eta(4.0) == 1.0
+
+
+def test_eta_logistic_matches_expit():
+    # eta takes the logistic of phi = 1/(1-t) - 1/t as 1 / (1 + exp(-phi))
+    # with numpy's exp, where scipy's expit uses the C library's; the two
+    # exps may differ by 1 ulp, which leaves the steps within 1 ulp of 1,
+    # the top of eta's range (3 ulps of the value, measured, in the tails)
+    t = np.concatenate([np.linspace(0.0, 1.0, 400001)[1:-1],
+                        np.geomspace(1e-300, 0.5, 20001),
+                        1.0 - np.geomspace(2.0 ** -53, 0.5, 20001)])
+    with np.errstate(over="ignore"):
+        ref = expit(1.0 / (1.0 - t) - 1.0 / t)
+    gap = np.abs(eta(t) - ref)
+    assert gap.max() <= np.spacing(1.0)
+    assert np.max(gap / np.spacing(ref)) <= 4.0
+
+
+def test_eta_is_exactly_flat_at_its_ends_without_warnings():
+    # exp overflows to inf near t = 0, where the step is exactly 0; eta' is
+    # 0 there too, not 0 * inf (filterwarnings = error turns any warning
+    # into a failure)
+    low = np.array([5e-324, 1e-310, 1e-200, 1e-4])
+    high = 1.0 - np.array([2.0 ** -53, 1e-12, 1e-3, 0.02])
+    assert np.all(eta(low) == 0.0) and np.all(eta(high) == 1.0)
+    assert np.all(eta_prime(np.concatenate([low, high])) == 0.0)
+    assert eta(5e-324) == 0.0 and eta_prime(5e-324) == 0.0
 
 
 def test_eta_monotone():

@@ -2,7 +2,11 @@
 and reproducibility."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +157,30 @@ def test_slab_beside_an_interior_face_at_a_boundary_edge_exits_3(
         for name in ("face (0, 1, 2)", "boundary edge (0, 1)",
                      "interior face (0, 1, 3)"):
             assert name in err, (command, err)
+
+
+_NO_SCIPY = """
+import json, sys
+from plsmooth.cli import main
+codes = [main([command, doc, "--out", sys.argv[3]]) for doc in sys.argv[1:3]
+         for command in ("validate", "smooth", "sweep")]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_commands_load_no_scipy(kuhn_doc, subdiv_doc, tmp_path):
+    # scipy serves only the validation LP and the inverse's Powell fallback;
+    # neither runs on these maps, so a fresh process never imports it
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, kuhn_doc, subdiv_doc,
+         str(tmp_path / "out.txt")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, check=True)
+    codes, scipy_modules = json.loads(run.stdout)
+    assert codes == [0] * 6
+    assert scipy_modules == []
 
 
 def test_missing_file_exits_1(capsys):
@@ -311,7 +339,7 @@ def test_sweep_rejects_exponents_outside_one_to_inf(kuhn_doc, capsys, opt,
     ("smooth", "--lam", ["nan"]), ("sweep", "--lambdas", ["1", "2"]),
     ("sweep", "--lambdas", ["0.5", "nan"]), ("sweep", "--epsilon", ["nan"]),
     ("sweep", "--epsilon", ["-1"]), ("sweep", "--epsilon", ["0"]),
-    ("smooth", "--seed", ["-1"]), ("sweep", "--seed", ["-1"])])
+    ("smooth", "--seed", ["-1"])])
 def test_option_out_of_range_exits_1_before_any_work(kuhn_doc, capsys,
                                                      monkeypatch, command,
                                                      opt, vals):
@@ -323,11 +351,20 @@ def test_option_out_of_range_exits_1_before_any_work(kuhn_doc, capsys,
     assert f"{opt} must lie in" in capsys.readouterr().err
 
 
-def test_validate_ignores_the_seed_it_does_not_read(kuhn_doc, tmp_path):
+@pytest.mark.parametrize("command,args", [
+    ("validate", []), ("sweep", ["--lambdas", "1.0", "--epsilon", "10"])])
+def test_sweep_and_validate_accept_the_seed_they_do_not_read(
+        kuhn_doc, tmp_path, command, args):
+    # only smooth reads --seed, so only smooth checks its range
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": -1}))
-    assert main(["validate", kuhn_doc, "--seed", "-1"]) == 0
-    assert main(["--config", str(cfg), "validate", kuhn_doc]) == 0
+    outs = [tmp_path / f"{k}.txt" for k in range(3)]
+    assert main([command, kuhn_doc, *args, "--out", str(outs[0])]) == 0
+    assert main([command, kuhn_doc, *args, "--seed", "-1",
+                 "--out", str(outs[1])]) == 0
+    assert main(["--config", str(cfg), command, kuhn_doc, *args,
+                 "--out", str(outs[2])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_option_range_applies_to_config_values(kuhn_doc, tmp_path, capsys):

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 import plsmooth as ps
@@ -20,9 +21,10 @@ from plsmooth.errors import (ContinuityError, DegenerateSimplexError,
                              OrientationError, ParseError)
 from plsmooth.geometry import barycentric, tet_volume
 from plsmooth.mesh import (PLMap, SimplicialComplex, _edge_plane_separated,
-                           edge_fans, face_pairs, load_complex,
+                           close_pairs, edge_fans, face_pairs, load_complex,
                            pl_map_from_vertex_images, save_document,
                            validate_pl_homeo, vertex_stars)
+from oracles import candidate_pairs
 
 
 def test_kuhn_cube_combinatorics():
@@ -515,6 +517,50 @@ def test_candidate_pairs_linear_in_cells():
     # each: at most 27 * 6 / 2 pairs per cell, against m (m - 1) / 2 = 73,536
     # pairs of all 384 cells
     assert len(pairs) <= 27 * 6 // 2 * cx.n_cells
+
+
+_PAIR_CASES = {
+    "perturbed_kuhn": lambda: perturbed_kuhn_map().complex,
+    "perturbed_kuhn_image": lambda: perturbed_kuhn_map().inverse_pieces()[0],
+    "subdivided_tet": lambda: subdivided_tet_map().complex,
+    "subdivided_tet_image":
+        lambda: subdivided_tet_map().inverse_pieces()[0],
+    "kuhn_grid_3": lambda: kuhn_grid(3, 3, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_PAIR_CASES))
+def test_candidate_pairs_match_a_kd_tree(case):
+    cx = _PAIR_CASES[case]()
+    tol = 1e-10 * cx.coordinate_scale()
+    np.testing.assert_array_equal(cx._candidate_pairs(tol),
+                                  candidate_pairs(cx, tol))
+
+
+@settings(max_examples=40, deadline=None)
+@given(moves=st.lists(st.tuples(*[st.floats(-0.45, 0.45)] * 3),
+                      min_size=27, max_size=27))
+def test_candidate_pairs_match_a_kd_tree_on_perturbed_grids(moves):
+    cx = kuhn_grid(2, 2, 2)
+    cy = SimplicialComplex(cx.points + np.array(moves), cx.cells,
+                           validate=False)
+    tol = 1e-10 * cy.coordinate_scale()
+    np.testing.assert_array_equal(cy._candidate_pairs(tol),
+                                  candidate_pairs(cy, tol))
+
+
+# lattice coordinates and radii put many pairs exactly at the radius
+_coord = st.one_of(st.floats(-10.0, 10.0), st.integers(-4, 4).map(float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=st.lists(st.tuples(_coord, _coord, _coord), max_size=60),
+       r=st.one_of(st.floats(0.0, 20.0), st.integers(0, 4).map(float)))
+def test_close_pairs_match_a_kd_tree(pts, r):
+    x = np.array(pts, dtype=float).reshape(-1, 3)
+    ref = cKDTree(x).query_pairs(r, output_type="ndarray").reshape(-1, 2)
+    np.testing.assert_array_equal(
+        close_pairs(x, r), ref[np.lexsort((ref[:, 1], ref[:, 0]))])
 
 
 @pytest.mark.parametrize("shift", [(1e4, 0, 0), (-3e5, 2e5, 7e4)])
