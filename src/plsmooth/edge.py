@@ -15,8 +15,7 @@ from the identity to the lift H of the squeeze circle map.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,8 +150,8 @@ class EdgeSmoother:
     near its ends, so the map is already linear for t <= 7r/15).  One pass
     over the regions, ``apply``, gives the value and the Jacobian; each
     stage gives both together.  It is a cone across its edge: each blend
-    and stage reads its coordinate over r or its width, so ``scaled`` keeps
-    its checks, the blends' floors, rho and the psi reference.
+    and stage reads its coordinate over r or its width, so a scaled
+    cylinder reads it dilated (``pipeline.EdgePatch``).
     """
 
     fan: EdgeFan
@@ -176,12 +175,6 @@ class EdgeSmoother:
         self.lam = self.fan.lam
         self.blends = ray_blends(self.fan, self.widths)
         self._setup_planar()
-
-    def scaled(self, s):
-        out = copy.copy(self)
-        out.radius, out.widths = self.radius * s, self.widths * s
-        out.blends = [replace(b, width=b.width * s) for b in self.blends]
-        return out
 
     # -- planar reduction helpers
     #

@@ -232,9 +232,13 @@ class FacePatch:
 
 
 class EdgePatch:
+    """The cylinder of radius ``r`` about a fan's edge.  Scaled, it keeps
+    its smoother G and reads it dilated by the product d of the scales:
+    g = d G(y / d), Dg = DG(y / d), y in the edge frame (``EdgeSmoother``)."""
+
     def __init__(self, fan, widths, radius):
         self.fan = fan
-        self.r = float(radius)
+        self.r, self.dilation = float(radius), 1.0
         self.L = fan.length
         self.smoother = EdgeSmoother(fan, widths, radius)
         # sup |g - f| / r, shared with the scaled copies (_cylinder_sup)
@@ -242,7 +246,7 @@ class EdgePatch:
 
     def scaled(self, s):
         out = copy.copy(self)
-        out.r, out.smoother = self.r * s, self.smoother.scaled(s)
+        out.r, out.dilation = self.r * s, self.dilation * s
         return out
 
     def mask(self, x):
@@ -251,33 +255,34 @@ class EdgePatch:
         return (t < self.r) & (y[:, 2] >= 0.0) & (y[:, 2] <= self.L)
 
     def evaluate(self, x):
-        y = self.fan.to_frame(x)
-        return self.fan.image_to_world(self.smoother.apply(y, False)[0])
+        d = self.dilation
+        return self.fan.image_to_world(
+            d * self.smoother.apply(self.fan.to_frame(x) / d, False)[0])
 
     def jacobian(self, x):
-        y = self.fan.to_frame(x)
-        z, J = self.smoother.apply(y, True)
-        return self.fan.image_to_world(z), self.fan.S.T @ J @ self.fan.Q
+        d = self.dilation
+        z, J = self.smoother.apply(self.fan.to_frame(x) / d, True)
+        return self.fan.image_to_world(d * z), self.fan.S.T @ J @ self.fan.Q
 
 
 class VertexPatch:
     """The ball of ``radius`` about a star's vertex.  Its smoother's hat_g
     is ``base``, the assembled map without vertex balls (faces blended,
-    edges extended), relative to the vertex and its image."""
+    edges extended), relative to the vertex and its image.  Scaled, like a
+    cylinder, it keeps its smoother G: g = fV + d G(y / d), y = x - V."""
 
     def __init__(self, star, radius, base, plmap):
         self.V = star.V
-        self.R = float(radius)
+        self.R, self.dilation = float(radius), 1.0
         self.star = star
         ci = star.cells[0]
         self.fV = (plmap.matrices[ci] @ self.V) + plmap.offsets[ci]
         self.base = base
         self.smoother = VertexSmoother(self._hat, self.R)
 
-    def scaled(self, s, base):
+    def scaled(self, s):
         out = copy.copy(self)
-        out.R, out.base = self.R * s, base
-        out.smoother = self.smoother.scaled(s, out._hat)
+        out.R, out.dilation = self.R * s, self.dilation * s
         return out
 
     def _hat(self, xrel, jac):
@@ -288,11 +293,13 @@ class VertexPatch:
         return np.linalg.norm(x - self.V, axis=-1) < self.R
 
     def evaluate(self, x):
-        return self.fV + self.smoother.apply(x - self.V, False)[0]
+        d = self.dilation
+        return self.fV + d * self.smoother.apply((x - self.V) / d, False)[0]
 
     def jacobian(self, x):
-        z, J = self.smoother.apply(x - self.V, True)
-        return self.fV + z, J
+        d = self.dilation
+        z, J = self.smoother.apply((x - self.V) / d, True)
+        return self.fV + d * z, J
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +324,15 @@ class SmoothedMap:
         """g at ``lam`` from this map's certified patches, every radius and
         width scaled.  Each local picture is a cone (a slab in its normal
         coordinate, a cylinder across its edge, a ball about its vertex), so
-        each certificate is the one ``assemble`` would make again.  At its
-        own lambda it is this map."""
+        each certificate is the one ``assemble`` would make again, and each
+        cylinder or ball keeps its smoother.  At its own lambda, this map."""
         if lam == self.params.lam:
             return self
-        s, params = lam / self.params.lam, self.params.scaled(lam)
-        faces = [fp.scaled(s) for fp in self.face_patches]
-        edges = [ep.scaled(s) for ep in self.edge_patches]
-        base = SmoothedMap(self.plmap, params, faces, edges, [])
-        return SmoothedMap(self.plmap, params, faces, edges,
-                           [vp.scaled(s, base) for vp in self.vertex_patches])
+        s = lam / self.params.lam
+        return SmoothedMap(self.plmap, self.params.scaled(lam),
+                           [fp.scaled(s) for fp in self.face_patches],
+                           [ep.scaled(s) for ep in self.edge_patches],
+                           [vp.scaled(s) for vp in self.vertex_patches])
 
     @property
     def patches(self):
@@ -563,15 +569,12 @@ class SmoothedMap:
         holds by the precedence of ``_owners``; then the pieces in no cell.
         The weights left sum to the volume the cylinder owns.  A node takes
         the first cell by index whose interval holds it, the exact-first
-        rule of ``locate``."""
+        rule of ``locate``.  Only the cells, balls and cylinders at the
+        edge's two ends are cut: the cylinder meets no other."""
         L, e = ep.L, ep.fan.direction
         p, area = self._columns(ep)
-        # the cells, balls and cylinders whose bounding boxes meet its own
-        box = _cylinder_box(ep)
-        near = lambda lo, hi: np.all((lo <= box[1]) & (hi >= box[0]), -1)
-        cx = self.plmap.complex
-        P = cx.points[cx.cells]
-        cells = np.flatnonzero(near(P.min(axis=1), P.max(axis=1)))
+        cx, tips = self.plmap.complex, set(ep.fan.edge)
+        cells = np.unique(np.concatenate([cx.vertex_cells[v] for v in tips]))
         lo, hi = geo.line_cell_intervals(p[:, None], e, cx._p0[cells],
                                          cx._edge_inv[cells])
         hit = lo <= hi
@@ -581,13 +584,13 @@ class SmoothedMap:
         held, inf = [], np.full(len(p), np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             for vp in self.vertex_patches:
-                if near(vp.V - vp.R, vp.V + vp.R):
+                if vp.star.vertex in tips:
                     held.append((*_roots(1.0, (p - vp.V) @ e, np.sum(
                         (p - vp.V) ** 2, axis=-1) - vp.R ** 2), -inf, inf))
             cuts += [z for span in held for z in span[:2]]
             own = self.edge_patches.index(ep)
             for k, other in enumerate(self.edge_patches):
-                if k == own or not near(*_cylinder_box(other)):
+                if k == own or not tips & set(other.fan.edge):
                     continue
                 y, f = other.fan.to_frame(p), other.fan.Q @ e
                 side = _roots(f[:2] @ f[:2], y[:, :2] @ f[:2],
@@ -752,12 +755,6 @@ def _panel_gauss(breaks, n):
         nodes.append(x)
         wts.append(w)
     return np.concatenate(nodes), np.concatenate(wts)
-
-
-def _cylinder_box(ep):
-    """The corners of a cylinder's axis-aligned bounding box."""
-    ends = ep.fan.V0 + np.outer([0.0, ep.L], ep.fan.direction)
-    return ends.min(axis=0) - ep.r, ends.max(axis=0) + ep.r
 
 
 def _roots(a, b, c):

@@ -10,8 +10,6 @@ the Gauss integral of its surface Jacobian (``degree``).
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from . import geometry as geo
@@ -151,7 +149,7 @@ class VertexSmoother:
     else None.  One pass over the shells, ``apply``, gives the value and the
     Jacobian; each stage gives both together.  The ball is a cone about its
     vertex: hat_g(s x) = s hat_g(x) where each slab and cylinder scales by
-    s, so ``scaled`` keeps rho and the isotopy check."""
+    s, so a scaled ball reads it dilated (``pipeline.VertexPatch``)."""
 
     def __init__(self, hat, R):
         self.hat = hat
@@ -173,15 +171,6 @@ class VertexSmoother:
             raise ConstructionError(
                 "radial monotonicity of hat_g fails on the flattening shell")
         self.isotopy = SphereIsotopy(self.mu)
-
-    def scaled(self, s, hat):
-        """The smoother of radius s R about ``hat``, hat_g scaled by s."""
-        out = copy.copy(self)
-        out.hat, out.R = hat, self.R * s
-        out.mu = SphereMap(out._ambient)
-        out.isotopy = copy.copy(self.isotopy)
-        out.isotopy.mu = out.mu
-        return out
 
     def _ambient(self, x, jac):
         """hat_g on the flattening sphere of radius 3R/4, the ambient map

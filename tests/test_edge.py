@@ -197,6 +197,26 @@ def test_smoother_scale_invariance():
     assert sm2.rho == pytest.approx(sm1.rho, rel=1e-9)
 
 
+@pytest.mark.parametrize("s", [0.25, 0.3])
+def test_smoother_at_a_smaller_radius_is_the_dilated_one(s):
+    # the smoother built at (s r, s w) is the one at (r, w) dilated by s:
+    # G_s(y) = s G_1(y / s), DG_s(y) = DG_1(y / s), the identity a scaled
+    # EdgePatch reads its smoother by; bit for bit at a power of two
+    fan = make_fan()
+    sm1 = EdgeSmoother(fan, [0.002] * 3, 0.2)
+    sm = EdgeSmoother(fan, [0.002 * s] * 3, 0.2 * s)
+    rng = np.random.default_rng(9)
+    t = s * rng.uniform(1e-3, 0.24, 2000)
+    th = rng.uniform(-np.pi, np.pi, 2000)
+    y = np.stack([t * np.cos(th), t * np.sin(th),
+                  rng.uniform(-0.5, 2.5, 2000)], axis=-1)
+    (z1, J1), (zs, Js) = sm1.apply(y / s, True), sm.apply(y, True)
+    if s == 0.25:
+        assert np.array_equal(zs, s * z1) and np.array_equal(Js, J1)
+    np.testing.assert_allclose(zs, s * z1, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(Js, J1, rtol=1e-12, atol=1e-12)
+
+
 def test_small_for_use_of_edges_guard():
     fan = make_fan()
     with pytest.raises(ParameterError):

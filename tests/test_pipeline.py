@@ -1,6 +1,9 @@
 """End-to-end smoothing pipeline: parameter certification, patch
 assembly and dispatch, the difference set, inversion, and the sweep."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -10,7 +13,7 @@ from scipy.spatial.transform import Rotation
 
 from plsmooth import geometry as geo
 from plsmooth import pipeline
-from plsmooth.builders import (kuhn_identity, perturbed_kuhn_map,
+from plsmooth.builders import (kuhn_grid, kuhn_identity, perturbed_kuhn_map,
                                subdivided_tet_map, two_tet_map)
 from plsmooth.errors import ConstructionError, ParameterError
 from plsmooth.mesh import (FacePair, PLMap, SimplicialComplex, face_pairs,
@@ -972,13 +975,100 @@ def test_scaled_map_has_the_certificates_of_a_fresh_assembly(setup, rel, lam,
             if hasattr(pf, attr):
                 assert np.array_equal(getattr(ps, attr), getattr(pf, attr))
         if hasattr(pf, "smoother") and hasattr(pf.smoother, "blends"):
-            assert [b.width for b in ps.smoother.blends] == \
+            assert [ps.dilation * b.width for b in ps.smoother.blends] == \
                 [b.width for b in pf.smoother.blends]
     x = gs.sample_patches(n_per_patch=200, rng=4)
     ys, Js = gs._dispatch(x, jac=True)
     yf, Jf = fresh._dispatch(x, jac=True)
     assert np.allclose(ys, yf, rtol=rel, atol=0)
     assert np.allclose(Js, Jf, rtol=100 * rel, atol=100 * rel)
+
+
+def test_scaled_map_builds_no_map_and_no_smoother(subdiv_setup, monkeypatch):
+    # g.scaled keeps each cylinder's and ball's smoother: the map it returns
+    # is the one SmoothedMap it builds, and no smoother, sphere map or
+    # isotopy is made again
+    from plsmooth import edge, vertex
+    g = subdiv_setup[2]
+    built = []
+    for cls in (pipeline.SmoothedMap, edge.EdgeSmoother, vertex.VertexSmoother,
+                vertex.SphereMap, vertex.SphereIsotopy):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _i=cls.__init__,
+                            **k: built.append(type(self)) or _i(self, *a, **k))
+    gs = g.scaled(0.3)
+    assert built == [pipeline.SmoothedMap]
+    assert [vp.smoother for vp in gs.vertex_patches] == \
+        [vp.smoother for vp in g.vertex_patches]
+    # the dilation is relative to the certified map, as lambda is
+    ball, = gs.scaled(0.15).vertex_patches
+    assert ball.dilation == pytest.approx(0.15, rel=1e-15)
+
+
+@pytest.fixture(scope="module")
+def deep_grid_setup():
+    """kuhn_grid(4, 4, 4) with the image of its centre vertex 62 moved, the
+    PL validation stubbed out (it takes about half a minute here): 48
+    slabs, 50 cylinders and 15 balls."""
+    cx = kuhn_grid(4, 4, 4)
+    images = cx.points.copy()
+    images[62] += [0.08, -0.05, 0.06]
+    pl = pl_map_from_vertex_images(cx, images)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "validate_pl_homeo",
+                   lambda plmap: SimpleNamespace(orientation=1))
+        params = choose_params(pl)
+    return pl, params, assemble(pl, params)
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup",
+                                   "deep_grid_setup"])
+def test_each_patch_meets_only_its_star(setup, request):
+    # the locality that _cylinder_nodes and SmoothedMap.scaled rely on, by
+    # exact distances: a cylinder clears every cell outside its ends' stars,
+    # every ball at another vertex and every cylinder of an edge that shares
+    # no end; no slab or cylinder of a simplex without V meets B(V, R); and
+    # so the map without balls is a cone about V in B(V, R)
+    pl, params, g = request.getfixturevalue(setup)
+    cx, tri = pl.complex, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    seg = lambda p: cx.points[[p.fan.edge[0], p.fan.edge[1], p.fan.edge[1]]]
+    assert g.edge_patches
+    for ep in g.edge_patches:
+        a, b, _ = seg(ep)
+        far = np.array([c for c in cx.cells if not set(ep.fan.edge) & set(c)],
+                       dtype=int).reshape(-1, 4)
+        faces = cx.points[far[:, tri]]
+        assert np.all(geo.dist_segment_triangle(a, b, faces) > ep.r)
+        for other in g.edge_patches:
+            if not set(ep.fan.edge) & set(other.fan.edge):
+                assert geo.dist_segment_triangle(a, b, seg(other)) > \
+                    ep.r + other.r
+    for vp in g.vertex_patches:
+        v = vp.star.vertex
+        for ep in g.edge_patches:
+            if v not in ep.fan.edge:
+                assert geo.dist_point_simplex(vp.V, seg(ep)) > vp.R + ep.r
+        for fp in g.face_patches:
+            if v not in fp.pair.face:
+                # V is outside the convex frustum, so its distance to the
+                # frustum is the least to the faces of the frustum's tets
+                tets = fp.frustum[geo.FRUSTUM_TETS]
+                assert geo.dist_point_simplex(vp.V, tets[:, tri]).min() > vp.R
+    # the map without balls at lam = 1/2, assembled afresh, is the one at
+    # lam = 1 dilated about each ball's vertex
+    if not g.vertex_patches:
+        return
+    half = assemble(pl, replace(params.scaled(0.5), R={}))
+    rng = np.random.default_rng(12)
+    n = 400
+    V, fV, R = (np.repeat([getattr(vp, a) for vp in g.vertex_patches], n, 0)
+                for a in ("V", "fV", "R"))
+    y = R[:, None] * rng.uniform(0.0, 1.0, (len(V), 1)) ** (1 / 3) \
+        * geo.normalize(rng.normal(size=(len(V), 3)))
+    y1, J1 = g.vertex_patches[0].base._dispatch(V + y, jac=True)
+    yh, Jh = half._dispatch(V + 0.5 * y, jac=True)
+    np.testing.assert_allclose(yh - fV, 0.5 * (y1 - fV), rtol=1e-12,
+                               atol=1e-15)
+    np.testing.assert_allclose(Jh, J1, rtol=1e-10, atol=1e-10)
 
 
 def test_sweep_certifies_each_patch_once(subdiv_setup, monkeypatch):

@@ -147,24 +147,18 @@ def test_vertex_smoother_rho_dimensionless():
     assert vs1.rho == pytest.approx(vs2.rho, rel=1e-9)
 
 
-def test_scaled_smoother_is_a_fresh_one_without_certifying(monkeypatch):
-    # a linear hat is a cone, so the smoother scaled to radius R/4 is the
-    # one built there, and scaling runs no degree integral
-    from plsmooth import vertex
+def test_smoother_at_a_quarter_radius_is_the_dilated_one():
+    # a linear hat is a cone, so the smoother built at R/4 is the one at R
+    # dilated by s = 1/4: G_s(x) = s G_1(x / s), DG_s(x) = DG_1(x / s), the
+    # identity a scaled VertexPatch reads its smoother by
     rng = np.random.default_rng(8)
     A = np.eye(3) + 0.15 * rng.normal(size=(3, 3))
-    vs = _linear_vertex_smoother(A)
-    calls = []
-    monkeypatch.setattr(vertex, "degree", lambda mu: calls.append(mu) or 1)
-    vs_s = vs.scaled(0.25, _linear_hat(A))
-    assert calls == []
-    fresh = _linear_vertex_smoother(A, R=0.25)
-    assert vs_s.R == fresh.R
-    assert vs_s.rho == pytest.approx(fresh.rho, rel=1e-12)
-    assert vs_s.isotopy.mu is vs_s.mu and vs.isotopy.mu is vs.mu
-    x = _random_unit(rng, 500) * rng.uniform(0.0, 0.6, 500)[:, None]
-    for a, b in zip(vs_s.apply(x, True), fresh.apply(x, True)):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    s, vs = 0.25, _linear_vertex_smoother(A)
+    fresh = _linear_vertex_smoother(A, R=s)
+    x = _random_unit(rng, 500) * rng.uniform(0.0, 0.3, 500)[:, None]
+    (y1, J1), (ys, Js) = vs.apply(x / s, True), fresh.apply(x, True)
+    np.testing.assert_allclose(ys, s * y1, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(Js, J1, rtol=1e-12, atol=1e-12)
 
 
 def test_sphere_map_tangent_det_sign():
