@@ -149,9 +149,10 @@ class EdgeSmoother:
     linear map diag(rho, rho, lam) inside (the untwist time profile is flat
     near its ends, so the map is already linear for t <= 7r/15).  One pass
     over the regions, ``apply``, gives the value and the Jacobian; each
-    stage gives both together.  It is a cone across its edge: each blend
-    and stage reads its coordinate over r or its width, so a scaled
-    cylinder reads it dilated (``pipeline.EdgePatch``).
+    stage gives both together.  It is a cone about V0: each blend and stage
+    reads its coordinate over r or its width, so the smoother of radius s r
+    and widths s w is G_s(y) = s G_1(y / s), DG_s(y) = DG_1(y / s), with the
+    checks, floors, rho and psi reference of G_1 (``pipeline.EdgePatch``).
     """
 
     fan: EdgeFan

@@ -321,11 +321,19 @@ class SmoothedMap:
         self._dq = None
 
     def scaled(self, lam):
-        """g at ``lam`` from this map's certified patches, every radius and
-        width scaled.  Each local picture is a cone (a slab in its normal
-        coordinate, a cylinder across its edge, a ball about its vertex), so
-        each certificate is the one ``assemble`` would make again, and each
-        cylinder or ball keeps its smoother.  At its own lambda, this map."""
+        """g at ``lam``, each radius and width times s = lam / (this map's
+        lambda); at its own lambda, this map.  A slab is rebuilt at width
+        s w.  A cylinder or ball keeps its smoother G_1 and reads it
+        dilated, G_s(y) = s G_1(y / s), DG_s(y) = DG_1(y / s), so nothing
+        is certified again.  A ball's G_1 reads g without balls, which is a
+        cone about the ball's vertex V in B(V, R) if only the slabs and
+        cylinders of simplices at V meet the ball.  They do, since
+        R = d(V, link V) / 5 <= d(V, sigma) / 5 for every simplex sigma not
+        at V.  A cylinder about an edge e not at V has R + r < d(V, e)
+        (``_cylinder_nodes``).  A slab over a face f not at V lies in a cell
+        within w <= h / 10 of f, h the cell's height over f.  If V is not in
+        that cell, the slab lies 5R from V; if V is its apex, a slab point
+        is V + (1 - a) (y - V) with y on f and a < 1/10, 4.5R from V."""
         if lam == self.params.lam:
             return self
         s = lam / self.params.lam
@@ -569,8 +577,15 @@ class SmoothedMap:
         holds by the precedence of ``_owners``; then the pieces in no cell.
         The weights left sum to the volume the cylinder owns.  A node takes
         the first cell by index whose interval holds it, the exact-first
-        rule of ``locate``.  Only the cells, balls and cylinders at the
-        edge's two ends are cut: the cylinder meets no other."""
+        rule of ``locate``.
+
+        Only the cells, balls and cylinders at the edge e's ends are cut, as
+        no other meets the cylinder: r <= d(e, F) / 8 for every face F with
+        no vertex of e (``choose_params``).  A cell at neither end has only
+        such faces.  An edge e' at neither end is interior, as e is, so each
+        has three faces or more, one without a vertex of the other:
+        r + r' <= d(e, e') / 4.  A ball's vertex V has a sphere for link, so
+        a face at V has no vertex of e: R + r <= (1/5 + 1/8) d(V, e)."""
         L, e = ep.L, ep.fan.direction
         p, area = self._columns(ep)
         cx, tips = self.plmap.complex, set(ep.fan.edge)

@@ -147,9 +147,11 @@ class VertexSmoother:
     linear map rho*x on B(0,R/2).  ``hat(x, jac)`` gives hat_g at points
     ``x`` (N,3) relative to the vertex and, when ``jac``, its Jacobian,
     else None.  One pass over the shells, ``apply``, gives the value and the
-    Jacobian; each stage gives both together.  The ball is a cone about its
-    vertex: hat_g(s x) = s hat_g(x) where each slab and cylinder scales by
-    s, so a scaled ball reads it dilated (``pipeline.VertexPatch``)."""
+    Jacobian; each stage gives both together.  Each shell reads |x| over R,
+    so if hat_s(y) = s hat_1(y / s), as g without balls is about a vertex
+    (``SmoothedMap.scaled``), the smoother of radius s R about hat_s is
+    G_s(y) = s G_1(y / s), DG_s(y) = DG_1(y / s), with G_1's rho and
+    isotopy check (``pipeline.VertexPatch``)."""
 
     def __init__(self, hat, R):
         self.hat = hat
