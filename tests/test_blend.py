@@ -1,5 +1,7 @@
 """Blend profile and face blend tests."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,10 +43,39 @@ def test_eta_is_exactly_flat_at_its_ends_without_warnings():
     # 0 there too, not 0 * inf (filterwarnings = error turns any warning
     # into a failure)
     low = np.array([5e-324, 1e-310, 1e-200, 1e-4])
-    high = 1.0 - np.array([2.0 ** -53, 1e-12, 1e-3, 0.02])
+    high = 1.0 - np.array([2.0 ** -53, 1e-12, 1e-3])
     assert np.all(eta(low) == 0.0) and np.all(eta(high) == 1.0)
+    assert eta(0.98) == 1.0
     assert np.all(eta_prime(np.concatenate([low, high])) == 0.0)
     assert eta(5e-324) == 0.0 and eta_prime(5e-324) == 0.0
+    # where eta rounds to 1 but exp does not overflow, eta' is the tiny
+    # value it has at 1 - t, not the 0 of a cancelled 1 - eta
+    assert eta_prime(0.98) == pytest.approx(eta_prime(0.02), rel=1e-12)
+    assert eta_prime(0.98) > 0.0
+
+
+def _eta_prime_reference(t):
+    """eta'(t) = e (1 - e) psi(t), e = 1 / (1 + E), E = exp(phi(t)), to 60
+    digits from the float t; 0 where E or 1 / E exceeds e^2000."""
+    t = Decimal(float(t))
+    u = 1 - t
+    phi = 1 / t - 1 / u
+    if abs(phi) > 2000:
+        return 0.0
+    E = phi.exp()
+    return float(E / (1 + E) ** 2 * (1 / t ** 2 + 1 / u ** 2))
+
+
+def test_eta_prime_matches_a_60_digit_reference():
+    # 1 - eta is taken as eta(1 - t), exact for t >= 1/2: the subtraction
+    # 1 - eta lost up to 1.6e-13 there
+    t = np.concatenate([np.linspace(0.0, 1.0, 4001)[1:-1],
+                        np.geomspace(1e-3, 0.5, 400),
+                        1.0 - np.geomspace(1e-3, 0.5, 400)])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ref = np.array([_eta_prime_reference(x) for x in t])
+    assert np.max(np.abs(eta_prime(t) - ref)) <= 4e-15
 
 
 def test_eta_monotone():
