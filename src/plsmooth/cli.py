@@ -114,9 +114,11 @@ def cmd_sweep(args):
 @functools.lru_cache(maxsize=None)
 def build_parser():
     """The argument parser, built once per process: parsing does not change
-    it, and a repeated option's list is new at every parse."""
+    it, and a repeated option's list is new at every parse.  No parser takes
+    an abbreviated option, which ``_explicit_flags`` would not see as the
+    option that it names, so a --config value would win over it."""
     ap = argparse.ArgumentParser(
-        prog="plsmooth",
+        prog="plsmooth", allow_abbrev=False,
         description="Smoothing of piecewise affine homeomorphisms of "
                     "3-dimensional simplicial complexes.")
     ap.add_argument("--config", help="JSON file of default option values")
@@ -127,15 +129,15 @@ def build_parser():
     common.add_argument("--out", help="output file (default: stdout)")
     common.add_argument("--seed", type=int, default=0)
 
-    sub.add_parser("validate", parents=[common],
+    sub.add_parser("validate", parents=[common], allow_abbrev=False,
                    help="validate a PL homeomorphism document")
 
-    sp = sub.add_parser("smooth", parents=[common],
+    sp = sub.add_parser("smooth", parents=[common], allow_abbrev=False,
                         help="build and certify the smoothed map")
     sp.add_argument("--lam", type=float, default=1.0,
                     help="smoothing scale lambda in (0, 1]")
 
-    sw = sub.add_parser("sweep", parents=[common],
+    sw = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
                         help="lambda sweep of convergence quantities")
     sw.add_argument("--p", type=float, default=SWEEP_DEFAULTS["p"])
     sw.add_argument("--q", type=float, default=SWEEP_DEFAULTS["q"])

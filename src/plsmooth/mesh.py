@@ -9,6 +9,7 @@ pictures (canonical frames) that the smoothing construction assumes.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -28,12 +29,17 @@ class SimplicialComplex:
     """Finite 3D simplicial complex with derived incidence structure."""
 
     def __init__(self, points, cells, validate=True):
-        self.points = np.array(points, dtype=float)
-        self.cells = np.array(cells, dtype=int)
+        self.points, c = _reals(points), _reals(cells)
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise ParseError("points must be an (n,3) array")
-        if self.cells.ndim != 2 or self.cells.shape[1] != 4:
+        if c.ndim != 2 or c.shape[1] != 4:
             raise ParseError("cells must be an (m,4) array of point indices")
+        _first_bad(points, ~np.isfinite(self.points), "points",
+                   "a finite number")
+        n = len(self.points)
+        _first_bad(cells, ~((c >= 0) & (c < n) & (c % 1 == 0)), "cells",
+                   f"a point index in [0, {n})")
+        self.cells = c.astype(int)
         # orient every cell positively by the sign bit of its determinant,
         # which survives under- and overflow; keep each cell's first vertex
         # and inverse edge matrix for locate (a degenerate cell, which
@@ -320,6 +326,27 @@ def _edge_plane_separated(cells, P, pairs, eps):
     return edge & np.any(split & (size[..., 0] > 0), axis=1)
 
 
+def _reals(values):
+    """``values`` as a float array, NaN at each entry that is not a real
+    number (a string, a bool, None or a list where a number belongs)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float)
+    return _REAL(np.array(values, dtype=object))
+
+
+_REAL = np.vectorize(lambda v: float(v) if isinstance(v, numbers.Real)
+                     and not isinstance(v, bool) else np.nan, otypes=[float])
+
+
+def _first_bad(values, bad, field, what):
+    """ParseError naming ``field`` and the index, as plain ints, and value
+    of the first entry of ``values`` where ``bad`` holds, if one does."""
+    if np.any(bad):
+        i = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise ParseError(f"{field}[{', '.join(map(str, i))}] must be {what}, "
+                         f"got {np.array(values, dtype=object)[i]!r}")
+
+
 # ---------------------------------------------------------------------------
 # piecewise affine maps
 
@@ -329,12 +356,16 @@ class PLMap:
 
     def __init__(self, complex, matrices, offsets):
         self.complex = complex
-        self.matrices = np.array(matrices, dtype=float)
-        self.offsets = np.array(offsets, dtype=float)
+        self.matrices = _reals(matrices)
+        self.offsets = _reals(offsets)
         if self.matrices.shape != (complex.n_cells, 3, 3):
             raise ParseError("need one 3x3 matrix per cell")
         if self.offsets.shape != (complex.n_cells, 3):
             raise ParseError("need one offset per cell")
+        _first_bad(matrices, ~np.isfinite(self.matrices), "matrices",
+                   "a finite number")
+        _first_bad(offsets, ~np.isfinite(self.offsets), "offsets",
+                   "a finite number")
 
     def piece(self, ci):
         return self.matrices[ci], self.offsets[ci]

@@ -326,6 +326,49 @@ def test_config_defaults_and_explicit_override(kuhn_doc, tmp_path):
     assert json.loads(out2.read_text())["lambda"] == 0.5
 
 
+def test_abbreviated_flag_is_refused_with_a_config(kuhn_doc, tmp_path,
+                                                  monkeypatch):
+    # argparse would read --la as --lam, but the config merge would not see
+    # it as given, so the config value would win: no parser takes it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": 0.25}))
+    seen = []
+    monkeypatch.setattr(plsmooth.cli, "cmd_smooth",
+                        lambda args: seen.append(args.lam) or 0)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "smooth", kuhn_doc, "--la", "0.5"])
+    assert exc.value.code == 2 and seen == []
+    # the whole flag with its value after "=" still beats the config value
+    assert main(["--config", str(cfg), "smooth", kuhn_doc, "--lam=0.5"]) == 0
+    assert seen == [0.5]
+
+
+@pytest.mark.parametrize("field,edit", [
+    ("cells", lambda d: d["cells"][0].__setitem__(1, 99)),
+    ("points", lambda d: d["points"][2].__setitem__(0, "x")),
+    ("points", lambda d: d["points"][2].__setitem__(0, float("nan"))),
+    ("cells", lambda d: d["cells"][0].__setitem__(1, -1)),
+    ("cells", lambda d: d["cells"][0].__setitem__(1, 1.5)),
+    ("matrices", lambda d: d["pieces"][3]["matrix"][1].__setitem__(
+        2, float("nan")))],
+    ids=["index_99", "coordinate_x", "coordinate_nan", "index_-1",
+         "index_1.5", "matrix_nan"])
+@pytest.mark.parametrize("command", ["validate", "smooth"])
+def test_malformed_document_exits_1_naming_the_field(kuhn_doc, tmp_path,
+                                                     capsys, command, field,
+                                                     edit):
+    # each row of a malformed document: exit 1, a message that names the
+    # field and its first bad index, and no traceback
+    doc = json.loads(Path(kuhn_doc).read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field}[" in err, err
+    assert "np." not in err
+
+
 @pytest.mark.parametrize("opt,val", [("--p", "0"), ("--q", "-1"),
                                      ("--p", "inf")])
 def test_sweep_rejects_exponents_outside_one_to_inf(kuhn_doc, capsys, opt,
