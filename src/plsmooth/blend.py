@@ -36,9 +36,9 @@ def eta(t):
 
 
 def _logistic(t):
-    """expit(1/(1-t) - 1/t) for 0 < t <= 1.  Near t = 0 the exponential
-    overflows to inf and the step is exactly 0; at t = 1 it is exactly 1."""
-    with np.errstate(over="ignore", divide="ignore"):
+    """expit(1/(1-t) - 1/t) for 0 < t < 1.  Near t = 0 the exponential
+    overflows to inf and the step is exactly 0."""
+    with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(1.0 / t - 1.0 / (1.0 - t)))
 
 
@@ -48,16 +48,16 @@ def _psi(t):
 
 
 def eta_prime(t):
-    """eta' = eta(t) (1 - eta(t)) psi(t), with 1 - eta(t) = eta(1 - t) by
-    the symmetry phi(1 - t) = -phi(t): no cancellation as eta nears 1, where
-    1 - t is exact, and 0 where either exponential overflows."""
+    """eta' = e (1 - e) psi(t) for e = eta(t) = 1 / (1 + exp(phi(t))), as
+    E / (1 + E)^2 psi(t) with E = exp(-|phi(t)|) <= 1: no 1 - e to cancel
+    as e nears 1, no overflow, and 0 where E underflows."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    # psi overflows below t = 1e-154, where eta, and so eta', is 0 already
-    out[mid] = _logistic(tm) * _logistic(1.0 - tm) \
-        * _psi(np.maximum(tm, 1e-150))
+    # 1/t^2 overflows below t = 1e-154, where E, and so eta', is 0 already
+    tm = np.maximum(t[mid], 1e-150)
+    E = np.exp(-np.abs(1.0 / tm - 1.0 / (1.0 - tm)))
+    out[mid] = E / (1.0 + E) ** 2 * _psi(tm)
     return out if out.ndim else float(out)
 
 

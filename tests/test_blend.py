@@ -67,8 +67,8 @@ def _eta_prime_reference(t):
 
 
 def test_eta_prime_matches_a_60_digit_reference():
-    # 1 - eta is taken as eta(1 - t), exact for t >= 1/2: the subtraction
-    # 1 - eta lost up to 1.6e-13 there
+    # eta' = e (1 - e) psi must not form 1 - e by subtraction, which loses
+    # up to 1.5e-13 as e nears 1
     t = np.concatenate([np.linspace(0.0, 1.0, 4001)[1:-1],
                         np.geomspace(1e-3, 0.5, 400),
                         1.0 - np.geomspace(1e-3, 0.5, 400)])
