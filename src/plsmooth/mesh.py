@@ -334,8 +334,18 @@ def _reals(values):
     return _REAL(np.array(values, dtype=object))
 
 
-_REAL = np.vectorize(lambda v: float(v) if isinstance(v, numbers.Real)
-                     and not isinstance(v, bool) else np.nan, otypes=[float])
+def _real(v):
+    """``v`` as a float if it is a real number that a float holds (not a
+    bool, nor an int past the float range), else NaN."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            pass
+    return np.nan
+
+
+_REAL = np.vectorize(_real, otypes=[float])
 
 
 def _first_bad(values, bad, field, what):

@@ -350,9 +350,10 @@ def test_abbreviated_flag_is_refused_with_a_config(kuhn_doc, tmp_path,
     ("cells", lambda d: d["cells"][0].__setitem__(1, -1)),
     ("cells", lambda d: d["cells"][0].__setitem__(1, 1.5)),
     ("matrices", lambda d: d["pieces"][3]["matrix"][1].__setitem__(
-        2, float("nan")))],
+        2, float("nan"))),
+    ("offsets", lambda d: d["pieces"][3]["offset"].__setitem__(0, 10 ** 400))],
     ids=["index_99", "coordinate_x", "coordinate_nan", "index_-1",
-         "index_1.5", "matrix_nan"])
+         "index_1.5", "matrix_nan", "offset_past_float"])
 @pytest.mark.parametrize("command", ["validate", "smooth"])
 def test_malformed_document_exits_1_naming_the_field(kuhn_doc, tmp_path,
                                                      capsys, command, field,

@@ -1007,7 +1007,7 @@ def test_scaled_map_builds_no_map_and_no_smoother(subdiv_setup, monkeypatch):
 @pytest.fixture(scope="module")
 def deep_grid_setup():
     """kuhn_grid(4, 4, 4) with the image of its centre vertex 62 moved, the
-    PL validation stubbed out (it takes about half a minute here): 48
+    PL validation stubbed out (it takes about 34 s on a 2-core host): 48
     slabs, 50 cylinders and 15 balls."""
     cx = kuhn_grid(4, 4, 4)
     images = cx.points.copy()
