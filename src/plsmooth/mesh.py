@@ -37,8 +37,8 @@ class SimplicialComplex:
         _first_bad(points, ~np.isfinite(self.points), "points",
                    "a finite number")
         n = len(self.points)
-        _first_bad(cells, ~((c >= 0) & (c < n) & (c % 1 == 0)), "cells",
-                   f"a point index in [0, {n})")
+        _first_bad(cells, ~((c >= 0) & (c < n) & (np.floor(c) == c)),
+                   "cells", f"a point index in [0, {n})")
         self.cells = c.astype(int)
         # orient every cell positively by the sign bit of its determinant,
         # which survives under- and overflow; keep each cell's first vertex

@@ -1,6 +1,8 @@
 """Command line interface: subcommands, exit codes, config merging,
 and reproducibility."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plsmooth.builders import (kuhn_grid, kuhn_identity, perturbed_kuhn_map,
                                subdivided_tet, subdivided_tet_map, two_tet_map)
@@ -351,9 +354,10 @@ def test_abbreviated_flag_is_refused_with_a_config(kuhn_doc, tmp_path,
     ("cells", lambda d: d["cells"][0].__setitem__(1, 1.5)),
     ("matrices", lambda d: d["pieces"][3]["matrix"][1].__setitem__(
         2, float("nan"))),
-    ("offsets", lambda d: d["pieces"][3]["offset"].__setitem__(0, 10 ** 400))],
+    ("offsets", lambda d: d["pieces"][3]["offset"].__setitem__(0, 10 ** 400)),
+    ("cells", lambda d: d["cells"][0].__setitem__(1, float("inf")))],
     ids=["index_99", "coordinate_x", "coordinate_nan", "index_-1",
-         "index_1.5", "matrix_nan", "offset_past_float"])
+         "index_1.5", "matrix_nan", "offset_past_float", "index_inf"])
 @pytest.mark.parametrize("command", ["validate", "smooth"])
 def test_malformed_document_exits_1_naming_the_field(kuhn_doc, tmp_path,
                                                      capsys, command, field,
@@ -368,6 +372,80 @@ def test_malformed_document_exits_1_naming_the_field(kuhn_doc, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{field}[" in err, err
     assert "np." not in err
+
+
+# the lists of numbers in a map document: the field a ParseError names,
+# and the k-th such list of a document d
+_LEAVES = [("points", lambda d, k: d["points"][k % len(d["points"])]),
+           ("cells", lambda d, k: d["cells"][k % len(d["cells"])]),
+           ("matrices", lambda d, k: d["pieces"][k % len(d["pieces"])][
+               "matrix"][k % 3]),
+           ("offsets", lambda d, k: d["pieces"][k % len(d["pieces"])][
+               "offset"])]
+
+
+@st.composite
+def _single_field_change(draw, doc):
+    """A copy of ``doc`` with one field changed, the exit code the change
+    must give and the names of which its message must hold one."""
+    doc = json.loads(json.dumps(doc))
+    n, k = len(doc["points"]), draw(st.integers(0, 100))
+    kind = draw(st.sampled_from(["type", "non-finite", "index", "shape",
+                                 "missing", "piece count"]))
+    if kind in ("type", "non-finite", "index"):
+        field, row = _LEAVES[1] if kind == "index" else draw(
+            st.sampled_from(_LEAVES))
+        row = row(doc, k)
+        row[k % len(row)] = draw({
+            "type": st.sampled_from(["x", "1.0", True, None, [1.0], {}]),
+            "non-finite": st.sampled_from([np.nan, np.inf, -np.inf]),
+            "index": st.integers(n, 2 ** 70) | st.integers(-2 ** 70, -1)
+            | st.floats(0.0, n - 1).filter(lambda v: v % 1 != 0)}[kind])
+        return doc, 1, (f"{field}[",)
+    if kind == "shape":
+        field, row = draw(st.sampled_from(_LEAVES))
+        row = row(doc, k)
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(0)
+        return doc, 1, (field[:5],)
+    if kind == "missing":
+        key = draw(st.sampled_from(["points", "cells", "pieces", "matrix",
+                                    "offset"]))
+        del (doc if key in ("points", "cells", "pieces") else
+             doc["pieces"][k % len(doc["pieces"])])[key]
+        return doc, 2 if key == "pieces" else 1, (key,)
+    pieces = doc["pieces"]
+    if draw(st.booleans()):
+        pieces.pop(k % len(pieces))
+    else:
+        pieces.append(pieces[k % len(pieces)])
+    return doc, 1, ("matri",)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_single_field_change_gets_a_typed_verdict(kuhn_doc, tmp_path_factory,
+                                                  data):
+    # one field of a valid document changed: wrong type, non-finite value,
+    # out-of-range, negative or fractional index, wrong shape, missing key
+    # or a piece count that differs from the cell count.  validate and
+    # smooth end in one of the CLI's codes with no traceback, and a
+    # ParseError names the field
+    doc, code, names = data.draw(_single_field_change(
+        json.loads(Path(kuhn_doc).read_text())))
+    path = tmp_path_factory.mktemp("changed") / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "smooth"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, str(path)]) == code
+        err = err.getvalue()
+        assert "Traceback" not in err and "np." not in err
+        assert code != 1 or err.startswith("error: ")
+        assert any(name in err for name in names), err
 
 
 @pytest.mark.parametrize("opt,val", [("--p", "0"), ("--q", "-1"),
