@@ -3,8 +3,10 @@
 choose_params picks per-vertex ball radii R_k, per-edge cylinder radii r_i,
 and per-face slab widths w_j so that every local construction is certified
 with margin; assemble builds the global smoothed map from vertex, edge, and
-face patches over the untouched affine bulk; lambda_sweep rescales that
-certified map to each lambda and tabulates the convergence quantities.
+face patches over the untouched affine bulk; lambda_sweep integrates that
+certified map once, at lambda = 1, and weighs its difference quadrature's
+nodes by their weights' cubics in lambda to tabulate the convergence
+quantities at every lambda.
 """
 
 from __future__ import annotations
@@ -473,7 +475,22 @@ class SmoothedMap:
         and each interior vertex lies on or beyond another's link.  A slab
         node, T(s)'s centroid, has barycentric coordinate <= 1/3 on a face
         vertex v, so it lies 2/3 d_v > R from v; that no cylinder or other
-        slab holds it is tested, not proved."""
+        slab holds it is tested, not proved.
+
+        The nodes follow lambda.  Scaled by s, a ball is its dilation by s
+        about its vertex and a cylinder its dilation by s across its edge's
+        line; a slab keeps its face and cell at width s w, where g - f over
+        the width, Dg and Df depend on the height over the width alone.
+        Where two patches meet, one dilation maps both.  Ball and slab, and
+        ball and cylinder, meet in a cone about the vertex, which lies on
+        the face or the edge.  Cylinder and slab meet in a wedge about the
+        edge, which lies on the face.  Two cylinders meet in a cone about
+        the vertex their edges share, within reach of it.  So at every
+        lambda the nodes have the same count, cells and makers, Dg and Df
+        the same values there, and each weight is a lam + b lam^2 +
+        c lam^3: c lam^3 on a ball; lam^2 times a length affine in lam on a
+        cylinder, whose cuts near an end scale about that end; lam times an
+        owned section area quadratic in lam on a slab (``lambda_sweep``)."""
         nv, ne = len(self.vertex_patches), len(self.edge_patches)
         groups = ([(p, w, np.full(len(w), fp.pair.cell_pos)) for fp, p, w
                    in zip(self.face_patches, *self._slab_nodes())]
@@ -824,45 +841,61 @@ SWEEP_DEFAULTS = {"lambdas": (1.0, 0.5, 0.25, 0.125, 0.0625), "p": 2.0,
                   "q": 2.0}
 
 
+# the lambdas whose difference quadratures fit each node's weight cubic
+_FIT_LAMBDAS = (1.0, 0.5, 0.25)
+
+
 def lambda_sweep(plmap, params, lambdas=SWEEP_DEFAULTS["lambdas"],
                  p=SWEEP_DEFAULTS["p"], q=SWEEP_DEFAULTS["q"]):
-    """One row of SWEEP_COLUMNS per lambda, from the active nodes of the
-    difference quadrature of ``g.scaled(lam)``, g assembled and certified
-    once: g and Dg at every node from one dispatch, f and Df from the cell
-    that a slab or cylinder node carries or, at the ball nodes, from one
-    locate, the cell of the inverse from ``inverse_pl``, and ``linf_f``."""
-    rows = []
-    piece_norm = float(np.max(geo.spectral_norm(plmap.matrices)))
+    """One row of SWEEP_COLUMNS per lambda, from one integration of g,
+    assembled and certified once.  The difference quadrature of
+    ``g.scaled(lam)`` is the same at every lambda node for node, in count,
+    cell and maker, and each weight is a cubic w(lam) = a lam + b lam^2 +
+    c lam^3, while Dg, Df and Dg^-1 keep their values at the node
+    (``_quadrature``).  The quadratures at _FIT_LAMBDAS give every node's
+    coefficients; a ConstructionError says they do not match.  At the
+    lambda = 1 nodes one dispatch gives g and Dg, the cell of f is the
+    node's record or, at the ball nodes, one locate's, one ``inverse_pl``
+    gives the cell of the inverse, and ``linf_f`` is taken once.  ``nodes``
+    keeps this work: the coefficients of lam^3, lam^2 and lam (rows) and
+    |Dg - Df|, |Dg^-1 - Df^-1| and det Dg at each active node, and the
+    lambda = 1 sups.  A row is then a weighted sum: vol_E = sum w(lam),
+    w1p_f^p = sum w(lam) |Dg - Df|^p, w1q_inv^q = sum w(lam)
+    |Dg^-1 - Df^-1|^q det Dg.  linf_f and linf_inv are lam times their
+    lambda = 1 values (the balls' sampled term of linf_f too), sup_Dg and
+    sup_Dginv their lambda = 1 values, each at least the pieces' own."""
+    g = assemble(plmap, params).scaled(1.0)
+    dq = [g.scaled(lam)._quadrature() for lam in _FIT_LAMBDAS]
+    pts, wts, cell, made = dq[0]
+    if not all(np.array_equal(d[2], cell) and np.array_equal(d[3], made)
+               for d in dq):
+        raise ConstructionError("the quadratures at lambda 1, 1/2 and 1/4 "
+                                "differ in node count, cell or maker")
+    act = wts > 0
+    pa, cf = pts[act], cell[act]
+    cf[cf < 0] = plmap.locate_inside(pa[cf < 0])
+    y, Dg = g._dispatch(pa, jac=True)
+    Dgi = geo.inv3(Dg)
+    xb, ci = plmap.inverse_pl(y, tol=1e-7, extend=True)
     piece_invs = plmap.inverse_pieces()[1]
-    piece_inv_norm = float(np.max(geo.spectral_norm(piece_invs)))
-    g1 = assemble(plmap, params)
-    for lam in lambdas:
-        g = g1.scaled(lam)
-        vol = g.volume_difference_set()
-        pts, wts = g.difference_quadrature()
-        act = wts > 0
-        pa, wa, cf = pts[act], wts[act], g._dq[2][act]
-        off = cf < 0
-        cf[off] = plmap.locate_inside(pa[off])
-        y, Dg = g._dispatch(pa, jac=True)
-        w1p = float(np.sum(wa * geo.spectral_norm(Dg - plmap.matrices[cf])
-                           ** p) ** (1.0 / p))
-        linf = g.linf_f(pa, np.linalg.norm(y - plmap.apply(pa, cf), axis=-1),
-                        g._dq[3][act])
-        # inverse quantities via the change of variables y = g(x)
-        Dgi = geo.inv3(Dg)
-        xb, ci = plmap.inverse_pl(y, tol=1e-7, extend=True)
-        diff_inv = geo.spectral_norm(Dgi - piece_invs[ci])
-        w1q_inv = float(np.sum(wa * diff_inv ** q * geo.det3(Dg))
-                        ** (1.0 / q))
-        linf_inv = float(np.max(np.linalg.norm(pa - xb, axis=-1)))
-        sup_dg = float(np.max(geo.spectral_norm(Dg), initial=piece_norm))
-        sup_dgi = float(np.max(geo.spectral_norm(Dgi),
-                               initial=piece_inv_norm))
-        rows.append(dict(zip(SWEEP_COLUMNS,
-                             (float(lam), vol, linf, w1p, linf_inv,
-                              w1q_inv, sup_dg, sup_dgi))))
-    return rows
+    nodes = dict(
+        coef=np.linalg.solve(np.vander(_FIT_LAMBDAS, 4)[:, :3],
+                             [d[1][act] for d in dq]),
+        diff=geo.spectral_norm(Dg - plmap.matrices[cf]),
+        diff_inv=geo.spectral_norm(Dgi - piece_invs[ci]), det=geo.det3(Dg),
+        linf_f=g.linf_f(pa, np.linalg.norm(y - plmap.apply(pa, cf), axis=-1),
+                        made[act]),
+        linf_inv=np.max(np.linalg.norm(pa - xb, axis=-1)),
+        sup_Dg=np.max(geo.spectral_norm(np.vstack([Dg, plmap.matrices]))),
+        sup_Dginv=np.max(geo.spectral_norm(np.vstack([Dgi, piece_invs]))))
+    lam = np.asarray(lambdas, dtype=float)
+    w = np.vander(lam, 4)[:, :3] @ nodes["coef"]
+    cols = (lam, w.sum(axis=1), lam * nodes["linf_f"],
+            (w @ nodes["diff"] ** p) ** (1.0 / p), lam * nodes["linf_inv"],
+            (w @ (nodes["diff_inv"] ** q * nodes["det"])) ** (1.0 / q))
+    return [dict(zip(SWEEP_COLUMNS, map(float, (*row, nodes["sup_Dg"],
+                                                nodes["sup_Dginv"]))))
+            for row in zip(*cols)]
 
 
 def format_table(rows):

@@ -1,7 +1,9 @@
 """End-to-end smoothing pipeline: parameter certification, patch
 assembly and dispatch, the difference set, inversion, and the sweep."""
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +25,8 @@ from plsmooth.pipeline import (SWEEP_COLUMNS, SWEEP_DEFAULTS, FacePatch,
                                format_table, lambda_sweep)
 
 from oracles import cylinder_volume, polygon_area, seeded_linf_difference
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -256,16 +260,34 @@ def test_ball_jacobian_dispatches_once(subdiv_setup, monkeypatch):
     assert J.shape == (300, 3, 3)
 
 
-def test_sweep_dispatches_once_per_lambda_for_g_and_dg(kuhn_setup,
-                                                        monkeypatch):
-    pl, params, _ = kuhn_setup
-    calls = _record_dispatches(monkeypatch)
-    lambda_sweep(pl, params, lambdas=(1.0, 0.5, 0.25))
-    jac = [c for c in calls if c[2]]
-    assert [c[1:] for c in jac] == [(True, True)] * 3
-    # one assembled map per lambda, each with its own patches
-    assert len({id(c[0]) for c in jac}) == 3
-    assert all(c[1] for c in calls)
+def _count_calls(monkeypatch, owner, name, counts):
+    """Count the calls of ``owner.name`` in ``counts[name]``."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kw):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kw)
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
+def test_sweep_integrates_once_for_every_lambda(setup, request, monkeypatch):
+    # the default five-lambda sweep fits its weights from three quadratures
+    # and takes every node's values from one Jacobian dispatch, on the
+    # lambda = 1 map, one inverse_pl and one linf_difference; a ball's
+    # smoother dispatches the map without balls, which is not counted
+    pl, params, _ = request.getfixturevalue(setup)
+    calls, counts = _record_dispatches(monkeypatch), {}
+    _count_calls(monkeypatch, pipeline.SmoothedMap, "_quadrature", counts)
+    _count_calls(monkeypatch, PLMap, "inverse_pl", counts)
+    _count_calls(monkeypatch, pipeline, "linf_difference", counts)
+    rows = lambda_sweep(pl, params)
+    assert len(rows) == len(SWEEP_DEFAULTS["lambdas"]) == 5
+    jac = [c for c in calls
+           if c[2] and len(c[0].vertex_patches) == len(params.R)]
+    assert len(jac) == 1 and jac[0][0].params.lam == 1.0
+    assert counts["_quadrature"] <= 3
+    assert counts["inverse_pl"] == counts["linf_difference"] == 1
 
 
 def test_thin_slab_derivative_does_not_depend_on_the_batch(kuhn_setup):
@@ -1079,20 +1101,11 @@ def test_sweep_certifies_each_patch_once(subdiv_setup, monkeypatch):
     pl, params, _ = subdiv_setup
     pl = PLMap(pl.complex, pl.matrices, pl.offsets)
     counts = {}
-
-    def count(module, name):
-        real = getattr(module, name)
-
-        def counted(*args, **kw):
-            counts[name] = counts.get(name, 0) + 1
-            return real(*args, **kw)
-        monkeypatch.setattr(module, name, counted)
-    count(pipeline, "face_floor")
-    count(edge, "face_floor")
-    count(edge.EdgeSmoother, "_setup_planar")
-    count(vertex, "degree")
-    for name in ("face_pairs", "edge_fans", "vertex_stars"):
-        count(mesh, name)
+    for owner, name in [(pipeline, "face_floor"), (edge, "face_floor"),
+                        (edge.EdgeSmoother, "_setup_planar"),
+                        (vertex, "degree"), (mesh, "face_pairs"),
+                        (mesh, "edge_fans"), (mesh, "vertex_stars")]:
+        _count_calls(monkeypatch, owner, name, counts)
     lambda_sweep(pl, choose_params(pl))
     swept = dict(counts)
     g = assemble(pl, params)
@@ -1179,12 +1192,74 @@ def test_cylinder_linf_bounds_a_dense_grid(setup, lam, request):
         assert row["linf_f"] >= sup * (1 - 1e-12)
 
 
-def test_linf_over_lambda_is_constant(kuhn_setup):
-    # the slabs and the cylinder are cones, so sup |g - f| scales with lambda
+def test_linf_over_lambda_is_constant(request):
+    # the slabs, cylinders and balls are cones, so sup |g - f| scales with
+    # lambda; the subdivided map's ball, whose term is sampled, is taken
+    # once, at lambda = 1
+    for setup in ("kuhn_setup", "subdiv_setup"):
+        pl, params, _ = request.getfixturevalue(setup)
+        rows = lambda_sweep(pl, params)
+        ratio = [r["linf_f"] / r["lambda"] for r in rows]
+        assert ratio == pytest.approx([ratio[0]] * len(rows), rel=1e-12)
+
+
+def _workload_map(name, seed):
+    """The map of a benchmark workload, its generator loaded from its file,
+    read-only."""
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  WORKLOADS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    wl = mod.make(name, seed)
+    return PLMap(SimplicialComplex(wl.points, wl.cells), wl.matrices,
+                 wl.offsets)
+
+
+@pytest.mark.parametrize("build", [
+    perturbed_kuhn_map, subdivided_tet_map,
+    lambda: _workload_map("kuhn_sweep", 0),
+    lambda: _workload_map("vertex_ball", 0)],
+    ids=["perturbed_kuhn", "subdivided_tet", "kuhn_sweep_0", "vertex_ball_0"])
+def test_quadrature_weights_are_cubics_in_lambda(build):
+    # every patch is a cone about its simplex and every overlap of two a
+    # cone about the simplex they share, so node for node the quadratures
+    # at every lambda have the same cell and maker, and each weight is
+    # a lam + b lam^2 + c lam^3: the cubic fitted at 1, 1/2 and 1/4 gives
+    # the weights at 1/3, 1/8 and 1/32 to 1e-12 of the largest there
+    pl, fit_lambdas = build(), (1.0, 0.5, 0.25)
+    g = assemble(pl, choose_params(pl))
+    fit = [g.scaled(lam)._quadrature() for lam in fit_lambdas]
+    coef = np.linalg.solve(np.vander(fit_lambdas, 4)[:, :3],
+                           [d[1] for d in fit])
+    for lam in (1 / 3, 1 / 8, 1 / 32):
+        _, wts, cell, made = g.scaled(lam)._quadrature()
+        assert np.array_equal(cell, fit[0][2])
+        assert np.array_equal(made, fit[0][3])
+        cubic = np.vander([lam], 4)[0, :3] @ coef
+        assert np.max(np.abs(wts - cubic)) <= 1e-12 * np.max(wts)
+
+
+def _bump(a):
+    a = a.copy()
+    a[0] += 1
+    return a
+
+
+@pytest.mark.parametrize("edit", [
+    lambda q: tuple(a[1:] for a in q),
+    lambda q: (*q[:2], _bump(q[2]), q[3]),
+    lambda q: (*q[:3], _bump(q[3]))], ids=["count", "cell", "maker"])
+def test_sweep_refuses_quadratures_that_differ(kuhn_setup, monkeypatch,
+                                               edit):
+    # the weights are fitted node by node, so a quadrature at lambda 1/2
+    # with a node less, or with another cell or maker at one node, is
+    # refused
     pl, params, _ = kuhn_setup
-    rows = lambda_sweep(pl, params)
-    ratio = [r["linf_f"] / r["lambda"] for r in rows]
-    assert ratio == pytest.approx([ratio[0]] * len(rows), rel=1e-12)
+    real = pipeline.SmoothedMap._quadrature
+    monkeypatch.setattr(pipeline.SmoothedMap, "_quadrature", lambda self: (
+        edit(real(self)) if self.params.lam == 0.5 else real(self)))
+    with pytest.raises(ConstructionError, match="differ"):
+        lambda_sweep(pl, params, lambdas=(1.0,))
 
 
 @pytest.mark.parametrize("setup", ["kuhn_setup", "subdiv_setup"])
