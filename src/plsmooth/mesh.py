@@ -227,10 +227,12 @@ def close_pairs(x, r):
         raise ValueError("points must be finite")
     lo = x.min(axis=0, initial=np.inf)
     span = float((x.max(axis=0, initial=-np.inf) - lo).max(initial=0.0))
-    # a coarser grid stays exact; 2^20 cells a side keep the keys in int64
-    side = max(r, span / 2.0 ** 20)
+    # a coarser grid stays exact; 2^20 cells a side keep the keys in int64,
+    # and a side of 1e-150 or more keeps in neighbouring cells the points
+    # whose squared distance underflows, which the test below reads as near
+    side = max(r, span / 2.0 ** 20, 1e-150)
     # a margin of one grid cell a side keeps every neighbour's key distinct
-    ijk = np.floor((x - lo) / (side if side > 0 else 1.0)).astype(np.int64) + 1
+    ijk = np.floor((x - lo) / side).astype(np.int64) + 1
     dims = ijk.max(axis=0, initial=0) + 2
     key = (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
     order = np.argsort(key, kind="stable")

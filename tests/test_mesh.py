@@ -556,6 +556,9 @@ _coord = st.one_of(st.floats(-10.0, 10.0), st.integers(-4, 4).map(float))
 @settings(max_examples=60, deadline=None)
 @given(pts=st.lists(st.tuples(_coord, _coord, _coord), max_size=60),
        r=st.one_of(st.floats(0.0, 20.0), st.integers(0, 4).map(float)))
+# two points whose squared distance underflows to 0 <= r^2, alone: the
+# grid must not put them 2^20 cells apart
+@example(pts=[(0.0, 0.0, 0.0), (0.0, 0.0, 6.05220662796089e-255)], r=0.0)
 def test_close_pairs_match_a_kd_tree(pts, r):
     x = np.array(pts, dtype=float).reshape(-1, 3)
     ref = cKDTree(x).query_pairs(r, output_type="ndarray").reshape(-1, 2)
