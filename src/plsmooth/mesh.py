@@ -229,7 +229,7 @@ def close_pairs(x, r):
     span = float((x.max(axis=0, initial=-np.inf) - lo).max(initial=0.0))
     # a coarser grid stays exact; 2^20 cells a side keep the keys in int64,
     # and a side of 1e-150 or more keeps in neighbouring cells the points
-    # whose squared distance underflows, which the test below reads as near
+    # whose squared distance underflows, which d2 <= r^2 below counts near
     side = max(r, span / 2.0 ** 20, 1e-150)
     # a margin of one grid cell a side keeps every neighbour's key distinct
     ijk = np.floor((x - lo) / side).astype(np.int64) + 1
