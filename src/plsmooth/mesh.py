@@ -115,34 +115,58 @@ class SimplicialComplex:
     def locate(self, x, tol=1e-10, extend=False):
         """Cell indices containing points ``x`` (N,3); -1 where outside.
 
-        One pass over the cells, testing each point by its smallest
-        barycentric coordinate (the arithmetic of
-        :func:`geometry.barycentric`).  A point takes the first cell that
-        contains it exactly (smallest coordinate >= 0) and drops out of the
-        pass there; otherwise the first cell within ``tol``; otherwise, with
+        Each point is tested by its smallest barycentric coordinate in a
+        cell (the arithmetic of :func:`geometry.barycentric`).  A point
+        takes the first cell that contains it exactly (smallest coordinate
+        >= 0); otherwise the first cell within ``tol``; otherwise, with
         ``extend``, the least-violated cell, whose smallest coordinate is
-        largest (the first on a tie); otherwise -1."""
+        largest (the first on a tie); otherwise -1.  With ``extend``, -1
+        is left only where no cell gives a smallest coordinate above -inf:
+        a point with a non-finite coordinate, or one so far out that its
+        coordinates overflow.
+
+        Two passes give that rule.  The first visits the cells in index
+        order with the exact test alone, and each point drops out at the
+        first cell that holds it.  The second applies the whole rule
+        (:meth:`_near_cells`) to the points that no cell holds.  A point
+        that some cell holds takes the first such cell under the rule,
+        whatever lies within ``tol`` before it, so the first pass's answer
+        is the rule's; the others get the rule itself.  Bulk points thus
+        cost one exact test per cell up to their own."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.full(len(x), -1, dtype=int)
-        # the smallest coordinate clipped at -tol, so that every cell within
-        # tol ties and the first of them stays the best
-        best = np.full(len(x), -np.inf)
         todo = np.arange(len(x))
         for ci in range(self.n_cells):
             if len(todo) == 0:
-                break
-            lam = (x.take(todo, axis=0) - self._p0[ci]) @ self._edge_inv[ci]
-            l1, l2, l3 = lam.T
-            low = np.minimum(np.minimum(1.0 - (l1 + l2 + l3), l1),
-                             np.minimum(l2, l3))
-            score = np.minimum(low, -tol)
-            better = score > best.take(todo)
-            best[todo[better]] = score[better]
-            inside = low >= 0
-            out[todo[better | inside]] = ci
+                return out
+            inside = self._low(x.take(todo, axis=0), ci) >= 0
+            out[todo[inside]] = ci
             todo = todo[~inside]
+        if len(todo):
+            out[todo] = self._near_cells(x.take(todo, axis=0), tol, extend)
+        return out
+
+    def _low(self, x, ci):
+        """The smallest barycentric coordinate of each point of ``x`` in
+        cell ``ci``."""
+        l1, l2, l3 = ((x - self._p0[ci]) @ self._edge_inv[ci]).T
+        return np.minimum(np.minimum(1.0 - (l1 + l2 + l3), l1),
+                          np.minimum(l2, l3))
+
+    def _near_cells(self, x, tol, extend):
+        """:meth:`locate`'s rule for points ``x`` that no cell holds: one
+        pass over the cells that keeps each point's best smallest
+        coordinate, clipped at -``tol`` so that every cell within ``tol``
+        ties and the first of them stays the best."""
+        out = np.full(len(x), -1, dtype=int)
+        best = np.full(len(x), -np.inf)
+        for ci in range(self.n_cells):
+            score = np.minimum(self._low(x, ci), -tol)
+            better = score > best
+            best[better] = score[better]
+            out[better] = ci
         if not extend:
-            out[todo[best[todo] < -tol]] = -1
+            out[best < -tol] = -1
         return out
 
     def contains(self, x):
@@ -774,6 +798,11 @@ def load_complex(source):
             offs = [p["offset"] for p in doc["pieces"]]
         except (KeyError, TypeError) as exc:
             raise ParseError("each piece needs 'matrix' and 'offset'") from exc
+        if len(mats) != cx.n_cells:
+            # the first index past the shorter of the two lists
+            raise ParseError(
+                f"pieces[{min(len(mats), cx.n_cells)}]: {len(mats)} pieces "
+                f"for {cx.n_cells} cells; need one per cell")
         return PLMap(cx, mats, offs)
     return cx
 

@@ -21,7 +21,7 @@ from . import edge, vertex
 from . import geometry as geo
 from .blend import FaceBlend, blend_pass, face_floor
 from .edge import EdgeSmoother
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, DomainError, ParameterError
 from .mesh import opposite_faces, pieces_agree, validate_pl_homeo
 from .norms import linf_difference
 from .vertex import VertexSmoother
@@ -352,9 +352,15 @@ class SmoothedMap:
     # -- dispatch
 
     def _bulk_cells(self, x, extend):
-        if extend:
-            return self.plmap.complex.locate(x, extend=True)
-        return self.plmap.locate_inside(x)
+        """The cell of f at each point of ``x`` that no patch holds; with
+        ``extend``, the nearest cell for a point outside the complex.
+        DomainError for a point without one."""
+        if not extend:
+            return self.plmap.locate_inside(x)
+        ci = self.plmap.complex.locate(x, extend=True)
+        if np.any(ci < 0):
+            raise DomainError(f"point {x[ci < 0][0]} has no nearest cell")
+        return ci
 
     def _owners(self, x):
         """The index in ``patches`` of the first patch whose mask holds each
@@ -372,11 +378,16 @@ class SmoothedMap:
         """g at points ``x`` (N,3) when ``value`` and Dg when ``jac``, each
         else None: ``_owners``, one call per patch on its points and one bulk
         ``locate``.  A patch's ``jacobian`` gives its value and Jacobian from
-        one pass, bit-equal in value to its ``evaluate``."""
+        one pass, bit-equal in value to its ``evaluate``.  A batch that no
+        patch holds is all bulk: f and Df, with no copy of ``x``."""
         x = np.asarray(x, dtype=float)
+        owner = self._owners(x)
+        if np.all(owner < 0):
+            ci = self._bulk_cells(x, extend)
+            return (self.plmap.apply(x, ci) if value else None,
+                    self.plmap.matrices[ci] if jac else None)
         out = np.empty_like(x) if value else None
         J = np.empty((len(x), 3, 3)) if jac else None
-        owner = self._owners(x)
         patches = self.patches
         for k in np.unique(owner[owner >= 0]):
             m = owner == k

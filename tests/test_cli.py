@@ -355,9 +355,11 @@ def test_abbreviated_flag_is_refused_with_a_config(kuhn_doc, tmp_path,
     ("matrices", lambda d: d["pieces"][3]["matrix"][1].__setitem__(
         2, float("nan"))),
     ("offsets", lambda d: d["pieces"][3]["offset"].__setitem__(0, 10 ** 400)),
-    ("cells", lambda d: d["cells"][0].__setitem__(1, float("inf")))],
+    ("cells", lambda d: d["cells"][0].__setitem__(1, float("inf"))),
+    ("pieces", lambda d: d["pieces"].append(d["pieces"][0]))],
     ids=["index_99", "coordinate_x", "coordinate_nan", "index_-1",
-         "index_1.5", "matrix_nan", "offset_past_float", "index_inf"])
+         "index_1.5", "matrix_nan", "offset_past_float", "index_inf",
+         "one_piece_too_many"])
 @pytest.mark.parametrize("command", ["validate", "smooth"])
 def test_malformed_document_exits_1_naming_the_field(kuhn_doc, tmp_path,
                                                      capsys, command, field,
@@ -421,7 +423,7 @@ def _single_field_change(draw, doc):
         pieces.pop(k % len(pieces))
     else:
         pieces.append(pieces[k % len(pieces)])
-    return doc, 1, ("matri",)
+    return doc, 1, ("pieces",)
 
 
 @settings(max_examples=200, deadline=None)

@@ -165,18 +165,29 @@ def test_locate_matches_brute_force_first_cell(seed, amplitude):
         grid.points + rng.uniform(-amplitude, amplitude, grid.points.shape),
         grid.cells, validate=False)
     P = cx.points
-    bar = rng.dirichlet(np.ones(4), size=100)
+
+    def on(simplices, n=100):
+        # points of random simplices of the list: on a shared face or edge,
+        # the coordinates of the other vertices of a cell are zeros
+        simplices = np.array(simplices)
+        pick = simplices[rng.integers(len(simplices), size=n)]
+        bar = rng.dirichlet(np.ones(pick.shape[1]), size=n)
+        return np.einsum("nk,nkj->nj", bar, P[pick])
+
     x = np.vstack([
         P,
         P[np.array(cx.edges)].mean(axis=1),
         P[np.array(cx.faces)].mean(axis=1),
-        np.einsum("nk,nkj->nj", bar,
-                  P[cx.cells[rng.integers(cx.n_cells, size=100)]]),
+        on([f for f, cs in cx.face_cells.items() if len(cs) > 1]),
+        on([e for e, cs in cx.edge_cells.items() if len(cs) > 1]),
+        on(cx.cells),
         _points_just_outside(cx, rng, n=50),
     ])
-    first, least = _brute_force_locate(cx, x)
-    assert np.array_equal(cx.locate(x), first)
-    assert np.array_equal(cx.locate(x, extend=True), least)
+    # 1e-7 is the tolerance of inverse_pl in SmoothedMap.inverse
+    for tol in (1e-10, 1e-7):
+        first, least = _brute_force_locate(cx, x, tol)
+        assert np.array_equal(cx.locate(x, tol=tol), first)
+        assert np.array_equal(cx.locate(x, tol=tol, extend=True), least)
 
 
 def test_pl_map_rejects_points_outside():
@@ -350,6 +361,17 @@ def test_load_complex_malformed():
         load_complex('{"points": "nope"}')
     with pytest.raises(ParseError):
         load_complex("not json at all {")
+
+
+@pytest.mark.parametrize("count,message", [
+    (7, "pieces[6]: 7 pieces for 6 cells"),
+    (5, "pieces[5]: 5 pieces for 6 cells")])
+def test_piece_count_other_than_cell_count_names_both(count, message):
+    doc = perturbed_kuhn_map().to_dict()
+    doc["pieces"] = (doc["pieces"] * 2)[:count]
+    with pytest.raises(ParseError) as exc:
+        load_complex(doc)
+    assert str(exc.value).startswith(message)
 
 
 def test_degenerate_cell_rejected():

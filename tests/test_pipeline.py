@@ -17,7 +17,7 @@ from plsmooth import geometry as geo
 from plsmooth import pipeline
 from plsmooth.builders import (kuhn_grid, kuhn_identity, perturbed_kuhn_map,
                                subdivided_tet_map, two_tet_map)
-from plsmooth.errors import ConstructionError, ParameterError
+from plsmooth.errors import ConstructionError, DomainError, ParameterError
 from plsmooth.mesh import (FacePair, PLMap, SimplicialComplex, face_pairs,
                            pl_map_from_vertex_images)
 from plsmooth.pipeline import (SWEEP_COLUMNS, SWEEP_DEFAULTS, FacePatch,
@@ -195,6 +195,62 @@ def test_smoothed_equals_pl_away_from_skeleton(kuhn_setup):
     far = x[~masked]
     assert len(far) > 1000
     assert np.array_equal(g.evaluate(far), pl(far))
+
+
+def _affine_grid_map():
+    cx = kuhn_grid(2, 1, 1)
+    A = np.array([[1.2, 0.1, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 1.1]])
+    return pl_map_from_vertex_images(cx, cx.points @ A.T + [0.3, -0.1, 0.2])
+
+
+@pytest.mark.parametrize("extend", [False, True])
+@pytest.mark.parametrize("build", [_affine_grid_map, perturbed_kuhn_map])
+def test_batch_that_no_patch_holds_is_f_from_one_bulk_call(build, extend,
+                                                          monkeypatch):
+    # a batch without a patch point reaches the bulk whole, uncopied, in one
+    # call, and gets f and Df bit for bit; with extend, points outside the
+    # complex too
+    pl = build()
+    g = assemble(pl, choose_params(pl))
+    rng = np.random.default_rng(7)
+    x = _interior_samples(pl, 3000, rng)
+    if extend:
+        lo, hi = pl.complex.points.min(axis=0), pl.complex.points.max(axis=0)
+        x = np.vstack([x, rng.uniform(lo - 0.2, hi + 0.2, (1000, 3))])
+    held = np.zeros(len(x), dtype=bool)
+    for p in g.patches:
+        held |= p.mask(x)
+    x = x[~held]
+    assert len(x) > 2000 and (build is perturbed_kuhn_map) == bool(g.patches)
+    ci = pl.complex.locate(x, extend=extend)
+    assert np.all(ci >= 0) and (not extend or not pl.complex.contains(x).all())
+    seen = []
+    real = pipeline.SmoothedMap._bulk_cells
+
+    def recorded(self, pts, ext):
+        seen.append(pts)
+        return real(self, pts, ext)
+    monkeypatch.setattr(pipeline.SmoothedMap, "_bulk_cells", recorded)
+    y, J = g._dispatch(x, jac=True, extend=extend)
+    assert len(seen) == 1 and seen[0] is x
+    assert np.array_equal(y, pl.apply(x, ci))
+    assert np.array_equal(J, pl.matrices[ci])
+    assert np.array_equal(g.evaluate(x, extend=extend), y)
+    assert np.array_equal(g.derivative(x, extend=extend), J)
+
+
+@pytest.mark.parametrize("method", ["evaluate", "derivative"])
+@pytest.mark.parametrize("x", [[[np.nan, 0.5, 0.5]],
+                               [[0.5, 0.5, 0.5], [np.nan, 0.5, 0.5]]],
+                         ids=["alone", "after_a_patch_point"])
+def test_extend_refuses_a_point_with_a_non_finite_coordinate(kuhn_setup,
+                                                            method, x):
+    # no cell is nearest to a NaN point: a DomainError names it, where the
+    # last piece used to stand in
+    _, _, g = kuhn_setup
+    assert g._owners(np.array(x)[:-1]).tolist() == [0] * (len(x) - 1)
+    with pytest.raises(DomainError, match=r"point \[nan 0\.5 0\.5\]"):
+        getattr(g, method)(x, extend=True)
 
 
 def test_dispatch_precedence(subdiv_setup):
