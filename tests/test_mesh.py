@@ -365,7 +365,7 @@ def test_load_complex_malformed():
 
 @pytest.mark.parametrize("count,message", [
     (7, "pieces[6]: 7 pieces for 6 cells"),
-    (5, "pieces[5]: 5 pieces for 6 cells")])
+    (5, "pieces[5]: 5 pieces for 6 cells")], ids=["one_more", "one_fewer"])
 def test_piece_count_other_than_cell_count_names_both(count, message):
     doc = perturbed_kuhn_map().to_dict()
     doc["pieces"] = (doc["pieces"] * 2)[:count]
