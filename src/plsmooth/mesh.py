@@ -120,10 +120,9 @@ class SimplicialComplex:
         takes the first cell that contains it exactly (smallest coordinate
         >= 0); otherwise the first cell within ``tol``; otherwise, with
         ``extend``, the least-violated cell, whose smallest coordinate is
-        largest (the first on a tie); otherwise -1.  With ``extend``, -1
-        is left only where no cell gives a smallest coordinate above -inf:
-        a point with a non-finite coordinate, or one so far out that its
-        coordinates overflow.
+        largest (the first on a tie); otherwise -1.  A point with a
+        non-finite coordinate gets -1, and so, with ``extend``, does one so
+        far out that its coordinates overflow.
 
         Two passes give that rule.  The first visits the cells in index
         order with the exact test alone, and each point drops out at the
@@ -136,6 +135,8 @@ class SimplicialComplex:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.full(len(x), -1, dtype=int)
         todo = np.arange(len(x))
+        if not np.isfinite(x).all():
+            todo = todo[np.isfinite(x).all(axis=1)]
         for ci in range(self.n_cells):
             if len(todo) == 0:
                 return out
@@ -189,9 +190,10 @@ class SimplicialComplex:
                 f"cell {ci} is degenerate "
                 f"(condition number {np.linalg.cond(D[ci]):.3e})")
         tol = 1e-10 * self.coordinate_scale()
-        bad = self._nonconforming_pair(self._candidate_pairs(tol), tol)
-        if bad is not None:
-            a, b = bad
+        pairs = self._candidate_pairs(tol)
+        bad = pairs[~self._conforming_pairs(pairs, tol)]
+        if len(bad):
+            a, b = bad[0].tolist()
             P = self._scaled_cells()
             vol, _ = geo.convex_interior_overlap(P[a], P[b], tol=tol * s)
             if vol > (tol * s) ** 3:
@@ -204,17 +206,16 @@ class SimplicialComplex:
                 f"cells {a} and {b} intersect in a set that is not a "
                 f"common subsimplex (shared vertices {shared})")
 
-    def _nonconforming_pair(self, pairs, tol):
-        """The first cell pair (a, b) of ``pairs`` that does not meet exactly
-        in a common subsimplex, or None."""
+    def _conforming_pairs(self, pairs, tol):
+        """:func:`_conforming` on ``pairs``, ``PAIR_CHUNK`` at a time: the
+        mask of the pairs whose cells meet exactly in a common subsimplex."""
         planes = geo.halfspaces_of_tet(self._scaled_cells())
         tol = tol * self._unit_scale()
-        for start in range(0, len(pairs), PAIR_CHUNK):
-            chunk = pairs[start:start + PAIR_CHUNK]
-            bad = ~_conforming(self.cells, planes, chunk, tol)
-            if bad.any():
-                return tuple(int(c) for c in chunk[np.argmax(bad)])
-        return None
+        ok = np.empty(len(pairs), dtype=bool)
+        for k in range(0, len(pairs), PAIR_CHUNK):
+            ok[k:k + PAIR_CHUNK] = _conforming(self.cells, planes,
+                                               pairs[k:k + PAIR_CHUNK], tol)
+        return ok
 
     def _candidate_pairs(self, tol):
         """Cell pairs (a, b), a < b, in lexicographic order, whose bounding
@@ -309,49 +310,6 @@ def _conforming(cells, planes, pairs, tol):
     return ~np.any(vertex & off_face, axis=1) & ~shared.all(axis=1)
 
 
-def _edge_plane_separated(cells, P, pairs, eps):
-    """Per cell pair (a, b) of vertex coordinates ``P`` (m,4,3): do the
-    cells share an edge (2 or 3 vertices) and lie on the two sides of a
-    plane through it, every vertex of one at signed distance <= ``eps`` and
-    every vertex of the other at >= -``eps``?  The planes tried pass
-    through p and q, the first two shared vertices in a's order, and each
-    other vertex of either cell; a plane whose normal is 0 clears nothing.
-
-    The test is complete.  A plane that separates two cells holding p and q
-    contains the edge pq.  Project along the edge: near it each cell fills
-    its dihedral wedge, narrower than pi, and two such wedges with disjoint
-    interiors are separated by a line through a boundary ray of one of
-    them, the trace of one of the planes tried.
-
-    A pair it clears has no interior overlap to the LP's tolerance
-    either: the two cells meet within a slab of half-width ``eps`` about
-    the plane, so their intersection has a Chebyshev radius of at most
-    ``eps``, below the radius at which ``geometry.convex_interior_overlap``
-    reports an overlap when ``eps`` is below its ``tol``."""
-    a, b = pairs[:, 0], pairs[:, 1]
-    ca, cb = cells[a], cells[b]
-    shared = (ca[:, :, None] == cb[:, None, :]).any(axis=2)
-    # each cell's vertices reordered: p and q first, then its two others
-    # (on pairs that share no edge the order means nothing, and the
-    # result is masked)
-    oa = np.argsort(~shared, axis=1, kind="stable")
-    pq = np.take_along_axis(ca, oa[:, :2], axis=1)
-    ob = np.argsort(~(cb[:, :, None] == pq[:, None, :]).any(axis=2), axis=1,
-                    kind="stable")
-    Pa = np.take_along_axis(P[a], oa[..., None], axis=1)
-    Pb = np.take_along_axis(P[b], ob[..., None], axis=1)
-    V = np.concatenate([Pa, Pb], axis=1) - Pa[:, :1]
-    n = np.cross(V[:, 1:2], V[:, [2, 3, 6, 7]])
-    size = np.linalg.norm(n, axis=2, keepdims=True)
-    n = np.divide(n, size, out=np.zeros_like(n), where=size > 0)
-    dist = np.einsum("kjc,kvc->kjv", n, V)
-    da, db = dist[..., :4], dist[..., 4:]
-    split = (((da.max(axis=2) <= eps) & (db.min(axis=2) >= -eps))
-             | ((db.max(axis=2) <= eps) & (da.min(axis=2) >= -eps)))
-    edge = np.isin(shared.sum(axis=1), (2, 3))
-    return edge & np.any(split & (size[..., 0] > 0), axis=1)
-
-
 def _reals(values):
     """``values`` as a float array, NaN at each entry that is not a real
     number (a string, a bool, None or a list where a number belongs)."""
@@ -444,12 +402,14 @@ class PLMap:
         inverse of that cell's piece.  Returns the preimages and the cells.
 
         With ``extend`` image points that fall (slightly) outside the image
-        mesh use the least-violated cell instead of raising."""
+        mesh use the least-violated cell; DomainError for a point without
+        one."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
         img, invs = self.inverse_pieces()
         ci = img.locate(y, tol=tol, extend=extend)
         if np.any(ci < 0):
-            raise NonInjectiveError("point outside the image mesh")
+            raise DomainError(
+                f"point {y[ci < 0][0]} lies outside the image mesh")
         return np.einsum("nij,nj->ni", invs[ci], y - self.offsets[ci]), ci
 
     def inverse_pieces(self):
@@ -502,15 +462,15 @@ def validate_pl_homeo(plmap):
 
     Continuity is the spread of each vertex's images over all the cells
     that hold it, so cells that share only a vertex are compared too.
-    Injectivity is audited on the image cells: the candidate pairs of
-    :meth:`SimplicialComplex._candidate_pairs`, then an LP interior-overlap
-    test on each pair that :func:`_edge_plane_separated` does not clear,
-    then the exact conformity check of complex validation on every pair,
-    which also rejects image cells that touch outside a common face.  The
-    plane test only clears pairs that share an edge; its slab is 1/100 of
-    the LP's tolerance, so a pair it clears is one the LP would pass, and
-    verdicts and messages are the LP's.  All three run on unit-scaled image
-    coordinates, so the audit is scale-free.
+    Injectivity is audited on the image cells.  The exact conformity check
+    of complex validation runs on every candidate pair, then, in
+    lexicographic order, an LP interior-overlap test on each pair that
+    fails it or shares at most one vertex (ROADMAP item 2 replaces both).
+    A pair that conforms meets the other cell only in their common face, so
+    it has no interior overlap; a pair that overlaps fails conformity, so
+    the LP still reaches it and finds the first overlap.  Without one, the
+    first pair that does not conform touches outside a common face.  Both
+    tests run on unit-scaled image coordinates, so the audit is scale-free.
     """
     cx = plmap.complex
     scale = cx.coordinate_scale()
@@ -539,25 +499,26 @@ def validate_pl_homeo(plmap):
             f"pieces disagree at vertex {int(np.argmax(spread))} "
             f"(residual {resid:.3e})")
 
-    # injectivity of the image cells, on unit-scaled coordinates: the LP on
-    # every pair that no plane through a shared edge separates
+    # injectivity of the image cells, on unit-scaled coordinates
     img = plmap.inverse_pieces()[0]
     gtol = 1e-10 * scale
     pairs = img._candidate_pairs(gtol)
+    conform = img._conforming_pairs(pairs, gtol)
+    ca, cb = img.cells[pairs[:, 0]], img.cells[pairs[:, 1]]
+    shared = (ca[:, :, None] == cb[:, None, :]).sum(axis=(1, 2))
     s = img._unit_scale()
     P = img._scaled_cells()
-    apart = _edge_plane_separated(img.cells, P, pairs, 1e-2 * gtol * s)
-    for a, b in pairs[~apart].tolist():
+    for a, b in pairs[(shared <= 1) | ~conform].tolist():
         vol, witness = geo.convex_interior_overlap(P[a], P[b], tol=gtol * s)
         if vol > (gtol * s) ** 3:
             witness = witness / s + img.points.mean(axis=0)
             raise NonInjectiveError(
                 f"image cells overlap near {witness}; map is not injective")
-    bad = img._nonconforming_pair(pairs, gtol)
-    if bad is not None:
+    if not conform.all():
+        a, b = pairs[np.argmin(conform)].tolist()
         raise NonInjectiveError(
-            f"image cells {bad[0]} and {bad[1]} touch outside a common "
-            f"face; map is not injective")
+            f"image cells {a} and {b} touch outside a common face; map is "
+            f"not injective")
     return ValidationReport(orientation=orient,
                             continuity_residual=resid,
                             min_abs_det=float(np.min(np.abs(dets))),

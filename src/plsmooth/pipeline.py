@@ -379,8 +379,12 @@ class SmoothedMap:
         else None: ``_owners``, one call per patch on its points and one bulk
         ``locate``.  A patch's ``jacobian`` gives its value and Jacobian from
         one pass, bit-equal in value to its ``evaluate``.  A batch that no
-        patch holds is all bulk: f and Df, with no copy of ``x``."""
+        patch holds is all bulk: f and Df, with no copy of ``x``.
+        DomainError for a point with a non-finite coordinate."""
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            finite = np.isfinite(x).all(axis=-1)
+            raise DomainError(f"point {x[~finite][0]} is not finite")
         owner = self._owners(x)
         if np.all(owner < 0):
             ci = self._bulk_cells(x, extend)

@@ -20,11 +20,11 @@ from plsmooth.errors import (ContinuityError, DegenerateSimplexError,
                              InvalidInputError, NonInjectiveError,
                              OrientationError, ParseError)
 from plsmooth.geometry import barycentric, tet_volume
-from plsmooth.mesh import (PLMap, SimplicialComplex, _edge_plane_separated,
-                           close_pairs, edge_fans, face_pairs, load_complex,
-                           pl_map_from_vertex_images, save_document,
-                           validate_pl_homeo, vertex_stars)
+from plsmooth.mesh import (PLMap, SimplicialComplex, close_pairs, edge_fans,
+                           face_pairs, load_complex, pl_map_from_vertex_images,
+                           save_document, validate_pl_homeo, vertex_stars)
 from oracles import candidate_pairs
+from pin_messages import CONTROLS, PINNED, double_cover, verdict
 
 
 def test_kuhn_cube_combinatorics():
@@ -633,26 +633,10 @@ def test_perturbed_grids_validate_or_raise_typed_error(a):
             pass
 
 
-def _double_cover():
-    """The Kuhn cube wrapped twice around its diagonal: every point keeps
-    its height along (1, 1, 1) and its distance from it, and its angle
-    about it doubles.  Each cell's dihedral angle at the diagonal goes from
-    pi/3 to 2pi/3, whose sine is the same, so every det is +1, and cells k
-    and k + 3 fill one wedge."""
-    cx = kuhn_cube()
-    d = np.ones(3) / np.sqrt(3.0)
-    u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    w = np.cross(d, u)
-    h, x, y = cx.points @ d, cx.points @ u, cx.points @ w
-    z = (x + 1j * y) ** 2 / np.maximum(np.abs(x + 1j * y), 1e-300)
-    images = np.outer(h, d) + np.outer(z.real, u) + np.outer(z.imag, w)
-    return pl_map_from_vertex_images(cx, images)
-
-
 def test_double_cover_around_a_shared_edge_is_rejected():
-    # the overlapping pairs share the diagonal, so the plane test through
-    # the shared edge must leave them to the LP
-    pl = _double_cover()
+    # the overlapping pairs share the diagonal; they fail the conformity
+    # check, so the LP still reaches them and names the overlap
+    pl = double_cover()
     assert np.allclose(np.linalg.det(pl.matrices), 1.0)
     with pytest.raises(NonInjectiveError, match="overlap near"):
         validate_pl_homeo(pl)
@@ -676,9 +660,9 @@ def _grid_affine():
                               "grid_affine"])
 def test_overlap_lp_runs_only_on_pairs_sharing_at_most_a_vertex(
         build, calls, monkeypatch):
-    # every image pair that shares an edge is cleared by a plane through
-    # it; grid_affine keeps its 14 pairs that share one vertex and its one
-    # disjoint pair
+    # every image pair that shares an edge conforms, so only pairs that
+    # share at most one vertex reach the LP: grid_affine's 14 pairs that
+    # share one vertex and its one disjoint pair
     seen = []
     lp = geo.convex_interior_overlap
     monkeypatch.setattr(geo, "convex_interior_overlap",
@@ -691,6 +675,19 @@ _small = st.integers(-3, 3)
 _lattice = st.tuples(_small, _small, _small)
 
 
+def _lp_on_conforming_pair(cx):
+    """The LP's result on the two cells of ``cx`` if they conform, as
+    ``validate_pl_homeo`` runs both, else None.  Rejects examples with a
+    degenerate cell."""
+    D = cx._edge_vectors() * cx._unit_scale()
+    assume(np.all(np.abs(np.linalg.det(D)) > 1e-6))
+    tol = 1e-10 * cx.coordinate_scale()
+    if not cx._conforming_pairs(np.array([[0, 1]]), tol)[0]:
+        return None
+    X = cx._scaled_cells()
+    return geo.convex_interior_overlap(X[0], X[1], tol=tol * cx._unit_scale())
+
+
 @settings(max_examples=300, deadline=None)
 @given(pts=st.lists(_lattice, min_size=6, max_size=6), face=st.booleans(),
        plane=st.none() | st.tuples(_small, _small),
@@ -700,13 +697,14 @@ _lattice = st.tuples(_small, _small, _small)
               (1, 1, 0)], face=True, plane=None, nudge=0.0, exp=0)
 @example(pts=[(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (-1, 0, 0),
               (0, -1, 0)], face=False, plane=(0, -1), nudge=-1e-13, exp=300)
-def test_edge_plane_clearing_agrees_with_the_lp(pts, face, plane, nudge,
-                                                exp):
+def test_conforming_pairs_sharing_an_edge_have_no_lp_overlap(pts, face, plane,
+                                                            nudge, exp):
     # two cells through the edge (p, q): a = (p, q, a1, a2) and b = (p, q,
     # a1, b2) across a shared face or (p, q, b1, b2) across the edge alone.
     # b2 may fold past the shared face, lie exactly on the plane (p, q, a2)
     # (``plane``: b2 = p + i (q - p) + j (a2 - p)) or within ``nudge`` of
-    # it; a pair the plane test clears has no overlap for the LP either
+    # it; a pair that conforms has no overlap for the LP, so validation
+    # may skip the LP on it
     P = np.array(pts, dtype=float)
     p, q, a2 = P[0], P[1], P[3]
     if plane is not None:
@@ -716,10 +714,123 @@ def test_edge_plane_clearing_agrees_with_the_lp(pts, face, plane, nudge,
         P[5] += nudge * n / np.linalg.norm(n)
     cells = [[0, 1, 2, 3], [0, 1, 2, 5] if face else [0, 1, 4, 5]]
     cx = SimplicialComplex(P * 2.0 ** exp, cells, validate=False)
-    D = cx._edge_vectors() * cx._unit_scale()
-    assume(np.all(np.abs(np.linalg.det(D)) > 1e-6))
-    s = cx._unit_scale()
-    tol = 1e-10 * cx.coordinate_scale() * s
-    X = cx._scaled_cells()
-    if _edge_plane_separated(cx.cells, X, np.array([[0, 1]]), 1e-2 * tol)[0]:
-        assert geo.convex_interior_overlap(X[0], X[1], tol=tol) == (0.0, None)
+    result = _lp_on_conforming_pair(cx)
+    assert result is None or result == (0.0, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=st.lists(_lattice, min_size=8, max_size=8), vertex=st.booleans(),
+       facet=st.sampled_from(list(combinations(range(4), 3))),
+       plane=st.none() | st.tuples(_small, _small),
+       nudge=st.sampled_from([0.0, 1e-13, -1e-13, 1e-9]),
+       exp=st.sampled_from([-300, 0, 300]))
+def test_conforming_pairs_sharing_at_most_a_vertex_have_no_lp_overlap(
+        pts, vertex, facet, plane, nudge, exp):
+    # a = (p, a1, a2, a3) and b = (p, b1, b2, b3) through the vertex p, or
+    # b = (b0, b1, b2, b3) apart from a.  b1 may lie exactly on the plane
+    # of a's ``facet`` (``plane``: b1 = f0 + i (f1 - f0) + j (f2 - f0)) or
+    # within ``nudge`` of it.  Validation still runs the LP on these pairs;
+    # that a pair that conforms has no overlap for the LP is what lets
+    # ROADMAP item 2 drop it
+    P = np.array(pts, dtype=float)
+    f0, f1, f2 = P[list(facet)]
+    if plane is not None:
+        P[5] = f0 + plane[0] * (f1 - f0) + plane[1] * (f2 - f0)
+    n = np.cross(f1 - f0, f2 - f0)
+    if np.any(n):
+        P[5] += nudge * n / np.linalg.norm(n)
+    cells = [[0, 1, 2, 3], [0 if vertex else 4, 5, 6, 7]]
+    cx = SimplicialComplex(P * 2.0 ** exp, cells, validate=False)
+    result = _lp_on_conforming_pair(cx)
+    assert result is None or result == (0.0, None)
+
+
+# two-cell domains whose cells share 3, 2, 1 or 0 vertices: the unit tet
+# and a second one across a face, an edge, a vertex or a gap
+_UNIT_TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+_TWO_CELLS = {
+    3: (_UNIT_TET + [[1, 1, 1]], [[0, 1, 2, 3], [1, 2, 3, 4]]),
+    2: (_UNIT_TET + [[0, -1, 0], [0, 0, -1]], [[0, 1, 2, 3], [0, 1, 4, 5]]),
+    1: (_UNIT_TET + [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        [[0, 1, 2, 3], [0, 4, 5, 6]]),
+    0: (_UNIT_TET + [[3, 0, 0], [4, 0, 0], [3, 1, 0], [3, 0, 1]],
+        [[0, 1, 2, 3], [4, 5, 6, 7]]),
+}
+
+
+def _lp_then_conformity(pl):
+    """The injectivity verdict of a reference rule, as validate_pl_homeo
+    words it, or None: the LP on every candidate image pair in
+    lexicographic order, then the first pair that does not conform.  It is
+    also the verdict of the audit before the conformity check decided pairs
+    that share an edge, which ran the LP on every pair that no plane
+    through a shared edge separated: a pair such a plane separates has no
+    overlap for the LP."""
+    img = pl.inverse_pieces()[0]
+    tol = 1e-10 * pl.complex.coordinate_scale()
+    pairs = img._candidate_pairs(tol)
+    s, P = img._unit_scale(), img._scaled_cells()
+    for a, b in pairs.tolist():
+        vol, witness = geo.convex_interior_overlap(P[a], P[b], tol=tol * s)
+        if vol > (tol * s) ** 3:
+            witness = witness / s + img.points.mean(axis=0)
+            return ("NonInjectiveError", f"image cells overlap near "
+                    f"{witness}; map is not injective")
+    bad = pairs[~img._conforming_pairs(pairs, tol)]
+    if len(bad):
+        a, b = bad[0].tolist()
+        return ("NonInjectiveError", f"image cells {a} and {b} touch "
+                f"outside a common face; map is not injective")
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared=st.sampled_from(sorted(_TWO_CELLS)),
+       moves=st.lists(st.tuples(*[st.integers(-1, 1)] * 3), min_size=8,
+                      max_size=8),
+       exp=st.sampled_from([-300, 0, 300]))
+def test_two_cell_verdicts_match_the_lp_then_conformity_reference(
+        shared, moves, exp):
+    # lattice images: twice the domain, each vertex moved by up to one unit
+    # per axis, so maps come out valid, overlapping and touching
+    pts, cells = _TWO_CELLS[shared]
+    pts = np.array(pts, dtype=float)
+    cx = SimplicialComplex(pts * 2.0 ** exp, cells)
+    images = 2.0 * pts + np.array(moves[:len(pts)])
+    # the image cells' exact determinants, from their integer vertices: a
+    # map with a singular piece is test_a_singular_piece_is_rejected's
+    Q = images[cx.cells]
+    dets = np.rint(np.linalg.det(Q[:, 1:] - Q[:, :1]))
+    assume(np.all(dets > 0) or np.all(dets < 0))
+    pl = pl_map_from_vertex_images(cx, images * 2.0 ** exp)
+    try:
+        validate_pl_homeo(pl)
+        got = None
+    except NonInjectiveError as exc:
+        got = ("NonInjectiveError", str(exc))
+    assert got == _lp_then_conformity(pl)
+
+
+@pytest.mark.xfail(strict=True, reason="a singular piece whose LU "
+                   "determinant rounds to 3.3e-16 passes the orientation "
+                   "check; CHANGES.md FOUND line")
+def test_a_singular_piece_is_rejected():
+    # the second piece, [[3, 1, -1], [0, 2, 1], [-1, -1, 0]], has det 0: it
+    # flattens its cell, so the map is not injective
+    pts, cells = _TWO_CELLS[0]
+    moves = [(0, 0, 0)] * 4 + [(0, 0, 1), (1, 0, 0), (1, 0, 0), (-1, 1, -1)]
+    images = 2.0 * np.array(pts, dtype=float) + np.array(moves)
+    pl = pl_map_from_vertex_images(SimplicialComplex(pts, cells), images)
+    assert geo.det3(pl.matrices[1]) == 0.0
+    with pytest.raises(InvalidInputError):
+        validate_pl_homeo(pl)
+
+
+_PINNED = json.loads(PINNED.read_text())
+
+
+@pytest.mark.parametrize("name", list(CONTROLS))
+def test_negative_control_keeps_its_pinned_message(name):
+    # the exception type and full message, witness included, as
+    # pin_messages.py wrote them
+    assert verdict(CONTROLS[name]) == _PINNED[name]

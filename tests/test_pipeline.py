@@ -2,6 +2,7 @@
 assembly and dispatch, the difference set, inversion, and the sweep."""
 
 import importlib.util
+import re
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -251,6 +252,42 @@ def test_extend_refuses_a_point_with_a_non_finite_coordinate(kuhn_setup,
     assert g._owners(np.array(x)[:-1]).tolist() == [0] * (len(x) - 1)
     with pytest.raises(DomainError, match=r"point \[nan 0\.5 0\.5\]"):
         getattr(g, method)(x, extend=True)
+
+
+# the entry points that take a point batch, each with and without extend
+# where it has the option
+_ENTRY_POINTS = {
+    "g.evaluate": lambda pl, g, x: g.evaluate(x),
+    "g.evaluate-extend": lambda pl, g, x: g.evaluate(x, extend=True),
+    "g.derivative": lambda pl, g, x: g.derivative(x),
+    "g.derivative-extend": lambda pl, g, x: g.derivative(x, extend=True),
+    "g.inverse": lambda pl, g, x: g.inverse(x),
+    "f": lambda pl, g, x: pl(x),
+    "f.derivative": lambda pl, g, x: pl.derivative(x),
+    "inverse_pl": lambda pl, g, x: pl.inverse_pl(x),
+    "inverse_pl-extend": lambda pl, g, x: pl.inverse_pl(x, extend=True),
+    "locate": lambda pl, g, x: pl.complex.locate(x),
+    "locate-extend": lambda pl, g, x: pl.complex.locate(x, extend=True),
+    "contains": lambda pl, g, x: g.contains(x),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("v", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_point_gets_a_domain_error_or_no_cell(kuhn_setup, v,
+                                                           entry):
+    # after a valid point, one with a non-finite coordinate: no warning (the
+    # suite turns warnings into errors), and a DomainError that names it,
+    # or no cell from the queries that report one
+    pl, _, g = kuhn_setup
+    bad = np.array([v, 0.5, 0.5])
+    x = np.array([[0.5, 0.5, 0.5], bad])
+    if entry.startswith(("locate", "contains")):
+        got = _ENTRY_POINTS[entry](pl, g, x)
+        assert got[1] == (False if entry == "contains" else -1)
+        return
+    with pytest.raises(DomainError, match=re.escape(f"point {bad}")):
+        _ENTRY_POINTS[entry](pl, g, x)
 
 
 def test_dispatch_precedence(subdiv_setup):
