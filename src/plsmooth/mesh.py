@@ -471,20 +471,29 @@ def validate_pl_homeo(plmap):
     the LP still reaches it and finds the first overlap.  Without one, the
     first pair that does not conform touches outside a common face.  Both
     tests run on unit-scaled image coordinates, so the audit is scale-free.
+
+    Orientation comes first: a piece of determinant 0 is a
+    DegenerateSimplexError, and mixed signs an OrientationError that names
+    the first cell whose sign is not the majority's (cell 0's on a tie).
     """
     cx = plmap.complex
     scale = cx.coordinate_scale()
     tol = 1e-12 * scale
 
-    dets = np.linalg.det(plmap.matrices)
-    if np.all(dets > 0):
-        orient = 1
-    elif np.all(dets < 0):
-        orient = -1
+    # cofactor determinants: LU rounds a singular piece's 0 to +-1e-16
+    dets = geo.det3(plmap.matrices)
+    if np.any(dets == 0):
+        raise DegenerateSimplexError(
+            f"the piece of cell {int(np.argmax(dets == 0))} is singular "
+            f"(determinant 0): it flattens its cell")
+    sign = np.sign(dets)
+    if np.all(sign == sign[0]):
+        orient = int(sign[0])
     else:
-        bad = int(np.argmin(np.sign(dets) == np.sign(np.median(dets))))
-        raise OrientationError(
-            f"determinant signs are mixed (first offending cell {bad})")
+        # the majority sign, cell 0's on a tie
+        major = np.sign(np.sum(sign)) or sign[0]
+        raise OrientationError(f"determinant signs are mixed (first "
+                               f"offending cell {int(np.argmax(sign != major))})")
 
     # continuity: the spread of each vertex's images over its cells
     imgs = plmap._cell_images()

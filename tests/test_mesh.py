@@ -11,6 +11,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 import plsmooth as ps
+import plsmooth.cli
 from plsmooth import geometry as geo
 from plsmooth.builders import (kuhn_cube, kuhn_grid, kuhn_identity,
                                perturbed_kuhn_map, single_tet, subdivided_tet,
@@ -811,18 +812,35 @@ def test_two_cell_verdicts_match_the_lp_then_conformity_reference(
     assert got == _lp_then_conformity(pl)
 
 
-@pytest.mark.xfail(strict=True, reason="a singular piece whose LU "
-                   "determinant rounds to 3.3e-16 passes the orientation "
-                   "check; CHANGES.md FOUND line")
-def test_a_singular_piece_is_rejected():
+def test_a_singular_piece_is_rejected(tmp_path, capsys):
     # the second piece, [[3, 1, -1], [0, 2, 1], [-1, -1, 0]], has det 0: it
-    # flattens its cell, so the map is not injective
+    # flattens its cell, so the map is not injective.  LU rounds its det to
+    # 3.3e-16; the check names the cell before inverse_pieces inverts it
     pts, cells = _TWO_CELLS[0]
     moves = [(0, 0, 0)] * 4 + [(0, 0, 1), (1, 0, 0), (1, 0, 0), (-1, 1, -1)]
     images = 2.0 * np.array(pts, dtype=float) + np.array(moves)
     pl = pl_map_from_vertex_images(SimplicialComplex(pts, cells), images)
     assert geo.det3(pl.matrices[1]) == 0.0
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DegenerateSimplexError, match="piece of cell 1 is "
+                       "singular"):
+        validate_pl_homeo(pl)
+    assert not hasattr(pl, "_inverse")
+    doc = tmp_path / "singular.json"
+    save_document(pl, doc)
+    assert plsmooth.cli.main(["validate", str(doc)]) == 2
+    assert "piece of cell 1 is singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signs,cell", [
+    ((1, -1, 1, 1, 1, 1), 1), ((1, -1, -1, -1, -1, -1), 0),
+    ((1, 1, 1, -1, -1, -1), 3), ((-1, 1, 1, 1, -1, -1), 1),
+    ((1, 1, -1, -1, -1, 1), 2)])
+def test_mixed_orientation_names_the_first_cell_off_the_majority(signs,
+                                                                 cell):
+    # the majority sign is cell 0's on a tie
+    pl = PLMap(kuhn_cube(), [np.diag([s, 1.0, 1.0]) for s in signs],
+               np.zeros((6, 3)))
+    with pytest.raises(OrientationError, match=rf"offending cell {cell}\)"):
         validate_pl_homeo(pl)
 
 
