@@ -70,27 +70,37 @@ def time_profile_prime(t):
     return 3.0 * eta_prime(3.0 * np.asarray(t, dtype=float) - 1.0)
 
 
-def radial_stages(stages, parts, size, rad, cols, jac):
-    """One pass of a map made of radial stages: its value (N,3) and, when
-    ``jac``, its Jacobian (N,3,3), else None, at points of radius ``rad``.
+def radial_bands(ks, parts, size, rad):
+    """The stage of each point of radius ``rad`` and its band coordinate,
+    for stages that start at radii k/parts size, k in ``ks`` from the
+    centre out.  Stage i holds the points with ks[i]/parts size <= rad <
+    ks[i+1]/parts size, the last stage the rest; a point's band coordinate
+    s = (parts rad - k size) / size runs from 0 to 1 across a band one part
+    wide."""
+    region = np.searchsorted([k / parts * size for k in ks[1:]], rad,
+                             side="right")
+    return region, (parts * rad - np.take(ks, region) * size) / size
 
-    ``stages`` lists (k, stage) from the centre out.  Stage k holds the
-    points with k/parts size <= rad < k'/parts size, k' the next stage's k,
-    the last stage the rest.  It is called once, as stage(*rows, s, jac),
-    on its points' rows of the per-point arrays ``cols`` (the points
-    first) and its band coordinate s = (parts rad - k size) / size, which
-    runs from 0 to 1 across a band one part wide, and returns its value and
-    Jacobian (None without ``jac``)."""
+
+def radial_stages(stages, bands, cols, jac):
+    """One pass of a map made of radial stages: its value (N,3) and, when
+    ``jac``, its Jacobian (N,3,3), else None, at the points ``cols[0]``.
+
+    ``stages`` lists (k, stage) from the centre out, and ``bands`` is
+    ``radial_bands`` of their k.  Each stage is called once, as
+    stage(*rows, s, jac), on its points' rows of the per-point arrays
+    ``cols`` (the points first; a None column stays None) and their band
+    coordinates s, and returns its value and Jacobian (None without
+    ``jac``)."""
     x = cols[0]
     out = np.empty_like(x)
     J = np.empty((len(x), 3, 3)) if jac else None
-    region = np.searchsorted([k / parts * size for k, _ in stages[1:]], rad,
-                             side="right")
-    for i, (k, stage) in enumerate(stages):
+    region, s = bands
+    for i, (_, stage) in enumerate(stages):
         m = region == i
         if np.any(m):
-            out[m], Jm = stage(*(c[m] for c in cols),
-                               (parts * rad[m] - k * size) / size, jac)
+            out[m], Jm = stage(*(None if c is None else c[m] for c in cols),
+                               s[m], jac)
             if jac:
                 J[m] = Jm
     return out, J

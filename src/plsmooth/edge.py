@@ -21,7 +21,8 @@ import numpy as np
 
 from . import geometry as geo
 from .blend import (FaceBlend, blend_pass, eta, eta_prime, face_floor,
-                    radial_stages, time_profile, time_profile_prime)
+                    radial_bands, radial_stages, time_profile,
+                    time_profile_prime)
 from .errors import (ConstructionError, InvalidInputError, ParameterError)
 from .mesh import EdgeFan, min_gap_and_trivial, pieces_agree
 
@@ -185,7 +186,8 @@ class EdgeSmoother:
     def _setup_planar(self):
         r = self.radius
         thg = np.linspace(-np.pi, np.pi, 2049)
-        G0, dG0 = self._circle(thg, True)
+        p0 = self._circle_points(thg)
+        G0, dG0 = _circle_image(p0, *wedge(self.fan, self.blends, p0, True))
         raw = np.unwrap(np.arctan2(G0[:, 1], G0[:, 0]))
         if abs((raw[-1] - raw[0]) - 2 * np.pi) > 1e-6:
             raise ConstructionError(
@@ -212,15 +214,9 @@ class EdgeSmoother:
             raise ConstructionError(
                 "squeeze circle map is not orientation preserving")
 
-    def _circle(self, theta, jac):
-        """The squeeze circle t0 = 3r/5: the wedge's horizontal image G0
-        there and, when ``jac``, its derivative dG0/dtheta, each (N, 2)."""
-        p0 = _foot(_SQUEEZE / _FIFTHS * self.radius, theta)
-        G0, Jw = wedge(self.fan, self.blends, p0, jac)
-        if not jac:
-            return G0[:, :2], None
-        tangent = np.stack([-p0[:, 1], p0[:, 0], np.zeros(len(p0))], axis=-1)
-        return G0[:, :2], np.einsum("nij,nj->ni", Jw, tangent)[:, :2]
+    def _circle_points(self, theta):
+        """The squeeze circle t0 = 3r/5 at angles ``theta``."""
+        return _foot(_SQUEEZE / _FIFTHS * self.radius, theta)
 
     def _H(self, theta, G0):
         """Exact lift of the squeeze circle map at ``theta``, G0 its image
@@ -235,25 +231,52 @@ class EdgeSmoother:
     def apply(self, x, jac):
         """The extended map at frame points ``x`` (N,3) and, when ``jac``,
         its Jacobian (N,3,3), else None, each region by its stage; for
-        t >= r this is the wedge map."""
+        t >= r this is the wedge map.
+
+        One wedge pass serves every stage.  It reads the wedge at each
+        point of the flattening band and beyond, at the foot (t, theta, 0)
+        of each squeeze-band point, and on the squeeze circle at the angle
+        of each squeeze-band point and of each untwist point where the
+        time profile or its derivative is nonzero; the stages take their
+        rows (``circle`` marks the points that have a circle image)."""
         t = np.hypot(x[:, 0], x[:, 1])
         theta = np.arctan2(x[:, 1], x[:, 0])
         stages = ((0, self._core), (_UNTWIST, self._untwist),
                   (_SQUEEZE, self._squeeze), (_FLATTEN, self._flatten),
                   (_OUTER, self._outer))
-        return radial_stages(stages, _FIFTHS, self.radius, t, (x, t, theta),
-                             jac)
+        region, s = bands = radial_bands([k for k, _ in stages], _FIFTHS,
+                                         self.radius, t)
+        untwist, squeeze = 1, 2         # their indices in stages
+        own = region >= squeeze
+        q = x[own]
+        foot = region[own] == squeeze
+        q[foot] = _foot(t[own][foot], theta[own][foot])
+        circle = region == squeeze
+        ring = np.flatnonzero(region == untwist)
+        circle[ring[(time_profile(s[ring]) != 0.0)
+                    | (time_profile_prime(s[ring]) != 0.0)]] = True
+        p0 = self._circle_points(theta[circle])
+        n = len(q)
+        G, J = wedge(self.fan, self.blends, np.concatenate([q, p0]), jac)
+        G0, dG0 = _circle_image(p0, G[n:], J[n:] if jac else None)
+        cols = (x, t, theta, _scatter(own, G[:n]),
+                _scatter(own, J[:n] if jac else None), _scatter(circle, G0),
+                _scatter(circle, dG0), circle)
+        return radial_stages(stages, bands, cols, jac)
 
-    # -- the stages, from the wedge inward; s is the band coordinate
+    # -- the stages, from the wedge inward.  Each takes its points' rows of
+    # x, t, theta, the wedge's value W and Jacobian JW at the point or its
+    # foot, the circle image G0 and dG0, ``circle``, and the band
+    # coordinate s
 
-    def _outer(self, x, t, theta, s, jac):
-        return wedge(self.fan, self.blends, x, jac)
+    def _outer(self, x, t, theta, W, JW, G0, dG0, circle, s, jac):
+        return W, JW
 
-    def _flatten(self, x, t, theta, s, jac):
+    def _flatten(self, x, t, theta, W, JW, G0, dG0, circle, s, jac):
         """The wedge with its axial image component h3 = w3 - lam x3 faded
         out: lam x3 + eta(s) h3."""
         lam = self.lam
-        out, J = wedge(self.fan, self.blends, x, jac)
+        out, J = W, JW
         h3 = out[:, 2] - lam * x[:, 2]
         e = eta(s)
         out[:, 2] = lam * x[:, 2] + e * h3
@@ -265,13 +288,11 @@ class EdgeSmoother:
         J[:, 2, 2] = lam
         return out, J
 
-    def _squeeze(self, x, t, theta, s, jac):
+    def _squeeze(self, x, t, theta, W, JW, G0, dG0, circle, s, jac):
         """The horizontal image G squeezed radially onto the squeeze
         circle's image directions u: eta(s) G + (1 - eta(s)) t rho u."""
         rho = self.rho
-        G, Jw = wedge(self.fan, self.blends, _foot(t, theta), jac)
-        G = G[:, :2]
-        G0, dG0 = self._circle(theta, jac)
+        G, Jw = W[:, :2], JW
         nrm = np.linalg.norm(G0, axis=-1, keepdims=True)
         u = G0 / nrm
         e = eta(s)
@@ -295,12 +316,14 @@ class EdgeSmoother:
         J[:, 2, 2] = self.lam
         return out, J
 
-    def _untwist(self, x, t, theta, s, jac):
+    def _untwist(self, x, t, theta, W, JW, G0, dG0, circle, s, jac):
         """Radius t rho at the angle L = theta + time_profile(s) (H - theta),
-        H the lift of the squeeze circle map."""
+        H the lift of the squeeze circle map.  Off ``circle`` the profile
+        and its derivative are 0, so L = theta: there H - theta is taken as
+        0 and H' as 1."""
         rho = self.rho
-        G0, dG0 = self._circle(theta, jac)
-        psi = self._H(theta, G0) - theta
+        psi = np.zeros(len(x))
+        psi[circle] = self._H(theta[circle], G0[circle]) - theta[circle]
         sv = time_profile(s)
         L = theta + sv * psi
         cl, sl = np.cos(L), np.sin(L)
@@ -309,8 +332,10 @@ class EdgeSmoother:
         if not jac:
             return out, None
         dsv = time_profile_prime(s) * (_FIFTHS / self.radius)
-        Hp = (G0[:, 0] * dG0[:, 1] - G0[:, 1] * dG0[:, 0]) \
-            / np.sum(G0 ** 2, axis=-1)
+        c0, d0 = G0[circle], dG0[circle]
+        Hp = np.ones(len(x))
+        Hp[circle] = (c0[:, 0] * d0[:, 1] - c0[:, 1] * d0[:, 0]) \
+            / np.sum(c0 ** 2, axis=-1)
         Lth = 1.0 + sv * (Hp - 1.0)
         c, sn = np.cos(theta), np.sin(theta)
         dt = np.stack([c, sn], axis=-1)
@@ -324,10 +349,30 @@ class EdgeSmoother:
         J[:, 2, 2] = self.lam
         return out, J
 
-    def _core(self, x, t, theta, s, jac):
+    def _core(self, x, t, theta, W, JW, G0, dG0, circle, s, jac):
         diag = np.array([self.rho, self.rho, self.lam])
         return x * diag, (np.broadcast_to(np.diag(diag), (len(x), 3, 3))
                           if jac else None)
+
+
+def _circle_image(p0, G, J):
+    """The wedge's horizontal image G0 at squeeze circle points ``p0``, from
+    its value ``G`` there, and dG0/dtheta from its Jacobian ``J`` (None
+    without), each (N, 2)."""
+    if J is None:
+        return G[:, :2], None
+    tangent = np.stack([-p0[:, 1], p0[:, 0], np.zeros(len(p0))], axis=-1)
+    return G[:, :2], np.einsum("nij,nj->ni", J, tangent)[:, :2]
+
+
+def _scatter(m, rows):
+    """An array with ``rows`` at the rows where ``m`` holds and the others
+    unset; None for None."""
+    if rows is None:
+        return None
+    out = np.empty((len(m),) + rows.shape[1:])
+    out[m] = rows
+    return out
 
 
 def _foot(t, theta):

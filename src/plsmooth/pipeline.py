@@ -215,12 +215,16 @@ class FacePatch:
 
     def mask(self, x):
         """0 < s < width, and within 1e-12 of ``cell_pos`` by the smallest
-        barycentric coordinate (the arithmetic of locate)."""
-        s = (x - self._o) @ self.n
+        barycentric coordinate (the coordinates of locate).  Both sums run
+        entry by entry: a matrix product of a one-point batch rounds apart
+        from the same point's in a larger batch, and the mask must not
+        depend on the points that ``_owners`` tests with it."""
+        d = x - self._o
+        s = d[:, 0] * self.n[0] + d[:, 1] * self.n[1] + d[:, 2] * self.n[2]
         m = (s > 0.0) & (s < self.width)
         if not np.any(m):
             return m
-        l1, l2, l3 = ((x[m] - self.tri[0]) @ self._edge_inv).T
+        l1, l2, l3 = geo.rows_times(x[m] - self.tri[0], self._edge_inv).T
         low = np.minimum(np.minimum(1.0 - (l1 + l2 + l3), l1),
                          np.minimum(l2, l3))
         m[np.flatnonzero(m)[low < -1e-12]] = False
@@ -304,6 +308,87 @@ class VertexPatch:
         return self.fV + d * z, J
 
 
+# The owner prefilter tests this many (point, patch) entries at a time; the
+# float temporaries of one chunk take 4 MB each.
+OWNER_CHUNK = 1 << 19
+# its margin, in units of the largest coordinate magnitude
+_SLACK = 2.0 ** -40
+
+
+class _PatchFrames:
+    """Each patch kind's mask data, stacked in precedence order: the balls'
+    centres V and radii R, the cylinders' frame rows [Q_1; ...; Q_C] with
+    Q V0, radii r and lengths L, and the slabs' normals n with n . o and
+    widths w.  ``candidates`` is the prefilter of ``SmoothedMap._owners``.
+
+    It takes each coordinate of a mask in a product form: x . q - q . c for
+    a unit frame row q through a frame point c, |x|^2 - 2 x . V + |V|^2 for
+    a ball.  Let M be the largest coordinate magnitude of the points and
+    the frames' points and u = 2^-53.  Each form rounds by at most about
+    10 u times the magnitudes it sums, which are at most 2 sqrt(3) M (a
+    ball's, 12 M^2); the mask's own (x - c) . q and |x - V| round by as
+    much again, and their comparisons, against r, L, w and R below 4 M, by
+    a few u more.  So a point that a mask holds lies within 50 u M of the
+    prefilter's bounds (300 u M^2 for a ball's square), and the margin
+    2^-40 M = 8192 u M (2^-40 M^2) keeps it.  It follows M, not the
+    coordinate scale, so a far point costs candidates, never an owner.  A
+    NaN from an overflowed product fails every bound and keeps the pair."""
+
+    def __init__(self, vertex_patches, edge_patches, face_patches):
+        self.V = np.reshape([vp.V for vp in vertex_patches], (-1, 3))
+        self.VV = np.sum(self.V ** 2, axis=1)
+        self.R2 = np.array([vp.R for vp in vertex_patches]) ** 2
+        fans = [ep.fan for ep in edge_patches]
+        self.Q = np.reshape([fan.Q for fan in fans], (-1, 3))
+        self.QV0 = np.reshape([fan.Q @ fan.V0 for fan in fans], (-1, 3))
+        self.r = np.array([ep.r for ep in edge_patches])
+        self.L = np.array([ep.L for ep in edge_patches])
+        self.n = np.reshape([fp.n for fp in face_patches], (-1, 3))
+        self.no = np.array([fp.n @ fp._o for fp in face_patches])
+        self.w = np.array([fp.width for fp in face_patches])
+        self.mag = float(np.max(np.abs(np.vstack(
+            [self.V] + [fan.V0 for fan in fans]
+            + [fp._o for fp in face_patches] + [np.zeros(3)]))))
+
+    def candidates(self, x):
+        """(k, points) for each patch k in precedence order that some point
+        of ``x`` (N,3) may lie in: the indices, ascending, of the points
+        within the margin of its mask's bounds, every point it holds among
+        them."""
+        nv, ne, nf = len(self.V), len(self.r), len(self.w)
+        if not len(x) or not nv + ne + nf:
+            return []
+        mag = max(self.mag, float(np.max(np.abs(x))))
+        d = _SLACK * mag
+        step = max(1, OWNER_CHUNK // (nv + 3 * ne + nf))
+        ks, ids = [], []
+        for lo in range(0, len(x), step):
+            xt = x[lo:lo + step].T
+            held = np.empty((nv + ne + nf, xt.shape[1]), dtype=bool)
+            if nv:
+                d2 = (np.sum(xt * xt, axis=0) - 2.0 * (self.V @ xt)) \
+                    + self.VV[:, None]
+                held[:nv] = ~(d2 >= (self.R2 + d * mag)[:, None])
+            if ne:
+                y = (self.Q @ xt).reshape(ne, 3, -1) - self.QV0[:, :, None]
+                held[nv:nv + ne] = ~(
+                    (y[:, 0] ** 2 + y[:, 1] ** 2 >= ((self.r + d) ** 2)[:, None])
+                    | (y[:, 2] <= -d) | (y[:, 2] >= (self.L + d)[:, None]))
+            if nf:
+                s = self.n @ xt - self.no[:, None]
+                held[nv + ne:] = ~((s <= -d) | (s >= (self.w + d)[:, None]))
+            k, i = np.nonzero(held)
+            ks.append(k)
+            ids.append(i + lo)
+        k, i = np.concatenate(ks), np.concatenate(ids)
+        if len(ks) > 1:
+            order = np.argsort(k, kind="stable")
+            k, i = k[order], i[order]
+        cut = np.flatnonzero(np.diff(k)) + 1
+        return [(int(k[a]), i[a:b])
+                for a, b in zip(np.r_[0, cut], np.r_[cut, len(k)]) if b > a]
+
+
 # ---------------------------------------------------------------------------
 # the assembled map
 
@@ -320,6 +405,8 @@ class SmoothedMap:
         self.edge_patches = edge_patches
         self.vertex_patches = vertex_patches
         self.scale = plmap.complex.coordinate_scale()
+        self._frames = _PatchFrames(vertex_patches, edge_patches,
+                                    face_patches)
         self._dq = None
 
     def scaled(self, lam):
@@ -365,21 +452,26 @@ class SmoothedMap:
     def _owners(self, x):
         """The index in ``patches`` of the first patch whose mask holds each
         point of ``x`` (N,3), or -1 for the bulk: the one place that applies
-        patch masks, each to the points that no earlier patch holds."""
+        patch masks.  Each patch's mask runs once, on the points of its
+        prefilter's (``_PatchFrames.candidates``) that no earlier patch
+        holds, and the prefilter keeps every point that the mask holds, so
+        the owners are those of every mask in turn on every point."""
         owner = np.full(len(x), -1)
-        todo = np.arange(len(x))
-        for k, p in enumerate(self.patches):
-            m = p.mask(x[todo])
-            owner[todo[m]] = k
-            todo = todo[~m]
+        patches = self.patches
+        for k, idx in self._frames.candidates(x):
+            idx = idx[owner[idx] < 0]
+            if len(idx):
+                owner[idx[patches[k].mask(x[idx])]] = k
         return owner
 
     def _dispatch(self, x, value=True, jac=False, extend=False):
         """g at points ``x`` (N,3) when ``value`` and Dg when ``jac``, each
-        else None: ``_owners``, one call per patch on its points and one bulk
-        ``locate``.  A patch's ``jacobian`` gives its value and Jacobian from
-        one pass, bit-equal in value to its ``evaluate``.  A batch that no
-        patch holds is all bulk: f and Df, with no copy of ``x``.
+        else None: ``_owners``, then one stable sort of the points by owner,
+        one call per patch on its contiguous slice and one bulk ``locate``,
+        and one inverse permutation.  Each call sees its points in their
+        order in ``x``.  A patch's ``jacobian`` gives its value and Jacobian
+        from one pass, bit-equal in value to its ``evaluate``.  A batch that
+        no patch holds is all bulk: f and Df, with no copy of ``x``.
         DomainError for a point with a non-finite coordinate."""
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
@@ -390,24 +482,36 @@ class SmoothedMap:
             ci = self._bulk_cells(x, extend)
             return (self.plmap.apply(x, ci) if value else None,
                     self.plmap.matrices[ci] if jac else None)
-        out = np.empty_like(x) if value else None
-        J = np.empty((len(x), 3, 3)) if jac else None
-        patches = self.patches
-        for k in np.unique(owner[owner >= 0]):
-            m = owner == k
-            if jac:
-                ym, J[m] = patches[k].jacobian(x[m])
-                if value:
-                    out[m] = ym
-            else:
-                out[m] = patches[k].evaluate(x[m])
-        todo = owner < 0
-        if np.any(todo):
-            ci = self._bulk_cells(x[todo], extend)
+        order = np.argsort(owner, kind="stable")
+        xs = x[order]
+        ends = np.cumsum(np.bincount(owner + 1,
+                                     minlength=len(self.patches) + 1))
+        ys = np.empty_like(x) if value else None
+        Js = np.empty((len(x), 3, 3)) if jac else None
+        # the bulk sorts first, as owner -1
+        if ends[0]:
+            xb = xs[:ends[0]]
+            ci = self._bulk_cells(xb, extend)
             if value:
-                out[todo] = self.plmap.apply(x[todo], ci)
+                ys[:ends[0]] = self.plmap.apply(xb, ci)
             if jac:
-                J[todo] = self.plmap.matrices[ci]
+                Js[:ends[0]] = self.plmap.matrices[ci]
+        for p, lo, hi in zip(self.patches, ends[:-1], ends[1:]):
+            if lo == hi:
+                continue
+            if jac:
+                ym, Js[lo:hi] = p.jacobian(xs[lo:hi])
+                if value:
+                    ys[lo:hi] = ym
+            else:
+                ys[lo:hi] = p.evaluate(xs[lo:hi])
+        out = J = None
+        if value:
+            out = np.empty_like(ys)
+            out[order] = ys
+        if jac:
+            J = np.empty_like(Js)
+            J[order] = Js
         return out, J
 
     def evaluate(self, x, extend=False):

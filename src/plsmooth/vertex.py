@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geo
-from .blend import (eta, eta_prime, radial_stages, time_profile,
-                    time_profile_prime)
+from .blend import (eta, eta_prime, radial_bands, radial_stages,
+                    time_profile, time_profile_prime)
 from .errors import CertificationError, ConstructionError, NoIsotopyFound
 
 
@@ -111,14 +111,23 @@ class SphereIsotopy:
     def __call__(self, x, t, jac):
         """Psi at unit vectors ``x`` (N,3) and time ``t`` and, when ``jac``,
         its d/dx and d/dt, ambient representation, else None and None: one
-        ``mu`` or, with ``jac``, one ``mu.ambient_derivative`` call."""
+        ``mu`` or, with ``jac``, one ``mu.ambient_derivative`` call, at the
+        points where the time profile or its derivative is nonzero and none
+        if there are none.  Elsewhere mu stands in as x itself with zero
+        derivative, which the profile's zero weights drop: Psi = x / |x|."""
         sv = np.broadcast_to(np.asarray(time_profile(t), dtype=float), (len(x),))
-        if not jac:
-            return geo.normalize((1.0 - sv)[:, None] * x
-                                 + sv[:, None] * self.mu(x)), None, None
         spv = np.broadcast_to(np.asarray(time_profile_prime(t), dtype=float),
                               (len(x),))
-        mv, Dmu = self.mu.ambient_derivative(x)
+        live = (sv != 0.0) | (spv != 0.0)
+        mv = x.copy()
+        if not jac:
+            if np.any(live):
+                mv[live] = self.mu(x[live])
+            return geo.normalize((1.0 - sv)[:, None] * x
+                                 + sv[:, None] * mv), None, None
+        Dmu = np.zeros((len(x), 3, 3))
+        if np.any(live):
+            mv[live], Dmu[live] = self.mu.ambient_derivative(x[live])
         V = (1.0 - sv)[:, None] * x + sv[:, None] * mv
         n = np.linalg.norm(V, axis=-1, keepdims=True)
         Psi = V / n
@@ -190,7 +199,8 @@ class VertexSmoother:
         nx = np.linalg.norm(x, axis=-1)
         stages = ((0, self._core), (_UNTWIST, self._untwist),
                   (_FLATTEN, self._flatten), (_OUTER, self._outer))
-        return radial_stages(stages, _QUARTERS, self.R, nx, (x, nx), jac)
+        bands = radial_bands([k for k, _ in stages], _QUARTERS, self.R, nx)
+        return radial_stages(stages, bands, (x, nx), jac)
 
     # -- the stages, from hat_g inward; s is the band coordinate
 
