@@ -90,20 +90,21 @@ def radial_stages(stages, bands, cols, jac):
     ``radial_bands`` of their k.  Each stage is called once, as
     stage(*rows, s, jac), on its points' rows of the per-point arrays
     ``cols`` (the points first; a None column stays None) and their band
-    coordinates s, and returns its value and Jacobian (None without
-    ``jac``)."""
-    x = cols[0]
-    out = np.empty_like(x)
-    J = np.empty((len(x), 3, 3)) if jac else None
+    coordinates s, in their order in ``cols``, and returns its value and
+    Jacobian (None without ``jac``).  One stable sort by stage makes each
+    stage's rows one slice of each column."""
     region, s = bands
-    for i, (_, stage) in enumerate(stages):
-        m = region == i
-        if np.any(m):
-            out[m], Jm = stage(*(None if c is None else c[m] for c in cols),
-                               s[m], jac)
+    order, ends = geo.group_slices(region, len(stages))
+    cols = [None if c is None else c[order] for c in cols] + [s[order]]
+    out = np.empty_like(cols[0])
+    J = np.empty((len(out), 3, 3)) if jac else None
+    for (_, stage), lo, hi in zip(stages, ends[:-1], ends[1:]):
+        if lo < hi:
+            out[lo:hi], Jm = stage(*(None if c is None else c[lo:hi]
+                                     for c in cols), jac)
             if jac:
-                J[m] = Jm
-    return out, J
+                J[lo:hi] = Jm
+    return geo.unsort(out, order), (geo.unsort(J, order) if jac else None)
 
 
 # ---------------------------------------------------------------------------

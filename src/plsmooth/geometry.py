@@ -40,6 +40,22 @@ def rows_times(x, M):
     return x[:, :1] * M[0] + x[:, 1:2] * M[1] + x[:, 2:] * M[2]
 
 
+def group_slices(key, n):
+    """One stable sort of rows by their group ``key`` (N,) in [0, n): the
+    permutation, and the n + 1 bounds of each group's slice of the sorted
+    rows.  The keys go in the smallest integer type that holds them, which
+    makes the sort a radix sort up to 32,768 groups."""
+    order = np.argsort(key.astype(np.min_scalar_type(-n)), kind="stable")
+    return order, np.r_[0, np.cumsum(np.bincount(key, minlength=n))]
+
+
+def unsort(a, order):
+    """The rows of ``a``, sorted by ``order``, back in their first order."""
+    out = np.empty_like(a)
+    out[order] = a
+    return out
+
+
 def orthonormal_tangents(n):
     """Two unit vectors completing ``n`` to a right-handed orthonormal basis.
 

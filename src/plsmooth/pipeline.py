@@ -377,16 +377,16 @@ class _PatchFrames:
             if nf:
                 s = self.n @ xt - self.no[:, None]
                 held[nv + ne:] = ~((s <= -d) | (s >= (self.w + d)[:, None]))
-            k, i = np.nonzero(held)
+            k, i = np.divmod(np.flatnonzero(held), held.shape[1])
             ks.append(k)
             ids.append(i + lo)
         k, i = np.concatenate(ks), np.concatenate(ids)
         if len(ks) > 1:
             order = np.argsort(k, kind="stable")
             k, i = k[order], i[order]
-        cut = np.flatnonzero(np.diff(k)) + 1
-        return [(int(k[a]), i[a:b])
-                for a, b in zip(np.r_[0, cut], np.r_[cut, len(k)]) if b > a]
+        ends = np.searchsorted(k, np.arange(nv + ne + nf + 1))
+        return [(p, i[a:b]) for p, (a, b) in enumerate(zip(ends[:-1], ends[1:]))
+                if a < b]
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +482,19 @@ class SmoothedMap:
             ci = self._bulk_cells(x, extend)
             return (self.plmap.apply(x, ci) if value else None,
                     self.plmap.matrices[ci] if jac else None)
-        order = np.argsort(owner, kind="stable")
+        # the bulk, owner -1, sorts first
+        order, ends = geo.group_slices(owner + 1, len(self.patches) + 1)
         xs = x[order]
-        ends = np.cumsum(np.bincount(owner + 1,
-                                     minlength=len(self.patches) + 1))
         ys = np.empty_like(x) if value else None
         Js = np.empty((len(x), 3, 3)) if jac else None
-        # the bulk sorts first, as owner -1
-        if ends[0]:
-            xb = xs[:ends[0]]
+        if ends[1]:
+            xb = xs[:ends[1]]
             ci = self._bulk_cells(xb, extend)
             if value:
-                ys[:ends[0]] = self.plmap.apply(xb, ci)
+                ys[:ends[1]] = self.plmap.apply(xb, ci)
             if jac:
-                Js[:ends[0]] = self.plmap.matrices[ci]
-        for p, lo, hi in zip(self.patches, ends[:-1], ends[1:]):
+                Js[:ends[1]] = self.plmap.matrices[ci]
+        for p, lo, hi in zip(self.patches, ends[1:-1], ends[2:]):
             if lo == hi:
                 continue
             if jac:
@@ -505,14 +503,8 @@ class SmoothedMap:
                     ys[lo:hi] = ym
             else:
                 ys[lo:hi] = p.evaluate(xs[lo:hi])
-        out = J = None
-        if value:
-            out = np.empty_like(ys)
-            out[order] = ys
-        if jac:
-            J = np.empty_like(Js)
-            J[order] = Js
-        return out, J
+        return (geo.unsort(ys, order) if value else None,
+                geo.unsort(Js, order) if jac else None)
 
     def evaluate(self, x, extend=False):
         return self._dispatch(x, extend=extend)[0]
