@@ -380,11 +380,8 @@ class _PatchFrames:
             k, i = np.divmod(np.flatnonzero(held), held.shape[1])
             ks.append(k)
             ids.append(i + lo)
-        k, i = np.concatenate(ks), np.concatenate(ids)
-        if len(ks) > 1:
-            order = np.argsort(k, kind="stable")
-            k, i = k[order], i[order]
-        ends = np.searchsorted(k, np.arange(nv + ne + nf + 1))
+        order, ends = geo.group_slices(np.concatenate(ks), nv + ne + nf)
+        i = np.concatenate(ids)[order]
         return [(p, i[a:b]) for p, (a, b) in enumerate(zip(ends[:-1], ends[1:]))
                 if a < b]
 
