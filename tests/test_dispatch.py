@@ -193,7 +193,7 @@ def test_dispatch_calls_each_owner_once(name, jac, monkeypatch):
         g.derivative(x)
     else:
         g.evaluate(x)
-    assert records[0]["map"] is g and len(records) >= 1
+    assert records and records[0]["map"] is g
     for rec in records:
         own = rec["map"]._owners(rec["x"])
         patches = rec["map"].patches
@@ -228,8 +228,10 @@ def test_edge_smoother_reads_the_wedge_once(jac, monkeypatch):
     sm.apply(x, jac)
     # the points of the squeeze band and beyond, the squeeze band's circle
     # points, and the untwist ring's only where its time profile turns
-    region, s = blend.radial_bands([0, 2, 3, 4, 5], 5, sm.radius,
-                                   np.hypot(x[:, 0], x[:, 1]))
+    E = plsmooth.edge
+    region, s = blend.radial_bands(
+        [0, E._UNTWIST, E._SQUEEZE, E._FLATTEN, E._OUTER], E._FIFTHS,
+        sm.radius, np.hypot(x[:, 0], x[:, 1]))
     live = (region == 1) & ((blend.time_profile(s) != 0)
                             | (blend.time_profile_prime(s) != 0))
     assert 0 < np.count_nonzero(live) < np.count_nonzero(region == 1)
